@@ -55,7 +55,8 @@ type Matrix = matrix.CSR
 // Builder assembles a Matrix from (row, col, value) triplets.
 type Builder = matrix.Builder
 
-// Tile is one dense p×p partition of a matrix.
+// Tile is one p×p partition of a matrix, stored as a compact per-tile
+// CSR: memory scales with its non-zeros, not with p².
 type Tile = matrix.Tile
 
 // PartitionStats are the Fig. 3 per-partition statistics.
@@ -106,12 +107,17 @@ func SparseFormats() []Format { return formats.Sparse() }
 // AllFormats returns every implemented format, extensions included.
 func AllFormats() []Format { return formats.All() }
 
-// Encoded is a tile compressed in some format; it can Decode back and
-// reports its transfer Footprint and structural Stats.
+// Encoded is a tile compressed in some format; it decodes back
+// (DecodeInto, or Decode for a fresh tile) and reports its transfer
+// Footprint and structural Stats.
 type Encoded = formats.Encoded
 
 // Encode compresses one tile in the given format.
 func Encode(f Format, t *Tile) Encoded { return formats.Encode(f, t) }
+
+// Decode reconstructs an encoded tile into a fresh Tile with a zero
+// origin, validating the streams.
+func Decode(e Encoded) (*Tile, error) { return formats.Decode(e) }
 
 // CSRTile is the CSR encoding of one tile. Beyond the Encoded interface
 // it exposes the executable kernel pair the bench artifact compares:

@@ -66,7 +66,7 @@ func TestEncodeDecodeFacade(t *testing.T) {
 	tile := copernicus.FromDense(16, 16, m.ToDense())
 	_ = tile
 	enc := copernicus.Encode(copernicus.DIA, firstTile(t, m, 16))
-	dec, err := enc.Decode()
+	dec, err := copernicus.Decode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}

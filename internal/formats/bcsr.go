@@ -90,31 +90,31 @@ func (e *BCSREnc) BlockRowRange(bi int) (start, end int32) {
 	return start, e.offsets[bi]
 }
 
-// Decode implements Encoded.
-func (e *BCSREnc) Decode() (*matrix.Tile, error) {
+// DecodeInto implements Encoded.
+func (e *BCSREnc) DecodeInto(t *matrix.Tile) error {
 	nb := e.p / e.b
 	if len(e.offsets) != nb {
-		return nil, corruptf("bcsr: %d offsets for p=%d b=%d", len(e.offsets), e.p, e.b)
+		return corruptf("bcsr: %d offsets for p=%d b=%d", len(e.offsets), e.p, e.b)
 	}
 	if len(e.vals) != len(e.colIdx)*e.b*e.b {
-		return nil, corruptf("bcsr: %d values for %d blocks of %dx%d", len(e.vals), len(e.colIdx), e.b, e.b)
+		return corruptf("bcsr: %d values for %d blocks of %dx%d", len(e.vals), len(e.colIdx), e.b, e.b)
 	}
 	if int(e.offsets[nb-1]) != len(e.colIdx) {
-		return nil, corruptf("bcsr: final offset %d vs %d blocks", e.offsets[nb-1], len(e.colIdx))
+		return corruptf("bcsr: final offset %d vs %d blocks", e.offsets[nb-1], len(e.colIdx))
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	t.Reset(e.p)
 	prev := int32(0)
 	for bi := 0; bi < nb; bi++ {
 		if e.offsets[bi] < prev {
-			return nil, corruptf("bcsr: offsets decrease at block row %d", bi)
+			return corruptf("bcsr: offsets decrease at block row %d", bi)
 		}
 		if int(e.offsets[bi]) > len(e.colIdx) {
-			return nil, corruptf("bcsr: offset %d at block row %d exceeds %d blocks", e.offsets[bi], bi, len(e.colIdx))
+			return corruptf("bcsr: offset %d at block row %d exceeds %d blocks", e.offsets[bi], bi, len(e.colIdx))
 		}
 		for blk := prev; blk < e.offsets[bi]; blk++ {
 			c0 := int(e.colIdx[blk])
 			if c0 < 0 || c0%e.b != 0 || c0+e.b > e.p {
-				return nil, corruptf("bcsr: block column %d invalid", c0)
+				return corruptf("bcsr: block column %d invalid", c0)
 			}
 			base := int(blk) * e.b * e.b
 			for i := 0; i < e.b; i++ {
@@ -127,7 +127,7 @@ func (e *BCSREnc) Decode() (*matrix.Tile, error) {
 		}
 		prev = e.offsets[bi]
 	}
-	return t, nil
+	return nil
 }
 
 // Footprint implements Encoded. The explicit zeros inside stored blocks

@@ -55,26 +55,26 @@ func (e *COOEnc) Cols() []int32 { return e.cols }
 // Values exposes the value stream (sentinel included).
 func (e *COOEnc) Values() []float64 { return e.vals }
 
-// Decode implements Encoded.
-func (e *COOEnc) Decode() (*matrix.Tile, error) {
+// DecodeInto implements Encoded.
+func (e *COOEnc) DecodeInto(t *matrix.Tile) error {
 	if len(e.rows) != len(e.cols) || len(e.rows) != len(e.vals) {
-		return nil, corruptf("coo: stream lengths differ: %d/%d/%d", len(e.rows), len(e.cols), len(e.vals))
+		return corruptf("coo: stream lengths differ: %d/%d/%d", len(e.rows), len(e.cols), len(e.vals))
 	}
 	if len(e.rows) == 0 || e.rows[len(e.rows)-1] != cooSentinel {
-		return nil, corruptf("coo: missing sentinel tuple")
+		return corruptf("coo: missing sentinel tuple")
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	t.Reset(e.p)
 	for k := 0; k < len(e.rows)-1; k++ {
 		i, j := e.rows[k], e.cols[k]
 		if i < 0 || int(i) >= e.p || j < 0 || int(j) >= e.p {
-			return nil, corruptf("coo: tuple %d at (%d,%d) out of range", k, i, j)
+			return corruptf("coo: tuple %d at (%d,%d) out of range", k, i, j)
 		}
 		if e.vals[k] == 0 {
-			return nil, corruptf("coo: tuple %d stores explicit zero", k)
+			return corruptf("coo: tuple %d stores explicit zero", k)
 		}
 		t.Set(int(i), int(j), e.vals[k])
 	}
-	return t, nil
+	return nil
 }
 
 // Footprint implements Encoded. Only real tuples travel — the AXI burst

@@ -71,36 +71,36 @@ func (e *CSCEnc) ColRange(j int) (start, end int32) {
 	return start, e.offsets[j]
 }
 
-// Decode implements Encoded.
-func (e *CSCEnc) Decode() (*matrix.Tile, error) {
+// DecodeInto implements Encoded.
+func (e *CSCEnc) DecodeInto(t *matrix.Tile) error {
 	if len(e.offsets) != e.p {
-		return nil, corruptf("csc: %d offsets for p=%d", len(e.offsets), e.p)
+		return corruptf("csc: %d offsets for p=%d", len(e.offsets), e.p)
 	}
 	if len(e.rowIdx) != len(e.vals) {
-		return nil, corruptf("csc: %d indices vs %d values", len(e.rowIdx), len(e.vals))
+		return corruptf("csc: %d indices vs %d values", len(e.rowIdx), len(e.vals))
 	}
 	if int(e.offsets[e.p-1]) != len(e.vals) {
-		return nil, corruptf("csc: final offset %d vs %d values", e.offsets[e.p-1], len(e.vals))
+		return corruptf("csc: final offset %d vs %d values", e.offsets[e.p-1], len(e.vals))
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	t.Reset(e.p)
 	prev := int32(0)
 	for j := 0; j < e.p; j++ {
 		if e.offsets[j] < prev {
-			return nil, corruptf("csc: offsets decrease at column %d", j)
+			return corruptf("csc: offsets decrease at column %d", j)
 		}
 		if int(e.offsets[j]) > len(e.vals) {
-			return nil, corruptf("csc: offset %d at column %d exceeds %d values", e.offsets[j], j, len(e.vals))
+			return corruptf("csc: offset %d at column %d exceeds %d values", e.offsets[j], j, len(e.vals))
 		}
 		for k := prev; k < e.offsets[j]; k++ {
 			i := e.rowIdx[k]
 			if i < 0 || int(i) >= e.p {
-				return nil, corruptf("csc: row %d out of range at column %d", i, j)
+				return corruptf("csc: row %d out of range at column %d", i, j)
 			}
 			t.Set(int(i), j, e.vals[k])
 		}
 		prev = e.offsets[j]
 	}
-	return t, nil
+	return nil
 }
 
 // Footprint implements Encoded.

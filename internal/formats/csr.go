@@ -18,7 +18,7 @@ type CSREnc struct {
 	// the executable kernel visits only rows with work instead of walking
 	// all p offsets per tile — on sparse tiles most rows are empty. It is
 	// derived acceleration metadata for the host kernel, not part of the
-	// format's wire layout: Footprint and Stats exclude it, and Decode
+	// format's wire layout: Footprint and Stats exclude it, and decoding
 	// reconstructs the tile from the offsets alone.
 	skip []int32
 }
@@ -64,36 +64,36 @@ func (e *CSREnc) RowRange(i int) (start, end int32) {
 	return start, e.offsets[i]
 }
 
-// Decode implements Encoded.
-func (e *CSREnc) Decode() (*matrix.Tile, error) {
+// DecodeInto implements Encoded.
+func (e *CSREnc) DecodeInto(t *matrix.Tile) error {
 	if len(e.offsets) != e.p {
-		return nil, corruptf("csr: %d offsets for p=%d", len(e.offsets), e.p)
+		return corruptf("csr: %d offsets for p=%d", len(e.offsets), e.p)
 	}
 	if len(e.colIdx) != len(e.vals) {
-		return nil, corruptf("csr: %d indices vs %d values", len(e.colIdx), len(e.vals))
+		return corruptf("csr: %d indices vs %d values", len(e.colIdx), len(e.vals))
 	}
 	if int(e.offsets[e.p-1]) != len(e.vals) {
-		return nil, corruptf("csr: final offset %d vs %d values", e.offsets[e.p-1], len(e.vals))
+		return corruptf("csr: final offset %d vs %d values", e.offsets[e.p-1], len(e.vals))
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	t.Reset(e.p)
 	prev := int32(0)
 	for i := 0; i < e.p; i++ {
 		if e.offsets[i] < prev {
-			return nil, corruptf("csr: offsets decrease at row %d", i)
+			return corruptf("csr: offsets decrease at row %d", i)
 		}
 		if int(e.offsets[i]) > len(e.vals) {
-			return nil, corruptf("csr: offset %d at row %d exceeds %d values", e.offsets[i], i, len(e.vals))
+			return corruptf("csr: offset %d at row %d exceeds %d values", e.offsets[i], i, len(e.vals))
 		}
 		for k := prev; k < e.offsets[i]; k++ {
 			j := e.colIdx[k]
 			if j < 0 || int(j) >= e.p {
-				return nil, corruptf("csr: column %d out of range at row %d", j, i)
+				return corruptf("csr: column %d out of range at row %d", j, i)
 			}
 			t.Set(i, int(j), e.vals[k])
 		}
 		prev = e.offsets[i]
 	}
-	return t, nil
+	return nil
 }
 
 // Footprint implements Encoded. Values ride the value lane; column indices

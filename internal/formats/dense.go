@@ -29,18 +29,20 @@ func (e *DenseEnc) P() int { return e.p }
 // Values exposes the row-major payload for the hardware model.
 func (e *DenseEnc) Values() []float64 { return e.val }
 
-// Decode implements Encoded.
-func (e *DenseEnc) Decode() (*matrix.Tile, error) {
+// DecodeInto implements Encoded.
+func (e *DenseEnc) DecodeInto(t *matrix.Tile) error {
 	if len(e.val) != e.p*e.p {
-		return nil, corruptf("dense: %d values for p=%d", len(e.val), e.p)
+		return corruptf("dense: %d values for p=%d", len(e.val), e.p)
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	t.Reset(e.p)
 	for i := 0; i < e.p; i++ {
 		for j := 0; j < e.p; j++ {
-			t.Set(i, j, e.val[i*e.p+j])
+			if v := e.val[i*e.p+j]; v != 0 {
+				t.Set(i, j, v)
+			}
 		}
 	}
-	return t, nil
+	return nil
 }
 
 // Footprint implements Encoded. The p² transmitted words split into the

@@ -65,25 +65,25 @@ func (e *DIAEnc) DiagNo() []int32 { return e.diagNo }
 // value at tile position (i, i+d)).
 func (e *DIAEnc) Lane(k int) []float64 { return e.lanes[k*e.p : (k+1)*e.p] }
 
-// Decode implements Encoded.
-func (e *DIAEnc) Decode() (*matrix.Tile, error) {
+// DecodeInto implements Encoded.
+func (e *DIAEnc) DecodeInto(t *matrix.Tile) error {
 	if len(e.lanes) != len(e.diagNo)*e.p {
-		return nil, corruptf("dia: %d lane slots for %d diagonals of p=%d", len(e.lanes), len(e.diagNo), e.p)
+		return corruptf("dia: %d lane slots for %d diagonals of p=%d", len(e.lanes), len(e.diagNo), e.p)
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	t.Reset(e.p)
 	for k, d := range e.diagNo {
 		if int(d) <= -e.p || int(d) >= e.p {
-			return nil, corruptf("dia: diagonal number %d out of range", d)
+			return corruptf("dia: diagonal number %d out of range", d)
 		}
 		if k > 0 && e.diagNo[k-1] >= d {
-			return nil, corruptf("dia: diagonal numbers not ascending at %d", k)
+			return corruptf("dia: diagonal numbers not ascending at %d", k)
 		}
 		lane := e.Lane(k)
 		for i := 0; i < e.p; i++ {
 			j := i + int(d)
 			if j < 0 || j >= e.p {
 				if lane[i] != 0 {
-					return nil, corruptf("dia: out-of-extent slot %d on diagonal %d holds a value", i, d)
+					return corruptf("dia: out-of-extent slot %d on diagonal %d holds a value", i, d)
 				}
 				continue
 			}
@@ -92,7 +92,7 @@ func (e *DIAEnc) Decode() (*matrix.Tile, error) {
 			}
 		}
 	}
-	return t, nil
+	return nil
 }
 
 // Footprint implements Encoded. Every stored diagonal transfers p value

@@ -68,12 +68,12 @@ func (e *DOKEnc) Keys() []int32 { return e.keys }
 // Values exposes the value slots for the hardware model.
 func (e *DOKEnc) Values() []float64 { return e.vals }
 
-// Decode implements Encoded.
-func (e *DOKEnc) Decode() (*matrix.Tile, error) {
+// DecodeInto implements Encoded.
+func (e *DOKEnc) DecodeInto(t *matrix.Tile) error {
 	if len(e.keys) != len(e.vals) {
-		return nil, corruptf("dok: %d keys vs %d values", len(e.keys), len(e.vals))
+		return corruptf("dok: %d keys vs %d values", len(e.keys), len(e.vals))
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	t.Reset(e.p)
 	seen := 0
 	for s, k := range e.keys {
 		if k == dokEmpty {
@@ -81,21 +81,23 @@ func (e *DOKEnc) Decode() (*matrix.Tile, error) {
 		}
 		i, j := dokUnpack(k)
 		if i < 0 || i >= e.p || j < 0 || j >= e.p {
-			return nil, corruptf("dok: key (%d,%d) out of range", i, j)
+			return corruptf("dok: key (%d,%d) out of range", i, j)
 		}
 		if e.vals[s] == 0 {
-			return nil, corruptf("dok: slot %d stores explicit zero", s)
-		}
-		if t.At(i, j) != 0 {
-			return nil, corruptf("dok: duplicate key (%d,%d)", i, j)
+			return corruptf("dok: slot %d stores explicit zero", s)
 		}
 		t.Set(i, j, e.vals[s])
 		seen++
 	}
-	if seen != e.nnz {
-		return nil, corruptf("dok: %d occupied slots vs recorded nnz %d", seen, e.nnz)
+	// Every staged value is non-zero, so a duplicate key collapses two
+	// slots into one coordinate and shows as fewer distinct entries.
+	if n := t.NNZ(); n != seen {
+		return corruptf("dok: %d occupied slots hold %d distinct keys (duplicate key)", seen, n)
 	}
-	return t, nil
+	if seen != e.nnz {
+		return corruptf("dok: %d occupied slots vs recorded nnz %d", seen, e.nnz)
+	}
+	return nil
 }
 
 // Footprint implements Encoded. The whole table travels: occupied slots

@@ -62,31 +62,31 @@ func (e *ELLEnc) Idx() []int32 { return e.idx }
 // Values exposes the padded value rectangle for the hardware model.
 func (e *ELLEnc) Values() []float64 { return e.vals }
 
-// Decode implements Encoded.
-func (e *ELLEnc) Decode() (*matrix.Tile, error) {
+// DecodeInto implements Encoded.
+func (e *ELLEnc) DecodeInto(t *matrix.Tile) error {
 	if len(e.idx) != e.p*e.w || len(e.vals) != e.p*e.w {
-		return nil, corruptf("ell: rectangle %d/%d for p=%d w=%d", len(e.idx), len(e.vals), e.p, e.w)
+		return corruptf("ell: rectangle %d/%d for p=%d w=%d", len(e.idx), len(e.vals), e.p, e.w)
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	t.Reset(e.p)
 	for i := 0; i < e.p; i++ {
 		for k := 0; k < e.w; k++ {
 			j := e.idx[i*e.w+k]
 			if j == ellPad {
 				if e.vals[i*e.w+k] != 0 {
-					return nil, corruptf("ell: padded slot (%d,%d) holds a value", i, k)
+					return corruptf("ell: padded slot (%d,%d) holds a value", i, k)
 				}
 				continue
 			}
 			if j < 0 || int(j) >= e.p {
-				return nil, corruptf("ell: column %d out of range at row %d", j, i)
+				return corruptf("ell: column %d out of range at row %d", j, i)
 			}
 			if e.vals[i*e.w+k] == 0 {
-				return nil, corruptf("ell: explicit zero at row %d slot %d", i, k)
+				return corruptf("ell: explicit zero at row %d slot %d", i, k)
 			}
 			t.Set(i, int(j), e.vals[i*e.w+k])
 		}
 	}
-	return t, nil
+	return nil
 }
 
 // Footprint implements Encoded. Both rectangles travel in full; padding

@@ -65,12 +65,12 @@ func (e *ELLCOOEnc) Width() int { return e.w }
 // Spill returns the number of COO spill tuples (sentinel excluded).
 func (e *ELLCOOEnc) Spill() int { return len(e.sval) - 1 }
 
-// Decode implements Encoded.
-func (e *ELLCOOEnc) Decode() (*matrix.Tile, error) {
+// DecodeInto implements Encoded.
+func (e *ELLCOOEnc) DecodeInto(t *matrix.Tile) error {
 	if len(e.idx) != e.p*e.w || len(e.vals) != e.p*e.w {
-		return nil, corruptf("ell+coo: rectangle %d/%d for p=%d w=%d", len(e.idx), len(e.vals), e.p, e.w)
+		return corruptf("ell+coo: rectangle %d/%d for p=%d w=%d", len(e.idx), len(e.vals), e.p, e.w)
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	t.Reset(e.p)
 	for i := 0; i < e.p; i++ {
 		for k := 0; k < e.w; k++ {
 			j := e.idx[i*e.w+k]
@@ -78,22 +78,22 @@ func (e *ELLCOOEnc) Decode() (*matrix.Tile, error) {
 				continue
 			}
 			if j < 0 || int(j) >= e.p {
-				return nil, corruptf("ell+coo: column %d out of range at row %d", j, i)
+				return corruptf("ell+coo: column %d out of range at row %d", j, i)
 			}
 			t.Set(i, int(j), e.vals[i*e.w+k])
 		}
 	}
 	if len(e.srow) == 0 || e.srow[len(e.srow)-1] != cooSentinel {
-		return nil, corruptf("ell+coo: missing spill sentinel")
+		return corruptf("ell+coo: missing spill sentinel")
 	}
 	for k := 0; k < len(e.srow)-1; k++ {
 		i, j := e.srow[k], e.scol[k]
 		if i < 0 || int(i) >= e.p || j < 0 || int(j) >= e.p {
-			return nil, corruptf("ell+coo: spill tuple %d out of range", k)
+			return corruptf("ell+coo: spill tuple %d out of range", k)
 		}
 		t.Set(int(i), int(j), e.sval[k])
 	}
-	return t, nil
+	return nil
 }
 
 // Footprint implements Encoded. As with COO, the spill sentinel is

@@ -3,15 +3,16 @@
 // DIA, plus the dense baseline and the ELL-family extension formats the
 // paper surveys (SELL, ELL+COO, JDS).
 //
-// Each format encodes one dense p×p partition tile into the exact streams
+// Each format encodes one sparse p×p partition tile into the exact streams
 // the modelled accelerator would transfer over AXI, with byte-level
 // accounting split into useful data (non-zero values) and metadata
 // (indices, offsets, headers, padding, and explicitly stored zeros). The
 // split defines the paper's memory-bandwidth-utilization metric; the
 // structural stream shapes drive the hlsim cycle model.
 //
-// Every Encoded value can Decode back to the original tile; the test suite
-// proves the round-trip for random tiles of every format.
+// Every Encoded value decodes back to the original tile (DecodeInto, or
+// Decode for a fresh tile); the test suite proves the round-trip for
+// random tiles of every format.
 package formats
 
 import (
@@ -207,9 +208,12 @@ type Encoded interface {
 	Kind() Kind
 	// P returns the tile edge length.
 	P() int
-	// Decode reconstructs the dense tile, validating the streams. The
-	// returned tile carries a zero origin; callers re-anchor it.
-	Decode() (*matrix.Tile, error)
+	// DecodeInto reconstructs the tile into t, validating the streams.
+	// It resets t (which must come from matrix.NewTile) to a P×P tile at
+	// origin (0, 0), reusing its capacity, so one tile can receive every
+	// decode of a verification pass. On error t's contents are
+	// unspecified.
+	DecodeInto(t *matrix.Tile) error
 	// Footprint returns the transmitted-byte accounting.
 	Footprint() Footprint
 	// Stats returns the structural quantities for the cycle model.
@@ -257,6 +261,17 @@ func Encode(k Kind, t *matrix.Tile) Encoded {
 	default:
 		panic(fmt.Sprintf("formats: Encode with unknown kind %d", int(k)))
 	}
+}
+
+// Decode reconstructs e into a fresh tile with a zero origin; callers
+// re-anchor it. Loops decoding many tiles should reuse one tile through
+// DecodeInto instead.
+func Decode(e Encoded) (*matrix.Tile, error) {
+	t := matrix.NewTile(e.P(), 0, 0)
+	if err := e.DecodeInto(t); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // EncodeBCSRBlock compresses the tile in BCSR with a custom block edge b

@@ -81,7 +81,7 @@ func TestRoundTripAllFormats(t *testing.T) {
 				density := []float64{0, 0.01, 0.1, 0.3, 0.7, 1}[r.Intn(6)]
 				tile := randomTile(seed, p, density)
 				enc := Encode(k, tile)
-				dec, err := enc.Decode()
+				dec, err := Decode(enc)
 				if err != nil {
 					t.Logf("decode error: %v", err)
 					return false
@@ -142,7 +142,7 @@ func TestRoundTripStructured(t *testing.T) {
 			for _, p := range []int{8, 16, 32} {
 				tile := mk(p)
 				enc := Encode(k, tile)
-				dec, err := enc.Decode()
+				dec, err := Decode(enc)
 				if err != nil {
 					t.Fatalf("%s/%s p=%d: decode: %v", k, name, p, err)
 				}
@@ -342,7 +342,7 @@ func TestEmptyTileAllFormats(t *testing.T) {
 	for _, k := range All() {
 		tile := matrix.NewTile(8, 0, 0)
 		enc := Encode(k, tile)
-		dec, err := enc.Decode()
+		dec, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("%v: empty tile decode: %v", k, err)
 		}
@@ -473,7 +473,7 @@ func TestCorruptionDetection(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			enc := c.corrupt()
-			dec, err := enc.Decode()
+			dec, err := Decode(enc)
 			if err == nil {
 				// Corruption may accidentally produce a valid different
 				// encoding; it must at least not equal the source tile.
@@ -486,6 +486,42 @@ func TestCorruptionDetection(t *testing.T) {
 				t.Fatalf("error %v does not wrap ErrCorrupt", err)
 			}
 		})
+	}
+}
+
+// TestDecodeIntoReusedTileMatchesFresh decodes every format's encodings of
+// the golden corpus, shuffled across formats and partition sizes, into one
+// recycled tile — with failed decodes of a corrupt stream mixed in — and
+// requires each result to equal a fresh Decode, so nothing an earlier
+// decode staged leaks into a later one.
+func TestDecodeIntoReusedTileMatchesFresh(t *testing.T) {
+	var encs []Encoded
+	for _, tile := range goldenTiles(t) {
+		for _, k := range All() {
+			encs = append(encs, Encode(k, tile))
+		}
+	}
+	xrand.New(7).Shuffle(len(encs), func(i, j int) { encs[i], encs[j] = encs[j], encs[i] })
+	// Stages (0,0) and (1,1), then fails on an out-of-range tuple.
+	corrupt := &COOEnc{p: 8, rows: []int32{0, 1, 9, cooSentinel}, cols: []int32{0, 1, 0, cooSentinel},
+		vals: []float64{1, 2, 3, 0}}
+	reused := matrix.NewTile(1, 0, 0)
+	for n, e := range encs {
+		if n%5 == 0 {
+			if err := corrupt.DecodeInto(reused); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("corrupt COO stream: got %v, want ErrCorrupt", err)
+			}
+		}
+		if err := e.DecodeInto(reused); err != nil {
+			t.Fatalf("%v p=%d: DecodeInto: %v", e.Kind(), e.P(), err)
+		}
+		fresh, err := Decode(e)
+		if err != nil {
+			t.Fatalf("%v p=%d: Decode: %v", e.Kind(), e.P(), err)
+		}
+		if !reused.EqualValues(fresh) {
+			t.Fatalf("%v p=%d: reused-tile decode differs from a fresh decode", e.Kind(), e.P())
+		}
 	}
 }
 

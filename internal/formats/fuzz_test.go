@@ -1,6 +1,7 @@
 package formats
 
 import (
+	"errors"
 	"testing"
 
 	"copernicus/internal/matrix"
@@ -46,7 +47,7 @@ func FuzzCSRDecode(f *testing.F) {
 			}
 			e.vals[i] = float64(i + 1)
 		}
-		tile, err := e.Decode()
+		tile, err := Decode(e)
 		if err == nil {
 			fuzzTileOK(t, tile, p)
 		}
@@ -68,7 +69,7 @@ func FuzzCOODecode(f *testing.F) {
 		e.rows = append(e.rows, cooSentinel)
 		e.cols = append(e.cols, cooSentinel)
 		e.vals = append(e.vals, 0)
-		tile, err := e.Decode()
+		tile, err := Decode(e)
 		if err == nil {
 			fuzzTileOK(t, tile, p)
 		}
@@ -90,7 +91,7 @@ func FuzzDIADecode(f *testing.F) {
 				e.lanes[i] = float64(vals[i])
 			}
 		}
-		tile, err := e.Decode()
+		tile, err := Decode(e)
 		if err == nil {
 			fuzzTileOK(t, tile, p)
 		}
@@ -125,9 +126,122 @@ func FuzzJDSDecode(f *testing.F) {
 			}
 			e.vals[i] = float64(i + 1)
 		}
-		tile, err := e.Decode()
+		tile, err := Decode(e)
 		if err == nil {
 			fuzzTileOK(t, tile, p)
+		}
+	})
+}
+
+// fuzzCorruptOK fails unless err is nil or wraps ErrCorrupt.
+func fuzzCorruptOK(t *testing.T, err error) {
+	t.Helper()
+	if err != nil && !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("decode error %v does not wrap ErrCorrupt", err)
+	}
+}
+
+// FuzzLILDecode builds column lists from the input — per-column length
+// bytes whose high bits inject a length mismatch (0x80) or an explicit
+// zero (0x40), rows offset to reach negative and out-of-range values —
+// and checks that an accepted stream has strictly ascending rows in every
+// column and decodes to exactly its entries.
+func FuzzLILDecode(f *testing.F) {
+	f.Add([]byte{2, 1, 0, 1}, []byte{5, 9, 4, 11}, 8) // valid, ascending
+	f.Add([]byte{2}, []byte{9, 5}, 8)                 // rows not ascending
+	f.Add([]byte{1}, []byte{200}, 8)                  // row out of range
+	f.Add([]byte{0x82}, []byte{5, 6}, 8)              // length mismatch
+	f.Add([]byte{0x41, 1}, []byte{5, 6}, 16)          // explicit zero
+	f.Add([]byte{3, 3, 3}, []byte{4, 5, 6, 4, 6, 7, 5, 6, 7}, 24)
+	f.Fuzz(func(t *testing.T, lens, rows []byte, p int) {
+		p = 8 + (abs(p) % 3 * 8)
+		e := &LILEnc{p: p, colRows: make([][]int32, p), colVals: make([][]float64, p)}
+		next := 0
+		for j := 0; j < p && j < len(lens); j++ {
+			for k := 0; k < int(lens[j]&7) && next < len(rows); k++ {
+				v := float64(next + 1)
+				if k == 0 && lens[j]&0x40 != 0 {
+					v = 0
+				}
+				e.colRows[j] = append(e.colRows[j], int32(rows[next])-4)
+				e.colVals[j] = append(e.colVals[j], v)
+				next++
+			}
+			if lens[j]&0x80 != 0 && len(e.colVals[j]) > 0 {
+				e.colVals[j] = e.colVals[j][:len(e.colVals[j])-1]
+			}
+		}
+		e.nnz = next
+		tile, err := Decode(e)
+		fuzzCorruptOK(t, err)
+		if err != nil {
+			return
+		}
+		fuzzTileOK(t, tile, p)
+		if tile.NNZ() != next {
+			t.Fatalf("decoded %d non-zeros from %d list entries", tile.NNZ(), next)
+		}
+		for j := range e.colRows {
+			for k, r := range e.colRows[j] {
+				if k > 0 && e.colRows[j][k-1] >= r {
+					t.Fatalf("column %d accepted with rows out of order: %v", j, e.colRows[j])
+				}
+				if got := tile.At(int(r), j); got != e.colVals[j][k] {
+					t.Fatalf("(%d,%d) = %v, stream holds %v", r, j, got, e.colVals[j][k])
+				}
+			}
+		}
+	})
+}
+
+// FuzzDOKDecode fills a hash table's slots with keys from the input
+// pairs — offset to reach negative and out-of-range coordinates, so
+// duplicates, bad keys and free-slot collisions all occur — and checks
+// that an accepted table decodes to exactly one entry per occupied slot.
+// flags 1 stores an explicit zero; flags 2 misstates the recorded nnz.
+func FuzzDOKDecode(f *testing.F) {
+	f.Add([]byte{4, 7, 8, 11, 11, 11}, byte(0), 8) // valid
+	f.Add([]byte{5, 6, 9, 9, 5, 6}, byte(0), 8)    // duplicate key (1,2)
+	f.Add([]byte{200, 5}, byte(0), 8)              // key out of range
+	f.Add([]byte{4, 4}, byte(1), 16)               // explicit zero
+	f.Add([]byte{4, 4, 5, 5}, byte(2), 24)         // nnz mismatch
+	f.Fuzz(func(t *testing.T, pairs []byte, flags byte, p int) {
+		p = 8 + (abs(p) % 3 * 8)
+		n := min(len(pairs)/2, 256)
+		size := 2
+		for size < 2*max(1, n) {
+			size *= 2
+		}
+		e := &DOKEnc{p: p, keys: make([]int32, size), vals: make([]float64, size), nnz: n}
+		for s := range e.keys {
+			e.keys[s] = dokEmpty
+		}
+		for k := 0; k < n; k++ {
+			e.keys[k] = dokKey(int(pairs[2*k])-4, int(pairs[2*k+1])-4)
+			e.vals[k] = float64(k + 1)
+		}
+		if flags&1 != 0 && n > 0 {
+			e.vals[0] = 0
+		}
+		if flags&2 != 0 {
+			e.nnz++
+		}
+		tile, err := Decode(e)
+		fuzzCorruptOK(t, err)
+		if err != nil {
+			return
+		}
+		fuzzTileOK(t, tile, p)
+		if tile.NNZ() != e.nnz {
+			t.Fatalf("decoded %d non-zeros, table records %d", tile.NNZ(), e.nnz)
+		}
+		for s, k := range e.keys {
+			if k == dokEmpty {
+				continue
+			}
+			if i, j := dokUnpack(k); tile.At(i, j) != e.vals[s] {
+				t.Fatalf("(%d,%d) = %v, slot %d holds %v", i, j, tile.At(i, j), s, e.vals[s])
+			}
 		}
 	})
 }

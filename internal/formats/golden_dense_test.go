@@ -574,7 +574,7 @@ func TestEncodeNaNMatchesReference(t *testing.T) {
 	tile.Set(5, 7, 3.5)
 	for _, k := range All() {
 		got := Encode(k, tile)
-		dec, err := got.Decode()
+		dec, err := Decode(got)
 		if err != nil {
 			t.Fatalf("%v: decode: %v", k, err)
 		}

@@ -78,44 +78,46 @@ func (e *JDSEnc) P() int { return e.p }
 // Width returns the number of jagged diagonals (the longest row's nnz).
 func (e *JDSEnc) Width() int { return len(e.ptr) - 1 }
 
-// Decode implements Encoded.
-func (e *JDSEnc) Decode() (*matrix.Tile, error) {
+// DecodeInto implements Encoded.
+func (e *JDSEnc) DecodeInto(t *matrix.Tile) error {
 	if len(e.perm) != e.p {
-		return nil, corruptf("jds: %d perm entries for p=%d", len(e.perm), e.p)
+		return corruptf("jds: %d perm entries for p=%d", len(e.perm), e.p)
 	}
-	seen := make([]bool, e.p)
+	sc := getScratch()
+	defer putScratch(sc)
+	seen := sc.ints(e.p)
 	for _, o := range e.perm {
-		if o < 0 || int(o) >= e.p || seen[o] {
-			return nil, corruptf("jds: invalid permutation entry %d", o)
+		if o < 0 || int(o) >= e.p || seen[o] != 0 {
+			return corruptf("jds: invalid permutation entry %d", o)
 		}
-		seen[o] = true
+		seen[o] = 1
 	}
 	if len(e.ptr) == 0 || int(e.ptr[len(e.ptr)-1]) != len(e.vals) || len(e.idx) != len(e.vals) {
-		return nil, corruptf("jds: pointer/stream inconsistency")
+		return corruptf("jds: pointer/stream inconsistency")
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	t.Reset(e.p)
 	for k := 0; k < e.Width(); k++ {
 		start, end := int(e.ptr[k]), int(e.ptr[k+1])
 		if start > end || end > len(e.vals) {
-			return nil, corruptf("jds: diagonal %d range [%d,%d) invalid", k, start, end)
+			return corruptf("jds: diagonal %d range [%d,%d) invalid", k, start, end)
 		}
 		if end-start > e.p {
-			return nil, corruptf("jds: diagonal %d supplies %d rows for p=%d", k, end-start, e.p)
+			return corruptf("jds: diagonal %d supplies %d rows for p=%d", k, end-start, e.p)
 		}
 		// Jagged diagonal k supplies the k-th non-zero of the first
 		// (end-start) sorted rows.
 		for r := 0; r < end-start; r++ {
 			j := e.idx[start+r]
 			if j < 0 || int(j) >= e.p {
-				return nil, corruptf("jds: column %d out of range on diagonal %d", j, k)
+				return corruptf("jds: column %d out of range on diagonal %d", j, k)
 			}
 			if e.vals[start+r] == 0 {
-				return nil, corruptf("jds: explicit zero on diagonal %d", k)
+				return corruptf("jds: explicit zero on diagonal %d", k)
 			}
 			t.Set(int(e.perm[r]), int(j), e.vals[start+r])
 		}
 	}
-	return t, nil
+	return nil
 }
 
 // Footprint implements Encoded. No padding travels, but the permutation

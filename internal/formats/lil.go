@@ -90,48 +90,33 @@ func (e *LILEnc) Height() int {
 	return h
 }
 
-// Decode implements Encoded. It replays the Listing 4 merge: repeatedly
-// find the minimum pending row index across column cursors and gather all
-// matching heads.
-func (e *LILEnc) Decode() (*matrix.Tile, error) {
+// DecodeInto implements Encoded. It walks each column list once —
+// O(nnz + p) — validating that rows ascend within the list; the row-major
+// order the Listing 4 merge produces is restored by the tile's seal.
+func (e *LILEnc) DecodeInto(t *matrix.Tile) error {
 	if len(e.colRows) != e.p || len(e.colVals) != e.p {
-		return nil, corruptf("lil: %d/%d columns for p=%d", len(e.colRows), len(e.colVals), e.p)
+		return corruptf("lil: %d/%d columns for p=%d", len(e.colRows), len(e.colVals), e.p)
 	}
-	t := matrix.NewTile(e.p, 0, 0)
-	cursor := make([]int, e.p)
-	for {
-		minRow := int32(-1)
-		for j := 0; j < e.p; j++ {
-			if len(e.colRows[j]) != len(e.colVals[j]) {
-				return nil, corruptf("lil: column %d length mismatch", j)
-			}
-			if cursor[j] < len(e.colRows[j]) {
-				r := e.colRows[j][cursor[j]]
-				if r < 0 || int(r) >= e.p {
-					return nil, corruptf("lil: row %d out of range in column %d", r, j)
-				}
-				if cursor[j] > 0 && e.colRows[j][cursor[j]-1] >= r {
-					return nil, corruptf("lil: rows not ascending in column %d", j)
-				}
-				if minRow == -1 || r < minRow {
-					minRow = r
-				}
-			}
+	t.Reset(e.p)
+	for j, rows := range e.colRows {
+		vals := e.colVals[j]
+		if len(rows) != len(vals) {
+			return corruptf("lil: column %d length mismatch", j)
 		}
-		if minRow == -1 {
-			return t, nil
-		}
-		for j := 0; j < e.p; j++ {
-			if cursor[j] < len(e.colRows[j]) && e.colRows[j][cursor[j]] == minRow {
-				v := e.colVals[j][cursor[j]]
-				if v == 0 {
-					return nil, corruptf("lil: explicit zero in column %d", j)
-				}
-				t.Set(int(minRow), j, v)
-				cursor[j]++
+		for k, r := range rows {
+			if r < 0 || int(r) >= e.p {
+				return corruptf("lil: row %d out of range in column %d", r, j)
 			}
+			if k > 0 && rows[k-1] >= r {
+				return corruptf("lil: rows not ascending in column %d", j)
+			}
+			if vals[k] == 0 {
+				return corruptf("lil: explicit zero in column %d", j)
+			}
+			t.Set(int(r), j, vals[k])
 		}
 	}
+	return nil
 }
 
 // Footprint implements Encoded. Each column transfers its entries plus a

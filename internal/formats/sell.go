@@ -63,20 +63,20 @@ func (e *SELLEnc) SliceHeight() int { return e.c }
 // Widths exposes the per-slice rectangle widths.
 func (e *SELLEnc) Widths() []int32 { return e.widths }
 
-// Decode implements Encoded.
-func (e *SELLEnc) Decode() (*matrix.Tile, error) {
+// DecodeInto implements Encoded.
+func (e *SELLEnc) DecodeInto(t *matrix.Tile) error {
 	if len(e.widths) != e.p/e.c {
-		return nil, corruptf("sell: %d slices for p=%d c=%d", len(e.widths), e.p, e.c)
+		return corruptf("sell: %d slices for p=%d c=%d", len(e.widths), e.p, e.c)
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	t.Reset(e.p)
 	base := 0
 	for s, w32 := range e.widths {
 		w := int(w32)
 		if w < 0 || w > e.p {
-			return nil, corruptf("sell: slice %d width %d out of range", s, w)
+			return corruptf("sell: slice %d width %d out of range", s, w)
 		}
 		if base+e.c*w > len(e.idx) || len(e.idx) != len(e.vals) {
-			return nil, corruptf("sell: rectangle overflow at slice %d", s)
+			return corruptf("sell: rectangle overflow at slice %d", s)
 		}
 		for r := 0; r < e.c; r++ {
 			for k := 0; k < w; k++ {
@@ -85,10 +85,10 @@ func (e *SELLEnc) Decode() (*matrix.Tile, error) {
 					continue
 				}
 				if j < 0 || int(j) >= e.p {
-					return nil, corruptf("sell: column %d out of range in slice %d", j, s)
+					return corruptf("sell: column %d out of range in slice %d", j, s)
 				}
 				if e.vals[base+r*w+k] == 0 {
-					return nil, corruptf("sell: explicit zero in slice %d", s)
+					return corruptf("sell: explicit zero in slice %d", s)
 				}
 				t.Set(s*e.c+r, int(j), e.vals[base+r*w+k])
 			}
@@ -96,9 +96,9 @@ func (e *SELLEnc) Decode() (*matrix.Tile, error) {
 		base += e.c * w
 	}
 	if base != len(e.idx) {
-		return nil, corruptf("sell: %d trailing rectangle slots", len(e.idx)-base)
+		return corruptf("sell: %d trailing rectangle slots", len(e.idx)-base)
 	}
-	return t, nil
+	return nil
 }
 
 // Footprint implements Encoded.

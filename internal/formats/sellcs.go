@@ -93,30 +93,32 @@ func (e *SELLCSEnc) SliceHeight() int { return e.c }
 // Widths exposes the per-slice rectangle widths.
 func (e *SELLCSEnc) Widths() []int32 { return e.widths }
 
-// Decode implements Encoded.
-func (e *SELLCSEnc) Decode() (*matrix.Tile, error) {
+// DecodeInto implements Encoded.
+func (e *SELLCSEnc) DecodeInto(t *matrix.Tile) error {
 	if len(e.perm) != e.p {
-		return nil, corruptf("sell-c-sigma: %d perm entries for p=%d", len(e.perm), e.p)
+		return corruptf("sell-c-sigma: %d perm entries for p=%d", len(e.perm), e.p)
 	}
-	seen := make([]bool, e.p)
+	sc := getScratch()
+	defer putScratch(sc)
+	seen := sc.ints(e.p)
 	for _, o := range e.perm {
-		if o < 0 || int(o) >= e.p || seen[o] {
-			return nil, corruptf("sell-c-sigma: invalid permutation entry %d", o)
+		if o < 0 || int(o) >= e.p || seen[o] != 0 {
+			return corruptf("sell-c-sigma: invalid permutation entry %d", o)
 		}
-		seen[o] = true
+		seen[o] = 1
 	}
 	if len(e.widths) != e.p/e.c {
-		return nil, corruptf("sell-c-sigma: %d slices for p=%d c=%d", len(e.widths), e.p, e.c)
+		return corruptf("sell-c-sigma: %d slices for p=%d c=%d", len(e.widths), e.p, e.c)
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	t.Reset(e.p)
 	base := 0
 	for s, w32 := range e.widths {
 		w := int(w32)
 		if w < 0 || w > e.p {
-			return nil, corruptf("sell-c-sigma: slice %d width %d out of range", s, w)
+			return corruptf("sell-c-sigma: slice %d width %d out of range", s, w)
 		}
 		if base+e.c*w > len(e.idx) || len(e.idx) != len(e.vals) {
-			return nil, corruptf("sell-c-sigma: rectangle overflow at slice %d", s)
+			return corruptf("sell-c-sigma: rectangle overflow at slice %d", s)
 		}
 		for r := 0; r < e.c; r++ {
 			orig := int(e.perm[s*e.c+r])
@@ -126,10 +128,10 @@ func (e *SELLCSEnc) Decode() (*matrix.Tile, error) {
 					continue
 				}
 				if j < 0 || int(j) >= e.p {
-					return nil, corruptf("sell-c-sigma: column %d out of range in slice %d", j, s)
+					return corruptf("sell-c-sigma: column %d out of range in slice %d", j, s)
 				}
 				if e.vals[base+r*w+k] == 0 {
-					return nil, corruptf("sell-c-sigma: explicit zero in slice %d", s)
+					return corruptf("sell-c-sigma: explicit zero in slice %d", s)
 				}
 				t.Set(orig, int(j), e.vals[base+r*w+k])
 			}
@@ -137,9 +139,9 @@ func (e *SELLCSEnc) Decode() (*matrix.Tile, error) {
 		base += e.c * w
 	}
 	if base != len(e.idx) {
-		return nil, corruptf("sell-c-sigma: %d trailing rectangle slots", len(e.idx)-base)
+		return corruptf("sell-c-sigma: %d trailing rectangle slots", len(e.idx)-base)
 	}
-	return t, nil
+	return nil
 }
 
 // Footprint implements Encoded: SELL's streams plus the permutation.

@@ -51,7 +51,7 @@ func TestCSRSkipListContents(t *testing.T) {
 	if e.Stats().NonZeroRows != len(want) {
 		t.Fatalf("NonZeroRows = %d, skip holds %d rows", e.Stats().NonZeroRows, len(want))
 	}
-	dec, err := e.Decode()
+	dec, err := Decode(e)
 	if err != nil {
 		t.Fatal(err)
 	}

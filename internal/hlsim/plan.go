@@ -529,6 +529,7 @@ func (pl *Plan) runVerify(ctx context.Context, k formats.Kind, pf *planFormat) (
 		}
 	}()
 	encs := pf.encs
+	dec := matrix.NewTile(pl.pt.P, 0, 0) // reused by every decode of the pass
 	for ti, tile := range pl.pt.Tiles {
 		if ti%encodeChunk == 0 && ctx.Err() != nil {
 			return ctx.Err()
@@ -536,8 +537,7 @@ func (pl *Plan) runVerify(ctx context.Context, k formats.Kind, pf *planFormat) (
 		if err := ptVerifyTile.Hit(); err != nil {
 			return err
 		}
-		dec, err := encs[ti].Decode()
-		if err != nil {
+		if err := encs[ti].DecodeInto(dec); err != nil {
 			pf.setErr(fmt.Errorf("hlsim: tile (%d,%d): %w", tile.Row, tile.Col, err))
 			break
 		}

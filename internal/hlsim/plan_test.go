@@ -2,6 +2,7 @@ package hlsim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"copernicus/internal/formats"
@@ -229,5 +230,46 @@ func TestPlanArgumentErrors(t *testing.T) {
 	}
 	if _, err := NewPlan(Config{}, m, 8); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+}
+
+// TestFirstRunIntoAllocationBoundedByInput pins the cold path's memory
+// to the input size rather than the dimension: on a 16384² matrix with
+// ~54k non-zeros at p=256, the first RunInto of every sparse format —
+// decode-verify of all 4096 tiles plus the functional row copy — may
+// allocate at most 64·(nnz + tiles·(p+1) + n) bytes. A p×p dense buffer
+// per decoded tile would cost 4096·256²·8 B = 2 GiB here.
+func TestFirstRunIntoAllocationBoundedByInput(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation volumes are inflated under -race")
+	}
+	const n, p = 16384, 256
+	m := gen.Random(n, 0.0002, 99)
+	pl, err := NewPlan(Default(), m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiles := len(pl.Partitioning().Tiles)
+	bound := uint64(64 * (m.NNZ() + tiles*(p+1) + n))
+	x := testVectorFor(n)
+	var ms runtime.MemStats
+	for _, k := range formats.All() {
+		if k == formats.Dense {
+			continue // the dense encoding itself is p² per tile
+		}
+		if _, err := pl.Trace(k); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		var r Result
+		if err := pl.RunInto(k, x, &r); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		if got := ms.TotalAlloc - before; got > bound {
+			t.Errorf("%v: first RunInto allocated %d B, bound 64·(nnz %d + tiles %d·(p+1) + n %d) = %d B",
+				k, got, m.NNZ(), tiles, n, bound)
+		}
 	}
 }

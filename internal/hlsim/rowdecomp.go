@@ -342,7 +342,7 @@ type genericSource struct {
 }
 
 func newGenericSource(cfg Config, enc formats.Encoded) (*genericSource, error) {
-	dec, err := enc.Decode()
+	dec, err := formats.Decode(enc)
 	if err != nil {
 		return nil, fmt.Errorf("hlsim: row source: %w", err)
 	}

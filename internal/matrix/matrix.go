@@ -1,7 +1,8 @@
 // Package matrix provides the sparse-matrix substrate for Copernicus:
 // a triplet builder, a canonical compressed-sparse-row (CSR) storage type,
-// dense partition tiles, the non-zero partition extractor described in
-// §4.1 of the paper, and the per-partition statistics of Fig. 3.
+// partition tiles stored as compact per-tile CSR, the non-zero partition
+// extractor described in §4.1 of the paper, and the per-partition
+// statistics of Fig. 3.
 //
 // CSR is used as the canonical in-memory representation from which every
 // compression format under study encodes its streams; it plays the role of

@@ -1,6 +1,10 @@
 package matrix
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Tile is one p×p partition of a larger sparse matrix. Copernicus applies
 // every compression format to non-zero partitions rather than to the
@@ -16,11 +20,12 @@ import "fmt"
 // implicitly zero-padded to the full p×p shape, matching the hardware's
 // fixed-width dot-product engine — padding rows simply have empty spans.
 //
-// Mutation (Set) and decode paths stage values in a transient dense p×p
-// buffer that is converted back ("sealed") to the CSR form on the next
-// sparse read; the steady-state Partition→encode path never allocates it.
-// A sealed tile is safe for concurrent reads; mutation is not
-// goroutine-safe.
+// Mutation (Set) and decode paths append (row, column, value) entries to
+// a staging list that is sorted back into the CSR form ("sealed") on the
+// next read, in O(nnz + p): no p² buffer exists at any point. A tile made
+// by NewTile owns its storage and can be recycled with Reset, so a decode
+// loop reuses one tile's capacity across every tile it decodes. A sealed
+// tile is safe for concurrent reads; mutation is not goroutine-safe.
 type Tile struct {
 	P        int // partition edge length
 	Row, Col int // origin of the tile in the parent matrix
@@ -31,19 +36,62 @@ type Tile struct {
 	vals   []float64
 	nzRows int
 
-	// dense is the mutation/decode staging buffer (P*P row-major);
-	// non-nil marks the tile dirty until the next seal.
-	dense []float64
+	// st is the mutation staging area. Nil marks a tile whose spans alias
+	// a partitioning's shared backing buffers (Partition, TileAt); a
+	// non-nil st means the tile owns its CSR buffers and may reuse them.
+	st *tileStage
 }
 
-// NewTile returns an all-zero p×p tile at the given origin, in staging
-// mode ready for Set calls (decoders and tests build tiles this way; the
-// partitioner constructs sealed tiles directly).
+// tileStage holds Set calls since the last seal, in call order, plus the
+// seal's reusable scratch. Pending entries mark the tile dirty.
+type tileStage struct {
+	ents  []stageEntry // pending Set calls; non-empty means dirty
+	byRow []stageEntry // seal scratch: ents counting-sorted by row
+	cur   []int32      // seal scratch: per-row scatter cursors
+}
+
+type stageEntry struct {
+	i, j int32
+	v    float64
+}
+
+// NewTile returns an all-zero p×p tile at the given origin that owns its
+// storage, ready for Set calls (decoders and tests build tiles this way;
+// the partitioner constructs tiles over shared spans directly).
 func NewTile(p, row, col int) *Tile {
 	if p <= 0 {
 		panic(fmt.Sprintf("matrix: NewTile with p=%d", p))
 	}
-	return &Tile{P: p, Row: row, Col: col, dense: make([]float64, p*p)}
+	return &Tile{P: p, Row: row, Col: col, rowPtr: make([]int32, p+1), st: new(tileStage)}
+}
+
+// Reset turns t back into an all-zero p×p tile at origin (0, 0), keeping
+// the capacity of its buffers, so one tile can receive decode after
+// decode without allocating. Slices previously returned by RowView are
+// invalidated. Reset panics on a tile built over partition spans
+// (Partition, TileAt) that no Set has yet moved onto storage of its own.
+func (t *Tile) Reset(p int) {
+	if t.st == nil {
+		panic("matrix: Reset on a tile that does not own its storage")
+	}
+	if p <= 0 {
+		panic(fmt.Sprintf("matrix: Reset with p=%d", p))
+	}
+	t.P, t.Row, t.Col = p, 0, 0
+	t.rowPtr = zeroed(t.rowPtr, p+1)
+	t.cols, t.vals = t.cols[:0], t.vals[:0]
+	t.nzRows = 0
+	t.st.ents = t.st.ents[:0]
+}
+
+// zeroed returns s resized to n zeroed elements, reusing its capacity.
+func zeroed(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // newTileCSR wires a sealed tile over pre-built CSR spans (Partition and
@@ -52,54 +100,112 @@ func newTileCSR(p, row, col int, rowPtr, cols []int32, vals []float64, nzRows in
 	return Tile{P: p, Row: row, Col: col, rowPtr: rowPtr, cols: cols, vals: vals, nzRows: nzRows}
 }
 
-// seal converts the dense staging buffer back to the compact CSR view.
-// It is a no-op on an already-sealed tile, so sparse accessors may call
-// it unconditionally (and concurrently, once sealed).
+// seal folds the pending Set entries into the CSR view with the
+// semantics of a dense buffer: the last write to a coordinate wins, and a
+// final value of 0 (or -0) leaves no entry, while NaN is kept. Entries are
+// counting-sorted by row (stable, so each row keeps call order) and each
+// row is stably sorted by column only when it arrives out of order —
+// O(nnz + p) for every decoder that emits columns ascending within a row.
+// It is a no-op on a sealed tile, so sparse accessors may call it
+// unconditionally (and concurrently, once sealed).
 func (t *Tile) seal() {
-	if t.dense == nil {
+	st := t.st
+	if st == nil || len(st.ents) == 0 {
 		return
 	}
-	p := t.P
-	nnz := 0
-	for _, v := range t.dense {
-		if v != 0 {
-			nnz++
-		}
+	p, n := t.P, len(st.ents)
+	rp := zeroed(t.rowPtr, p+1)
+	for _, e := range st.ents {
+		rp[e.i+1]++
 	}
-	t.rowPtr = make([]int32, p+1)
-	t.cols = make([]int32, 0, nnz)
-	t.vals = make([]float64, 0, nnz)
-	t.nzRows = 0
+	st.cur = zeroed(st.cur, p)
 	for i := 0; i < p; i++ {
-		row := t.dense[i*p : (i+1)*p]
-		for j, v := range row {
-			if v != 0 {
-				t.cols = append(t.cols, int32(j))
-				t.vals = append(t.vals, v)
+		st.cur[i] = rp[i]
+		rp[i+1] += rp[i]
+	}
+	if cap(st.byRow) < n {
+		st.byRow = make([]stageEntry, n)
+	}
+	byRow := st.byRow[:n]
+	for _, e := range st.ents {
+		byRow[st.cur[e.i]] = e
+		st.cur[e.i]++
+	}
+
+	cols, vals := t.cols[:0], t.vals[:0]
+	if cap(cols) < n {
+		cols = make([]int32, 0, n)
+	}
+	if cap(vals) < n {
+		vals = make([]float64, 0, n)
+	}
+	nzRows, lo := 0, 0
+	for i := 0; i < p; i++ {
+		hi := int(rp[i+1])
+		row := byRow[lo:hi]
+		for k := 1; k < len(row); k++ {
+			if row[k].j < row[k-1].j {
+				slices.SortStableFunc(row, func(a, b stageEntry) int { return cmp.Compare(a.j, b.j) })
+				break
 			}
 		}
-		if int(t.rowPtr[i]) != len(t.cols) {
-			t.nzRows++
+		start := len(cols)
+		for k := 0; k < len(row); {
+			e := row[k]
+			for k++; k < len(row) && row[k].j == e.j; k++ {
+				e = row[k] // last write wins
+			}
+			if e.v != 0 {
+				cols = append(cols, e.j)
+				vals = append(vals, e.v)
+			}
 		}
-		t.rowPtr[i+1] = int32(len(t.cols))
+		if len(cols) != start {
+			nzRows++
+		}
+		rp[i+1] = int32(len(cols))
+		lo = hi
 	}
-	t.dense = nil
+	t.rowPtr, t.cols, t.vals, t.nzRows = rp, cols, vals, nzRows
+	st.ents = st.ents[:0]
 }
 
-// Set stores v at local coordinates (i, j). It re-opens the dense staging
-// buffer if the tile was sealed; the next sparse read re-seals.
+// Set stores v at local coordinates (i, j); storing 0 clears the entry.
+// The write is staged and takes effect at the next read. On a tile whose
+// spans alias a partitioning's shared buffers, the first Set moves the
+// tile onto storage of its own, leaving the shared buffers untouched.
 func (t *Tile) Set(i, j int, v float64) {
-	if t.dense == nil {
-		t.dense = t.DenseInto(make([]float64, t.P*t.P))
+	if uint(i) >= uint(t.P) || uint(j) >= uint(t.P) {
+		panic(fmt.Sprintf("matrix: Set(%d, %d) outside a %d×%d tile", i, j, t.P, t.P))
 	}
-	t.dense[i*t.P+j] = v
+	st := t.st
+	if st == nil {
+		st = new(tileStage)
+		st.stageSealed(t)
+		t.st = st
+		t.rowPtr, t.cols, t.vals = nil, nil, nil
+	} else if len(st.ents) == 0 {
+		st.stageSealed(t)
+	}
+	st.ents = append(st.ents, stageEntry{int32(i), int32(j), v})
+}
+
+// stageSealed re-opens a sealed tile by staging its current entries, so
+// the next seal merges them with the new writes.
+func (st *tileStage) stageSealed(t *Tile) {
+	if len(t.vals) == 0 {
+		return
+	}
+	for i := 0; i < t.P; i++ {
+		for k := t.rowPtr[i]; k < t.rowPtr[i+1]; k++ {
+			st.ents = append(st.ents, stageEntry{int32(i), t.cols[k], t.vals[k]})
+		}
+	}
 }
 
 // At returns the value at local coordinates (i, j).
 func (t *Tile) At(i, j int) float64 {
-	if t.dense != nil {
-		return t.dense[i*t.P+j]
-	}
+	t.seal()
 	lo, hi := int(t.rowPtr[i]), int(t.rowPtr[i+1])
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -140,8 +246,8 @@ func (t *Tile) NonZeroRows() int {
 
 // RowView returns local row i's non-zeros: ascending local column
 // indices and the matching values. The slices alias the tile's storage —
-// callers must not mutate them. This is the O(nnz) walk every format
-// encoder is built on.
+// callers must not mutate them, and a later Set or Reset invalidates
+// them. This is the O(nnz) walk every format encoder is built on.
 func (t *Tile) RowView(i int) (cols []int32, vals []float64) {
 	t.seal()
 	s, e := t.rowPtr[i], t.rowPtr[i+1]
@@ -150,23 +256,20 @@ func (t *Tile) RowView(i int) (cols []int32, vals []float64) {
 
 // Dense materializes the tile as a fresh P*P row-major buffer, zeros
 // included — the escape hatch for consumers that genuinely need the p²
-// form (decode staging, golden cross-checks, tests). The steady-state
-// partition→encode path never calls it.
+// form (the dense encoding, golden cross-checks, tests). The
+// partition→encode→decode path never calls it.
 func (t *Tile) Dense() []float64 { return t.DenseInto(nil) }
 
 // DenseInto is Dense writing into dst when cap(dst) >= P*P (allocating
 // otherwise), so verification loops can reuse one buffer across tiles.
 func (t *Tile) DenseInto(dst []float64) []float64 {
+	t.seal()
 	n := t.P * t.P
 	if cap(dst) < n {
 		dst = make([]float64, n)
 	} else {
 		dst = dst[:n]
 		clear(dst)
-	}
-	if t.dense != nil {
-		copy(dst, t.dense)
-		return dst
 	}
 	for i := 0; i < t.P; i++ {
 		base := i * t.P
@@ -177,17 +280,17 @@ func (t *Tile) DenseInto(dst []float64) []float64 {
 	return dst
 }
 
-// Clone returns a deep copy of the tile.
+// Clone returns a deep copy of the tile; the copy owns its storage.
 func (t *Tile) Clone() *Tile {
-	c := &Tile{P: t.P, Row: t.Row, Col: t.Col, nzRows: t.nzRows}
-	if t.dense != nil {
-		c.dense = append([]float64(nil), t.dense...)
-		return c
+	t.seal()
+	return &Tile{
+		P: t.P, Row: t.Row, Col: t.Col,
+		rowPtr: append([]int32(nil), t.rowPtr...),
+		cols:   append([]int32(nil), t.cols...),
+		vals:   append([]float64(nil), t.vals...),
+		nzRows: t.nzRows,
+		st:     new(tileStage),
 	}
-	c.rowPtr = append([]int32(nil), t.rowPtr...)
-	c.cols = append([]int32(nil), t.cols...)
-	c.vals = append([]float64(nil), t.vals...)
-	return c
 }
 
 // EqualValues reports whether two tiles hold identical values (origin and
@@ -214,12 +317,10 @@ func (t *Tile) EqualValues(o *Tile) bool {
 	return true
 }
 
-// MemoryBytes returns the tile's resident storage (CSR spans or staging
-// buffer), excluding the struct header.
+// MemoryBytes returns the tile's resident CSR storage, excluding the
+// struct header and any staging scratch.
 func (t *Tile) MemoryBytes() int64 {
-	if t.dense != nil {
-		return int64(len(t.dense)) * 8
-	}
+	t.seal()
 	return int64(len(t.rowPtr))*4 + int64(len(t.cols))*4 + int64(len(t.vals))*8
 }
 
@@ -306,8 +407,8 @@ func (pt *Partitioning) MemoryBytes() int64 {
 	return b
 }
 
-// tileHeaderBytes approximates one Tile struct plus its *Tile slot in the
-// Tiles slice.
+// tileHeaderBytes is one Tile struct plus its *Tile slot in the Tiles
+// slice; a test pins it to unsafe.Sizeof(Tile{}) + 8.
 const tileHeaderBytes = 14*8 + 8
 
 // Partition extracts all non-zero p×p tiles of m in block-row-major order.

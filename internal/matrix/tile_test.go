@@ -1,8 +1,10 @@
 package matrix
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"copernicus/internal/xrand"
 )
@@ -190,5 +192,215 @@ func TestStatsEmptyMatrix(t *testing.T) {
 	s := StatsFor(NewBuilder(10, 10).Build(), 8)
 	if s.NonZeroTiles != 0 || s.PartitionDensity != 0 {
 		t.Fatalf("empty matrix stats = %+v", s)
+	}
+}
+
+// TestTileHeaderBytes keeps the hand-written header size honest, so
+// Partitioning.MemoryBytes (and the plan residency built on it) tracks the
+// real struct.
+func TestTileHeaderBytes(t *testing.T) {
+	if got := int64(unsafe.Sizeof(Tile{})) + 8; got != tileHeaderBytes {
+		t.Fatalf("unsafe.Sizeof(Tile{})+8 = %d, tileHeaderBytes = %d", got, tileHeaderBytes)
+	}
+}
+
+// sameFloat is exact equality that also matches NaN with NaN.
+func sameFloat(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+
+// checkTileModel compares every sparse accessor of tl with a dense
+// row-major model under dense-buffer semantics: 0 and -0 are no entry,
+// NaN is an entry.
+func checkTileModel(t *testing.T, tl *Tile, model []float64) {
+	t.Helper()
+	p := tl.P
+	nnz, nzRows := 0, 0
+	for i := 0; i < p; i++ {
+		cols, vals := tl.RowView(i)
+		k := 0
+		for j := 0; j < p; j++ {
+			v := model[i*p+j]
+			if !sameFloat(tl.At(i, j), v) && !(v == 0 && tl.At(i, j) == 0) {
+				t.Fatalf("At(%d,%d) = %v, model %v", i, j, tl.At(i, j), v)
+			}
+			if v == 0 {
+				continue
+			}
+			if k >= len(cols) || int(cols[k]) != j || !sameFloat(vals[k], v) {
+				t.Fatalf("row %d: entry %d is not (%d, %v): cols %v vals %v", i, k, j, v, cols, vals)
+			}
+			k++
+		}
+		if k != len(cols) {
+			t.Fatalf("row %d holds %d entries, model %d", i, len(cols), k)
+		}
+		if tl.RowNNZ(i) != k {
+			t.Fatalf("RowNNZ(%d) = %d, want %d", i, tl.RowNNZ(i), k)
+		}
+		nnz += k
+		if k > 0 {
+			nzRows++
+		}
+	}
+	if tl.NNZ() != nnz || tl.NonZeroRows() != nzRows {
+		t.Fatalf("NNZ/NonZeroRows = %d/%d, want %d/%d", tl.NNZ(), tl.NonZeroRows(), nnz, nzRows)
+	}
+	for x, v := range tl.Dense() {
+		if !sameFloat(v, model[x]) && !(v == 0 && model[x] == 0) {
+			t.Fatalf("Dense()[%d] = %v, model %v", x, v, model[x])
+		}
+		if v == 0 && math.Signbit(v) {
+			t.Fatalf("Dense()[%d] is -0; a cleared entry must read as +0", x)
+		}
+	}
+}
+
+// TestTileStagingMatchesDenseModel drives random Set sequences through
+// sparse staging and a dense reference model side by side: overwrites,
+// zero and -0 clears, NaN, and Sets after a seal (reads interleave with
+// the writes). A fresh tile and one tile recycled through Reset across
+// sizes must both match the model after every read.
+func TestTileStagingMatchesDenseModel(t *testing.T) {
+	reused := NewTile(1, 0, 0)
+	for seed := uint64(1); seed <= 400; seed++ {
+		r := xrand.New(seed)
+		p := 1 + r.Intn(20)
+		model := make([]float64, p*p)
+		fresh := NewTile(p, 0, 0)
+		reused.Reset(p)
+		var touched [][2]int
+		for op := 0; op < 3*p+r.Intn(4*p); op++ {
+			i, j := r.Intn(p), r.Intn(p)
+			if len(touched) > 0 && r.Intn(3) == 0 { // overwrite a written coordinate
+				c := touched[r.Intn(len(touched))]
+				i, j = c[0], c[1]
+			}
+			touched = append(touched, [2]int{i, j})
+			v := r.ValueIn(-4, 4)
+			switch r.Intn(8) {
+			case 0:
+				v = 0
+			case 1:
+				v = math.Copysign(0, -1)
+			case 2:
+				v = math.NaN()
+			}
+			model[i*p+j] = v
+			fresh.Set(i, j, v)
+			reused.Set(i, j, v)
+			if r.Intn(6) == 0 { // seal mid-sequence; later Sets re-open it
+				checkTileModel(t, fresh, model)
+				checkTileModel(t, reused, model)
+			}
+		}
+		checkTileModel(t, fresh, model)
+		checkTileModel(t, reused, model)
+	}
+}
+
+// TestSetOnPartitionTileLeavesSharedSpans mutates one tile of a
+// partitioning (overwrite, clear, insert) and checks that the shared
+// backing buffers — seen through every other tile and through the
+// mutated tile's own pre-Set views — are unchanged.
+func TestSetOnPartitionTileLeavesSharedSpans(t *testing.T) {
+	m := randomCSR(17, 40, 40, 0.25)
+	pt := Partition(m, 8)
+	type rowCopy struct {
+		cols []int32
+		vals []float64
+	}
+	snap := make([][]rowCopy, len(pt.Tiles))
+	for ti, tl := range pt.Tiles {
+		for i := 0; i < tl.P; i++ {
+			c, v := tl.RowView(i)
+			snap[ti] = append(snap[ti], rowCopy{append([]int32(nil), c...), append([]float64(nil), v...)})
+		}
+	}
+	target := len(pt.Tiles) / 2
+	tl := pt.Tiles[target]
+	aliased := make([]rowCopy, tl.P)
+	for i := range aliased {
+		aliased[i].cols, aliased[i].vals = tl.RowView(i)
+	}
+	sharedRowPtr := tl.rowPtr
+	rowPtrSnap := append([]int32(nil), sharedRowPtr...)
+	model := tl.Dense()
+	p := tl.P
+	var first, second [2]int
+	found := 0
+	for x, v := range model {
+		if v != 0 && found < 2 {
+			if found == 0 {
+				first = [2]int{x / p, x % p}
+			} else {
+				second = [2]int{x / p, x % p}
+			}
+			found++
+		}
+	}
+	if found < 2 {
+		t.Fatalf("target tile has %d non-zeros; need 2", found)
+	}
+	// The insert goes in a later row than the clear, so the row pointers
+	// change too.
+	empty := -1
+	for x := len(model) - 1; x >= 0 && empty < 0; x-- {
+		if model[x] == 0 {
+			empty = x
+		}
+	}
+	if empty/p <= second[0] {
+		t.Fatalf("no empty cell after row %d", second[0])
+	}
+	tl.Set(first[0], first[1], 42)
+	tl.Set(second[0], second[1], 0)
+	tl.Set(empty/p, empty%p, -7)
+	model[first[0]*p+first[1]] = 42
+	model[second[0]*p+second[1]] = 0
+	model[empty] = -7
+	checkTileModel(t, tl, model)
+
+	for i, v := range sharedRowPtr {
+		if v != rowPtrSnap[i] {
+			t.Fatalf("shared row-pointer buffer changed at %d: %d != %d", i, v, rowPtrSnap[i])
+		}
+	}
+	for ti, other := range pt.Tiles {
+		for i := 0; i < other.P; i++ {
+			want := snap[ti][i]
+			var gc []int32
+			var gv []float64
+			if ti == target {
+				gc, gv = aliased[i].cols, aliased[i].vals
+			} else {
+				gc, gv = other.RowView(i)
+			}
+			if len(gc) != len(want.cols) {
+				t.Fatalf("tile %d row %d: %d entries, snapshot %d", ti, i, len(gc), len(want.cols))
+			}
+			for k := range gc {
+				if gc[k] != want.cols[k] || gv[k] != want.vals[k] {
+					t.Fatalf("tile %d row %d: shared span changed at %d", ti, i, k)
+				}
+			}
+		}
+	}
+}
+
+// TestResetRejectsSharedTiles: Reset reuses buffers in place, so it must
+// refuse tiles whose spans belong to a partitioning.
+func TestResetRejectsSharedTiles(t *testing.T) {
+	m := randomCSR(5, 16, 16, 0.3)
+	for name, tl := range map[string]*Tile{
+		"Partition": Partition(m, 8).Tiles[0],
+		"TileAt":    TileAt(m, 0, 0, 8),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Reset on a %s tile did not panic", name)
+				}
+			}()
+			tl.Reset(8)
+		}()
 	}
 }
