@@ -342,6 +342,17 @@ func benchCmd(ctx context.Context, scale, iters int, jsonOut bool, out, backendI
 	}
 	rec.Benchmarks = append(rec.Benchmarks, res)
 
+	// Cold sweep: the same inputs on a fresh engine per op, so every plan
+	// pays its warmup (partition, encode, decode-verify) inside the timing.
+	res, err = measure("cold_sweep_suitesparse_core_formats", iters, points, func() error {
+		_, err := copernicus.NewEngine().SweepWith(ctx, bk, ws, copernicus.CoreFormats(), copernicus.PartitionSizes())
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	rec.Benchmarks = append(rec.Benchmarks, res)
+
 	// Streamed-sweep latency: the same warm sweep through SweepStreamWith,
 	// recording both how quickly the first result row reaches the caller
 	// (the latency a streaming client or NDJSON consumer sees) and the

@@ -19,13 +19,29 @@ type BCSREnc struct {
 	nzr     int
 }
 
-func encodeBCSR(t *matrix.Tile, b int) *BCSREnc {
+func encodeBCSR(t *matrix.Tile, b int, sl *Slab) *BCSREnc {
 	if t.P%b != 0 {
 		panic("formats: BCSR requires p divisible by block size")
 	}
 	nb := t.P / b
-	e := &BCSREnc{p: t.P, b: b, offsets: make([]int32, nb), nnz: t.NNZ(), nzr: t.NonZeroRows()}
+	e := &BCSREnc{p: t.P, b: b, offsets: sl.int32s(nb), nnz: t.NNZ(), nzr: t.NonZeroRows()}
 	s := getScratch()
+	// A counting pass sizes the streams exactly: seen marks the block
+	// columns already counted in block row bi with bi+1.
+	seen := s.ints2(nb)
+	blocks := 0
+	for bi := 0; bi < nb; bi++ {
+		for r := 0; r < b; r++ {
+			cols, _ := t.RowView(bi*b + r)
+			for _, j := range cols {
+				if bj := int(j) / b; seen[bj] != int32(bi+1) {
+					seen[bj] = int32(bi + 1)
+					blocks++
+				}
+			}
+		}
+	}
+	e.colIdx, e.vals = sl.int32s(blocks), sl.float64s(blocks*b*b)
 	blockNNZ := s.ints(nb)        // per block column of the current block row
 	stage := s.floats(nb * b * b) // staged b×b blocks, zeros included
 	running := int32(0)
@@ -49,8 +65,8 @@ func encodeBCSR(t *matrix.Tile, b int) *BCSREnc {
 			if blockNNZ[bj] == 0 {
 				continue
 			}
-			e.colIdx = append(e.colIdx, int32(bj*b))
-			e.vals = append(e.vals, stage[bj*b*b:(bj+1)*b*b]...)
+			e.colIdx[running] = int32(bj * b)
+			copy(e.vals[int(running)*b*b:], stage[bj*b*b:(bj+1)*b*b])
 			running++
 			blockNNZ[bj] = 0
 			clear(stage[bj*b*b : (bj+1)*b*b])

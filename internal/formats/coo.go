@@ -18,22 +18,21 @@ type COOEnc struct {
 // cooSentinel marks the end of the tuple stream (Listing 6's "inf").
 const cooSentinel = int32(-1)
 
-func encodeCOO(t *matrix.Tile) *COOEnc {
+func encodeCOO(t *matrix.Tile, sl *Slab) *COOEnc {
 	nnz := t.NNZ()
 	e := &COOEnc{p: t.P, nzr: t.NonZeroRows(),
-		rows: make([]int32, 0, nnz+1), cols: make([]int32, 0, nnz+1),
-		vals: make([]float64, 0, nnz+1)}
+		rows: sl.int32s(nnz + 1), cols: sl.int32s(nnz + 1), vals: sl.float64s(nnz + 1)}
+	n := 0
 	for i := 0; i < t.P; i++ {
 		cols, vals := t.RowView(i)
-		for range cols {
-			e.rows = append(e.rows, int32(i))
+		for k := range cols {
+			e.rows[n+k] = int32(i)
 		}
-		e.cols = append(e.cols, cols...)
-		e.vals = append(e.vals, vals...)
+		copy(e.cols[n:], cols)
+		copy(e.vals[n:], vals)
+		n += len(vals)
 	}
-	e.rows = append(e.rows, cooSentinel)
-	e.cols = append(e.cols, cooSentinel)
-	e.vals = append(e.vals, 0)
+	e.rows[nnz], e.cols[nnz] = cooSentinel, cooSentinel
 	return e
 }
 

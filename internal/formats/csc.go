@@ -15,10 +15,10 @@ type CSCEnc struct {
 	nzr     int
 }
 
-func encodeCSC(t *matrix.Tile) *CSCEnc {
+func encodeCSC(t *matrix.Tile, sl *Slab) *CSCEnc {
 	p, nnz := t.P, t.NNZ()
-	e := &CSCEnc{p: p, offsets: make([]int32, p), nzr: t.NonZeroRows(),
-		rowIdx: make([]int32, nnz), vals: make([]float64, nnz)}
+	e := &CSCEnc{p: p, offsets: sl.int32s(p), nzr: t.NonZeroRows(),
+		rowIdx: sl.int32s(nnz), vals: sl.float64s(nnz)}
 	s := getScratch()
 	cur := s.ints(p) // per-column counts, then scatter cursors
 	for i := 0; i < p; i++ {

@@ -23,19 +23,21 @@ type CSREnc struct {
 	skip []int32
 }
 
-func encodeCSR(t *matrix.Tile) *CSREnc {
-	nnz := t.NNZ()
-	e := &CSREnc{p: t.P, offsets: make([]int32, t.P), nzr: t.NonZeroRows(),
-		colIdx: make([]int32, 0, nnz), vals: make([]float64, 0, nnz)}
-	e.skip = make([]int32, 0, e.nzr)
+func encodeCSR(t *matrix.Tile, sl *Slab) *CSREnc {
+	nnz, nzr := t.NNZ(), t.NonZeroRows()
+	e := &CSREnc{p: t.P, offsets: sl.int32s(t.P), nzr: nzr,
+		colIdx: sl.int32s(nnz), vals: sl.float64s(nnz), skip: sl.int32s(nzr)}
+	n, r := 0, 0
 	for i := 0; i < t.P; i++ {
 		cols, vals := t.RowView(i)
 		if len(vals) > 0 {
-			e.skip = append(e.skip, int32(i))
+			e.skip[r] = int32(i)
+			r++
 		}
-		e.colIdx = append(e.colIdx, cols...)
-		e.vals = append(e.vals, vals...)
-		e.offsets[i] = int32(len(e.vals))
+		copy(e.colIdx[n:], cols)
+		copy(e.vals[n:], vals)
+		n += len(vals)
+		e.offsets[i] = int32(n)
 	}
 	return e
 }

@@ -14,9 +14,14 @@ type DenseEnc struct {
 	nzr int
 }
 
-func encodeDense(t *matrix.Tile) *DenseEnc {
-	e := &DenseEnc{p: t.P, nnz: t.NNZ(), nzr: t.NonZeroRows()}
-	e.val = t.Dense()
+func encodeDense(t *matrix.Tile, sl *Slab) *DenseEnc {
+	e := &DenseEnc{p: t.P, nnz: t.NNZ(), nzr: t.NonZeroRows(), val: sl.float64s(t.P * t.P)}
+	for i := 0; i < t.P; i++ { // the fresh stream is already zeroed
+		cols, vals := t.RowView(i)
+		for k, j := range cols {
+			e.val[i*t.P+int(j)] = vals[k]
+		}
+	}
 	return e
 }
 

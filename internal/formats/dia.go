@@ -19,7 +19,7 @@ type DIAEnc struct {
 	nzr    int
 }
 
-func encodeDIA(t *matrix.Tile) *DIAEnc {
+func encodeDIA(t *matrix.Tile, sl *Slab) *DIAEnc {
 	p := t.P
 	e := &DIAEnc{p: p, nnz: t.NNZ(), nzr: t.NonZeroRows()}
 	s := getScratch()
@@ -31,14 +31,23 @@ func encodeDIA(t *matrix.Tile) *DIAEnc {
 			count[int(j)-i+p-1]++
 		}
 	}
-	lane := s.ints2(2*p - 1) // diagonal index → stored lane number
-	for d := 0; d < 2*p-1; d++ {
-		if count[d] > 0 {
-			lane[d] = int32(len(e.diagNo))
-			e.diagNo = append(e.diagNo, int32(d-(p-1)))
+	nd := 0
+	for _, c := range count {
+		if c > 0 {
+			nd++
 		}
 	}
-	e.lanes = make([]float64, len(e.diagNo)*p)
+	e.diagNo = sl.int32s(nd)
+	e.lanes = sl.float64s(nd * p)
+	lane := s.ints2(2*p - 1) // diagonal index → stored lane number
+	nd = 0
+	for d, c := range count {
+		if c > 0 {
+			lane[d] = int32(nd)
+			e.diagNo[nd] = int32(d - (p - 1))
+			nd++
+		}
+	}
 	for i := 0; i < p; i++ {
 		cols, vals := t.RowView(i)
 		for k, j := range cols {

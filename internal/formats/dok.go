@@ -23,14 +23,14 @@ func dokKey(i, j int) int32 { return int32(i)<<16 | int32(j) }
 
 func dokUnpack(k int32) (i, j int) { return int(k >> 16), int(k & 0xffff) }
 
-func encodeDOK(t *matrix.Tile) *DOKEnc {
+func encodeDOK(t *matrix.Tile, sl *Slab) *DOKEnc {
 	e := &DOKEnc{p: t.P, nnz: t.NNZ(), nzr: t.NonZeroRows()}
 	size := 2
 	for size < 2*max(1, e.nnz) {
 		size *= 2
 	}
-	e.keys = make([]int32, size)
-	e.vals = make([]float64, size)
+	e.keys = sl.int32s(size)
+	e.vals = sl.float64s(size)
 	for s := range e.keys {
 		e.keys[s] = dokEmpty
 	}

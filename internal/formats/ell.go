@@ -26,7 +26,7 @@ type ELLEnc struct {
 // ellPad is the explicit padding index of Fig. 1g.
 const ellPad = int32(-1)
 
-func encodeELL(t *matrix.Tile) *ELLEnc {
+func encodeELL(t *matrix.Tile, sl *Slab) *ELLEnc {
 	w := 0
 	for i := 0; i < t.P; i++ {
 		if n := t.RowNNZ(i); n > w {
@@ -34,8 +34,8 @@ func encodeELL(t *matrix.Tile) *ELLEnc {
 		}
 	}
 	e := &ELLEnc{p: t.P, w: w, nnz: t.NNZ(), nzr: t.NonZeroRows()}
-	e.idx = make([]int32, t.P*w)
-	e.vals = make([]float64, t.P*w)
+	e.idx = sl.int32s(t.P * w)
+	e.vals = sl.float64s(t.P * w)
 	for i := range e.idx {
 		e.idx[i] = ellPad
 	}

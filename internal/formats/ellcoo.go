@@ -20,36 +20,37 @@ type ELLCOOEnc struct {
 	nzr  int
 }
 
-func encodeELLCOO(t *matrix.Tile, cap int) *ELLCOOEnc {
+func encodeELLCOO(t *matrix.Tile, cap int, sl *Slab) *ELLCOOEnc {
 	w := 0
 	for i := 0; i < t.P; i++ {
 		if n := t.RowNNZ(i); n > w {
 			w = n
 		}
 	}
-	if w > cap {
-		w = cap
+	w = min(w, cap)
+	spill := 0
+	for i := 0; i < t.P; i++ {
+		spill += max(t.RowNNZ(i)-w, 0)
 	}
 	e := &ELLCOOEnc{p: t.P, w: w, nnz: t.NNZ(), nzr: t.NonZeroRows()}
-	e.idx = make([]int32, t.P*w)
-	e.vals = make([]float64, t.P*w)
+	e.idx = sl.int32s(t.P * w)
+	e.vals = sl.float64s(t.P * w)
 	for i := range e.idx {
 		e.idx[i] = ellPad
 	}
+	e.srow, e.scol, e.sval = sl.int32s(spill+1), sl.int32s(spill+1), sl.float64s(spill+1)
+	n := 0
 	for i := 0; i < t.P; i++ {
 		cols, vals := t.RowView(i)
 		take := min(len(cols), w)
 		copy(e.idx[i*w:], cols[:take])
 		copy(e.vals[i*w:], vals[:take])
 		for k := take; k < len(cols); k++ {
-			e.srow = append(e.srow, int32(i))
-			e.scol = append(e.scol, cols[k])
-			e.sval = append(e.sval, vals[k])
+			e.srow[n], e.scol[n], e.sval[n] = int32(i), cols[k], vals[k]
+			n++
 		}
 	}
-	e.srow = append(e.srow, cooSentinel)
-	e.scol = append(e.scol, cooSentinel)
-	e.sval = append(e.sval, 0)
+	e.srow[spill], e.scol[spill] = cooSentinel, cooSentinel
 	return e
 }
 

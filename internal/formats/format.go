@@ -12,7 +12,14 @@
 //
 // Every Encoded value decodes back to the original tile (DecodeInto, or
 // Decode for a fresh tile); the test suite proves the round-trip for
-// random tiles of every format.
+// random tiles of every format. The CSR, COO, Dense, ELL and SELL
+// decoders emit entries in ascending (row, column) order, which the tile
+// seals in one pass; the other formats' decodes take the tile's general,
+// row-sorting seal.
+//
+// Encode allocates every stream exactly sized. Slab.Encode instead carves
+// the streams from shared chunks, for passes whose many small encodings
+// die together — the plan warmup's encode-then-verify.
 package formats
 
 import (
@@ -229,35 +236,40 @@ type Encoded interface {
 	SpMV(x, y []float64)
 }
 
-// Encode compresses the tile in the given format.
-func Encode(k Kind, t *matrix.Tile) Encoded {
+// Encode compresses the tile in the given format, allocating every
+// stream exactly sized.
+func Encode(k Kind, t *matrix.Tile) Encoded { return (*Slab)(nil).Encode(k, t) }
+
+// Encode compresses the tile in the given format with its streams carved
+// from s (a nil s allocates them, as the package-level Encode does).
+func (s *Slab) Encode(k Kind, t *matrix.Tile) Encoded {
 	switch k {
 	case Dense:
-		return encodeDense(t)
+		return encodeDense(t, s)
 	case CSR:
-		return encodeCSR(t)
+		return encodeCSR(t, s)
 	case CSC:
-		return encodeCSC(t)
+		return encodeCSC(t, s)
 	case BCSR:
-		return encodeBCSR(t, BCSRBlock)
+		return encodeBCSR(t, BCSRBlock, s)
 	case COO:
-		return encodeCOO(t)
+		return encodeCOO(t, s)
 	case DOK:
-		return encodeDOK(t)
+		return encodeDOK(t, s)
 	case LIL:
-		return encodeLIL(t)
+		return encodeLIL(t, s)
 	case ELL:
-		return encodeELL(t)
+		return encodeELL(t, s)
 	case DIA:
-		return encodeDIA(t)
+		return encodeDIA(t, s)
 	case SELL:
-		return encodeSELL(t, SELLSlice)
+		return encodeSELL(t, SELLSlice, s)
 	case ELLCOO:
-		return encodeELLCOO(t, ELLWidth)
+		return encodeELLCOO(t, ELLWidth, s)
 	case JDS:
-		return encodeJDS(t)
+		return encodeJDS(t, s)
 	case SELLCS:
-		return encodeSELLCS(t, SELLSlice, SELLCSigmaWindow)
+		return encodeSELLCS(t, SELLSlice, SELLCSigmaWindow, s)
 	default:
 		panic(fmt.Sprintf("formats: Encode with unknown kind %d", int(k)))
 	}
@@ -277,11 +289,11 @@ func Decode(e Encoded) (*matrix.Tile, error) {
 // EncodeBCSRBlock compresses the tile in BCSR with a custom block edge b
 // (the ablation knob behind the paper's fixed 4×4 choice). The tile edge
 // must be divisible by b.
-func EncodeBCSRBlock(t *matrix.Tile, b int) Encoded { return encodeBCSR(t, b) }
+func EncodeBCSRBlock(t *matrix.Tile, b int) Encoded { return encodeBCSR(t, b, nil) }
 
 // EncodeSELLSlice compresses the tile in SELL with a custom slice height.
-func EncodeSELLSlice(t *matrix.Tile, c int) Encoded { return encodeSELL(t, c) }
+func EncodeSELLSlice(t *matrix.Tile, c int) Encoded { return encodeSELL(t, c, nil) }
 
 // EncodeELLCOOCap compresses the tile in the ELL+COO hybrid with a custom
 // rectangle width cap (the ablation knob behind ELLWidth).
-func EncodeELLCOOCap(t *matrix.Tile, cap int) Encoded { return encodeELLCOO(t, cap) }
+func EncodeELLCOOCap(t *matrix.Tile, cap int) Encoded { return encodeELLCOO(t, cap, nil) }

@@ -155,7 +155,7 @@ func TestRoundTripStructured(t *testing.T) {
 }
 
 func TestFig1KnownAnswerCSR(t *testing.T) {
-	e := encodeCSR(fig1Tile())
+	e := encodeCSR(fig1Tile(), nil)
 	// Paper Fig. 1b: offsets 1,1,1,1,2,2,2,3; indices 3,7,7.
 	wantOff := []int32{1, 1, 1, 1, 2, 2, 2, 3}
 	for i, w := range wantOff {
@@ -172,7 +172,7 @@ func TestFig1KnownAnswerCSR(t *testing.T) {
 }
 
 func TestFig1KnownAnswerCOO(t *testing.T) {
-	e := encodeCOO(fig1Tile())
+	e := encodeCOO(fig1Tile(), nil)
 	// Paper Fig. 1d: tuples (0,3), (4,7), (7,7).
 	want := [][2]int32{{0, 3}, {4, 7}, {7, 7}}
 	if e.Tuples() != 3 {
@@ -186,7 +186,7 @@ func TestFig1KnownAnswerCOO(t *testing.T) {
 }
 
 func TestFig1KnownAnswerDIA(t *testing.T) {
-	e := encodeDIA(fig1Tile())
+	e := encodeDIA(fig1Tile(), nil)
 	// Paper Fig. 1h: diagonals 0 (holding the (7,7) entry) and 3 (holding
 	// (0,3) and (4,7)).
 	if e.Diagonals() != 2 {
@@ -198,7 +198,7 @@ func TestFig1KnownAnswerDIA(t *testing.T) {
 }
 
 func TestFig1KnownAnswerBCSR(t *testing.T) {
-	e := encodeBCSR(fig1Tile(), 4)
+	e := encodeBCSR(fig1Tile(), 4, nil)
 	// Paper Fig. 1c: offsets 1,2 — one block in each block row — and block
 	// columns 0 and 4.
 	if e.offsets[0] != 1 || e.offsets[1] != 2 {
@@ -213,7 +213,7 @@ func TestFig1KnownAnswerBCSR(t *testing.T) {
 }
 
 func TestFig1KnownAnswerELL(t *testing.T) {
-	e := encodeELL(fig1Tile())
+	e := encodeELL(fig1Tile(), nil)
 	if e.Width() != 1 {
 		t.Fatalf("ELL width = %d, want 1 (longest row has one non-zero)", e.Width())
 	}
@@ -364,12 +364,12 @@ func TestCorruptionDetection(t *testing.T) {
 		corrupt func() Encoded
 	}{
 		{"csr column out of range", func() Encoded {
-			e := encodeCSR(tile)
+			e := encodeCSR(tile, nil)
 			e.colIdx[0] = 99
 			return e
 		}},
 		{"csr offsets decrease", func() Encoded {
-			e := encodeCSR(tile)
+			e := encodeCSR(tile, nil)
 			e.offsets[3] = e.offsets[2] - 1
 			e.offsets[e.p-1] = int32(len(e.vals)) // keep the total consistent
 			return e
@@ -377,42 +377,42 @@ func TestCorruptionDetection(t *testing.T) {
 		{"csr offset overruns stream", func() Encoded {
 			// The fuzz-found class: a middle offset larger than the
 			// stream, with the final offset still consistent.
-			e := encodeCSR(tile)
+			e := encodeCSR(tile, nil)
 			e.offsets[0] = int32(len(e.vals)) + 10
 			return e
 		}},
 		{"csc offset overruns stream", func() Encoded {
-			e := encodeCSC(tile)
+			e := encodeCSC(tile, nil)
 			e.offsets[0] = int32(len(e.vals)) + 10
 			return e
 		}},
 		{"bcsr offset overruns blocks", func() Encoded {
-			e := encodeBCSR(tile, 4)
+			e := encodeBCSR(tile, 4, nil)
 			e.offsets[0] = int32(len(e.colIdx)) + 3
 			return e
 		}},
 		{"csc row out of range", func() Encoded {
-			e := encodeCSC(tile)
+			e := encodeCSC(tile, nil)
 			e.rowIdx[0] = -2
 			return e
 		}},
 		{"bcsr bad block column", func() Encoded {
-			e := encodeBCSR(tile, 4)
+			e := encodeBCSR(tile, 4, nil)
 			e.colIdx[0] = 3 // not block-aligned
 			return e
 		}},
 		{"coo missing sentinel", func() Encoded {
-			e := encodeCOO(tile)
+			e := encodeCOO(tile, nil)
 			e.rows[len(e.rows)-1] = 0
 			return e
 		}},
 		{"coo out of range", func() Encoded {
-			e := encodeCOO(tile)
+			e := encodeCOO(tile, nil)
 			e.cols[0] = 64
 			return e
 		}},
 		{"dok bad key", func() Encoded {
-			e := encodeDOK(tile)
+			e := encodeDOK(tile, nil)
 			for s, k := range e.keys {
 				if k != dokEmpty {
 					e.keys[s] = dokKey(20, 20)
@@ -422,7 +422,7 @@ func TestCorruptionDetection(t *testing.T) {
 			return e
 		}},
 		{"lil rows not ascending", func() Encoded {
-			e := encodeLIL(tile)
+			e := encodeLIL(tile, nil)
 			for j := range e.colRows {
 				if len(e.colRows[j]) >= 2 {
 					e.colRows[j][0], e.colRows[j][1] = e.colRows[j][1], e.colRows[j][0]
@@ -432,7 +432,7 @@ func TestCorruptionDetection(t *testing.T) {
 			return e
 		}},
 		{"ell column out of range", func() Encoded {
-			e := encodeELL(tile)
+			e := encodeELL(tile, nil)
 			for i, v := range e.idx {
 				if v != ellPad {
 					e.idx[i] = 88
@@ -442,7 +442,7 @@ func TestCorruptionDetection(t *testing.T) {
 			return e
 		}},
 		{"dia out of extent", func() Encoded {
-			e := encodeDIA(tile)
+			e := encodeDIA(tile, nil)
 			// Force a value into an out-of-extent slot of a non-main
 			// diagonal, if one exists.
 			for k, d := range e.diagNo {
@@ -460,12 +460,12 @@ func TestCorruptionDetection(t *testing.T) {
 			return e
 		}},
 		{"jds broken permutation", func() Encoded {
-			e := encodeJDS(tile)
+			e := encodeJDS(tile, nil)
 			e.perm[0] = e.perm[1]
 			return e
 		}},
 		{"sell width out of range", func() Encoded {
-			e := encodeSELL(tile, 4)
+			e := encodeSELL(tile, 4, nil)
 			e.widths[0] = int32(e.p + 1)
 			return e
 		}},
@@ -552,7 +552,7 @@ func TestSELLTighterThanELL(t *testing.T) {
 func TestJDSNoPadding(t *testing.T) {
 	check := func(seed uint64) bool {
 		tile := randomTile(seed, 16, 0.2)
-		e := encodeJDS(tile)
+		e := encodeJDS(tile, nil)
 		return len(e.vals) == tile.NNZ()
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
@@ -580,7 +580,7 @@ func TestSELLCSShrinksRectangles(t *testing.T) {
 // its σ window.
 func TestSELLCSWindowLocality(t *testing.T) {
 	tile := randomTile(3, 16, 0.3)
-	e := encodeSELLCS(tile, SELLSlice, SELLCSigmaWindow)
+	e := encodeSELLCS(tile, SELLSlice, SELLCSigmaWindow, nil)
 	for pos, orig := range e.perm {
 		if pos/SELLCSigmaWindow != int(orig)/SELLCSigmaWindow {
 			t.Fatalf("row %d moved to position %d, outside its sigma window", orig, pos)
@@ -595,7 +595,7 @@ func TestELLCOOCapsWidth(t *testing.T) {
 	for j := 0; j < 16; j++ {
 		tile.Set(3, j, 1)
 	}
-	e := encodeELLCOO(tile, ELLWidth)
+	e := encodeELLCOO(tile, ELLWidth, nil)
 	if e.Width() != ELLWidth {
 		t.Fatalf("hybrid width = %d, want %d", e.Width(), ELLWidth)
 	}

@@ -20,10 +20,10 @@ type JDSEnc struct {
 	nzr  int
 }
 
-func encodeJDS(t *matrix.Tile) *JDSEnc {
+func encodeJDS(t *matrix.Tile, sl *Slab) *JDSEnc {
 	p, nnz := t.P, t.NNZ()
 	e := &JDSEnc{p: p, nzr: t.NonZeroRows()}
-	e.perm = make([]int32, p)
+	e.perm = sl.int32s(p)
 	// Stable counting sort of rows by descending non-zero count —
 	// identical ordering to a stable comparison sort, in O(p).
 	s := getScratch()
@@ -49,9 +49,9 @@ func encodeJDS(t *matrix.Tile) *JDSEnc {
 	}
 	// The sparse row views are already the compacted rows; jagged
 	// diagonal k gathers the k-th entry of every row long enough.
-	e.ptr = make([]int32, w+1)
-	e.idx = make([]int32, nnz)
-	e.vals = make([]float64, nnz)
+	e.ptr = sl.int32s(w + 1)
+	e.idx = sl.int32s(nnz)
+	e.vals = sl.float64s(nnz)
 	cur := 0
 	for k := 0; k < w; k++ {
 		e.ptr[k] = int32(cur)

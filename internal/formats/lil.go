@@ -23,12 +23,12 @@ type LILEnc struct {
 // comparing against HEIGHT.
 const lilTerm = int32(-1)
 
-func encodeLIL(t *matrix.Tile) *LILEnc {
+func encodeLIL(t *matrix.Tile, sl *Slab) *LILEnc {
 	p, nnz := t.P, t.NNZ()
 	e := &LILEnc{
 		p:       p,
-		colRows: make([][]int32, p),
-		colVals: make([][]float64, p),
+		colRows: sl.int32Lists(p),
+		colVals: sl.float64Lists(p),
 		nnz:     nnz,
 		nzr:     t.NonZeroRows(),
 	}
@@ -41,8 +41,8 @@ func encodeLIL(t *matrix.Tile) *LILEnc {
 		}
 	}
 	// All column lists slice two shared backing arrays.
-	rowsBuf := make([]int32, nnz)
-	valsBuf := make([]float64, nnz)
+	rowsBuf := sl.int32s(nnz)
+	valsBuf := sl.float64s(nnz)
 	running := int32(0)
 	for j := 0; j < p; j++ {
 		c := cur[j]

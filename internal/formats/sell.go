@@ -16,25 +16,25 @@ type SELLEnc struct {
 	nzr    int
 }
 
-func encodeSELL(t *matrix.Tile, c int) *SELLEnc {
+func encodeSELL(t *matrix.Tile, c int, sl *Slab) *SELLEnc {
 	if t.P%c != 0 {
 		panic("formats: SELL requires p divisible by slice height")
 	}
 	e := &SELLEnc{p: t.P, c: c, nnz: t.NNZ(), nzr: t.NonZeroRows()}
-	e.widths = make([]int32, 0, t.P/c)
+	e.widths = sl.int32s(t.P / c)
 	total := 0
-	for s := 0; s < t.P/c; s++ {
+	for s := range e.widths {
 		w := 0
 		for i := s * c; i < (s+1)*c; i++ {
 			if n := t.RowNNZ(i); n > w {
 				w = n
 			}
 		}
-		e.widths = append(e.widths, int32(w))
+		e.widths[s] = int32(w)
 		total += c * w
 	}
-	e.idx = make([]int32, total)
-	e.vals = make([]float64, total)
+	e.idx = sl.int32s(total)
+	e.vals = sl.float64s(total)
 	for k := range e.idx {
 		e.idx[k] = ellPad
 	}

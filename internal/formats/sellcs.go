@@ -25,12 +25,12 @@ type SELLCSEnc struct {
 	nzr    int
 }
 
-func encodeSELLCS(t *matrix.Tile, c, sigma int) *SELLCSEnc {
+func encodeSELLCS(t *matrix.Tile, c, sigma int, sl *Slab) *SELLCSEnc {
 	if t.P%c != 0 || sigma%c != 0 {
 		panic("formats: SELL-C-sigma needs p divisible by C and sigma divisible by C")
 	}
 	e := &SELLCSEnc{p: t.P, c: c, nnz: t.NNZ(), nzr: t.NonZeroRows()}
-	e.perm = make([]int32, t.P)
+	e.perm = sl.int32s(t.P)
 	for i := range e.perm {
 		e.perm[i] = int32(i)
 	}
@@ -51,20 +51,20 @@ func encodeSELLCS(t *matrix.Tile, c, sigma int) *SELLCSEnc {
 		}
 	}
 	// Slice the permuted rows and ELL-pack each slice.
-	e.widths = make([]int32, 0, t.P/c)
+	e.widths = sl.int32s(t.P / c)
 	total := 0
-	for s := 0; s < t.P/c; s++ {
+	for s := range e.widths {
 		w := 0
 		for r := s * c; r < (s+1)*c; r++ {
 			if n := t.RowNNZ(int(e.perm[r])); n > w {
 				w = n
 			}
 		}
-		e.widths = append(e.widths, int32(w))
+		e.widths[s] = int32(w)
 		total += c * w
 	}
-	e.idx = make([]int32, total)
-	e.vals = make([]float64, total)
+	e.idx = sl.int32s(total)
+	e.vals = sl.float64s(total)
 	for k := range e.idx {
 		e.idx[k] = ellPad
 	}

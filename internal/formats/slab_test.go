@@ -1,0 +1,130 @@
+package formats
+
+import (
+	"reflect"
+	"testing"
+
+	"copernicus/internal/matrix"
+	"copernicus/internal/xrand"
+)
+
+// checkExactStreams fails unless every stream of e — and every list of a
+// list-of-lists stream — has cap == len, so an append on one can never
+// write into memory another stream owns.
+func checkExactStreams(t *testing.T, e Encoded) {
+	t.Helper()
+	v := reflect.ValueOf(e).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Kind() != reflect.Slice {
+			continue
+		}
+		name := v.Type().Field(i).Name
+		if f.Cap() != f.Len() {
+			t.Fatalf("%v p=%d: stream %s has len %d, cap %d", e.Kind(), e.P(), name, f.Len(), f.Cap())
+		}
+		if f.Type().Elem().Kind() != reflect.Slice {
+			continue
+		}
+		for j := 0; j < f.Len(); j++ {
+			if l := f.Index(j); l.Cap() != l.Len() {
+				t.Fatalf("%v p=%d: %s[%d] has len %d, cap %d", e.Kind(), e.P(), name, j, l.Len(), l.Cap())
+			}
+		}
+	}
+}
+
+// TestSlabStreamsExactZeroedDisjoint hands out streams of mixed sizes —
+// empty, small, and above a quarter chunk — and checks each is exactly
+// sized, zeroed, and still holds its own marker after every later
+// request and an append on each of them.
+func TestSlabStreamsExactZeroedDisjoint(t *testing.T) {
+	for _, sl := range []*Slab{new(Slab), nil} {
+		r := xrand.New(3)
+		var ints [][]int32
+		var floats [][]float64
+		for k := 1; k <= 2000; k++ {
+			n := r.Intn(3000)
+			if r.Intn(4) != 0 {
+				n = r.Intn(100)
+			}
+			a, b := sl.int32s(n), sl.float64s(n)
+			if len(a) != n || cap(a) != n || len(b) != n || cap(b) != n {
+				t.Fatalf("request %d of %d: got len/cap %d/%d and %d/%d", k, n, len(a), cap(a), len(b), cap(b))
+			}
+			for x := range a {
+				if a[x] != 0 || b[x] != 0 {
+					t.Fatalf("request %d: stream not zeroed at %d", k, x)
+				}
+				a[x], b[x] = int32(k), float64(k)
+			}
+			ints, floats = append(ints, a), append(floats, b)
+			ls, fs := sl.int32Lists(n%40), sl.float64Lists(n%40)
+			if len(ls) != n%40 || cap(ls) != n%40 || len(fs) != n%40 || cap(fs) != n%40 {
+				t.Fatalf("request %d: list headers not exact", k)
+			}
+			for x := range ls {
+				if ls[x] != nil || fs[x] != nil {
+					t.Fatalf("request %d: list header %d not nil", k, x)
+				}
+				ls[x], fs[x] = a, b
+			}
+		}
+		for k := range ints {
+			_ = append(ints[k], -1)
+			_ = append(floats[k], -1)
+		}
+		for k := range ints {
+			for x := range ints[k] {
+				if ints[k][x] != int32(k+1) || floats[k][x] != float64(k+1) {
+					t.Fatalf("stream %d overwritten at %d", k+1, x)
+				}
+			}
+		}
+	}
+}
+
+// TestSlabEncodingsSurviveCorpus encodes a corpus of tiles of mixed sizes
+// in every format through one slab, then checks every encoding: exact
+// streams, the same streams as an exactly allocated Encode, and a decode
+// back to its own tile.
+func TestSlabEncodingsSurviveCorpus(t *testing.T) {
+	tiles := goldenTiles(t)
+	for seed := uint64(1); seed <= 12; seed++ {
+		p := []int{4, 12, 64}[seed%3]
+		tiles = append(tiles, randomTile(seed, p, []float64{0.01, 0.1, 0.5, 1}[seed%4]))
+	}
+	type item struct {
+		tile *matrix.Tile
+		enc  Encoded
+	}
+	sl := new(Slab)
+	var items []item
+	for _, tile := range tiles {
+		for _, k := range All() {
+			if ValidateP(k, tile.P) == nil {
+				items = append(items, item{tile, sl.Encode(k, tile)})
+			}
+		}
+	}
+	dec := matrix.NewTile(1, 0, 0)
+	for _, it := range items {
+		checkExactStreams(t, it.enc)
+		exact := Encode(it.enc.Kind(), it.tile)
+		checkExactStreams(t, exact)
+		if !encStreamsEqual(t, it.enc, exact) {
+			t.Fatalf("%v p=%d: slab encoding differs from the exact one", it.enc.Kind(), it.tile.P)
+		}
+		if err := it.enc.DecodeInto(dec); err != nil {
+			t.Fatalf("%v p=%d: decode: %v", it.enc.Kind(), it.tile.P, err)
+		}
+		if !dec.SameEntries(it.tile) {
+			t.Fatalf("%v p=%d: slab encoding no longer decodes to its tile", it.enc.Kind(), it.tile.P)
+		}
+	}
+	for _, b := range []int{2, 8} {
+		checkExactStreams(t, EncodeBCSRBlock(randomTile(5, 16, 0.3), b))
+	}
+	checkExactStreams(t, EncodeSELLSlice(randomTile(6, 16, 0.3), 8))
+	checkExactStreams(t, EncodeELLCOOCap(randomTile(7, 16, 0.3), 2))
+}

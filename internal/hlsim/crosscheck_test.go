@@ -1,0 +1,103 @@
+package hlsim
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"testing"
+
+	"copernicus/internal/formats"
+	"copernicus/internal/gen"
+	"copernicus/internal/matrix"
+)
+
+// crossCheckTile is an 8×8 tile at origin (16, 24) with an empty row 3
+// and a NaN entry, which must round-trip as itself.
+func crossCheckTile() *matrix.Tile {
+	tl := matrix.NewTile(8, 16, 24)
+	tl.Set(0, 1, 2)
+	tl.Set(0, 5, 3)
+	tl.Set(2, 2, -1)
+	tl.Set(7, 0, 4)
+	tl.Set(7, 7, math.NaN())
+	return tl
+}
+
+// TestCrossCheckMismatchMessages encodes a wrong tile in every format, so
+// the stream decodes cleanly but not to the original, and requires the
+// cross-check to fail with the message naming the first differing local
+// row and column: a flipped value, a value swapped for NaN, a shifted
+// column, and an extra entry in an empty row. The original's own encoding
+// (NaN included) must pass.
+func TestCrossCheckMismatchMessages(t *testing.T) {
+	cases := []struct {
+		name  string
+		wrong func(tl *matrix.Tile)
+		want  string // after "hlsim: tile (16,24): <format> "
+	}{
+		{"flipped value", func(tl *matrix.Tile) { tl.Set(0, 5, -3) },
+			"decode mismatch at local (0,5): -3 != 3"},
+		{"value swapped for NaN", func(tl *matrix.Tile) { tl.Set(2, 2, math.NaN()) },
+			"decode mismatch at local (2,2): NaN != -1"},
+		{"shifted column", func(tl *matrix.Tile) { tl.Set(0, 5, 0); tl.Set(0, 6, 3) },
+			"decode mismatch at local row 0: column 6 != 5"},
+		{"extra entry in an empty row", func(tl *matrix.Tile) { tl.Set(3, 4, 1.5) },
+			"decode mismatch at local row 3: 1 non-zeros != 0"},
+	}
+	orig := crossCheckTile()
+	dec := matrix.NewTile(1, 0, 0)
+	for _, k := range formats.All() {
+		if err := formats.Encode(k, orig).DecodeInto(dec); err != nil {
+			t.Fatalf("%v: decode of the original: %v", k, err)
+		}
+		if err := crossCheck(k, orig, dec); err != nil {
+			t.Fatalf("%v: original failed its own cross-check: %v", k, err)
+		}
+		for _, c := range cases {
+			wrong := crossCheckTile()
+			c.wrong(wrong)
+			if err := formats.Encode(k, wrong).DecodeInto(dec); err != nil {
+				t.Fatalf("%v %s: decode: %v", k, c.name, err)
+			}
+			want := fmt.Sprintf("hlsim: tile (16,24): %v %s", k, c.want)
+			if err := crossCheck(k, orig, dec); err == nil || err.Error() != want {
+				t.Errorf("%v %s: cross-check error %v, want %q", k, c.name, err, want)
+			}
+		}
+	}
+}
+
+// TestVerifyReportsWrongEncoding swaps one warmup encoding of a plan for
+// the encoding of a tile with one flipped value and requires the verify
+// pass to fail with the cross-check message for that tile.
+func TestVerifyReportsWrongEncoding(t *testing.T) {
+	m := gen.Random(64, 0.1, 13)
+	for _, k := range formats.Core() {
+		pl, err := NewPlan(Default(), m, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pf, err := pl.format(context.Background(), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ti := len(pl.pt.Tiles) / 2
+		tile := pl.pt.Tiles[ti]
+		wrong := tile.Clone()
+		var i, j int
+		var v float64
+		for i = 0; i < tile.P; i++ {
+			if cols, vals := tile.RowView(i); len(cols) > 0 {
+				j, v = int(cols[0]), vals[0]
+				break
+			}
+		}
+		wrong.Set(i, j, v+1)
+		pf.encs[ti] = formats.Encode(k, wrong)
+		want := fmt.Sprintf("hlsim: tile (%d,%d): %v decode mismatch at local (%d,%d): %g != %g",
+			tile.Row, tile.Col, k, i, j, v+1, v)
+		if _, err := pl.verify(context.Background(), k); err == nil || err.Error() != want {
+			t.Errorf("%v: verify error %v, want %q", k, err, want)
+		}
+	}
+}

@@ -345,6 +345,12 @@ const (
 	minParallelTiles = 2 * encodeChunk
 )
 
+// slabPool lends each warmup work goroutine a formats.Slab to carve its
+// encodings from. Warmup encodings live only until the verify pass drops
+// them, so they share chunks instead of allocating each stream; the pool
+// hands a returned slab's unused chunk tail to the next pass.
+var slabPool = sync.Pool{New: func() any { return new(formats.Slab) }}
+
 // encodeFormat encodes and prices every non-zero tile in format k. With
 // an encode pool installed, tiles are claimed in chunks by the caller
 // plus however many pool helpers are free right now, into
@@ -371,6 +377,8 @@ func (pl *Plan) encodeFormat(ctx context.Context, k formats.Kind) (*planFormat, 
 	var next atomic.Int64
 	var fail atomic.Pointer[error]
 	work := func() {
+		sl := slabPool.Get().(*formats.Slab)
+		defer slabPool.Put(sl)
 		defer func() {
 			if pe := resilience.Recovered(ptEncodeTile.Name(), recover()); pe != nil {
 				storeFirst(&fail, pe)
@@ -386,7 +394,7 @@ func (pl *Plan) encodeFormat(ctx context.Context, k formats.Kind) (*planFormat, 
 					storeFirst(&fail, err)
 					return
 				}
-				enc := formats.Encode(k, tiles[i])
+				enc := sl.Encode(k, tiles[i])
 				pf.encs[i] = enc
 				tr, err := RunTile(pl.cfg, enc)
 				if err != nil {
@@ -550,11 +558,15 @@ func (pl *Plan) runVerify(ctx context.Context, k formats.Kind, pf *planFormat) (
 	return nil
 }
 
-// crossCheck compares a decoded tile against the original, sparse row by
-// sparse row — O(nnz), with the same NaN-tolerant exact equality as the
-// old dense compare: NaN entries round-trip as NaN (the mtx loader admits
-// them), which must not read as corruption.
+// crossCheck compares a decoded tile against the original — O(nnz), with
+// NaN-tolerant exact equality: NaN entries round-trip as NaN (the mtx
+// loader admits them), which must not read as corruption. The check is one
+// flat compare of the two tiles' entries; only on a mismatch does it walk
+// the rows, to name the first differing row and column.
 func crossCheck(k formats.Kind, tile, dec *matrix.Tile) error {
+	if tile.SameEntries(dec) {
+		return nil
+	}
 	for i := 0; i < tile.P; i++ {
 		tc, tv := tile.RowView(i)
 		dc, dv := dec.RowView(i)

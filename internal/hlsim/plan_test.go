@@ -273,3 +273,37 @@ func TestFirstRunIntoAllocationBoundedByInput(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmupAllocsPerEncode bounds the warmup's heap objects: encoding
+// and pricing every tile of a Random(4096, 0.002) plan at p=32 in each
+// core format may make at most 2 heap objects per (tile, format) on
+// average. Allocating every stream of every encoding separately costs
+// about 4.
+func TestWarmupAllocsPerEncode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	m := gen.Random(4096, 0.002, 7)
+	pl, err := NewPlan(Default(), m, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiles := len(pl.Partitioning().Tiles)
+	var ms runtime.MemStats
+	var total uint64
+	for _, k := range formats.Core() {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		if _, err := pl.Trace(k); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		got := ms.Mallocs - before
+		t.Logf("%v: %.2f heap objects per tile", k, float64(got)/float64(tiles))
+		total += got
+	}
+	encodes := tiles * len(formats.Core())
+	if per := float64(total) / float64(encodes); per > 2 {
+		t.Fatalf("warmup made %d heap objects for %d (tile, format) encodes: %.2f each, want <= 2", total, encodes, per)
+	}
+}

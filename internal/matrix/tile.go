@@ -3,6 +3,7 @@ package matrix
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -21,11 +22,14 @@ import (
 // fixed-width dot-product engine — padding rows simply have empty spans.
 //
 // Mutation (Set) and decode paths append (row, column, value) entries to
-// a staging list that is sorted back into the CSR form ("sealed") on the
-// next read, in O(nnz + p): no p² buffer exists at any point. A tile made
-// by NewTile owns its storage and can be recycled with Reset, so a decode
-// loop reuses one tile's capacity across every tile it decodes. A sealed
-// tile is safe for concurrent reads; mutation is not goroutine-safe.
+// a staging list that is folded back into the CSR form ("sealed") on the
+// next read, in O(nnz + p): no p² buffer exists at any point. Entries
+// staged in strictly ascending (row, column) order — what the row-major
+// decoders emit — seal in one compacting pass; any other order is
+// counting-sorted by row first. A tile made by NewTile owns its storage
+// and can be recycled with Reset, so a decode loop reuses one tile's
+// capacity across every tile it decodes. A sealed tile is safe for
+// concurrent reads; mutation is not goroutine-safe.
 type Tile struct {
 	P        int // partition edge length
 	Row, Col int // origin of the tile in the parent matrix
@@ -45,9 +49,12 @@ type Tile struct {
 // tileStage holds Set calls since the last seal, in call order, plus the
 // seal's reusable scratch. Pending entries mark the tile dirty.
 type tileStage struct {
-	ents  []stageEntry // pending Set calls; non-empty means dirty
-	byRow []stageEntry // seal scratch: ents counting-sorted by row
-	cur   []int32      // seal scratch: per-row scatter cursors
+	ents []stageEntry // pending Set calls; non-empty means dirty
+	// sorted reports that ents is strictly ascending by (row, column), so
+	// seal can compact it in one pass without the row sort.
+	sorted bool
+	byRow  []stageEntry // seal scratch: ents counting-sorted by row
+	cur    []int32      // seal scratch: per-row scatter cursors
 }
 
 type stageEntry struct {
@@ -100,17 +107,27 @@ func newTileCSR(p, row, col int, rowPtr, cols []int32, vals []float64, nzRows in
 	return Tile{P: p, Row: row, Col: col, rowPtr: rowPtr, cols: cols, vals: vals, nzRows: nzRows}
 }
 
+// dirty reports whether Set entries are pending. The row accessors test
+// it before calling seal, so reading a sealed tile makes no seal call and
+// NNZ, NonZeroRows and RowNNZ stay inlinable.
+func (t *Tile) dirty() bool { return t.st != nil && len(t.st.ents) != 0 }
+
 // seal folds the pending Set entries into the CSR view with the
 // semantics of a dense buffer: the last write to a coordinate wins, and a
-// final value of 0 (or -0) leaves no entry, while NaN is kept. Entries are
-// counting-sorted by row (stable, so each row keeps call order) and each
-// row is stably sorted by column only when it arrives out of order —
-// O(nnz + p) for every decoder that emits columns ascending within a row.
-// It is a no-op on a sealed tile, so sparse accessors may call it
-// unconditionally (and concurrently, once sealed).
+// final value of 0 (or -0) leaves no entry, while NaN is kept. Strictly
+// ascending (row, column) staging — no coordinate repeats, rows already in
+// order — is compacted in one pass. Otherwise entries are counting-sorted
+// by row (stable, so each row keeps call order) and each row is stably
+// sorted by column only when it arrives out of order — O(nnz + p) for
+// every decoder that emits columns ascending within a row. It is a no-op
+// on a sealed tile (and safe concurrently, once sealed).
 func (t *Tile) seal() {
 	st := t.st
 	if st == nil || len(st.ents) == 0 {
+		return
+	}
+	if st.sorted {
+		t.sealSorted()
 		return
 	}
 	p, n := t.P, len(st.ents)
@@ -132,13 +149,7 @@ func (t *Tile) seal() {
 		st.cur[e.i]++
 	}
 
-	cols, vals := t.cols[:0], t.vals[:0]
-	if cap(cols) < n {
-		cols = make([]int32, 0, n)
-	}
-	if cap(vals) < n {
-		vals = make([]float64, 0, n)
-	}
+	cols, vals := t.emptyEntries(n)
 	nzRows, lo := 0, 0
 	for i := 0; i < p; i++ {
 		hi := int(rp[i+1])
@@ -170,6 +181,46 @@ func (t *Tile) seal() {
 	st.ents = st.ents[:0]
 }
 
+// emptyEntries returns t's column and value buffers emptied, with room
+// for n entries.
+func (t *Tile) emptyEntries(n int) ([]int32, []float64) {
+	cols, vals := t.cols[:0], t.vals[:0]
+	if cap(cols) < n {
+		cols = make([]int32, 0, n)
+	}
+	if cap(vals) < n {
+		vals = make([]float64, 0, n)
+	}
+	return cols, vals
+}
+
+// sealSorted is seal for strictly ascending staging: one pass drops the
+// zeros, copies the rest in order and counts them per row, then a prefix
+// sum turns the counts into row pointers.
+func (t *Tile) sealSorted() {
+	st := t.st
+	n := len(st.ents)
+	rp := zeroed(t.rowPtr, t.P+1)
+	cols, vals := t.emptyEntries(n)
+	nzRows := 0
+	for _, e := range st.ents {
+		if e.v == 0 {
+			continue
+		}
+		if rp[e.i+1] == 0 {
+			nzRows++
+		}
+		rp[e.i+1]++
+		cols = append(cols, e.j)
+		vals = append(vals, e.v)
+	}
+	for i := 1; i < len(rp); i++ {
+		rp[i] += rp[i-1]
+	}
+	t.rowPtr, t.cols, t.vals, t.nzRows = rp, cols, vals, nzRows
+	st.ents = st.ents[:0]
+}
+
 // Set stores v at local coordinates (i, j); storing 0 clears the entry.
 // The write is staged and takes effect at the next read. On a tile whose
 // spans alias a partitioning's shared buffers, the first Set moves the
@@ -187,12 +238,19 @@ func (t *Tile) Set(i, j int, v float64) {
 	} else if len(st.ents) == 0 {
 		st.stageSealed(t)
 	}
-	st.ents = append(st.ents, stageEntry{int32(i), int32(j), v})
+	e := stageEntry{int32(i), int32(j), v}
+	if n := len(st.ents); st.sorted && n > 0 {
+		last := st.ents[n-1]
+		st.sorted = last.i < e.i || (last.i == e.i && last.j < e.j)
+	}
+	st.ents = append(st.ents, e)
 }
 
 // stageSealed re-opens a sealed tile by staging its current entries, so
-// the next seal merges them with the new writes.
+// the next seal merges them with the new writes. The entries go in in
+// row-major order, so the staging starts out sorted.
 func (st *tileStage) stageSealed(t *Tile) {
+	st.sorted = true
 	if len(t.vals) == 0 {
 		return
 	}
@@ -205,7 +263,9 @@ func (st *tileStage) stageSealed(t *Tile) {
 
 // At returns the value at local coordinates (i, j).
 func (t *Tile) At(i, j int) float64 {
-	t.seal()
+	if t.dirty() {
+		t.seal()
+	}
 	lo, hi := int(t.rowPtr[i]), int(t.rowPtr[i+1])
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -223,7 +283,9 @@ func (t *Tile) At(i, j int) float64 {
 
 // NNZ returns the number of non-zero entries in the tile.
 func (t *Tile) NNZ() int {
-	t.seal()
+	if t.dirty() {
+		t.seal()
+	}
 	return len(t.vals)
 }
 
@@ -232,15 +294,17 @@ func (t *Tile) Density() float64 { return float64(t.NNZ()) / float64(t.P*t.P) }
 
 // RowNNZ returns the number of non-zeros in local row i.
 func (t *Tile) RowNNZ(i int) int {
-	t.seal()
-	return int(t.rowPtr[i+1] - t.rowPtr[i])
+	cols, _ := t.RowView(i)
+	return len(cols)
 }
 
 // NonZeroRows returns the count of rows with at least one non-zero. This
 // drives both the dot-product count in Eq. (1) and the inner-pipeline
 // utilization discussed in §5.1.
 func (t *Tile) NonZeroRows() int {
-	t.seal()
+	if t.dirty() {
+		t.seal()
+	}
 	return t.nzRows
 }
 
@@ -249,7 +313,9 @@ func (t *Tile) NonZeroRows() int {
 // callers must not mutate them, and a later Set or Reset invalidates
 // them. This is the O(nnz) walk every format encoder is built on.
 func (t *Tile) RowView(i int) (cols []int32, vals []float64) {
-	t.seal()
+	if t.dirty() {
+		t.seal()
+	}
 	s, e := t.rowPtr[i], t.rowPtr[i+1]
 	return t.cols[s:e:e], t.vals[s:e:e]
 }
@@ -294,23 +360,26 @@ func (t *Tile) Clone() *Tile {
 }
 
 // EqualValues reports whether two tiles hold identical values (origin and
-// size included).
+// size included; NaN equals NaN).
 func (t *Tile) EqualValues(o *Tile) bool {
-	if t.P != o.P || t.Row != o.Row || t.Col != o.Col {
+	return t.Row == o.Row && t.Col == o.Col && t.SameEntries(o)
+}
+
+// SameEntries reports whether two tiles of one size hold the same entries,
+// ignoring their origins. It compares the sealed row pointers, columns and
+// values as flat slices, treating NaN as equal to NaN — the entry-level
+// check a decode cross-check needs, without a per-row walk.
+func (t *Tile) SameEntries(o *Tile) bool {
+	if t.P != o.P {
 		return false
 	}
 	t.seal()
 	o.seal()
-	if len(t.vals) != len(o.vals) {
+	if len(t.vals) != len(o.vals) || !slices.Equal(t.rowPtr, o.rowPtr) || !slices.Equal(t.cols, o.cols) {
 		return false
 	}
-	for i := range t.rowPtr {
-		if t.rowPtr[i] != o.rowPtr[i] {
-			return false
-		}
-	}
-	for k := range t.cols {
-		if t.cols[k] != o.cols[k] || t.vals[k] != o.vals[k] {
+	for k, v := range t.vals {
+		if w := o.vals[k]; v != w && !(math.IsNaN(v) && math.IsNaN(w)) {
 			return false
 		}
 	}

@@ -295,6 +295,158 @@ func TestTileStagingMatchesDenseModel(t *testing.T) {
 		checkTileModel(t, fresh, model)
 		checkTileModel(t, reused, model)
 	}
+
+	// Strictly ascending Set sequences take the one-pass seal; an
+	// out-of-order Set or a repeated coordinate must drop back to the
+	// sorting seal, and a Set after a seal re-stages the sealed entries in
+	// order first.
+	for seed := uint64(1); seed <= 400; seed++ {
+		r := xrand.New(seed)
+		p := 1 + r.Intn(20)
+		model := make([]float64, p*p)
+		fresh := NewTile(p, 0, 0)
+		reused.Reset(p)
+		value := func() float64 {
+			switch r.Intn(8) {
+			case 0:
+				return 0
+			case 1:
+				return math.Copysign(0, -1)
+			case 2:
+				return math.NaN()
+			}
+			return r.ValueIn(-4, 4)
+		}
+		set := func(x int, v float64) {
+			model[x] = v
+			fresh.Set(x/p, x%p, v)
+			reused.Set(x/p, x%p, v)
+		}
+		// An ordered run: strictly ascending row-major positions.
+		for x := r.Intn(3); x < p*p; x += 1 + r.Intn(2*p) {
+			set(x, value())
+		}
+		if len(fresh.st.ents) > 0 && (!fresh.st.sorted || !reused.st.sorted) {
+			t.Fatalf("seed %d: ascending Sets left the staging unsorted", seed)
+		}
+		switch r.Intn(3) {
+		case 0: // one out-of-order Set (possibly onto a written coordinate)
+			if len(fresh.st.ents) > 0 {
+				last := fresh.st.ents[len(fresh.st.ents)-1]
+				set(r.Intn(int(last.i)*p+int(last.j)+1), value())
+				if fresh.st.sorted || reused.st.sorted {
+					t.Fatalf("seed %d: out-of-order Set kept the staging sorted", seed)
+				}
+			}
+		case 1: // seal, then Sets after the seal re-stage in order
+			checkTileModel(t, fresh, model)
+			checkTileModel(t, reused, model)
+			for x := r.Intn(p * p); x < p*p; x += 1 + r.Intn(3*p) {
+				set(x, value())
+			}
+		}
+		checkTileModel(t, fresh, model)
+		checkTileModel(t, reused, model)
+	}
+}
+
+// FuzzTileStaging drives a Set sequence decoded from the fuzz bytes
+// through a tile and a dense reference model side by side. Each op is a
+// byte pair: the first picks the move (step forward, which keeps the
+// staging ascending; jump anywhere; or read, which seals) and the value
+// (0, -0, NaN or a small number), the second the step or target.
+func FuzzTileStaging(f *testing.F) {
+	f.Add(uint8(7), []byte{0, 0, 4, 1, 8, 2, 2, 0, 12, 3})
+	f.Add(uint8(3), []byte{0, 0, 1, 0, 5, 3, 6, 7, 2, 0})
+	f.Add(uint8(15), []byte{0, 5, 4, 9, 2, 0, 16, 1, 2, 0, 1, 0})
+	f.Fuzz(func(t *testing.T, size uint8, ops []byte) {
+		if len(ops) > 1024 {
+			ops = ops[:1024]
+		}
+		p := 1 + int(size%20)
+		tl := NewTile(p, 0, 0)
+		model := make([]float64, p*p)
+		pos := -1
+		for k := 0; k+1 < len(ops); k += 2 {
+			a, b := ops[k], ops[k+1]
+			switch a % 4 {
+			case 0, 3:
+				pos += 1 + int(b%4)
+			case 1:
+				pos = int(b)
+			case 2:
+				checkTileModel(t, tl, model)
+				continue
+			}
+			pos %= p * p
+			var v float64
+			switch c := int(a >> 2); c {
+			case 0:
+				v = 0
+			case 1:
+				v = math.Copysign(0, -1)
+			case 2:
+				v = math.NaN()
+			default:
+				v = float64(c-32) / 4
+			}
+			model[pos] = v
+			tl.Set(pos/p, pos%p, v)
+		}
+		checkTileModel(t, tl, model)
+	})
+}
+
+// TestSameEntries checks the flat entry comparison: NaN matches NaN but
+// not a number, empty tiles match, origins are ignored, and any entry or
+// size difference is caught.
+func TestSameEntries(t *testing.T) {
+	build := func(p, row, col int, ents ...float64) *Tile {
+		tl := NewTile(p, row, col)
+		for k := 0; k+2 < len(ents); k += 3 {
+			tl.Set(int(ents[k]), int(ents[k+1]), ents[k+2])
+		}
+		return tl
+	}
+	nan := math.NaN()
+	for _, c := range []struct {
+		name string
+		a, b *Tile
+		want bool
+	}{
+		{"empty", build(4, 0, 0), build(4, 8, 12), true},
+		{"empty vs sizes", build(4, 0, 0), build(5, 0, 0), false},
+		{"origin ignored", build(4, 0, 0, 1, 2, 3), build(4, 4, 4, 1, 2, 3), true},
+		{"nan vs nan", build(4, 0, 0, 1, 2, nan), build(4, 0, 0, 1, 2, nan), true},
+		{"nan vs number", build(4, 0, 0, 1, 2, nan), build(4, 0, 0, 1, 2, 3), false},
+		{"number vs nan", build(4, 0, 0, 1, 2, 3), build(4, 0, 0, 1, 2, nan), false},
+		{"value", build(4, 0, 0, 1, 2, 3), build(4, 0, 0, 1, 2, 4), false},
+		{"column", build(4, 0, 0, 1, 2, 3), build(4, 0, 0, 1, 3, 3), false},
+		{"row", build(4, 0, 0, 1, 2, 3), build(4, 0, 0, 2, 2, 3), false},
+		{"extra entry", build(4, 0, 0, 1, 2, 3), build(4, 0, 0, 1, 2, 3, 3, 0, 1), false},
+		{"cleared", build(4, 0, 0, 1, 2, 3, 1, 2, 0), build(4, 0, 0), true},
+	} {
+		if got := c.a.SameEntries(c.b); got != c.want {
+			t.Errorf("%s: a.SameEntries(b) = %v, want %v", c.name, got, c.want)
+		}
+		if got := c.b.SameEntries(c.a); got != c.want {
+			t.Errorf("%s: b.SameEntries(a) = %v, want %v", c.name, got, c.want)
+		}
+	}
+	// A partition tile and its decoded-shape copy agree.
+	pt := Partition(randomCSR(5, 30, 30, 0.2), 8)
+	for _, tl := range pt.Tiles {
+		cp := NewTile(tl.P, 0, 0)
+		for i := 0; i < tl.P; i++ {
+			cols, vals := tl.RowView(i)
+			for k, j := range cols {
+				cp.Set(i, int(j), vals[k])
+			}
+		}
+		if !tl.SameEntries(cp) {
+			t.Fatalf("tile (%d,%d) differs from its copy", tl.Row, tl.Col)
+		}
+	}
 }
 
 // TestSetOnPartitionTileLeavesSharedSpans mutates one tile of a
