@@ -11,6 +11,7 @@
 package copernicus_test
 
 import (
+	"context"
 	"io"
 	"runtime"
 	"strconv"
@@ -328,7 +329,10 @@ func BenchmarkSpMVFormats(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepSmall measures a full Engine.Sweep over the reduced
+// spmvOnly is the single-SpMV kernel axis of the paper's study.
+var spmvOnly = []copernicus.KernelSpec{copernicus.DefaultKernel()}
+
+// BenchmarkSweepSmall measures a full Engine.SweepKernelsWith over the reduced
 // SuiteSparse suite across the core formats and all three partition
 // sizes — the engine hot path the streaming-plan cache accelerates. The
 // engine is long-lived (as in report.Options), so plan reuse across
@@ -338,7 +342,7 @@ func BenchmarkSweepSmall(b *testing.B) {
 	ws := copernicus.SuiteSparseWorkloads(copernicus.WorkloadConfig{Scale: 256, RandomDim: 256, BandDim: 256})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := e.Sweep(ws, copernicus.CoreFormats(), copernicus.PartitionSizes())
+		rs, err := e.SweepKernelsWith(context.Background(), nil, ws, spmvOnly, copernicus.CoreFormats(), copernicus.PartitionSizes())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -397,7 +401,7 @@ func BenchmarkPlanReuseSpMV(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := pl.Run(copernicus.CSR, x); err != nil {
+			if _, err := pl.RunContext(context.Background(), copernicus.CSR, x); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -415,7 +419,7 @@ func BenchmarkSweepWorkers(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e := copernicus.NewEngine()
 				e.SetWorkers(workers)
-				if _, err := e.Sweep(ws, copernicus.CoreFormats(), copernicus.PartitionSizes()); err != nil {
+				if _, err := e.SweepKernelsWith(context.Background(), nil, ws, spmvOnly, copernicus.CoreFormats(), copernicus.PartitionSizes()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -472,7 +476,7 @@ func BenchmarkLargeSparseColdPlan(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := pl.Run(copernicus.CSR, x); err != nil {
+				if _, err := pl.RunContext(context.Background(), copernicus.CSR, x); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -481,7 +485,7 @@ func BenchmarkLargeSparseColdPlan(b *testing.B) {
 }
 
 // BenchmarkPlanWarmRunInto measures the steady-state SpMV on a warm plan
-// through the allocation-free RunInto path (0 allocs/op by design; the
+// through the allocation-free RunIntoContext path (0 allocs/op by design; the
 // assertion lives in internal/hlsim's AllocsPerRun test).
 func BenchmarkPlanWarmRunInto(b *testing.B) {
 	m := copernicus.Random(1024, 0.01, 31)
@@ -494,13 +498,13 @@ func BenchmarkPlanWarmRunInto(b *testing.B) {
 		b.Fatal(err)
 	}
 	var r copernicus.StreamResult
-	if err := pl.RunInto(copernicus.CSR, x, &r); err != nil {
+	if err := pl.RunIntoContext(context.Background(), copernicus.CSR, x, &r); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := pl.RunInto(copernicus.CSR, x, &r); err != nil {
+		if err := pl.RunIntoContext(context.Background(), copernicus.CSR, x, &r); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -529,13 +533,13 @@ func BenchmarkExec(b *testing.B) {
 		for _, tc := range threadCounts {
 			b.Run(k.String()+"/t"+strconv.Itoa(tc), func(b *testing.B) {
 				var r copernicus.StreamResult
-				if err := pl.RunExecInto(k, x, &r, tc); err != nil {
+				if err := pl.RunExecIntoContext(context.Background(), k, x, &r, tc); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := pl.RunExecInto(k, x, &r, tc); err != nil {
+					if err := pl.RunExecIntoContext(context.Background(), k, x, &r, tc); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -329,12 +329,13 @@ func benchCmd(ctx context.Context, scale, iters int, jsonOut bool, out, backendI
 	}
 	ws := copernicus.SuiteSparseWorkloads(copernicus.WorkloadConfig{Scale: scale, RandomDim: scale, BandDim: scale})
 	points := len(ws) * len(copernicus.CoreFormats()) * len(copernicus.PartitionSizes())
-	slab, err := e.SweepWith(ctx, bk, ws, copernicus.CoreFormats(), copernicus.PartitionSizes())
+	spmv := []copernicus.KernelSpec{copernicus.DefaultKernel()}
+	slab, err := e.SweepKernelsWith(ctx, bk, ws, spmv, copernicus.CoreFormats(), copernicus.PartitionSizes())
 	if err != nil {
 		return err
 	}
 	res, err := measure("sweep_suitesparse_core_formats", iters, points, func() error {
-		_, err := e.SweepWith(ctx, bk, ws, copernicus.CoreFormats(), copernicus.PartitionSizes())
+		_, err := e.SweepKernelsWith(ctx, bk, ws, spmv, copernicus.CoreFormats(), copernicus.PartitionSizes())
 		return err
 	})
 	if err != nil {
@@ -345,7 +346,7 @@ func benchCmd(ctx context.Context, scale, iters int, jsonOut bool, out, backendI
 	// Cold sweep: the same inputs on a fresh engine per op, so every plan
 	// pays its warmup (partition, encode, decode-verify) inside the timing.
 	res, err = measure("cold_sweep_suitesparse_core_formats", iters, points, func() error {
-		_, err := copernicus.NewEngine().SweepWith(ctx, bk, ws, copernicus.CoreFormats(), copernicus.PartitionSizes())
+		_, err := copernicus.NewEngine().SweepKernelsWith(ctx, bk, ws, spmv, copernicus.CoreFormats(), copernicus.PartitionSizes())
 		return err
 	})
 	if err != nil {
@@ -353,18 +354,19 @@ func benchCmd(ctx context.Context, scale, iters int, jsonOut bool, out, backendI
 	}
 	rec.Benchmarks = append(rec.Benchmarks, res)
 
-	// Streamed-sweep latency: the same warm sweep through SweepStreamWith,
-	// recording both how quickly the first result row reaches the caller
-	// (the latency a streaming client or NDJSON consumer sees) and the
-	// total stream time. On a warm engine the gap between the two is the
-	// whole point of incremental delivery: first-row latency stays at one
-	// group's cost no matter how many groups the sweep spans.
+	// Streamed-sweep latency: the same warm sweep through
+	// SweepGroupsKernelsWith, recording both how quickly the first result
+	// row reaches the caller (the latency a streaming client or NDJSON
+	// consumer sees) and the total stream time. On a warm engine the gap
+	// between the two is the whole point of incremental delivery: first-row
+	// latency stays at one group's cost no matter how many groups the sweep
+	// spans.
 	var firstNs, totalNs float64
 	for i := 0; i < iters; i++ {
 		gotFirst := false
 		start := time.Now()
-		err := e.SweepStreamWith(ctx, bk, ws, copernicus.CoreFormats(), copernicus.PartitionSizes(),
-			func(copernicus.Result) error {
+		err := e.SweepGroupsKernelsWith(ctx, bk, ws, spmv, copernicus.CoreFormats(), copernicus.PartitionSizes(),
+			func(copernicus.SweepGroup) error {
 				if !gotFirst {
 					gotFirst = true
 					firstNs += float64(time.Since(start).Nanoseconds())
@@ -487,7 +489,7 @@ func benchCmd(ctx context.Context, scale, iters int, jsonOut bool, out, backendI
 			if err != nil {
 				return err
 			}
-			_, err = pl.Run(copernicus.CSR, x)
+			_, err = pl.RunContext(context.Background(), copernicus.CSR, x)
 			return err
 		})
 		if err != nil {
@@ -497,17 +499,17 @@ func benchCmd(ctx context.Context, scale, iters int, jsonOut bool, out, backendI
 	}
 
 	// Warm-path benchmark: steady-state SpMV on a warm plan through the
-	// allocation-free RunInto path (allocs_per_op must stay 0).
+	// allocation-free RunIntoContext path (allocs_per_op must stay 0).
 	warm, err := copernicus.NewStreamPlan(big, scale/4)
 	if err != nil {
 		return err
 	}
 	var sr copernicus.StreamResult
-	if err := warm.RunInto(copernicus.CSR, x, &sr); err != nil {
+	if err := warm.RunIntoContext(context.Background(), copernicus.CSR, x, &sr); err != nil {
 		return err
 	}
 	res, err = measure("warm_plan_runinto_csr", iters*100, 0, func() error {
-		return warm.RunInto(copernicus.CSR, x, &sr)
+		return warm.RunIntoContext(context.Background(), copernicus.CSR, x, &sr)
 	})
 	if err != nil {
 		return err
@@ -534,11 +536,11 @@ func benchCmd(ctx context.Context, scale, iters int, jsonOut bool, out, backendI
 			label   string
 			threads int
 		}{{"t1", 1}, {"tmax", maxT}} {
-			if err := warm.RunExecInto(kf.f, x, &sr, tc.threads); err != nil {
+			if err := warm.RunExecIntoContext(context.Background(), kf.f, x, &sr, tc.threads); err != nil {
 				return err
 			}
 			res, err = measure(fmt.Sprintf("native_spmv_%s_%s", kf.name, tc.label), iters*100, 0, func() error {
-				return warm.RunExecInto(kf.f, x, &sr, tc.threads)
+				return warm.RunExecIntoContext(context.Background(), kf.f, x, &sr, tc.threads)
 			})
 			if err != nil {
 				return err
@@ -558,8 +560,8 @@ func benchCmd(ctx context.Context, scale, iters int, jsonOut bool, out, backendI
 		Name: "parallel_speedup_csr", Iterations: iters * 100, NsPerOp: csrTmaxNs, Speedup: speedup,
 	})
 
-	// Partition-size exec benchmarks: warm RunExecInto on the same large
-	// sparse matrix at p = 64/128/256, CSR and SELL-C-σ. Partition size
+	// Partition-size exec benchmarks: warm RunExecIntoContext on the same
+	// large sparse matrix at p = 64/128/256, CSR and SELL-C-σ. Partition size
 	// trades tile-dispatch overhead (small p, many tiles) against cache
 	// residency and padding (large p); these entries plus the best-p
 	// verdict line pin where that trade lands for the exec kernels.
@@ -574,11 +576,11 @@ func benchCmd(ctx context.Context, scale, iters int, jsonOut bool, out, backendI
 			if err != nil {
 				return err
 			}
-			if err := pl.RunExecInto(pf.f, x, &sr, 1); err != nil {
+			if err := pl.RunExecIntoContext(context.Background(), pf.f, x, &sr, 1); err != nil {
 				return err
 			}
 			res, err = measure(fmt.Sprintf("exec_partition_%s_p%d", pf.name, p), iters*10, 0, func() error {
-				return pl.RunExecInto(pf.f, x, &sr, 1)
+				return pl.RunExecIntoContext(context.Background(), pf.f, x, &sr, 1)
 			})
 			if err != nil {
 				return err
@@ -686,9 +688,9 @@ func benchCmd(ctx context.Context, scale, iters int, jsonOut bool, out, backendI
 			b.Name, b.Iterations, b.NsPerOp, b.AllocsPerOp, b.BytesPerOp)
 	}
 	// Raw-speed assertion (ROADMAP item 2): the full-width parallel CSR
-	// kernel against the warm single-thread RunInto reference. The exec
-	// path pays the format's real per-tile traversal (offset walks,
-	// padding) that RunInto's fused row list skips, so the win arrives
+	// kernel against the warm single-thread RunIntoContext reference. The
+	// exec path pays the format's real per-tile traversal (offset walks,
+	// padding) that RunIntoContext's fused row list skips, so the win arrives
 	// only when the fan-out outruns that honest overhead; the verdict
 	// line states the comparison either way. On a one-core host there is
 	// no fan-out to measure and the assertion is reported as skipped.
@@ -993,32 +995,36 @@ func sweepCmd(ctx context.Context, m *copernicus.Matrix, kind, backendID string,
 	specs := []copernicus.KernelSpec{sc}
 	if csv {
 		fmt.Println("backend,kernel,iterations,format,p,seconds,ns_per_nnz,sigma,balance,bw_util,measured")
-		return e.SweepStreamKernelsWith(ctx, b, ws, specs, kinds, ps, func(r copernicus.Result) error {
-			fmt.Printf("%s,%s,%d,%s,%d,%.6e,%.3f,%.3f,%.3f,%.4f,%t\n",
-				r.Backend, r.Kernel, r.Iterations, r.Format, r.P, r.Seconds, r.NsPerNNZ, r.Sigma,
-				r.BalanceRatio, r.BandwidthUtil, r.Measured)
+		return e.SweepGroupsKernelsWith(ctx, b, ws, specs, kinds, ps, func(g copernicus.SweepGroup) error {
+			for _, r := range g.Results {
+				fmt.Printf("%s,%s,%d,%s,%d,%.6e,%.3f,%.3f,%.3f,%.4f,%t\n",
+					r.Backend, r.Kernel, r.Iterations, r.Format, r.P, r.Seconds, r.NsPerNNZ, r.Sigma,
+					r.BalanceRatio, r.BandwidthUtil, r.Measured)
+			}
 			return nil
 		})
 	}
 	fmt.Printf("matrix: %s, %dx%d, nnz=%d, density=%.4g\n",
 		kind, m.Rows, m.Cols, m.NNZ(), m.Density())
 	headed := false
-	return e.SweepStreamKernelsWith(ctx, b, ws, specs, kinds, ps, func(r copernicus.Result) error {
-		if !headed {
-			headed = true
-			fmt.Printf("backend: %s", b.ID())
-			if b.ID() == "native" {
-				fmt.Printf(" (min of %d timed runs, threads=%d; host ns, not accelerator cycles)",
-					r.MeasuredRuns, r.Threads)
+	return e.SweepGroupsKernelsWith(ctx, b, ws, specs, kinds, ps, func(g copernicus.SweepGroup) error {
+		for _, r := range g.Results {
+			if !headed {
+				headed = true
+				fmt.Printf("backend: %s", b.ID())
+				if b.ID() == "native" {
+					fmt.Printf(" (min of %d timed runs, threads=%d; host ns, not accelerator cycles)",
+						r.MeasuredRuns, r.Threads)
+				}
+				if r.Kernel != "spmv" {
+					fmt.Printf("  kernel: %s (%d iterations per invocation)", r.Kernel, r.Iterations)
+				}
+				fmt.Println()
+				fmt.Println("format   p    seconds     ns/nnz      sigma    balance  bw_util")
 			}
-			if r.Kernel != "spmv" {
-				fmt.Printf("  kernel: %s (%d iterations per invocation)", r.Kernel, r.Iterations)
-			}
-			fmt.Println()
-			fmt.Println("format   p    seconds     ns/nnz      sigma    balance  bw_util")
+			fmt.Printf("%-7v  %-3d  %.3e  %10.2f  %7.2f  %7.2f  %7.4f\n",
+				r.Format, r.P, r.Seconds, r.NsPerNNZ, r.Sigma, r.BalanceRatio, r.BandwidthUtil)
 		}
-		fmt.Printf("%-7v  %-3d  %.3e  %10.2f  %7.2f  %7.2f  %7.4f\n",
-			r.Format, r.P, r.Seconds, r.NsPerNNZ, r.Sigma, r.BalanceRatio, r.BandwidthUtil)
 		return nil
 	})
 }

@@ -198,16 +198,17 @@ type SynthReport = synth.Report
 // (the paper's instrument) or the measured native-CPU backend, which
 // times the warm streaming SpMV on the host. Both evaluate the same
 // encode-once plans — only the costing differs — so Engine methods with
-// a With suffix (CharacterizeWith, SweepWith, SweepFormatsWith,
-// SweepStreamWith, SweepGroupsWith, RecommendWith) accept a
-// context.Context and a Backend; nil selects the analytic default, and
-// a canceled context aborts the sweep mid-warmup with ctx.Err().
+// a With suffix (SweepFormatsKernelWith, SweepKernelsWith,
+// SweepGroupsKernelsWith, RecommendKernelWith) accept a context.Context
+// and a Backend; nil selects the analytic default, and a canceled
+// context aborts the sweep mid-warmup with ctx.Err().
 type Backend = backend.Backend
 
-// SweepGroup is one completed (workload, partition size) group of a
-// streaming sweep (Engine.SweepGroupsWith): its results in format order
-// plus the group's compute wall time. Engine.SweepStreamWith flattens
-// groups to single results; Engine.Sweep collects the whole slab.
+// SweepGroup is one completed (workload, kernel, partition size) group
+// of a streaming sweep (Engine.SweepGroupsKernelsWith): its results in
+// format order plus the group's compute wall time. Callers wanting
+// single results loop over its Results; Engine.SweepKernelsWith collects
+// the whole slab.
 type SweepGroup = core.SweepGroup
 
 // BackendMeasurement is one costed evaluation of a (plan, format) point.
@@ -252,10 +253,11 @@ func BackendIDs() []string { return backend.IDs() }
 // one SpMV (the default), a k-column SpMM, or an N-iteration solver loop
 // (cg, jacobi, pagerank) whose inner operation is the modelled SpMV. BFS
 // resolves its iteration count from the matrix itself (its frontier
-// level count). Engine methods with a Kernel infix — CharacterizeKernelWith,
-// SweepFormatsKernelWith, SweepKernelsWith, SweepStreamKernelsWith,
-// SweepGroupsKernelsWith, RecommendKernelWith — take the spec (or a list
-// of specs) as a sweep axis alongside formats and partition sizes.
+// level count). Engine methods with a Kernel infix —
+// SweepFormatsKernelWith, SweepKernelsWith, SweepGroupsKernelsWith,
+// RecommendKernelWith — take the spec (or a list of specs) as a sweep
+// axis alongside formats and partition sizes; DefaultKernel in a
+// one-element list is the paper's single-SpMV study.
 type KernelSpec = scenario.Spec
 
 // ParseKernel parses a kernel spec string: "spmv", "bfs", or
@@ -297,26 +299,28 @@ func SpMV(m *Matrix, x []float64, f Format, p int) ([]float64, error) {
 // StreamPlan is an encode-once streaming plan: the matrix is partitioned
 // once at one partition size, each format is encoded and decode-verified
 // once on first use, and every subsequent modelled SpMV on the plan pays
-// only the per-iteration dot work. Its Run, RunParallel, RunSpMM, Trace,
-// and Schedule methods mirror the package-level one-shot helpers; RunInto
-// is the allocation-free warm path (reuse one StreamResult across calls),
-// and SetWorkers enables tile-parallel warmup with bit-identical results.
+// only the per-iteration dot work. Its RunContext, RunParallel, RunSpMM,
+// Trace, and Schedule methods mirror the package-level one-shot helpers;
+// RunIntoContext is the allocation-free warm path (reuse one StreamResult
+// across calls), and SetWorkers enables tile-parallel warmup with
+// bit-identical results.
 type StreamPlan = hlsim.Plan
 
-// ExecPool is the persistent worker pool behind StreamPlan.RunExecInto,
-// the tile-parallel SpMV through each format's own executable kernel.
-// Plans use a process-shared GOMAXPROCS-wide pool by default; install a
-// custom one with StreamPlan.SetExecPool to bound exec parallelism
-// across many plans explicitly.
+// ExecPool is the persistent worker pool behind
+// StreamPlan.RunExecIntoContext, the tile-parallel SpMV through each
+// format's own executable kernel. Plans use a process-shared GOMAXPROCS-wide
+// pool by default; install a custom one with StreamPlan.SetExecPool to bound
+// exec parallelism across many plans explicitly.
 type ExecPool = hlsim.ExecPool
 
 // NewExecPool starts a pool of `workers` parked helper goroutines for
-// RunExecInto (0 means every caller executes alone).
+// RunExecIntoContext (0 means every caller executes alone).
 func NewExecPool(workers int) *ExecPool { return hlsim.NewExecPool(workers) }
 
 // StreamResult is one modelled SpMV run: the functional output vector
-// plus the aggregated cycle totals. Hold one and call StreamPlan.RunInto
-// to stream multiplications without allocating.
+// plus the aggregated cycle totals. Hold one and call
+// StreamPlan.RunIntoContext to stream multiplications without
+// allocating.
 type StreamResult = hlsim.Result
 
 // NewStreamPlan builds a streaming plan for m at partition size p on the

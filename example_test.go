@@ -1,8 +1,10 @@
 package copernicus_test
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"math"
 
 	"copernicus"
 )
@@ -61,4 +63,75 @@ func ExampleSolveCG() {
 	}
 	fmt.Println("converged:", st.Converged)
 	// Output: converged: true
+}
+
+// ExampleStreamPlan is the README's streaming-plan snippet: one
+// encode-once plan serves every iteration, paying only the dot work
+// after the first, and each output matches the software reference (up
+// to the floating-point reassociation of summing a row tile by tile).
+func ExampleStreamPlan() {
+	ctx := context.Background()
+	m := copernicus.Random(256, 0.02, 42)
+	x := make([]float64, m.Cols)
+	for i := range x {
+		x[i] = 1
+	}
+	pl, err := copernicus.NewStreamPlan(m, 16)
+	if err != nil {
+		log.Fatal(err)
+	}
+	matches := true
+	for iter := 0; iter < 3; iter++ {
+		res, err := pl.RunContext(ctx, copernicus.CSR, x) // only per-iteration dot work
+		if err != nil {
+			log.Fatal(err)
+		}
+		want := m.MulVec(x)
+		for i := range want {
+			matches = matches && math.Abs(res.Y[i]-want[i]) <= 1e-12*math.Max(1, math.Abs(want[i]))
+		}
+		x = res.Y
+	}
+	fmt.Println("matches the software reference:", matches)
+	// Output: matches the software reference: true
+}
+
+// ExampleNativeBackend is the README's native-sweep snippet: the same
+// encode-once plans costed by measured host wall time instead of the
+// cycle model. The timings vary by host, so the example has no Output.
+func ExampleNativeBackend() {
+	ctx := context.Background()
+	ws := copernicus.SuiteSparseWorkloads(copernicus.WorkloadConfig{Scale: 64, RandomDim: 64, BandDim: 64})[:2]
+	e := copernicus.NewEngine()
+	spmv := []copernicus.KernelSpec{copernicus.DefaultKernel()}
+	b, err := copernicus.WithNativeThreads(copernicus.NativeBackend(0), 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rs, err := e.SweepKernelsWith(ctx, b, ws, spmv, copernicus.SparseFormats(), []int{16})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, r := range rs {
+		fmt.Println(r.Workload, r.Format, r.Backend, r.Measured, r.Seconds, r.Threads)
+	}
+}
+
+// ExampleEngine_SweepKernelsWith is the README's kernel-axis snippet:
+// each point is costed for 60 CG iterations, one full invocation.
+func ExampleEngine_SweepKernelsWith() {
+	ctx := context.Background()
+	ws := copernicus.SuiteSparseWorkloads(copernicus.WorkloadConfig{Scale: 64, RandomDim: 64, BandDim: 64})[:2]
+	e := copernicus.NewEngine()
+	sc, err := copernicus.ParseKernel("cg:60")
+	if err != nil {
+		log.Fatal(err)
+	}
+	rs, err := e.SweepKernelsWith(ctx, nil, ws, []copernicus.KernelSpec{sc},
+		copernicus.SparseFormats(), []int{16})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(len(rs), rs[0].Kernel, rs[0].Iterations)
+	// Output: 14 cg:60 60
 }

@@ -11,8 +11,9 @@ import (
 // Analytic is the paper's instrument: the deterministic HLS-derived cycle
 // model of internal/hlsim, costed at the plan's configured clock. For the
 // spmv kernel it is bit-identical to the pre-backend characterization
-// path — Evaluate is exactly Plan.Run followed by Result.Seconds, with no
-// arithmetic of its own (the golden test in internal/core enforces this).
+// path — Evaluate is exactly Plan.RunContext followed by Result.Seconds,
+// with no arithmetic of its own (the golden test in internal/core
+// enforces this).
 // Iterative kernels are priced by the amortized model
 // (hlsim.Plan.KernelCycles): the one-time per-tile decomposition is paid
 // on the first iteration only, warm iterations pay max(mem, dot); spmm:k

@@ -31,12 +31,12 @@ func ones(n int) []float64 {
 }
 
 // TestAnalyticMatchesPlanRun: the analytic backend is a pass-through over
-// Plan.Run — same seconds, same cycle totals, same functional output.
+// Plan.RunContext — same seconds, same cycle totals, same functional output.
 func TestAnalyticMatchesPlanRun(t *testing.T) {
 	pl := testPlan(t)
 	x := ones(pl.Matrix().Cols)
 	for _, k := range formats.Core() {
-		want, err := pl.Run(k, x)
+		want, err := pl.RunContext(context.Background(), k, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestAnalyticMatchesPlanRun(t *testing.T) {
 			t.Fatalf("%v: analytic seconds %v != plan seconds %v", k, meas.Seconds, want.Seconds())
 		}
 		if meas.Run.PipelinedCycles != want.PipelinedCycles || meas.Run.MemCycles != want.MemCycles {
-			t.Fatalf("%v: analytic cycle totals diverge from Plan.Run", k)
+			t.Fatalf("%v: analytic cycle totals diverge from Plan.RunContext", k)
 		}
 		for i := range want.Y {
 			if meas.Run.Y[i] != want.Y[i] {

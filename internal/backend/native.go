@@ -16,16 +16,16 @@ import (
 	"copernicus/internal/scenario"
 )
 
-// Native measures what the analytic backend predicts: the real wall time
-// of the warm tile-parallel kernel through the format's own executable
-// layout (Plan.RunExecInto, driven per iteration by Plan.RunKernelInto)
-// on the host CPU. It reuses the encode-once plan, so partitioning,
-// encoding, and the decode cross-check are identical to the analytic path
-// and excluded from the timing — the measurement covers exactly the
-// iteration traversal the model prices, walking the format's real encoded
-// layout. A multi-iteration kernel spec (cg:60, spmm:8, ...) times the
-// whole resolved iteration loop as one unit, so the reported seconds is
-// the measured counterpart of the analytic amortized kernel cost.
+// Native measures what the analytic backend predicts: the real wall time of
+// the warm tile-parallel kernel through the format's own executable layout
+// (Plan.RunExecIntoContext, driven per iteration by Plan.RunKernelInto) on
+// the host CPU. It reuses the encode-once plan, so partitioning, encoding,
+// and the decode cross-check are identical to the analytic path and excluded
+// from the timing — the measurement covers exactly the iteration traversal
+// the model prices, walking the format's real encoded layout. A
+// multi-iteration kernel spec (cg:60, spmm:8, ...) times the whole resolved
+// iteration loop as one unit, so the reported seconds is the measured
+// counterpart of the analytic amortized kernel cost.
 //
 // Methodology — unchanged from the single-SpMV path: one untimed warm-up
 // call triggers encode/verify, the resident exec encodings, and the
@@ -39,12 +39,12 @@ import (
 // count actually used, 1 when unset).
 //
 // Lock ordering: the timed region holds the process-wide measureMu while
-// RunExecInto borrows parked ExecPool workers. The two are independent —
-// exec workers only run format kernels and never take measureMu (or any
-// backend lock), and measureMu holders never wait for a *specific*
-// worker (dispatch is non-blocking and degrades to serial) — so a
-// thread-count sweep holding the lock cannot deadlock against concurrent
-// exec or encode-pool activity.
+// RunExecIntoContext borrows parked ExecPool workers. The two are
+// independent — exec workers only run format kernels and never take
+// measureMu (or any backend lock), and measureMu holders never wait for
+// a *specific* worker (dispatch is non-blocking and degrades to serial)
+// — so a thread-count sweep holding the lock cannot deadlock against
+// concurrent exec or encode-pool activity.
 //
 // The absolute numbers are host CPU nanoseconds, not accelerator cycles:
 // they are comparable across formats and thread counts on one machine

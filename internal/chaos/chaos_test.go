@@ -21,6 +21,7 @@ import (
 	"copernicus/internal/gen"
 	"copernicus/internal/jobs"
 	"copernicus/internal/resilience"
+	"copernicus/internal/scenario"
 	"copernicus/internal/service"
 )
 
@@ -78,7 +79,7 @@ func TestChaosBitIdentityAcrossContainedFaults(t *testing.T) {
 	ctx := context.Background()
 
 	ref := core.New()
-	want, err := ref.SweepFormatsWith(ctx, backend.Analytic{}, "m", m, 16, kinds)
+	want, err := ref.SweepFormatsKernelWith(ctx, backend.Analytic{}, "m", m, scenario.Default(), 16, kinds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +87,14 @@ func TestChaosBitIdentityAcrossContainedFaults(t *testing.T) {
 	e := core.New()
 	for i := 0; i < 5; i++ {
 		faults.Point("hlsim.encode.tile").Arm(faults.Injection{Kind: faults.KindPanic, Times: 1})
-		_, err := e.SweepFormatsWith(ctx, backend.Analytic{}, "m", m, 16, kinds)
+		_, err := e.SweepFormatsKernelWith(ctx, backend.Analytic{}, "m", m, scenario.Default(), 16, kinds)
 		var pe *resilience.PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("storm run %d: err = %v, want contained PanicError", i, err)
 		}
 	}
 	faults.DisarmAll()
-	got, err := e.SweepFormatsWith(ctx, backend.Analytic{}, "m", m, 16, kinds)
+	got, err := e.SweepFormatsKernelWith(ctx, backend.Analytic{}, "m", m, scenario.Default(), 16, kinds)
 	if err != nil {
 		t.Fatalf("post-storm sweep: %v", err)
 	}

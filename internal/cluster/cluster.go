@@ -410,7 +410,7 @@ func (c *Coordinator) fetchGroup(ctx context.Context, q SweepQuery) ([]core.Resu
 // Executor returns a core.GroupExecutor that dispatches each group to
 // its ring owner (with replica re-dispatch) and falls back to local —
 // the executor the coordinator's sweep paths hand to
-// core.SweepStreamExecWith. backendName/threads are echoed into every
+// core.SweepGroupsExecWith. backendName/threads are echoed into every
 // worker query so the worker resolves the exact backend the client
 // asked for; local is the engine-side fallback (required).
 func (c *Coordinator) Executor(backendName string, threads int, local core.GroupExecutor) core.GroupExecutor {

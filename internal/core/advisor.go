@@ -46,26 +46,20 @@ type Recommendation struct {
 // specialized format fits a structured matrix, measure the whole pipeline
 // — decompressor mismatch can erase a format's storage advantage.
 func (e *Engine) Recommend(m *matrix.CSR, p int, candidates []formats.Kind, obj Objective) (Recommendation, error) {
-	return e.RecommendWith(context.Background(), nil, m, p, candidates, obj)
+	return e.RecommendKernelWith(context.Background(), nil, m, scenario.Default(), p, candidates, obj)
 }
 
-// RecommendWith is Recommend under an explicit context and backend (nil
-// selects the analytic default): the ranking's latency axis is then the
-// backend's cost — modelled seconds for analytic, measured host-CPU wall
-// time for native — while the power/resource axes stay the synthesis
-// estimates. A canceled ctx aborts the sweep behind the ranking.
-func (e *Engine) RecommendWith(ctx context.Context, b backend.Backend, m *matrix.CSR, p int, candidates []formats.Kind, obj Objective) (Recommendation, error) {
-	return e.RecommendKernelWith(ctx, b, m, scenario.Default(), p, candidates, obj)
-}
-
-// RecommendKernelWith is RecommendWith on the kernel axis: candidates are
-// ranked by their cost for the given kernel spec — "best format for 60 CG
-// iterations", not just "best format for one SpMV". Under the analytic
+// RecommendKernelWith is Recommend under an explicit context, backend
+// (nil selects the analytic default) and kernel spec: the ranking's
+// latency axis is the backend's cost for that kernel — "best format for
+// 60 CG iterations", not just "best format for one SpMV" — while the
+// power/resource axes stay the synthesis estimates. Under the analytic
 // backend the latency axis is the amortized kernel cost (decomposition
 // paid once, per-iteration work × N); under native it is the measured
 // wall time of the real exec iteration loop. The one-shot decompression
 // penalty that dominates a single SpMV fades with iteration count, which
-// can flip the recommendation (report ext9 tabulates exactly this).
+// can flip the recommendation (report ext9 tabulates exactly this). A
+// canceled ctx aborts the sweep behind the ranking.
 func (e *Engine) RecommendKernelWith(ctx context.Context, b backend.Backend, m *matrix.CSR, sc scenario.Spec, p int, candidates []formats.Kind, obj Objective) (Recommendation, error) {
 	if len(candidates) == 0 {
 		candidates = formats.Sparse()
@@ -181,7 +175,7 @@ func (e *Engine) RecommendDesign(m *matrix.CSR, ps []int, candidates []formats.K
 	}
 	var rs []Result
 	for _, p := range ps {
-		sub, err := e.SweepFormats("advisor", m, p, candidates)
+		sub, err := e.SweepFormatsKernelWith(context.Background(), nil, "advisor", m, scenario.Default(), p, candidates)
 		if err != nil {
 			return nil, err
 		}

@@ -12,13 +12,14 @@ import (
 	"copernicus/internal/gen"
 	"copernicus/internal/hlsim"
 	"copernicus/internal/matrix"
+	"copernicus/internal/scenario"
 	"copernicus/internal/synth"
 	"copernicus/internal/workloads"
 )
 
 // preBackendResult recomputes one characterization point exactly the way
 // the engine did before the Backend seam existed: a streaming plan, one
-// Plan.Run, and the Result assembled field by field from the run's
+// Plan.RunContext, and the Result assembled field by field from the run's
 // methods. It is the frozen reference the golden test below holds the
 // analytic backend to.
 func preBackendResult(t *testing.T, cfg hlsim.Config, name string, m *matrix.CSR, k formats.Kind, p int) Result {
@@ -29,7 +30,7 @@ func preBackendResult(t *testing.T, cfg hlsim.Config, name string, m *matrix.CSR
 	}
 	x := testVector(m.Cols)
 	ref := m.MulVec(x)
-	run, err := pl.Run(k, x)
+	run, err := pl.RunContext(context.Background(), k, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +73,12 @@ func preBackendResult(t *testing.T, cfg hlsim.Config, name string, m *matrix.CSR
 }
 
 // TestAnalyticBackendBitIdentical is the refactor's golden guard: every
-// Result the engine produces through backend.Analytic — via Characterize,
-// CharacterizeWith, and SweepFormats — must equal the pre-backend
-// computation bit for bit (reflect.DeepEqual over float64 fields, no
-// tolerance). Regenerated sweep/advise/trace artifacts derive from these
-// Results, so equality here is what keeps them byte-identical.
+// Result the engine produces through backend.Analytic — via Characterize
+// (the nil-backend default) and SweepFormatsKernelWith (the backend passed
+// explicitly) — must equal the pre-backend computation bit for bit
+// (reflect.DeepEqual over float64 fields, no tolerance). Regenerated
+// sweep/advise/trace artifacts derive from these Results, so equality here
+// is what keeps them byte-identical.
 func TestAnalyticBackendBitIdentical(t *testing.T) {
 	mats := map[string]*matrix.CSR{
 		"random":  gen.Random(192, 0.03, 5),
@@ -96,21 +98,14 @@ func TestAnalyticBackendBitIdentical(t *testing.T) {
 					t.Fatalf("%s/%v/p=%d: Characterize diverged from pre-backend path:\ngot  %+v\nwant %+v",
 						name, k, p, got, want)
 				}
-				withB, err := e.CharacterizeWith(context.Background(), backend.Analytic{}, name, m, k, p)
-				if err != nil {
-					t.Fatalf("%s/%v/p=%d: %v", name, k, p, err)
-				}
-				if !reflect.DeepEqual(withB, want) {
-					t.Fatalf("%s/%v/p=%d: CharacterizeWith(Analytic) diverged", name, k, p)
-				}
 			}
-			rs, err := e.SweepFormats(name, m, p, formats.Core())
+			rs, err := e.SweepFormatsKernelWith(context.Background(), backend.Analytic{}, name, m, scenario.Default(), p, formats.Core())
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, k := range formats.Core() {
 				if want := preBackendResult(t, e.Config(), name, m, k, p); !reflect.DeepEqual(rs[i], want) {
-					t.Fatalf("%s/%v/p=%d: SweepFormats diverged from pre-backend path", name, k, p)
+					t.Fatalf("%s/%v/p=%d: SweepFormatsKernelWith(Analytic) diverged from pre-backend path", name, k, p)
 				}
 			}
 		}
@@ -124,11 +119,11 @@ func TestNativeBackendEndToEnd(t *testing.T) {
 	e := New()
 	ws := []workloads.Workload{{ID: "rnd", M: gen.Random(128, 0.05, 9)}}
 	kinds := []formats.Kind{formats.CSR, formats.COO}
-	ana, err := e.Sweep(ws, kinds, []int{16})
+	ana, err := e.SweepKernelsWith(context.Background(), nil, ws, spmvOnly, kinds, []int{16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat, err := e.SweepWith(context.Background(), &backend.Native{Runs: 2}, ws, kinds, []int{16})
+	nat, err := e.SweepKernelsWith(context.Background(), &backend.Native{Runs: 2}, ws, spmvOnly, kinds, []int{16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +161,7 @@ func TestCharacterizeUnknownKindIsError(t *testing.T) {
 		t.Fatalf("Characterize(Kind(99)) error = %v, want hlsim.ErrUnknownFormat", err)
 	}
 	ws := []workloads.Workload{{ID: "m", M: m}}
-	if _, err := e.Sweep(ws, []formats.Kind{formats.Kind(-2)}, []int{8}); !errors.Is(err, hlsim.ErrUnknownFormat) {
+	if _, err := e.SweepKernelsWith(context.Background(), nil, ws, spmvOnly, []formats.Kind{formats.Kind(-2)}, []int{8}); !errors.Is(err, hlsim.ErrUnknownFormat) {
 		t.Fatalf("Sweep(Kind(-2)) error = %v, want hlsim.ErrUnknownFormat", err)
 	}
 }

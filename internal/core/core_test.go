@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"copernicus/internal/gen"
 	"copernicus/internal/hlsim"
 	"copernicus/internal/matrix"
+	"copernicus/internal/scenario"
 	"copernicus/internal/workloads"
 )
 
@@ -72,7 +74,7 @@ func TestNewWithConfigRejectsInvalid(t *testing.T) {
 func TestSweepFormatsOrder(t *testing.T) {
 	e := New()
 	m := gen.Random(64, 0.1, 4)
-	rs, err := e.SweepFormats("m", m, 8, formats.Core())
+	rs, err := e.SweepFormatsKernelWith(context.Background(), nil, "m", m, scenario.Default(), 8, formats.Core())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestSweepFormatsOrder(t *testing.T) {
 func TestSweepAllPoints(t *testing.T) {
 	e := New()
 	ws := workloads.BandSuite(workloads.Config{BandDim: 64})
-	rs, err := e.Sweep(ws[:2], []formats.Kind{formats.CSR, formats.DIA}, []int{8, 16})
+	rs, err := e.SweepKernelsWith(context.Background(), nil, ws[:2], spmvOnly, []formats.Kind{formats.CSR, formats.DIA}, []int{8, 16})
 	if err != nil {
 		t.Fatal(err)
 	}

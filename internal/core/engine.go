@@ -123,7 +123,7 @@ type Engine struct {
 	cfg hlsim.Config
 	// VerifyTolerance bounds the allowed |y_sim - y_ref| per element.
 	verifyTol float64
-	// workers bounds the Sweep worker pool; 0 means GOMAXPROCS.
+	// workers bounds the sweep worker pool; 0 means GOMAXPROCS.
 	workers int
 
 	mu    sync.Mutex
@@ -201,7 +201,7 @@ func NewWithConfig(cfg hlsim.Config) (*Engine, error) {
 // Config returns the engine's hardware configuration.
 func (e *Engine) Config() hlsim.Config { return e.cfg }
 
-// SetWorkers bounds the Sweep worker pool. n <= 0 restores the default
+// SetWorkers bounds the sweep worker pool. n <= 0 restores the default
 // (GOMAXPROCS). Parallel and serial sweeps produce identical results in
 // identical order.
 func (e *Engine) SetWorkers(n int) {
@@ -222,7 +222,7 @@ func (e *Engine) SetWorkers(n int) {
 	e.mu.Unlock()
 }
 
-// Workers returns the effective Sweep worker-pool size.
+// Workers returns the effective sweep worker-pool size.
 func (e *Engine) Workers() int {
 	e.mu.Lock()
 	w := e.workers
@@ -359,14 +359,14 @@ func validatePoint(k formats.Kind, p int) error {
 	return nil
 }
 
-// characterizeOn runs one (kernel, format) point on a prepared plan
-// against a precomputed operand vector and software reference — the
-// shared inner step of Characterize and Sweep. The backend supplies the
-// cost (Seconds and everything derived from it) for the kernel's full
-// iteration stream; the structural metrics come from the plan's analytic
-// cycle totals either way, and the functional output — one A·x, the
-// iteration operand held fixed — is verified against the reference under
-// every backend and kernel.
+// characterizeOn runs one (kernel, format) point on a prepared plan against
+// a precomputed operand vector and software reference — the shared inner
+// step of Characterize and every sweep. The backend supplies the cost
+// (Seconds and everything derived from it) for the kernel's full iteration
+// stream; the structural metrics come from the plan's analytic cycle totals
+// either way, and the functional output — one A·x, the iteration operand
+// held fixed — is verified against the reference under every backend and
+// kernel.
 func (e *Engine) characterizeOn(ctx context.Context, b backend.Backend, name string, pl *hlsim.Plan, sc scenario.Spec, k formats.Kind, x, ref []float64) (Result, error) {
 	p := pl.P()
 	meas, err := b.Evaluate(ctx, pl, sc, k, x)
@@ -430,61 +430,24 @@ func (e *Engine) characterizeOn(ctx context.Context, b backend.Backend, name str
 // Characterize runs one (matrix, format, partition size) point under the
 // analytic cycle model and verifies the simulated SpMV output against the
 // software reference; a mismatch is a hard error, never a silently wrong
-// metric.
+// metric. It is SweepFormatsKernelWith over the one format, for one SpMV.
 func (e *Engine) Characterize(name string, m *matrix.CSR, k formats.Kind, p int) (Result, error) {
-	return e.CharacterizeWith(context.Background(), nil, name, m, k, p)
-}
-
-// CharacterizeWith is Characterize under an explicit context and backend
-// (nil selects the analytic default). The streaming plan is shared across
-// backends — only the costing differs. A canceled ctx aborts the point's
-// warmup (and a measured backend's timing loop) and returns ctx.Err().
-func (e *Engine) CharacterizeWith(ctx context.Context, b backend.Backend, name string, m *matrix.CSR, k formats.Kind, p int) (Result, error) {
-	return e.CharacterizeKernelWith(ctx, b, name, m, scenario.Default(), k, p)
-}
-
-// CharacterizeKernelWith is CharacterizeWith on the kernel axis: the point
-// is costed for the given kernel spec — one SpMV, an SpMM, or an
-// N-iteration solver loop with the one-time decomposition amortized (or,
-// under a measured backend, the real exec iteration loop timed as one
-// unit). The spmv spec reproduces CharacterizeWith exactly.
-func (e *Engine) CharacterizeKernelWith(ctx context.Context, b backend.Backend, name string, m *matrix.CSR, sc scenario.Spec, k formats.Kind, p int) (Result, error) {
-	if err := sc.Validate(); err != nil {
-		return Result{}, fmt.Errorf("core: %s/%v/p=%d: %w", name, k, p, err)
-	}
-	if err := validatePoint(k, p); err != nil {
-		return Result{}, fmt.Errorf("core: %s/%v: %w", name, k, err)
-	}
-	b = defaultBackend(b)
-	pl, err := e.plan(m, p)
+	rs, err := e.SweepFormatsKernelWith(context.Background(), nil, name, m, scenario.Default(), p, []formats.Kind{k})
 	if err != nil {
-		return Result{}, fmt.Errorf("core: %s/%s/%v/p=%d: %w", name, sc, k, p, err)
+		return Result{}, err
 	}
-	x := testVector(m.Cols)
-	return e.characterizeOn(ctx, b, name, pl, sc, k, x, m.MulVec(x))
+	return rs[0], nil
 }
 
-// SweepFormats characterizes one matrix across formats at one partition
-// size under the analytic cycle model, in the given format order. The
-// partitioning, operand vector, and reference MulVec are shared across
-// all formats of the point.
-func (e *Engine) SweepFormats(name string, m *matrix.CSR, p int, kinds []formats.Kind) ([]Result, error) {
-	return e.SweepFormatsWith(context.Background(), nil, name, m, p, kinds)
-}
-
-// SweepFormatsWith is SweepFormats under an explicit context and backend
-// (nil selects the analytic default). Cancellation is checked between
-// formats and inside each format's warmup.
-func (e *Engine) SweepFormatsWith(ctx context.Context, b backend.Backend, name string, m *matrix.CSR, p int, kinds []formats.Kind) ([]Result, error) {
-	return e.SweepFormatsKernelWith(ctx, b, name, m, scenario.Default(), p, kinds)
-}
-
-// SweepFormatsKernelWith is SweepFormatsWith on the kernel axis: every
-// format of the point is costed for the given kernel spec. The plan, the
-// operand vector, and the reference MulVec are shared across formats —
-// and, because the engine's plan cache keys only (matrix, p), across
-// kernels too: sweeping spmv and cg:60 over one matrix encodes each
-// format exactly once.
+// SweepFormatsKernelWith characterizes one matrix across formats at one
+// partition size, in the given format order, with every format costed
+// for the given kernel spec (scenario.Default() is one SpMV) by backend b
+// (nil selects the analytic default). The plan, the operand vector, and
+// the reference MulVec are shared across formats — and, because the
+// engine's plan cache keys only (matrix, p), across kernels too:
+// sweeping spmv and cg:60 over one matrix encodes each format exactly
+// once. Cancellation is checked between formats and inside each format's
+// warmup (and a measured backend's timing loop), returning ctx.Err().
 func (e *Engine) SweepFormatsKernelWith(ctx context.Context, b backend.Backend, name string, m *matrix.CSR, sc scenario.Spec, p int, kinds []formats.Kind) ([]Result, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %s/p=%d: %w", name, p, err)
@@ -515,35 +478,19 @@ func (e *Engine) SweepFormatsKernelWith(ctx context.Context, b backend.Backend, 
 	return out, nil
 }
 
-// Sweep characterizes every workload × format × partition size point.
-//
-// The (workload, p) groups run on a bounded worker pool (Workers wide;
-// GOMAXPROCS by default, configurable with SetWorkers). Each group shares
-// one streaming plan, one operand vector, and one reference MulVec across
-// its formats. Output ordering and values are identical to a serial run:
-// groups are emitted in workload-major index order and every group is an
-// independent deterministic computation.
-func (e *Engine) Sweep(ws []workloads.Workload, kinds []formats.Kind, ps []int) ([]Result, error) {
-	return e.SweepWith(context.Background(), nil, ws, kinds, ps)
-}
-
-// SweepWith is Sweep under an explicit context and backend (nil selects
-// the analytic default). Backends that are not Parallelizable —
-// wall-clock measurement degrades under contention — run their groups
-// serially regardless of the worker-pool setting; the encode-once plans
-// are still shared, so the serialization costs only the dot work. It is
-// a thin collector over SweepStreamWith.
-func (e *Engine) SweepWith(ctx context.Context, b backend.Backend, ws []workloads.Workload, kinds []formats.Kind, ps []int) ([]Result, error) {
-	return e.SweepKernelsWith(ctx, b, ws, defaultSpecs, kinds, ps)
-}
-
 // SweepKernelsWith sweeps the full (workload × kernel × format × p)
-// space and collects the results in deterministic order. It is a thin
-// collector over SweepStreamKernelsWith.
+// space and collects the results in deterministic order; pass
+// []scenario.Spec{scenario.Default()} for the paper's single-SpMV study.
+// The (workload, kernel, p) groups run on a bounded worker pool (Workers
+// wide; GOMAXPROCS by default, configurable with SetWorkers), and the
+// output is identical to a serial run. Backends that are not
+// Parallelizable — wall-clock measurement degrades under contention —
+// run their groups serially regardless of the worker-pool setting. It is
+// a thin collector over SweepGroupsKernelsWith.
 func (e *Engine) SweepKernelsWith(ctx context.Context, b backend.Backend, ws []workloads.Workload, specs []scenario.Spec, kinds []formats.Kind, ps []int) ([]Result, error) {
 	out := make([]Result, 0, len(ws)*len(specs)*len(ps)*len(kinds))
-	err := e.SweepStreamKernelsWith(ctx, b, ws, specs, kinds, ps, func(r Result) error {
-		out = append(out, r)
+	err := e.SweepGroupsKernelsWith(ctx, b, ws, specs, kinds, ps, func(g SweepGroup) error {
+		out = append(out, g.Results...)
 		return nil
 	})
 	if err != nil {
@@ -551,9 +498,6 @@ func (e *Engine) SweepKernelsWith(ctx context.Context, b backend.Backend, ws []w
 	}
 	return out, nil
 }
-
-// defaultSpecs is the kernel axis every pre-kernel-axis sweep implied.
-var defaultSpecs = []scenario.Spec{scenario.Default()}
 
 // SweepGroup is one completed (workload, kernel, partition size) group of
 // a streaming sweep: its results in format order, plus the group's
@@ -567,50 +511,6 @@ type SweepGroup struct {
 	P        int
 	Results  []Result
 	Elapsed  time.Duration
-}
-
-// SweepStream is the emit-as-completed form of Sweep: results are
-// delivered to yield one at a time, as soon as their (workload, p) group
-// finishes, instead of materializing after the last group. Ordering is
-// the deterministic workload-major order of Sweep — groups compute in
-// parallel and buffer per-group, but emission follows index order, so
-// the concatenated stream equals the Sweep slab exactly.
-//
-// yield runs on the calling goroutine; returning a non-nil error stops
-// the sweep (in-flight groups are canceled) and propagates that error. A
-// canceled ctx aborts compute mid-warmup and returns ctx.Err().
-func (e *Engine) SweepStream(ctx context.Context, ws []workloads.Workload, kinds []formats.Kind, ps []int, yield func(Result) error) error {
-	return e.SweepStreamWith(ctx, nil, ws, kinds, ps, yield)
-}
-
-// SweepStreamWith is SweepStream under an explicit backend (nil selects
-// the analytic default).
-func (e *Engine) SweepStreamWith(ctx context.Context, b backend.Backend, ws []workloads.Workload, kinds []formats.Kind, ps []int, yield func(Result) error) error {
-	return e.SweepStreamKernelsWith(ctx, b, ws, defaultSpecs, kinds, ps, yield)
-}
-
-// SweepStreamKernelsWith is the emit-as-completed sweep over the full
-// kernel axis: results are delivered one at a time in the deterministic
-// workload-major, kernel-major-within-workload order of
-// SweepGroupsKernelsWith.
-func (e *Engine) SweepStreamKernelsWith(ctx context.Context, b backend.Backend, ws []workloads.Workload, specs []scenario.Spec, kinds []formats.Kind, ps []int, yield func(Result) error) error {
-	return e.SweepGroupsKernelsWith(ctx, b, ws, specs, kinds, ps, func(g SweepGroup) error {
-		for _, r := range g.Results {
-			if err := yield(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// SweepGroupsWith is the group-granular streaming sweep: yield receives
-// each completed (workload, p) group — results plus compute timing — in
-// deterministic workload-major order while later groups are still
-// computing. It is the single-kernel (spmv) form of
-// SweepGroupsKernelsWith.
-func (e *Engine) SweepGroupsWith(ctx context.Context, b backend.Backend, ws []workloads.Workload, kinds []formats.Kind, ps []int, yield func(SweepGroup) error) error {
-	return e.SweepGroupsKernelsWith(ctx, b, ws, defaultSpecs, kinds, ps, yield)
 }
 
 // GroupExecutor executes one (workload, kernel, p) sweep group and
@@ -649,32 +549,22 @@ func (e *Engine) LocalExecutor(b backend.Backend) GroupExecutor {
 	return localExecutor{e: e, b: defaultBackend(b)}
 }
 
-// SweepGroupsKernelsWith is the primitive under every sweep: yield
-// receives each completed (workload, kernel, p) group — results plus
+// SweepGroupsKernelsWith is the streaming sweep on the engine's own
+// backend b (nil selects the analytic default): yield receives each
+// completed (workload, kernel, p) group — results in format order plus
 // compute timing — in deterministic order while later groups are still
-// computing. Groups are ordered workload-major, then kernel, then
+// computing, so the concatenated group results equal SweepKernelsWith
+// exactly. Groups are ordered workload-major, then kernel, then
 // partition size; with specs = [spmv] the decomposition is exactly the
-// pre-kernel-axis (workload, p) grid, so single-kernel sweeps stay
-// byte-identical to their pre-PR output. It is the primitive under
-// SweepStream/Sweep and the job subsystem's progress feed.
+// (workload, p) grid of the paper's study. Callers that want single
+// results loop over g.Results. It is the primitive under the service's
+// streamed responses and the job subsystem's progress feed.
+//
+// yield runs on the calling goroutine; returning a non-nil error stops
+// the sweep (in-flight groups are canceled) and propagates that error. A
+// canceled ctx aborts compute mid-warmup and returns ctx.Err().
 func (e *Engine) SweepGroupsKernelsWith(ctx context.Context, b backend.Backend, ws []workloads.Workload, specs []scenario.Spec, kinds []formats.Kind, ps []int, yield func(SweepGroup) error) error {
 	return e.SweepGroupsExecWith(ctx, e.LocalExecutor(b), ws, specs, kinds, ps, yield)
-}
-
-// SweepStreamExecWith is SweepStreamKernelsWith over an explicit
-// GroupExecutor: the emit-as-completed result stream with group
-// execution delegated — locally or across a cluster — while ordering
-// stays the deterministic workload-major order, so the concatenated
-// stream is byte-identical regardless of where groups ran.
-func (e *Engine) SweepStreamExecWith(ctx context.Context, exec GroupExecutor, ws []workloads.Workload, specs []scenario.Spec, kinds []formats.Kind, ps []int, yield func(Result) error) error {
-	return e.SweepGroupsExecWith(ctx, exec, ws, specs, kinds, ps, func(g SweepGroup) error {
-		for _, r := range g.Results {
-			if err := yield(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }
 
 // SweepGroupsExecWith is SweepGroupsKernelsWith with group execution

@@ -63,9 +63,9 @@ func TestValidatePointRejectsBadPartition(t *testing.T) {
 		if !errors.Is(err, formats.ErrBadPartition) {
 			t.Errorf("Characterize(%v, p=%d): err = %v, want ErrBadPartition", tc.k, tc.p, err)
 		}
-		_, err = e.SweepFormatsWith(context.Background(), nil, "w", ws[0].M, tc.p, []formats.Kind{tc.k})
+		_, err = e.SweepFormatsKernelWith(context.Background(), nil, "w", ws[0].M, scenario.Default(), tc.p, []formats.Kind{tc.k})
 		if !errors.Is(err, formats.ErrBadPartition) {
-			t.Errorf("SweepFormats(%v, p=%d): err = %v, want ErrBadPartition", tc.k, tc.p, err)
+			t.Errorf("SweepFormatsKernelWith(%v, p=%d): err = %v, want ErrBadPartition", tc.k, tc.p, err)
 		}
 	}
 	// The valid grid still works.
@@ -85,7 +85,7 @@ func TestSweepGroupInjectedError(t *testing.T) {
 	e := New()
 	e.SetWorkers(1)
 	var got []SweepGroup
-	err := e.SweepGroupsWith(context.Background(), nil, ws, kinds, ps, func(g SweepGroup) error {
+	err := e.SweepGroupsKernelsWith(context.Background(), nil, ws, spmvOnly, kinds, ps, func(g SweepGroup) error {
 		got = append(got, g)
 		return nil
 	})
@@ -110,7 +110,7 @@ func TestSweepGroupPanicContained(t *testing.T) {
 	faults.Point("core.sweep.group").Arm(faults.Injection{Kind: faults.KindPanic})
 
 	e := New()
-	_, err := e.Sweep(ws, kinds, ps)
+	_, err := e.SweepKernelsWith(context.Background(), nil, ws, spmvOnly, kinds, ps)
 	var pe *resilience.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("want PanicError, got %v", err)
@@ -120,7 +120,7 @@ func TestSweepGroupPanicContained(t *testing.T) {
 	}
 
 	faults.DisarmAll()
-	if _, err := e.Sweep(ws, kinds, ps); err != nil {
+	if _, err := e.SweepKernelsWith(context.Background(), nil, ws, spmvOnly, kinds, ps); err != nil {
 		t.Fatalf("engine should be healthy after a contained panic: %v", err)
 	}
 }
@@ -145,7 +145,7 @@ func TestSweepBackendErrorOneGroup(t *testing.T) {
 	e := New()
 	e.SetWorkers(2)
 	var got []SweepGroup
-	err := e.SweepGroupsWith(context.Background(), b, ws, kinds, ps, func(g SweepGroup) error {
+	err := e.SweepGroupsKernelsWith(context.Background(), b, ws, spmvOnly, kinds, ps, func(g SweepGroup) error {
 		got = append(got, g)
 		return nil
 	})
@@ -174,14 +174,15 @@ func TestDegradedMeasurementPropagates(t *testing.T) {
 		m.DegradedReason = "native: measurement breaker open; analytic fallback"
 	}}
 	e := New()
-	r, err := e.CharacterizeWith(context.Background(), b, "w", ws[0].M, formats.CSR, 16)
+	csr := []formats.Kind{formats.CSR}
+	rs, err := e.SweepFormatsKernelWith(context.Background(), b, "w", ws[0].M, scenario.Default(), 16, csr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Degraded || !strings.Contains(r.DegradedReason, "analytic fallback") {
+	if r := rs[0]; !r.Degraded || !strings.Contains(r.DegradedReason, "analytic fallback") {
 		t.Fatalf("degradation lost on the result row: %+v", r)
 	}
-	r2, err := e.CharacterizeWith(context.Background(), nil, "w", ws[0].M, formats.CSR, 16)
+	r2, err := e.Characterize("w", ws[0].M, formats.CSR, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

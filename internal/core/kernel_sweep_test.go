@@ -18,29 +18,35 @@ func kernelTestWorkloads() []workloads.Workload {
 }
 
 // TestSweepKernelsDefaultSpecMatchesSweepWith: a kernel sweep over the
-// single default spec is the pre-kernel-axis sweep — identical results in
-// identical order, with the kernel columns filled in as one spmv
-// iteration. This is the wrapper contract every legacy caller relies on.
+// single default spec is the paper's single-SpMV study — identical
+// results in identical order to characterizing each (workload, p) point
+// on its own, with the kernel columns filled in as one spmv iteration.
 func TestSweepKernelsDefaultSpecMatchesSweepWith(t *testing.T) {
 	ws := kernelTestWorkloads()
 	kinds := []formats.Kind{formats.CSR, formats.ELL, formats.CSC}
 	ps := []int{8, 16}
 	ctx := context.Background()
 
-	old, err := New().SweepWith(ctx, nil, ws, kinds, ps)
-	if err != nil {
-		t.Fatal(err)
+	var old []Result
+	for _, w := range ws {
+		for _, p := range ps {
+			rs, err := New().SweepFormatsKernelWith(ctx, nil, w.ID, w.M, scenario.Default(), p, kinds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old = append(old, rs...)
+		}
 	}
 	kern, err := New().SweepKernelsWith(ctx, nil, ws, []scenario.Spec{scenario.Default()}, kinds, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(kern) != len(old) {
-		t.Fatalf("kernel sweep returned %d results, SweepWith %d", len(kern), len(old))
+		t.Fatalf("kernel sweep returned %d results, per-point %d", len(kern), len(old))
 	}
 	for i := range old {
 		if kern[i] != old[i] {
-			t.Fatalf("result %d diverges:\n kernel: %+v\n legacy: %+v", i, kern[i], old[i])
+			t.Fatalf("result %d diverges:\n sweep:     %+v\n per-point: %+v", i, kern[i], old[i])
 		}
 		if kern[i].Kernel != "spmv" || kern[i].Iterations != 1 {
 			t.Fatalf("result %d kernel columns = (%q, %d), want (spmv, 1)", i, kern[i].Kernel, kern[i].Iterations)

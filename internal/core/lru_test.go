@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"copernicus/internal/formats"
 	"copernicus/internal/gen"
+	"copernicus/internal/scenario"
 )
 
 // TestPlanCacheLRUKeepsHotPlan: regression for the all-or-nothing cache
@@ -118,7 +120,7 @@ func TestRankMatchesRecommend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := e.SweepFormats("advisor", m, 16, formats.Sparse())
+	rs, err := e.SweepFormatsKernelWith(context.Background(), nil, "advisor", m, scenario.Default(), 16, formats.Sparse())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,12 @@ import (
 
 	"copernicus/internal/formats"
 	"copernicus/internal/gen"
+	"copernicus/internal/scenario"
 	"copernicus/internal/workloads"
 )
+
+// spmvOnly is the single-SpMV kernel axis of the paper's study.
+var spmvOnly = []scenario.Spec{scenario.Default()}
 
 func streamSuite() ([]workloads.Workload, []formats.Kind, []int) {
 	ws := []workloads.Workload{
@@ -20,20 +24,20 @@ func streamSuite() ([]workloads.Workload, []formats.Kind, []int) {
 	return ws, formats.Core(), []int{8, 16}
 }
 
-// TestSweepStreamMatchesSweep: the concatenated stream must equal the
+// TestSweepStreamMatchesSweep: the flattened group stream must equal the
 // batch slab exactly — same order, same values — on a cold engine, and
 // again on a warm one.
 func TestSweepStreamMatchesSweep(t *testing.T) {
 	ws, kinds, ps := streamSuite()
-	want, err := New().Sweep(ws, kinds, ps)
+	want, err := New().SweepKernelsWith(context.Background(), nil, ws, spmvOnly, kinds, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := New()
 	for _, pass := range []string{"cold", "warm"} {
 		var got []Result
-		err := e.SweepStream(context.Background(), ws, kinds, ps, func(r Result) error {
-			got = append(got, r)
+		err := e.SweepGroupsKernelsWith(context.Background(), nil, ws, spmvOnly, kinds, ps, func(g SweepGroup) error {
+			got = append(got, g.Results...)
 			return nil
 		})
 		if err != nil {
@@ -50,7 +54,7 @@ func TestSweepStreamMatchesSweep(t *testing.T) {
 func TestSweepGroupsOrderAndTiming(t *testing.T) {
 	ws, kinds, ps := streamSuite()
 	var seen []SweepGroup
-	err := New().SweepGroupsWith(context.Background(), nil, ws, kinds, ps, func(g SweepGroup) error {
+	err := New().SweepGroupsKernelsWith(context.Background(), nil, ws, spmvOnly, kinds, ps, func(g SweepGroup) error {
 		seen = append(seen, g)
 		return nil
 	})
@@ -81,7 +85,7 @@ func TestSweepStreamYieldErrorStops(t *testing.T) {
 	ws, kinds, ps := streamSuite()
 	boom := errors.New("consumer gone")
 	calls := 0
-	err := New().SweepStream(context.Background(), ws, kinds, ps, func(Result) error {
+	err := New().SweepGroupsKernelsWith(context.Background(), nil, ws, spmvOnly, kinds, ps, func(SweepGroup) error {
 		calls++
 		return boom
 	})
@@ -105,7 +109,7 @@ func TestSweepCancelMidWarmup(t *testing.T) {
 	ps := []int{8, 16, 32}
 
 	start := time.Now()
-	if _, err := New().Sweep(ws, kinds, ps); err != nil {
+	if _, err := New().SweepKernelsWith(context.Background(), nil, ws, spmvOnly, kinds, ps); err != nil {
 		t.Fatal(err)
 	}
 	full := time.Since(start)
@@ -116,7 +120,7 @@ func TestSweepCancelMidWarmup(t *testing.T) {
 		cancel()
 	}()
 	start = time.Now()
-	_, err := New().SweepWith(ctx, nil, ws, kinds, ps)
+	_, err := New().SweepKernelsWith(ctx, nil, ws, spmvOnly, kinds, ps)
 	canceled := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -131,7 +135,7 @@ func TestSweepWithPreCanceledContext(t *testing.T) {
 	ws, kinds, ps := streamSuite()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := New().SweepWith(ctx, nil, ws, kinds, ps); !errors.Is(err, context.Canceled) {
+	if _, err := New().SweepKernelsWith(ctx, nil, ws, spmvOnly, kinds, ps); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"copernicus/internal/formats"
@@ -20,7 +21,7 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 
 	serial := New()
 	serial.SetWorkers(1)
-	want, err := serial.Sweep(ws, kinds, ps)
+	want, err := serial.SweepKernelsWith(context.Background(), nil, ws, spmvOnly, kinds, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	for _, workers := range []int{2, 4, 7} {
 		par := New()
 		par.SetWorkers(workers)
-		got, err := par.Sweep(ws, kinds, ps)
+		got, err := par.SweepKernelsWith(context.Background(), nil, ws, spmvOnly, kinds, ps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,11 +49,11 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 func TestSweepRepeatDeterministic(t *testing.T) {
 	ws, kinds, ps := sweepInputs()
 	e := New()
-	cold, err := e.Sweep(ws, kinds, ps)
+	cold, err := e.SweepKernelsWith(context.Background(), nil, ws, spmvOnly, kinds, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := e.Sweep(ws, kinds, ps)
+	warm, err := e.SweepKernelsWith(context.Background(), nil, ws, spmvOnly, kinds, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestSweepRepeatDeterministic(t *testing.T) {
 func TestSweepOrdering(t *testing.T) {
 	ws, kinds, ps := sweepInputs()
 	e := New()
-	rs, err := e.Sweep(ws, kinds, ps)
+	rs, err := e.SweepKernelsWith(context.Background(), nil, ws, spmvOnly, kinds, ps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package hlsim
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -155,7 +156,7 @@ func TestPlanRejectsOutOfRangeKind(t *testing.T) {
 	}
 	x := make([]float64, pl.Matrix().Cols)
 	for _, k := range []formats.Kind{-1, formats.Kind(formats.NumKinds), 99} {
-		if _, err := pl.Run(k, x); !errors.Is(err, ErrUnknownFormat) {
+		if _, err := pl.RunContext(context.Background(), k, x); !errors.Is(err, ErrUnknownFormat) {
 			t.Errorf("Run(%d) error = %v, want ErrUnknownFormat", int(k), err)
 		}
 		if _, err := pl.Trace(k); !errors.Is(err, ErrUnknownFormat) {

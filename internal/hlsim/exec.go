@@ -12,8 +12,8 @@ import (
 	"copernicus/internal/resilience"
 )
 
-// Tile-parallel executable SpMV: RunExecInto multiplies through the
-// format's own encoded layout (formats.Encoded.SpMV) instead of the
+// Tile-parallel executable SpMV: RunExecIntoContext multiplies through
+// the format's own encoded layout (formats.Encoded.SpMV) instead of the
 // plan's CSR-native reference rows, partitioning tiles across a
 // persistent worker pool.
 //
@@ -77,42 +77,7 @@ type planExec struct {
 // same cancellation-safe discipline as format and verify: a canceled
 // leader publishes nothing and the next caller rebuilds cleanly.
 func (pl *Plan) exec(ctx context.Context, k formats.Kind) (*planExec, error) {
-	slot := &pl.fmts[k]
-	for {
-		if ex := slot.ex.Load(); ex != nil {
-			return ex, nil
-		}
-		slot.mu.Lock()
-		if ex := slot.ex.Load(); ex != nil {
-			slot.mu.Unlock()
-			return ex, nil
-		}
-		if w := slot.exWait; w != nil {
-			slot.mu.Unlock()
-			select {
-			case <-w:
-				continue
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		w := make(chan struct{})
-		slot.exWait = w
-		slot.mu.Unlock()
-
-		ex, err := pl.buildExec(ctx, k)
-		slot.mu.Lock()
-		slot.exWait = nil
-		if err == nil {
-			slot.ex.Store(ex)
-		}
-		slot.mu.Unlock()
-		close(w)
-		if err != nil {
-			return nil, err // canceled mid-build; slot stays idle
-		}
-		return ex, nil
-	}
+	return pl.fmts[k].ex.do(ctx, func() (*planExec, error) { return pl.buildExec(ctx, k) })
 }
 
 // buildExec re-encodes every non-zero tile in format k for resident
@@ -160,7 +125,7 @@ func (pl *Plan) buildExec(ctx context.Context, k formats.Kind) (*planExec, error
 }
 
 // ExecPool is a set of persistently parked worker goroutines shared by
-// the RunExecInto paths of every plan that uses it. Dispatch is a
+// the RunExecIntoContext paths of every plan that uses it. Dispatch is a
 // non-blocking handoff: a job reaches exactly as many workers as are
 // parked at that instant, and a fully busy pool leaves the caller
 // executing alone — concurrent measurements degrade gracefully instead
@@ -235,8 +200,8 @@ func (p *ExecPool) Idle() int { return int(p.idle.Load()) }
 func (p *ExecPool) Close() { close(p.quit) }
 
 // sharedExec is the process-wide default pool, started on first use with
-// GOMAXPROCS-1 workers so a full-width RunExecInto (caller included)
-// matches the host's parallelism.
+// GOMAXPROCS-1 workers so a full-width RunExecIntoContext (caller
+// included) matches the host's parallelism.
 var (
 	sharedExecOnce sync.Once
 	sharedExec     *ExecPool
@@ -250,11 +215,11 @@ func sharedExecPool() *ExecPool {
 }
 
 // SetExecPool installs a (possibly shared) worker pool for this plan's
-// RunExecInto calls; nil restores the process-shared default.
+// RunExecIntoContext calls; nil restores the process-shared default.
 func (pl *Plan) SetExecPool(p *ExecPool) { pl.xpool.Store(p) }
 
-// execJob is one RunExecInto dispatch, pooled so the warm path performs
-// zero allocations. Workers and the caller claim block-row spans from
+// execJob is one RunExecIntoContext dispatch, pooled so the warm path
+// performs zero allocations. Workers and the caller claim block-row spans from
 // next; done (nil for uncancellable contexts) and failed are polled
 // between claims, so a cancellation or a contained fault stops every
 // participant at the next span boundary.
@@ -316,25 +281,22 @@ func (j *execJob) run() {
 	}
 }
 
-// RunExecInto is RunInto through the executable format kernels: y = A·x
-// computed by walking format k's own encoded layout tile by tile, with
-// block rows fanned out across up to `threads` goroutines (the caller
-// plus parked pool workers). The result is bit-for-bit independent of
-// the thread count, and — for the row-ordered kernels (see
-// formats/spmv.go) — bit-identical to RunInto when every block row spans
-// a single tile column; multi-tile rows and the column-ordered kernels
-// agree within FP-reassociation tolerance. Cycle totals and footprints
-// in r come from the same cached per-format aggregates as RunInto. The
-// warm path performs zero allocations.
-func (pl *Plan) RunExecInto(k formats.Kind, x []float64, r *Result, threads int) error {
-	return pl.RunExecIntoContext(context.Background(), k, x, r, threads)
-}
-
-// RunExecIntoContext is RunExecInto under a context. Cancellation aborts
-// the one-time warmup (encode, decode-verify, exec build) between tile
-// chunks and the multiplication itself between block-row claims,
-// returning ctx.Err(); r's contents are then unspecified. A warm
-// uncancellable call (context.Background) polls nothing.
+// RunExecIntoContext is RunIntoContext through the executable format
+// kernels: y = A·x computed by walking format k's own encoded layout tile
+// by tile, with block rows fanned out across up to `threads` goroutines
+// (the caller plus parked pool workers). The result is bit-for-bit
+// independent of the thread count, and — for the row-ordered kernels (see
+// formats/spmv.go) — bit-identical to RunIntoContext when every block row
+// spans a single tile column; multi-tile rows and the column-ordered
+// kernels agree within FP-reassociation tolerance. Cycle totals and
+// footprints in r come from the same cached per-format aggregates as
+// RunIntoContext. The warm path performs zero allocations.
+//
+// Cancellation aborts the one-time warmup (encode, decode-verify, exec
+// build) between tile chunks and the multiplication itself between
+// block-row claims, returning ctx.Err(); r's contents are then
+// unspecified. A warm uncancellable call (context.Background) polls
+// nothing.
 func (pl *Plan) RunExecIntoContext(ctx context.Context, k formats.Kind, x []float64, r *Result, threads int) error {
 	if threads < 1 {
 		return fmt.Errorf("hlsim: RunExecInto with %d threads", threads)

@@ -26,16 +26,16 @@ func TestRunExecMatchesRunInto(t *testing.T) {
 	}
 	for _, k := range formats.All() {
 		var ref Result
-		if err := pl.RunInto(k, x, &ref); err != nil {
+		if err := pl.RunIntoContext(context.Background(), k, x, &ref); err != nil {
 			t.Fatal(err)
 		}
 		var serial Result
-		if err := pl.RunExecInto(k, x, &serial, 1); err != nil {
+		if err := pl.RunExecIntoContext(context.Background(), k, x, &serial, 1); err != nil {
 			t.Fatal(err)
 		}
 		if serial.MemCycles != ref.MemCycles || serial.NNZ != ref.NNZ ||
 			serial.Footprint != ref.Footprint || serial.PipelinedCycles != ref.PipelinedCycles {
-			t.Fatalf("%v: exec aggregates diverge from RunInto", k)
+			t.Fatalf("%v: exec aggregates diverge from RunIntoContext", k)
 		}
 		for i := range ref.Y {
 			if d := math.Abs(serial.Y[i] - ref.Y[i]); d > 1e-11*math.Max(1, math.Abs(ref.Y[i])) {
@@ -44,7 +44,7 @@ func TestRunExecMatchesRunInto(t *testing.T) {
 		}
 		for _, threads := range []int{2, 3, runtime.GOMAXPROCS(0)} {
 			var r Result
-			if err := pl.RunExecInto(k, x, &r, threads); err != nil {
+			if err := pl.RunExecIntoContext(context.Background(), k, x, &r, threads); err != nil {
 				t.Fatal(err)
 			}
 			for i := range serial.Y {
@@ -74,10 +74,10 @@ func TestRunExecExactSingleTileColumn(t *testing.T) {
 	}
 	for _, k := range exact {
 		var ref, got Result
-		if err := pl.RunInto(k, x, &ref); err != nil {
+		if err := pl.RunIntoContext(context.Background(), k, x, &ref); err != nil {
 			t.Fatal(err)
 		}
-		if err := pl.RunExecInto(k, x, &got, 2); err != nil {
+		if err := pl.RunExecIntoContext(context.Background(), k, x, &got, 2); err != nil {
 			t.Fatal(err)
 		}
 		for i := range ref.Y {
@@ -88,7 +88,7 @@ func TestRunExecExactSingleTileColumn(t *testing.T) {
 	}
 }
 
-// TestRunExecWarmZeroAllocs: once a format is warm, RunExecInto at
+// TestRunExecWarmZeroAllocs: once a format is warm, RunExecIntoContext at
 // threads>1 must not allocate — pooled jobs, parked workers, reused Y.
 func TestRunExecWarmZeroAllocs(t *testing.T) {
 	cfg := Default()
@@ -101,17 +101,17 @@ func TestRunExecWarmZeroAllocs(t *testing.T) {
 	var r Result
 	threads := max(2, runtime.GOMAXPROCS(0))
 	for i := 0; i < 3; i++ { // warm format cache, exec state, and job pool
-		if err := pl.RunExecInto(formats.CSR, x, &r, threads); err != nil {
+		if err := pl.RunExecIntoContext(context.Background(), formats.CSR, x, &r, threads); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if err := pl.RunExecInto(formats.CSR, x, &r, threads); err != nil {
+		if err := pl.RunExecIntoContext(context.Background(), formats.CSR, x, &r, threads); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("%v allocs per warm RunExecInto at %d threads, want 0", allocs, threads)
+		t.Fatalf("%v allocs per warm RunExecIntoContext at %d threads, want 0", allocs, threads)
 	}
 }
 
@@ -128,7 +128,7 @@ func TestRunExecConcurrentSharedPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref Result
-	if err := pl.RunInto(formats.CSR, x, &ref); err != nil {
+	if err := pl.RunIntoContext(context.Background(), formats.CSR, x, &ref); err != nil {
 		t.Fatal(err)
 	}
 	kinds := formats.All()
@@ -137,7 +137,7 @@ func TestRunExecConcurrentSharedPlan(t *testing.T) {
 		for _, k := range kinds {
 			go func(k formats.Kind) {
 				var r Result
-				if err := pl.RunExecInto(k, x, &r, 3); err != nil {
+				if err := pl.RunExecIntoContext(context.Background(), k, x, &r, 3); err != nil {
 					errs <- err
 					return
 				}
@@ -175,7 +175,7 @@ func TestRunExecCancel(t *testing.T) {
 	if err := pl.RunExecIntoContext(canceled, formats.ELL, x, &r, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cold canceled exec: err = %v, want context.Canceled", err)
 	}
-	if err := pl.RunExecInto(formats.ELL, x, &r, 2); err != nil {
+	if err := pl.RunExecIntoContext(context.Background(), formats.ELL, x, &r, 2); err != nil {
 		t.Fatalf("plan poisoned by canceled warmup: %v", err)
 	}
 	if err := pl.RunExecIntoContext(canceled, formats.ELL, x, &r, 2); !errors.Is(err, context.Canceled) {
@@ -222,7 +222,7 @@ func TestExecPoolNoLeak(t *testing.T) {
 	defer pool.Close()
 	pl.SetExecPool(pool)
 	var r Result
-	if err := pl.RunExecInto(formats.CSR, x, &r, 4); err != nil {
+	if err := pl.RunExecIntoContext(context.Background(), formats.CSR, x, &r, 4); err != nil {
 		t.Fatal(err)
 	}
 	if pool.Idle() != pool.Size() {
@@ -239,7 +239,7 @@ func TestExecPoolNoLeak(t *testing.T) {
 				i, pool.Idle(), pool.Size())
 		}
 	}
-	if err := pl.RunExecInto(formats.CSR, x, &r, 4); err != nil {
+	if err := pl.RunExecIntoContext(context.Background(), formats.CSR, x, &r, 4); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -255,16 +255,16 @@ func TestRunExecArgumentErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	var r Result
-	if err := pl.RunExecInto(formats.CSR, x, &r, 0); err == nil {
+	if err := pl.RunExecIntoContext(context.Background(), formats.CSR, x, &r, 0); err == nil {
 		t.Fatal("threads=0 accepted")
 	}
-	if err := pl.RunExecInto(formats.CSR, x[:10], &r, 1); err == nil {
+	if err := pl.RunExecIntoContext(context.Background(), formats.CSR, x[:10], &r, 1); err == nil {
 		t.Fatal("short operand accepted")
 	}
-	if err := pl.RunExecInto(formats.CSR, x, &r, 1); err != nil {
+	if err := pl.RunExecIntoContext(context.Background(), formats.CSR, x, &r, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := pl.RunExecInto(formats.CSR, r.Y, &r, 1); err == nil {
+	if err := pl.RunExecIntoContext(context.Background(), formats.CSR, r.Y, &r, 1); err == nil {
 		t.Fatal("aliased x and r.Y accepted")
 	}
 }

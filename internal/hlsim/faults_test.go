@@ -117,10 +117,10 @@ func TestExecBuildFaultContained(t *testing.T) {
 	pl := mustPlan(t, m, 16)
 	var r Result
 	faults.Point("hlsim.exec.build").Arm(faults.Injection{Kind: faults.KindError, Times: 1})
-	if err := pl.RunExecInto(formats.CSC, x, &r, 2); !errors.Is(err, faults.Injected) {
+	if err := pl.RunExecIntoContext(context.Background(), formats.CSC, x, &r, 2); !errors.Is(err, faults.Injected) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}
-	if err := pl.RunExecInto(formats.CSC, x, &r, 2); err != nil {
+	if err := pl.RunExecIntoContext(context.Background(), formats.CSC, x, &r, 2); err != nil {
 		t.Fatalf("exec slot poisoned by injected build fault: %v", err)
 	}
 }
@@ -140,7 +140,7 @@ func TestExecSpanPanicContained(t *testing.T) {
 
 	// Warm first so the fault lands in the multiplication, not the warmup.
 	var ref Result
-	if err := pl.RunExecInto(formats.CSR, x, &ref, 4); err != nil {
+	if err := pl.RunExecIntoContext(context.Background(), formats.CSR, x, &ref, 4); err != nil {
 		t.Fatal(err)
 	}
 	want := append([]float64(nil), ref.Y...)
@@ -148,7 +148,7 @@ func TestExecSpanPanicContained(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		faults.Point("hlsim.exec.span").Arm(faults.Injection{Kind: faults.KindPanic, Times: 1})
 		var r Result
-		err := pl.RunExecInto(formats.CSR, x, &r, 4)
+		err := pl.RunExecIntoContext(context.Background(), formats.CSR, x, &r, 4)
 		var pe *resilience.PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("run %d: err = %v, want *resilience.PanicError", i, err)
@@ -163,7 +163,7 @@ func TestExecSpanPanicContained(t *testing.T) {
 	}
 	faults.DisarmAll()
 	var r Result
-	if err := pl.RunExecInto(formats.CSR, x, &r, 4); err != nil {
+	if err := pl.RunExecIntoContext(context.Background(), formats.CSR, x, &r, 4); err != nil {
 		t.Fatalf("retry after contained exec panics: %v", err)
 	}
 	for i := range want {
@@ -181,14 +181,14 @@ func TestExecSpanInjectedError(t *testing.T) {
 	x := testVectorFor(m.Cols)
 	pl := mustPlan(t, m, 16)
 	var r Result
-	if err := pl.RunExecInto(formats.CSR, x, &r, 2); err != nil {
+	if err := pl.RunExecIntoContext(context.Background(), formats.CSR, x, &r, 2); err != nil {
 		t.Fatal(err)
 	}
 	faults.Point("hlsim.exec.span").Arm(faults.Injection{Kind: faults.KindError, Times: 1})
-	if err := pl.RunExecInto(formats.CSR, x, &r, 2); !errors.Is(err, faults.Injected) {
+	if err := pl.RunExecIntoContext(context.Background(), formats.CSR, x, &r, 2); !errors.Is(err, faults.Injected) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}
-	if err := pl.RunExecInto(formats.CSR, x, &r, 2); err != nil {
+	if err := pl.RunExecIntoContext(context.Background(), formats.CSR, x, &r, 2); err != nil {
 		t.Fatalf("warm path broken by injected span error: %v", err)
 	}
 }

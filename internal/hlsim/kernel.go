@@ -74,12 +74,12 @@ func (pl *Plan) SpMMCycles(ctx context.Context, k formats.Kind, cols int) (uint6
 
 // RunKernelInto is the exec-path iteration loop: `iters` back-to-back
 // tile-parallel multiplications through format k's own encoded layout
-// (RunExecInto), the unit the native backend times for multi-iteration
-// kernels. The operand is held fixed across iterations — each pass does
-// exactly the traversal and flop work of one solver iteration's SpMV
-// while keeping the loop allocation-free and the output independent of
-// the iteration count (solver vector updates are BLAS1 work the
-// characterization deliberately excludes; the verified functional output
+// (RunExecIntoContext), the unit the native backend times for
+// multi-iteration kernels. The operand is held fixed across iterations —
+// each pass does exactly the traversal and flop work of one solver
+// iteration's SpMV while keeping the loop allocation-free and the output
+// independent of the iteration count (solver vector updates are BLAS1 work
+// the characterization deliberately excludes; the verified functional output
 // is that of a single A·x).
 //
 // The warm path performs zero allocations per call and every iteration
@@ -102,7 +102,7 @@ func (pl *Plan) RunKernelInto(ctx context.Context, k formats.Kind, x []float64, 
 				return err
 			}
 		}
-		if err := pl.RunExecInto(k, x, r, threads); err != nil {
+		if err := pl.RunExecIntoContext(context.Background(), k, x, r, threads); err != nil {
 			return err
 		}
 	}

@@ -24,7 +24,7 @@ func TestKernelCyclesSingleIterationIsPipelined(t *testing.T) {
 	x := testVectorFor(m.Cols)
 	for _, k := range formats.All() {
 		var r Result
-		if err := pl.RunInto(k, x, &r); err != nil {
+		if err := pl.RunIntoContext(context.Background(), k, x, &r); err != nil {
 			t.Fatal(err)
 		}
 		got, err := pl.KernelCycles(ctx, k, 1)
@@ -127,7 +127,7 @@ func TestSpMMCyclesSingleColumnIsPipelined(t *testing.T) {
 	x := testVectorFor(m.Cols)
 	for _, k := range formats.All() {
 		var r Result
-		if err := pl.RunInto(k, x, &r); err != nil {
+		if err := pl.RunIntoContext(context.Background(), k, x, &r); err != nil {
 			t.Fatal(err)
 		}
 		got, err := pl.SpMMCycles(ctx, k, 1)
@@ -149,7 +149,7 @@ func TestSpMMCyclesSingleColumnIsPipelined(t *testing.T) {
 
 // TestRunKernelIntoOutputIndependentOfIterations: the exec iteration loop
 // holds the operand fixed, so the functional output after 60 iterations is
-// bit-identical to one RunExecInto — the property that lets the verified
+// bit-identical to one RunExecIntoContext — the property that lets the verified
 // single-SpMV output stand for the whole kernel.
 func TestRunKernelIntoOutputIndependentOfIterations(t *testing.T) {
 	cfg := Default()
@@ -161,7 +161,7 @@ func TestRunKernelIntoOutputIndependentOfIterations(t *testing.T) {
 	}
 	ctx := context.Background()
 	var ref, got Result
-	if err := pl.RunExecInto(formats.CSR, x, &ref, 2); err != nil {
+	if err := pl.RunExecIntoContext(context.Background(), formats.CSR, x, &ref, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := pl.RunKernelInto(ctx, formats.CSR, x, &got, 2, 60); err != nil {

@@ -1,6 +1,8 @@
 package hlsim
 
 import (
+	"context"
+
 	"copernicus/internal/formats"
 	"copernicus/internal/matrix"
 )
@@ -187,12 +189,12 @@ func RunTile(cfg Config, enc formats.Encoded) (TileResult, error) {
 // surfaces as an error rather than a wrong answer.
 //
 // Run builds a transient Plan per call; callers multiplying the same
-// matrix repeatedly should hold a NewPlan and call its Run method, which
-// partitions, encodes, and cross-checks only once.
+// matrix repeatedly should hold a NewPlan and call its RunContext
+// method, which partitions, encodes, and cross-checks only once.
 func Run(cfg Config, m *matrix.CSR, k formats.Kind, p int, x []float64) (*Result, error) {
 	pl, err := NewPlan(cfg, m, p)
 	if err != nil {
 		return nil, err
 	}
-	return pl.Run(k, x)
+	return pl.RunContext(context.Background(), k, x)
 }

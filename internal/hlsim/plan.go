@@ -47,7 +47,7 @@ type Plan struct {
 	encPool atomic.Pointer[EncodePool]
 
 	// xpool, when set, overrides the process-shared ExecPool used by the
-	// tile-parallel RunExecInto path; nil uses the shared default.
+	// tile-parallel RunExecIntoContext path; nil uses the shared default.
 	xpool atomic.Pointer[ExecPool]
 
 	// spansOnce/spans hold the per-grid-block-row ownership table of the
@@ -72,36 +72,75 @@ type Plan struct {
 	fmts    [formats.NumKinds]planSlot
 }
 
-// planSlot is one format's cached state: separate leader/waiter guards
-// for the encode and verify phases (replacing the old plan-wide mutex
-// that serialized every format behind whichever encode ran first) and an
-// atomically published result so stats readers never race the encode.
-//
-// Unlike a sync.Once, the guards are cancellation-safe: a leader whose
-// context is canceled mid-phase abandons the slot *unpublished* — no
-// half-encoded state is ever visible — and the next caller (or a waiter
-// that was parked on the aborted leader) re-runs the phase from scratch
-// under its own context. Completed phases, including sticky model
-// errors, are published exactly once and never re-run.
+// planSlot is one format's cached state: the encode, decode-and-verify
+// and executable-kernel phases, each with its own leader guard so
+// distinct formats (and a format's later phases) never serialize against
+// each other. enc publishes the priced encodings, ver publishes the same
+// planFormat once cross-checked (sticky verify errors live in it), and
+// ex holds the resident encodings the RunExecIntoContext path walks
+// (rebuilt fresh, since verify frees the warmup encodings).
 type planSlot struct {
+	enc, ver phase[planFormat]
+	ex       phase[planExec]
+}
+
+// phase is a cancellation-safe once: the first caller of do becomes the
+// leader and runs build; concurrent callers park until the leader
+// finishes. Unlike a sync.Once, a leader whose build fails (a canceled
+// context, an injected fault, a recovered panic) abandons the phase
+// *unpublished* — no half-built state is ever visible — and the next
+// caller, or a waiter that was parked on the aborted leader, re-runs
+// build from scratch under its own context. A successful build is
+// published exactly once and never re-run; the warm path is one atomic
+// load.
+type phase[T any] struct {
 	mu sync.Mutex
-	// encWait is non-nil while a leader encodes; waiters park on it and
-	// re-check the slot when it closes (completion or abort).
-	encWait chan struct{}
-	// pf is published only by a leader that completed the encode (with
-	// results or a sticky model error), never by a canceled one.
-	pf atomic.Pointer[planFormat]
-	// verWait/verified play the same roles for the decode-and-verify
-	// phase; sticky verify errors live in pf.
-	verWait  chan struct{}
-	verified bool
-	// exWait/ex play the same roles for the executable-kernel phase: ex
-	// holds the resident encodings the RunExecInto path walks (rebuilt
-	// fresh, since verify frees the warmup encodings). Published only by
-	// a leader that completed the build; a canceled leader leaves the
-	// slot idle for the next caller.
-	exWait chan struct{}
-	ex     atomic.Pointer[planExec]
+	// wait is non-nil while a leader builds; waiters park on it and
+	// re-check the phase when it closes (completion or abort).
+	wait chan struct{}
+	v    atomic.Pointer[T]
+}
+
+// do returns the published value, building it first if needed. A waiter
+// whose ctx is canceled returns ctx.Err() without affecting the leader.
+func (ph *phase[T]) do(ctx context.Context, build func() (*T, error)) (*T, error) {
+	for {
+		if v := ph.v.Load(); v != nil {
+			return v, nil
+		}
+		ph.mu.Lock()
+		if v := ph.v.Load(); v != nil {
+			ph.mu.Unlock()
+			return v, nil
+		}
+		if w := ph.wait; w != nil {
+			ph.mu.Unlock()
+			select {
+			case <-w:
+				// The leader finished or aborted; re-check the phase (and
+				// become the next leader if it aborted).
+				continue
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		w := make(chan struct{})
+		ph.wait = w
+		ph.mu.Unlock()
+
+		v, err := build()
+		ph.mu.Lock()
+		ph.wait = nil
+		if err == nil {
+			ph.v.Store(v)
+		}
+		ph.mu.Unlock()
+		close(w)
+		if err != nil {
+			return nil, err
+		}
+		return v, nil
+	}
 }
 
 // planFormat caches everything format-dependent: per-tile cycle costs,
@@ -232,10 +271,10 @@ func (pl *Plan) SetEncodePool(p *EncodePool) { pl.encPool.Store(p) }
 func (pl *Plan) MemoryBytes() int64 {
 	b := pl.ptBytes + pl.rowsBytes.Load()
 	for i := range pl.fmts {
-		if pf := pl.fmts[i].pf.Load(); pf != nil {
+		if pf := pl.fmts[i].enc.v.Load(); pf != nil {
 			b += int64(len(pf.tiles)) * int64(unsafe.Sizeof(TileResult{}))
 		}
-		if ex := pl.fmts[i].ex.Load(); ex != nil {
+		if ex := pl.fmts[i].ex.v.Load(); ex != nil {
 			b += ex.bytes
 		}
 	}
@@ -298,44 +337,11 @@ func (pl *Plan) format(ctx context.Context, k formats.Kind) (*planFormat, error)
 	if k < 0 || int(k) >= formats.NumKinds {
 		return nil, fmt.Errorf("%w: kind %d", ErrUnknownFormat, int(k))
 	}
-	slot := &pl.fmts[k]
-	for {
-		if pf := slot.pf.Load(); pf != nil {
-			return pf, pf.err()
-		}
-		slot.mu.Lock()
-		if pf := slot.pf.Load(); pf != nil {
-			slot.mu.Unlock()
-			return pf, pf.err()
-		}
-		if w := slot.encWait; w != nil {
-			slot.mu.Unlock()
-			select {
-			case <-w:
-				// The leader finished or aborted; re-check the slot (and
-				// become the next leader if it aborted).
-				continue
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		w := make(chan struct{})
-		slot.encWait = w
-		slot.mu.Unlock()
-
-		pf, err := pl.encodeFormat(ctx, k)
-		slot.mu.Lock()
-		slot.encWait = nil
-		if err == nil {
-			slot.pf.Store(pf)
-		}
-		slot.mu.Unlock()
-		close(w)
-		if err != nil {
-			return nil, err // canceled mid-encode; slot stays idle
-		}
-		return pf, pf.err()
+	pf, err := pl.fmts[k].enc.do(ctx, func() (*planFormat, error) { return pl.encodeFormat(ctx, k) })
+	if err != nil {
+		return nil, err // canceled mid-encode; the phase stays idle
 	}
+	return pf, pf.err()
 }
 
 // Tile-parallel warmup tuning: chunks of tiles are claimed atomically so
@@ -475,10 +481,10 @@ borrow:
 }
 
 // verify returns the cached per-format state after the decode-and-verify
-// cross-check, hoisted to once per (format, plan): the encoded streams
-// must decode back to the original tile, so any stream corruption
-// surfaces here rather than as a silently wrong SpMV. Functional entry
-// points (Run, RunParallel, RunSpMM) call it; cycle-model-only consumers
+// cross-check, hoisted to once per (format, plan): the encoded streams must
+// decode back to the original tile, so any stream corruption surfaces here
+// rather than as a silently wrong SpMV. Functional entry points
+// (RunIntoContext, RunParallel, RunSpMM) call it; cycle-model-only consumers
 // (Trace, Schedule) skip it, as the pre-plan one-shots did.
 //
 // Like format, verify is cancellation-safe: a leader canceled between
@@ -491,37 +497,15 @@ func (pl *Plan) verify(ctx context.Context, k formats.Kind) (*planFormat, error)
 	if err != nil {
 		return pf, err
 	}
-	slot := &pl.fmts[k]
-	for {
-		slot.mu.Lock()
-		if slot.verified {
-			slot.mu.Unlock()
-			return pf, pf.err()
+	if _, err := pl.fmts[k].ver.do(ctx, func() (*planFormat, error) {
+		if err := pl.runVerify(ctx, k, pf); err != nil {
+			return nil, err
 		}
-		if w := slot.verWait; w != nil {
-			slot.mu.Unlock()
-			select {
-			case <-w:
-				continue
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		w := make(chan struct{})
-		slot.verWait = w
-		slot.mu.Unlock()
-
-		verr := pl.runVerify(ctx, k, pf)
-		slot.mu.Lock()
-		slot.verWait = nil
-		slot.verified = verr == nil
-		slot.mu.Unlock()
-		close(w)
-		if verr != nil {
-			return nil, verr
-		}
-		return pf, pf.err()
+		return pf, nil
+	}); err != nil {
+		return nil, err
 	}
+	return pf, pf.err()
 }
 
 // runVerify cross-checks every tile's encoding. A nil return means the
@@ -616,18 +600,14 @@ func (pl *Plan) spmv(x []float64, y []float64) {
 	}
 }
 
-// Run streams every non-zero partition through the modelled accelerator
-// in format k, multiplying by x. Cycle totals come from the cached
-// per-format aggregates; only the functional dot work is paid per call.
-func (pl *Plan) Run(k formats.Kind, x []float64) (*Result, error) {
-	return pl.RunContext(context.Background(), k, x)
-}
-
-// RunContext is Run under a context: a cancellation aborts the one-time
-// warmup (encode and decode-verify) between tile chunks and returns
-// ctx.Err() without poisoning the plan's per-format slots — a later run
-// of the same format redoes the aborted phase cleanly. A warm format
-// ignores the context entirely (the remaining work is pure dot products).
+// RunContext streams every non-zero partition through the modelled
+// accelerator in format k, multiplying by x. Cycle totals come from the
+// cached per-format aggregates; only the functional dot work is paid per
+// call. A cancellation aborts the one-time warmup (encode and
+// decode-verify) between tile chunks and returns ctx.Err() without
+// poisoning the plan's per-format slots — a later run of the same format
+// redoes the aborted phase cleanly. A warm format ignores the context
+// entirely (the remaining work is pure dot products).
 func (pl *Plan) RunContext(ctx context.Context, k formats.Kind, x []float64) (*Result, error) {
 	r := new(Result)
 	if err := pl.RunIntoContext(ctx, k, x, r); err != nil {
@@ -636,21 +616,15 @@ func (pl *Plan) RunContext(ctx context.Context, k formats.Kind, x []float64) (*R
 	return r, nil
 }
 
-// RunInto is Run writing into a caller-held Result, reusing r.Y when its
-// capacity suffices: the warm path performs zero allocations, so solver
-// loops and sweep services can stream SpMVs with no GC traffic. The
-// previous contents of r are overwritten. The input x must not alias the
-// reused r.Y (the output is cleared before accumulation, which would
-// zero the input); feeding an iteration's output back in requires a
-// second Result, as kernels.Accelerator's double buffering does — the
-// aliasing is detected and rejected.
-func (pl *Plan) RunInto(k formats.Kind, x []float64, r *Result) error {
-	return pl.RunIntoContext(context.Background(), k, x, r)
-}
-
-// RunIntoContext is RunInto under a context; see RunContext for the
-// cancellation semantics. The warm path is unchanged: zero allocations
-// and no context checks once the format's encode and verify are cached.
+// RunIntoContext is RunContext writing into a caller-held Result,
+// reusing r.Y when its capacity suffices: the warm path performs zero
+// allocations and no context checks, so solver loops and sweep services
+// can stream SpMVs with no GC traffic. The previous contents of r are
+// overwritten. The input x must not alias the reused r.Y (the output is
+// cleared before accumulation, which would zero the input); feeding an
+// iteration's output back in requires a second Result, as
+// kernels.Accelerator's double buffering does — the aliasing is detected
+// and rejected.
 func (pl *Plan) RunIntoContext(ctx context.Context, k formats.Kind, x []float64, r *Result) error {
 	if len(x) != pl.m.Cols {
 		return fmt.Errorf("hlsim: vector length %d for %d-column matrix", len(x), pl.m.Cols)

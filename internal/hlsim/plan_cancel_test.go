@@ -20,7 +20,7 @@ func freshReference(t *testing.T, seed uint64, k formats.Kind, x []float64) *Res
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := pl.Run(k, x)
+	r, err := pl.RunContext(context.Background(), k, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestPlanCancelMidWarmupLeavesSlotConsistent(t *testing.T) {
 
 	// The same plan, same format, fresh context: the slot must encode
 	// cleanly, not serve a poisoned or partial state.
-	got, err := pl.Run(formats.CSR, x)
+	got, err := pl.RunContext(context.Background(), formats.CSR, x)
 	if err != nil {
 		t.Fatalf("post-cancel run on the same plan: %v", err)
 	}
@@ -104,7 +104,7 @@ func TestPlanCancelLeaderPromotesWaiter(t *testing.T) {
 
 	waiterDone := make(chan *Result, 1)
 	go func() {
-		r, err := pl.Run(formats.COO, x) // background ctx: must survive
+		r, err := pl.RunContext(context.Background(), formats.COO, x) // background ctx: must survive
 		if err != nil {
 			t.Errorf("waiter: %v", err)
 			waiterDone <- nil
@@ -162,7 +162,7 @@ func TestPlanCancelMidVerifyRetries(t *testing.T) {
 	}
 	// The retry must verify successfully — the canceled attempt must not
 	// have consumed the encodings or marked the slot verified.
-	got, err := pl.Run(formats.ELL, x)
+	got, err := pl.RunContext(context.Background(), formats.ELL, x)
 	if err != nil {
 		t.Fatalf("post-cancel verify: %v", err)
 	}

@@ -1,6 +1,7 @@
 package hlsim
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -45,7 +46,7 @@ func TestPlanFormatsEncodeConcurrently(t *testing.T) {
 	for _, k := range []formats.Kind{formats.CSR, formats.CSC} {
 		k := k
 		go func() {
-			_, err := pl.Run(k, x)
+			_, err := pl.RunContext(context.Background(), k, x)
 			done <- err
 		}()
 	}
@@ -78,11 +79,11 @@ func TestPlanParallelWarmupDeterministic(t *testing.T) {
 	}
 	parallel.SetWorkers(4)
 	for _, k := range formats.All() {
-		sr, err := serial.Run(k, x)
+		sr, err := serial.RunContext(context.Background(), k, x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr, err := parallel.Run(k, x)
+		pr, err := parallel.RunContext(context.Background(), k, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +114,7 @@ func TestPlanParallelWarmupDeterministic(t *testing.T) {
 	}
 }
 
-// TestPlanRunIntoZeroAllocs: the warm RunInto path must not allocate —
+// TestPlanRunIntoZeroAllocs: the warm RunIntoContext path must not allocate —
 // the Result and its Y buffer are caller-held and reused, and the spmv
 // walks the plan's prebuilt arrays.
 func TestPlanRunIntoZeroAllocs(t *testing.T) {
@@ -125,20 +126,20 @@ func TestPlanRunIntoZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var r Result
-	if err := pl.RunInto(formats.CSR, x, &r); err != nil {
+	if err := pl.RunIntoContext(context.Background(), formats.CSR, x, &r); err != nil {
 		t.Fatal(err) // warm the format cache and size r.Y
 	}
 	want, fresh := append([]float64(nil), r.Y...), r.Y
 	allocs := testing.AllocsPerRun(50, func() {
-		if err := pl.RunInto(formats.CSR, x, &r); err != nil {
+		if err := pl.RunIntoContext(context.Background(), formats.CSR, x, &r); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm RunInto allocates %v allocs/op, want 0", allocs)
+		t.Fatalf("warm RunIntoContext allocates %v allocs/op, want 0", allocs)
 	}
 	if &r.Y[0] != &fresh[0] {
-		t.Fatal("warm RunInto reallocated the output buffer")
+		t.Fatal("warm RunIntoContext reallocated the output buffer")
 	}
 	for i := range want {
 		if r.Y[i] != want[i] {
@@ -157,13 +158,13 @@ func TestPlanRunIntoGrowsBuffer(t *testing.T) {
 	}
 	x := testVectorFor(m.Cols)
 	r := Result{Y: make([]float64, 3)}
-	if err := pl.RunInto(formats.COO, x, &r); err != nil {
+	if err := pl.RunIntoContext(context.Background(), formats.COO, x, &r); err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Y) != m.Rows {
 		t.Fatalf("Y length %d, want %d", len(r.Y), m.Rows)
 	}
-	full, err := pl.Run(formats.COO, x)
+	full, err := pl.RunContext(context.Background(), formats.COO, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestPlanRunIntoGrowsBuffer(t *testing.T) {
 
 // TestPlanRunIntoRejectsAliasedInput: feeding the reused output buffer
 // back in as the input would be silently zeroed before accumulation —
-// RunInto must reject the aliasing instead.
+// RunIntoContext must reject the aliasing instead.
 func TestPlanRunIntoRejectsAliasedInput(t *testing.T) {
 	m := gen.Random(64, 0.1, 91) // square, so r.Y is a valid input length
 	pl, err := NewPlan(Default(), m, 8)
@@ -184,10 +185,10 @@ func TestPlanRunIntoRejectsAliasedInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	var r Result
-	if err := pl.RunInto(formats.CSR, testVectorFor(m.Cols), &r); err != nil {
+	if err := pl.RunIntoContext(context.Background(), formats.CSR, testVectorFor(m.Cols), &r); err != nil {
 		t.Fatal(err)
 	}
-	if err := pl.RunInto(formats.CSR, r.Y, &r); err == nil {
+	if err := pl.RunIntoContext(context.Background(), formats.CSR, r.Y, &r); err == nil {
 		t.Fatal("aliased x == r.Y accepted; the input would have been zeroed")
 	}
 }
@@ -204,7 +205,7 @@ func TestPlanRunIntoRejectsOverlappingInput(t *testing.T) {
 	r := Result{Y: backing[:m.Rows]}
 	x := backing[4 : 4+m.Cols] // partially overlaps r.Y at an offset
 	copy(x, testVectorFor(m.Cols))
-	if err := pl.RunInto(formats.CSR, x, &r); err == nil {
+	if err := pl.RunIntoContext(context.Background(), formats.CSR, x, &r); err == nil {
 		t.Fatal("offset-overlapping x accepted; the input would have been partially zeroed")
 	}
 }

@@ -1,6 +1,7 @@
 package hlsim
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -29,7 +30,7 @@ func TestPlanRunMatchesFreshRun(t *testing.T) {
 		// Run twice on the shared plan; the second call exercises the
 		// fully cached path.
 		for call := 0; call < 2; call++ {
-			got, err := pl.Run(k, x)
+			got, err := pl.RunContext(context.Background(), k, x)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,11 +145,11 @@ func TestPlanRunDoesNotReencode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pl.Run(formats.COO, x); err != nil {
+		if _, err := pl.RunContext(context.Background(), formats.COO, x); err != nil {
 			t.Fatal(err) // warm the format cache
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := pl.Run(formats.COO, x); err != nil {
+			if _, err := pl.RunContext(context.Background(), formats.COO, x); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -172,7 +173,7 @@ func TestPlanFunctionalCorrectness(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range formats.Core() {
-		res, err := pl.Run(k, x)
+		res, err := pl.RunContext(context.Background(), k, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +202,7 @@ func TestPlanNaNEntries(t *testing.T) {
 		x[i] = 1
 	}
 	for _, k := range formats.Core() {
-		res, err := pl.Run(k, x)
+		res, err := pl.RunContext(context.Background(), k, x)
 		if err != nil {
 			t.Fatalf("%v: NaN entry rejected: %v", k, err)
 		}
@@ -219,7 +220,7 @@ func TestPlanArgumentErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl.Run(formats.CSR, make([]float64, 31)); err == nil {
+	if _, err := pl.RunContext(context.Background(), formats.CSR, make([]float64, 31)); err == nil {
 		t.Fatal("short vector accepted")
 	}
 	if _, err := pl.RunParallel(formats.CSR, make([]float64, 32), 0); err == nil {
@@ -235,7 +236,7 @@ func TestPlanArgumentErrors(t *testing.T) {
 
 // TestFirstRunIntoAllocationBoundedByInput pins the cold path's memory
 // to the input size rather than the dimension: on a 16384² matrix with
-// ~54k non-zeros at p=256, the first RunInto of every sparse format —
+// ~54k non-zeros at p=256, the first RunIntoContext of every sparse format —
 // decode-verify of all 4096 tiles plus the functional row copy — may
 // allocate at most 64·(nnz + tiles·(p+1) + n) bytes. A p×p dense buffer
 // per decoded tile would cost 4096·256²·8 B = 2 GiB here.
@@ -263,12 +264,12 @@ func TestFirstRunIntoAllocationBoundedByInput(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
 		var r Result
-		if err := pl.RunInto(k, x, &r); err != nil {
+		if err := pl.RunIntoContext(context.Background(), k, x, &r); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&ms)
 		if got := ms.TotalAlloc - before; got > bound {
-			t.Errorf("%v: first RunInto allocated %d B, bound 64·(nnz %d + tiles %d·(p+1) + n %d) = %d B",
+			t.Errorf("%v: first RunIntoContext allocated %d B, bound 64·(nnz %d + tiles %d·(p+1) + n %d) = %d B",
 				k, got, m.NNZ(), tiles, n, bound)
 		}
 	}

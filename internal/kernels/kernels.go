@@ -8,6 +8,7 @@
 package kernels
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -48,7 +49,7 @@ func Accelerator(cfg hlsim.Config, m *matrix.CSR, k formats.Kind, p int) (mul Sp
 		return nil, 0, err
 	}
 	// Probe once to validate the encoding and price the multiplication.
-	probe, err := plan.Run(k, make([]float64, m.Cols))
+	probe, err := plan.RunContext(context.Background(), k, make([]float64, m.Cols))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -57,7 +58,7 @@ func Accelerator(cfg hlsim.Config, m *matrix.CSR, k formats.Kind, p int) (mul Sp
 	return func(x []float64) ([]float64, error) {
 		r := &buf[flip]
 		flip ^= 1
-		if err := plan.RunInto(k, x, r); err != nil {
+		if err := plan.RunIntoContext(context.Background(), k, x, r); err != nil {
 			return nil, err
 		}
 		return r.Y, nil

@@ -263,7 +263,7 @@ func TestDot(t *testing.T) {
 }
 
 // TestAcceleratorWarmIterationsZeroAllocs: after the probe, every backend
-// call must run allocation-free — the plan's RunInto path reuses the
+// call must run allocation-free — the plan's RunIntoContext path reuses the
 // backend's double-buffered Results, so solver loops generate no GC
 // traffic.
 func TestAcceleratorWarmIterationsZeroAllocs(t *testing.T) {

@@ -49,7 +49,7 @@ func Ext1(o *Options) (Table, error) {
 		t.Header = append(t.Header, k.String())
 	}
 	for _, suite := range SuiteNames {
-		rs, err := o.Engine.Sweep(o.suite(suite), formats.All(), []int{16})
+		rs, err := o.Engine.SweepKernelsWith(context.Background(), nil, o.suite(suite), []scenario.Spec{scenario.Default()}, formats.All(), []int{16})
 		if err != nil {
 			return Table{}, err
 		}
@@ -81,7 +81,7 @@ func Ext2(o *Options) (Table, error) {
 		t.Header = append(t.Header, k.String())
 	}
 	for _, suite := range SuiteNames {
-		rs, err := o.Engine.Sweep(o.suite(suite), formats.All(), []int{16})
+		rs, err := o.Engine.SweepKernelsWith(context.Background(), nil, o.suite(suite), []scenario.Spec{scenario.Default()}, formats.All(), []int{16})
 		if err != nil {
 			return Table{}, err
 		}
@@ -125,7 +125,7 @@ func Ext4(o *Options) (Table, error) {
 			return Table{}, err
 		}
 		for _, k := range []formats.Kind{formats.Dense, formats.CSR, formats.CSC, formats.COO} {
-			r, err := pl.Run(k, x)
+			r, err := pl.RunContext(context.Background(), k, x)
 			if err != nil {
 				return Table{}, err
 			}
@@ -381,7 +381,7 @@ func Ext9(o *Options) (Table, error) {
 		return rs[bi].Format, margin
 	}
 	for _, w := range ws {
-		spmv, err := o.Engine.SweepFormats(w.ID, w.M, 16, formats.Sparse())
+		spmv, err := o.Engine.SweepFormatsKernelWith(context.Background(), nil, w.ID, w.M, scenario.Default(), 16, formats.Sparse())
 		if err != nil {
 			return Table{}, err
 		}

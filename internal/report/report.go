@@ -11,12 +11,14 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
 
 	"copernicus/internal/core"
 	"copernicus/internal/formats"
+	"copernicus/internal/scenario"
 	"copernicus/internal/workloads"
 )
 
@@ -189,7 +191,7 @@ func (o *Options) results(suite string, p int) ([]core.Result, error) {
 	if rs, ok := o.cache[key]; ok {
 		return rs, nil
 	}
-	rs, err := o.Engine.Sweep(o.suite(suite), formats.Core(), []int{p})
+	rs, err := o.Engine.SweepKernelsWith(context.Background(), nil, o.suite(suite), []scenario.Spec{scenario.Default()}, formats.Core(), []int{p})
 	if err != nil {
 		return nil, err
 	}

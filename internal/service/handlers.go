@@ -341,10 +341,12 @@ func (s *Server) computeSweep(ctx context.Context, info MatrixInfo, m *matrix.CS
 	}
 	ws := []workloads.Workload{{ID: info.ID, M: m}}
 	out := make([]core.Result, 0, len(kinds)*len(ps))
-	err := s.engine.SweepStreamExecWith(ctx, exec, ws, []scenario.Spec{sc}, kinds, ps, func(r core.Result) error {
-		out = append(out, r)
+	err := s.engine.SweepGroupsExecWith(ctx, exec, ws, []scenario.Spec{sc}, kinds, ps, func(g core.SweepGroup) error {
+		out = append(out, g.Results...)
 		if onRow != nil {
-			onRow(r)
+			for _, r := range g.Results {
+				onRow(r)
+			}
 		}
 		return nil
 	})

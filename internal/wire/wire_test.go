@@ -112,11 +112,11 @@ func TestRoundTripEngine(t *testing.T) {
 	// One measured row so the native backend's fields (Measured,
 	// MeasuredRuns, Threads, wall-clock Seconds) cross the wire too.
 	m := gen.Random(64, 0.05, 7)
-	nat, err := e.CharacterizeWith(context.Background(), &backend.Native{Runs: 2}, "native-row", m, formats.CSR, 8)
+	nat, err := e.SweepFormatsKernelWith(context.Background(), &backend.Native{Runs: 2}, "native-row", m, scenario.Default(), 8, []formats.Kind{formats.CSR})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs = append(rs, nat)
+	rs = append(rs, nat...)
 
 	got, err := Decode(Encode(rs))
 	if err != nil {
