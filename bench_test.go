@@ -511,8 +511,10 @@ func BenchmarkPlanWarmRunInto(b *testing.B) {
 }
 
 // BenchmarkExec measures the steady-state tile-parallel executable-kernel
-// SpMV on a warm plan — each format traversing its own encoded layout —
-// at one thread and at full machine width (identical on one-core hosts).
+// SpMV on a warm plan — each of the 12 sparse formats traversing its own
+// encoded layout — at one thread and at full machine width (identical on
+// one-core hosts). The single-tile kernels alone are timed by
+// internal/formats' BenchmarkKernel.
 // 0 allocs/op warm by design; the assertion lives in internal/hlsim's
 // TestRunExecWarmZeroAllocs.
 func BenchmarkExec(b *testing.B) {
@@ -529,7 +531,10 @@ func BenchmarkExec(b *testing.B) {
 	if maxT := runtime.GOMAXPROCS(0); maxT > 1 {
 		threadCounts = append(threadCounts, maxT)
 	}
-	for _, k := range []copernicus.Format{copernicus.CSR, copernicus.ELL, copernicus.SELLCS, copernicus.BCSR, copernicus.DIA} {
+	for _, k := range copernicus.AllFormats() {
+		if k == copernicus.Dense {
+			continue
+		}
 		for _, tc := range threadCounts {
 			b.Run(k.String()+"/t"+strconv.Itoa(tc), func(b *testing.B) {
 				var r copernicus.StreamResult

@@ -13,6 +13,9 @@ type CSCEnc struct {
 	rowIdx  []int32 // len nnz, row index per value, column-major order
 	vals    []float64
 	nzr     int
+	// skip lists the non-empty columns, ascending — host-kernel metadata
+	// like CSREnc.skip: Footprint, Stats and DecodeInto ignore it.
+	skip []int32
 }
 
 func encodeCSC(t *matrix.Tile, sl *Slab) *CSCEnc {
@@ -21,15 +24,24 @@ func encodeCSC(t *matrix.Tile, sl *Slab) *CSCEnc {
 		rowIdx: sl.int32s(nnz), vals: sl.float64s(nnz)}
 	s := getScratch()
 	cur := s.ints(p) // per-column counts, then scatter cursors
+	nzc := 0
 	for i := 0; i < p; i++ {
 		cols, _ := t.RowView(i)
 		for _, j := range cols {
+			if cur[j] == 0 {
+				nzc++
+			}
 			cur[j]++
 		}
 	}
-	running := int32(0)
+	e.skip = sl.int32s(nzc)
+	running, n := int32(0), 0
 	for j := 0; j < p; j++ {
 		c := cur[j]
+		if c > 0 {
+			e.skip[n] = int32(j)
+			n++
+		}
 		cur[j] = running
 		running += c
 		e.offsets[j] = running

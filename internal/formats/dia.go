@@ -17,6 +17,10 @@ type DIAEnc struct {
 	lanes  []float64 // len(diagNo) * p, lane d slot i = value at (i, i+d)
 	nnz    int
 	nzr    int
+	// ext holds each stored diagonal's [lo, hi) slot range of non-zeros
+	// as a pair — host-kernel metadata like CSREnc.skip: Footprint,
+	// Stats and DecodeInto ignore it.
+	ext []int32
 }
 
 func encodeDIA(t *matrix.Tile, sl *Slab) *DIAEnc {
@@ -48,10 +52,17 @@ func encodeDIA(t *matrix.Tile, sl *Slab) *DIAEnc {
 			nd++
 		}
 	}
+	// Rows ascend, so a lane's first write fixes lo and its last fixes hi.
+	e.ext = sl.int32s(2 * nd)
 	for i := 0; i < p; i++ {
 		cols, vals := t.RowView(i)
 		for k, j := range cols {
-			e.lanes[int(lane[int(j)-i+p-1])*p+i] = vals[k]
+			l := int(lane[int(j)-i+p-1])
+			e.lanes[l*p+i] = vals[k]
+			if e.ext[2*l+1] == 0 {
+				e.ext[2*l] = int32(i)
+			}
+			e.ext[2*l+1] = int32(i + 1)
 		}
 	}
 	putScratch(s)

@@ -21,6 +21,9 @@ type ELLEnc struct {
 	vals []float64 // p*w, row-major
 	nnz  int
 	nzr  int
+	// skip lists the non-empty rows, ascending — derived host-kernel
+	// metadata like CSREnc.skip: Footprint, Stats and DecodeInto ignore it.
+	skip []int32
 }
 
 // ellPad is the explicit padding index of Fig. 1g.
@@ -36,11 +39,17 @@ func encodeELL(t *matrix.Tile, sl *Slab) *ELLEnc {
 	e := &ELLEnc{p: t.P, w: w, nnz: t.NNZ(), nzr: t.NonZeroRows()}
 	e.idx = sl.int32s(t.P * w)
 	e.vals = sl.float64s(t.P * w)
+	e.skip = sl.int32s(e.nzr)
 	for i := range e.idx {
 		e.idx[i] = ellPad
 	}
+	r := 0
 	for i := 0; i < t.P; i++ {
 		cols, vals := t.RowView(i)
+		if len(cols) > 0 {
+			e.skip[r] = int32(i)
+			r++
+		}
 		copy(e.idx[i*w:], cols)
 		copy(e.vals[i*w:], vals)
 	}

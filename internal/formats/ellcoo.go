@@ -18,6 +18,9 @@ type ELLCOOEnc struct {
 	sval []float64
 	nnz  int
 	nzr  int
+	// skip lists the non-empty rows, ascending — host-kernel metadata
+	// like CSREnc.skip: Footprint, Stats and DecodeInto ignore it.
+	skip []int32
 }
 
 func encodeELLCOO(t *matrix.Tile, cap int, sl *Slab) *ELLCOOEnc {
@@ -39,9 +42,14 @@ func encodeELLCOO(t *matrix.Tile, cap int, sl *Slab) *ELLCOOEnc {
 		e.idx[i] = ellPad
 	}
 	e.srow, e.scol, e.sval = sl.int32s(spill+1), sl.int32s(spill+1), sl.float64s(spill+1)
-	n := 0
+	e.skip = sl.int32s(e.nzr)
+	n, r := 0, 0
 	for i := 0; i < t.P; i++ {
 		cols, vals := t.RowView(i)
+		if len(cols) > 0 {
+			e.skip[r] = int32(i)
+			r++
+		}
 		take := min(len(cols), w)
 		copy(e.idx[i*w:], cols[:take])
 		copy(e.vals[i*w:], vals[:take])

@@ -22,12 +22,16 @@ func refEncodeCSR(t *matrix.Tile) *CSREnc {
 	e := &CSREnc{p: t.P, offsets: make([]int32, t.P), nzr: t.NonZeroRows()}
 	running := int32(0)
 	for i := 0; i < t.P; i++ {
+		start := running
 		for j := 0; j < t.P; j++ {
 			if v := t.At(i, j); v != 0 {
 				e.colIdx = append(e.colIdx, int32(j))
 				e.vals = append(e.vals, v)
 				running++
 			}
+		}
+		if running > start {
+			e.skip = append(e.skip, int32(i))
 		}
 		e.offsets[i] = running
 	}
@@ -38,12 +42,16 @@ func refEncodeCSC(t *matrix.Tile) *CSCEnc {
 	e := &CSCEnc{p: t.P, offsets: make([]int32, t.P), nzr: t.NonZeroRows()}
 	running := int32(0)
 	for j := 0; j < t.P; j++ {
+		start := running
 		for i := 0; i < t.P; i++ {
 			if v := t.At(i, j); v != 0 {
 				e.rowIdx = append(e.rowIdx, int32(i))
 				e.vals = append(e.vals, v)
 				running++
 			}
+		}
+		if running > start {
+			e.skip = append(e.skip, int32(j))
 		}
 		e.offsets[j] = running
 	}
@@ -142,6 +150,9 @@ func refEncodeLIL(t *matrix.Tile) *LILEnc {
 				e.colVals[j] = append(e.colVals[j], v)
 			}
 		}
+		if len(e.colRows[j]) > 0 {
+			e.skip = append(e.skip, int32(j))
+		}
 	}
 	return e
 }
@@ -168,6 +179,9 @@ func refEncodeELL(t *matrix.Tile) *ELLEnc {
 				k++
 			}
 		}
+		if k > 0 {
+			e.skip = append(e.skip, int32(i))
+		}
 	}
 	return e
 }
@@ -188,12 +202,20 @@ func refEncodeDIA(t *matrix.Tile) *DIAEnc {
 		}
 		e.diagNo = append(e.diagNo, int32(d))
 		lane := make([]float64, t.P)
+		lo, hi := -1, -1
 		for i := 0; i < t.P; i++ {
 			if j := i + d; j >= 0 && j < t.P {
 				lane[i] = t.At(i, j)
+				if lane[i] != 0 {
+					if lo < 0 {
+						lo = i
+					}
+					hi = i + 1
+				}
 			}
 		}
 		e.lanes = append(e.lanes, lane...)
+		e.ext = append(e.ext, int32(lo), int32(hi))
 	}
 	return e
 }
@@ -223,6 +245,9 @@ func refEncodeSELL(t *matrix.Tile, c int) *SELLEnc {
 					k++
 				}
 			}
+			if k > 0 {
+				e.skip = append(e.skip, int32(s*c+r), int32(base+r*w))
+			}
 		}
 	}
 	return e
@@ -250,6 +275,9 @@ func refEncodeELLCOO(t *matrix.Tile, cap int) *ELLCOOEnc {
 			v := t.At(i, j)
 			if v == 0 {
 				continue
+			}
+			if len(e.skip) == 0 || e.skip[len(e.skip)-1] != int32(i) {
+				e.skip = append(e.skip, int32(i))
 			}
 			if k < w {
 				e.idx[i*w+k] = int32(j)
@@ -346,6 +374,9 @@ func refEncodeSELLCS(t *matrix.Tile, c, sigma int) *SELLCSEnc {
 					k++
 				}
 			}
+			if k > 0 {
+				e.skip = append(e.skip, int32(s*c+r), int32(base+r*w))
+			}
 		}
 	}
 	return e
@@ -394,7 +425,8 @@ func refEncode(k Kind, t *matrix.Tile) Encoded {
 	}
 }
 
-// encStreamsEqual compares two same-format encodings stream by stream
+// encStreamsEqual compares two same-format encodings stream by stream,
+// the host-kernel indexes (skip lists, DIA extents) included
 // (slices.Equal treats nil and empty as equal, so append-grown reference
 // streams match exactly-allocated production ones).
 func encStreamsEqual(t *testing.T, got, want Encoded) bool {
@@ -406,11 +438,13 @@ func encStreamsEqual(t *testing.T, got, want Encoded) bool {
 	case *CSREnc:
 		w := want.(*CSREnc)
 		return g.p == w.p && slices.Equal(g.offsets, w.offsets) &&
-			slices.Equal(g.colIdx, w.colIdx) && slices.Equal(g.vals, w.vals)
+			slices.Equal(g.colIdx, w.colIdx) && slices.Equal(g.vals, w.vals) &&
+			slices.Equal(g.skip, w.skip)
 	case *CSCEnc:
 		w := want.(*CSCEnc)
 		return g.p == w.p && slices.Equal(g.offsets, w.offsets) &&
-			slices.Equal(g.rowIdx, w.rowIdx) && slices.Equal(g.vals, w.vals)
+			slices.Equal(g.rowIdx, w.rowIdx) && slices.Equal(g.vals, w.vals) &&
+			slices.Equal(g.skip, w.skip)
 	case *BCSREnc:
 		w := want.(*BCSREnc)
 		return g.p == w.p && g.b == w.b && slices.Equal(g.offsets, w.offsets) &&
@@ -424,7 +458,7 @@ func encStreamsEqual(t *testing.T, got, want Encoded) bool {
 		return g.p == w.p && slices.Equal(g.keys, w.keys) && slices.Equal(g.vals, w.vals)
 	case *LILEnc:
 		w := want.(*LILEnc)
-		if g.p != w.p || len(g.colRows) != len(w.colRows) {
+		if g.p != w.p || len(g.colRows) != len(w.colRows) || !slices.Equal(g.skip, w.skip) {
 			return false
 		}
 		for j := range g.colRows {
@@ -435,19 +469,22 @@ func encStreamsEqual(t *testing.T, got, want Encoded) bool {
 		return true
 	case *ELLEnc:
 		w := want.(*ELLEnc)
-		return g.p == w.p && g.w == w.w && slices.Equal(g.idx, w.idx) && slices.Equal(g.vals, w.vals)
+		return g.p == w.p && g.w == w.w && slices.Equal(g.idx, w.idx) && slices.Equal(g.vals, w.vals) &&
+			slices.Equal(g.skip, w.skip)
 	case *DIAEnc:
 		w := want.(*DIAEnc)
-		return g.p == w.p && slices.Equal(g.diagNo, w.diagNo) && slices.Equal(g.lanes, w.lanes)
+		return g.p == w.p && slices.Equal(g.diagNo, w.diagNo) && slices.Equal(g.lanes, w.lanes) &&
+			slices.Equal(g.ext, w.ext)
 	case *SELLEnc:
 		w := want.(*SELLEnc)
 		return g.p == w.p && g.c == w.c && slices.Equal(g.widths, w.widths) &&
-			slices.Equal(g.idx, w.idx) && slices.Equal(g.vals, w.vals)
+			slices.Equal(g.idx, w.idx) && slices.Equal(g.vals, w.vals) && slices.Equal(g.skip, w.skip)
 	case *ELLCOOEnc:
 		w := want.(*ELLCOOEnc)
 		return g.p == w.p && g.w == w.w && slices.Equal(g.idx, w.idx) &&
 			slices.Equal(g.vals, w.vals) && slices.Equal(g.srow, w.srow) &&
-			slices.Equal(g.scol, w.scol) && slices.Equal(g.sval, w.sval)
+			slices.Equal(g.scol, w.scol) && slices.Equal(g.sval, w.sval) &&
+			slices.Equal(g.skip, w.skip)
 	case *JDSEnc:
 		w := want.(*JDSEnc)
 		return g.p == w.p && slices.Equal(g.perm, w.perm) && slices.Equal(g.ptr, w.ptr) &&
@@ -456,7 +493,7 @@ func encStreamsEqual(t *testing.T, got, want Encoded) bool {
 		w := want.(*SELLCSEnc)
 		return g.p == w.p && g.c == w.c && slices.Equal(g.perm, w.perm) &&
 			slices.Equal(g.widths, w.widths) && slices.Equal(g.idx, w.idx) &&
-			slices.Equal(g.vals, w.vals)
+			slices.Equal(g.vals, w.vals) && slices.Equal(g.skip, w.skip)
 	default:
 		t.Fatalf("encStreamsEqual: unhandled type %T", got)
 		return false

@@ -17,6 +17,9 @@ type LILEnc struct {
 	colVals [][]float64
 	nnz     int
 	nzr     int
+	// skip lists the non-empty columns, ascending — host-kernel metadata
+	// like CSREnc.skip: Footprint, Stats and DecodeInto ignore it.
+	skip []int32
 }
 
 // lilTerm marks the end of a column list; Listing 4 detects it by
@@ -34,22 +37,29 @@ func encodeLIL(t *matrix.Tile, sl *Slab) *LILEnc {
 	}
 	s := getScratch()
 	cur := s.ints(p) // per-column counts, then scatter cursors
+	nzc := 0
 	for i := 0; i < p; i++ {
 		cols, _ := t.RowView(i)
 		for _, j := range cols {
+			if cur[j] == 0 {
+				nzc++
+			}
 			cur[j]++
 		}
 	}
 	// All column lists slice two shared backing arrays.
 	rowsBuf := sl.int32s(nnz)
 	valsBuf := sl.float64s(nnz)
-	running := int32(0)
+	e.skip = sl.int32s(nzc)
+	running, n := int32(0), 0
 	for j := 0; j < p; j++ {
 		c := cur[j]
 		cur[j] = running
 		if c > 0 {
 			e.colRows[j] = rowsBuf[running : running+c : running+c]
 			e.colVals[j] = valsBuf[running : running+c : running+c]
+			e.skip[n] = int32(j)
+			n++
 		}
 		running += c
 	}

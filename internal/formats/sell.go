@@ -14,6 +14,9 @@ type SELLEnc struct {
 	vals   []float64
 	nnz    int
 	nzr    int
+	// skip holds one (row, rectangle offset) pair per non-empty row,
+	// ascending — host-kernel metadata like CSREnc.skip.
+	skip []int32
 }
 
 func encodeSELL(t *matrix.Tile, c int, sl *Slab) *SELLEnc {
@@ -35,14 +38,19 @@ func encodeSELL(t *matrix.Tile, c int, sl *Slab) *SELLEnc {
 	}
 	e.idx = sl.int32s(total)
 	e.vals = sl.float64s(total)
+	e.skip = sl.int32s(2 * e.nzr)
 	for k := range e.idx {
 		e.idx[k] = ellPad
 	}
-	base := 0
+	base, n := 0, 0
 	for s, w32 := range e.widths {
 		w := int(w32)
 		for r := 0; r < c; r++ {
 			cols, vals := t.RowView(s*c + r)
+			if len(cols) > 0 {
+				e.skip[n], e.skip[n+1] = int32(s*c+r), int32(base+r*w)
+				n += 2
+			}
 			copy(e.idx[base+r*w:], cols)
 			copy(e.vals[base+r*w:], vals)
 		}

@@ -23,6 +23,10 @@ type SELLCSEnc struct {
 	vals   []float64
 	nnz    int
 	nzr    int
+	// skip holds one (sorted position, rectangle offset) pair per
+	// non-empty row, ascending by position — host-kernel metadata like
+	// CSREnc.skip.
+	skip []int32
 }
 
 func encodeSELLCS(t *matrix.Tile, c, sigma int, sl *Slab) *SELLCSEnc {
@@ -65,14 +69,19 @@ func encodeSELLCS(t *matrix.Tile, c, sigma int, sl *Slab) *SELLCSEnc {
 	}
 	e.idx = sl.int32s(total)
 	e.vals = sl.float64s(total)
+	e.skip = sl.int32s(2 * e.nzr)
 	for k := range e.idx {
 		e.idx[k] = ellPad
 	}
-	base := 0
+	base, n := 0, 0
 	for s, w32 := range e.widths {
 		w := int(w32)
 		for r := 0; r < c; r++ {
 			cols, vals := t.RowView(int(e.perm[s*c+r]))
+			if len(cols) > 0 {
+				e.skip[n], e.skip[n+1] = int32(s*c+r), int32(base+r*w)
+				n += 2
+			}
 			copy(e.idx[base+r*w:], cols)
 			copy(e.vals[base+r*w:], vals)
 		}

@@ -1,6 +1,7 @@
 package formats
 
 import (
+	"slices"
 	"testing"
 
 	"copernicus/internal/matrix"
@@ -30,38 +31,78 @@ func TestCSRSkipListMatchesFullWalk(t *testing.T) {
 	}
 }
 
-// TestCSRSkipListContents: the list holds exactly the non-empty row
-// indices, ascending — one entry per NonZeroRows, and it is derived
-// metadata: a decode/re-encode round trip rebuilds it identically.
-func TestCSRSkipListContents(t *testing.T) {
-	tile := matrix.NewTile(16, 0, 0)
-	for _, i := range []int{1, 5, 6, 13} {
-		tile.Set(i, i, float64(i+1))
+// skipIndex returns e's host-kernel index: the skip list of CSR, the
+// ELL family, CSC and LIL, or DIA's extent pairs; nil for formats with
+// none.
+func skipIndex(e Encoded) []int32 {
+	switch e := e.(type) {
+	case *CSREnc:
+		return e.skip
+	case *ELLEnc:
+		return e.skip
+	case *ELLCOOEnc:
+		return e.skip
+	case *SELLEnc:
+		return e.skip
+	case *SELLCSEnc:
+		return e.skip
+	case *CSCEnc:
+		return e.skip
+	case *LILEnc:
+		return e.skip
+	case *DIAEnc:
+		return e.ext
 	}
-	e := Encode(CSR, tile).(*CSREnc)
-	want := []int32{1, 5, 6, 13}
-	if len(e.skip) != len(want) {
-		t.Fatalf("skip = %v, want %v", e.skip, want)
+	return nil
+}
+
+// TestSkipIndexContents: every index holds exactly the stored work of a
+// hand-checked tile — ascending non-empty rows (CSR, ELL, ELL+COO) or
+// columns (CSC, LIL), (row or sorted position, rectangle offset) pairs
+// (SELL, SELL-C-σ), and per-diagonal [lo, hi) non-zero extents (DIA) —
+// and it is derived metadata: a decode/re-encode round trip rebuilds it
+// identically.
+func TestSkipIndexContents(t *testing.T) {
+	// Non-zeros at (1,1), (1,6), (5,2), (6,5), (6,6) of an 8×8 tile.
+	tile := matrix.NewTile(8, 0, 0)
+	for _, ij := range [][2]int{{1, 1}, {1, 6}, {5, 2}, {6, 5}, {6, 6}} {
+		tile.Set(ij[0], ij[1], float64(ij[0]+ij[1]+1))
 	}
-	for k, i := range want {
-		if e.skip[k] != i {
-			t.Fatalf("skip = %v, want %v", e.skip, want)
+	rows, cols := []int32{1, 5, 6}, []int32{1, 2, 5, 6}
+	want := map[Kind][]int32{
+		CSR:    rows,
+		ELL:    rows,
+		ELLCOO: rows,
+		CSC:    cols,
+		LIL:    cols,
+		// Both SELL slices are two wide: rows 1, 5, 6 start at slots
+		// 1·2, 8+1·2 and 8+2·2.
+		SELL: {1, 2, 5, 10, 6, 12},
+		// The σ=8 window sorts rows 1, 6, 5 to positions 0-2 of the
+		// first slice (width 2); the second slice is empty.
+		SELLCS: {0, 0, 1, 2, 2, 4},
+		// Diagonals -3, -1, 0, 5: rows 5, 6, 1-6 and 1.
+		DIA: {5, 6, 6, 7, 1, 7, 1, 2},
+	}
+	for k, w := range want {
+		e := Encode(k, tile)
+		if got := skipIndex(e); !slices.Equal(got, w) {
+			t.Fatalf("%v: index = %v, want %v", k, got, w)
+		}
+		dec, err := Decode(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re := skipIndex(Encode(k, dec)); !slices.Equal(re, w) {
+			t.Fatalf("%v: re-encoded index = %v, want %v", k, re, w)
 		}
 	}
-	if e.Stats().NonZeroRows != len(want) {
-		t.Fatalf("NonZeroRows = %d, skip holds %d rows", e.Stats().NonZeroRows, len(want))
+	if n := Encode(CSR, tile).Stats().NonZeroRows; n != len(rows) {
+		t.Fatalf("NonZeroRows = %d, skip lists hold %d rows", n, len(rows))
 	}
-	dec, err := Decode(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	re := Encode(CSR, dec).(*CSREnc)
-	if len(re.skip) != len(e.skip) {
-		t.Fatalf("re-encoded skip = %v, want %v", re.skip, e.skip)
-	}
-	for k := range e.skip {
-		if re.skip[k] != e.skip[k] {
-			t.Fatalf("re-encoded skip = %v, want %v", re.skip, e.skip)
+	for _, k := range All() {
+		if len(skipIndex(Encode(k, matrix.NewTile(8, 0, 0)))) != 0 {
+			t.Fatalf("%v: empty tile has a non-empty index", k)
 		}
 	}
 }

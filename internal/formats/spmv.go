@@ -23,11 +23,23 @@ package formats
 //     reference within floating-point reassociation tolerance (the
 //     engine's 1e-9 functional check passes for every format).
 //
-// Padded formats (Dense, BCSR, ELL family, DIA) multiply explicitly
-// stored zeros; for finite x those products are ±0 and never change the
-// sum, but a non-finite operand entry (Inf/NaN) meeting a structural
-// zero can propagate where the reference skips it — the documented
-// deviation of padded execution from nonzero-only traversal.
+// Stored-work traversal: every sparse kernel visits only the rows,
+// columns or slots that hold stored entries. The ELL family, CSC and LIL
+// walk encode-time lists of their non-empty rows or columns (CSR's skip
+// list generalized), and DIA strides each diagonal only over its
+// [lo, hi) extent of non-zeros. Each kernel keeps its accumulation
+// order, so on a cleared y with finite x it is bit-identical to the full
+// walk it replaced: the only products skipped are DIA's zero slots
+// outside the extent, which are ±0, and a sum that starts at +0 never
+// becomes -0.
+//
+// Padded formats still multiply explicitly stored zeros in three places:
+// every slot of Dense, the in-block zeros of BCSR, and the zeros inside
+// a DIA diagonal's extent. For finite x those products are ±0 and never
+// change the sum, but a non-finite operand entry (Inf/NaN) meeting one
+// of them propagates where the reference skips it — the documented
+// deviation of padded execution from nonzero-only traversal. ELL-family
+// padding is never multiplied: a row ends at its first padding slot.
 
 // SpMV implements Encoded: the dense baseline multiplies every stored
 // slot row-major. Boundary tiles clamp the walked region to the operand
@@ -87,14 +99,19 @@ func (e *CSREnc) SpMVFullWalk(x, y []float64) {
 	}
 }
 
-// SpMV implements Encoded: register-blocked BCSR. Each block row's
-// stored b×b blocks are walked once per covered output row, giving
-// fixed-trip inner loops over the dense sub-blocks (explicit zeros
-// included, as the hardware decompressor streams them). Rows and block
-// columns clipped by the matrix boundary hold only padding and are
-// clamped away.
+// SpMV implements Encoded: register-blocked BCSR. Interior tiles with
+// the paper's 4×4 blocks run the fixed-size body of spmv4. Boundary
+// tiles and the ablation block edges walk each block row's stored b×b
+// blocks once per covered output row, with inner loops over the dense
+// sub-blocks (explicit zeros included, as the hardware decompressor
+// streams them); rows and block columns clipped by the matrix boundary
+// hold only padding and are clamped away.
 func (e *BCSREnc) SpMV(x, y []float64) {
 	b := e.b
+	if b == 4 && len(x) >= e.p && len(y) >= e.p {
+		e.spmv4(x, y)
+		return
+	}
 	start := int32(0)
 	for bi := 0; bi < len(e.offsets); bi++ {
 		end := e.offsets[bi]
@@ -117,6 +134,39 @@ func (e *BCSREnc) SpMV(x, y []float64) {
 	}
 }
 
+// spmv4 is the 4×4 micro-kernel: one pass over a block row's blocks
+// feeds four row accumulators from a block's 16 values and its four
+// operand entries, held as fixed-size arrays so the body runs without
+// bounds checks. Each accumulator adds its row's products block by
+// block, left to right — the general loop's order, so the result is
+// bit-identical to it.
+func (e *BCSREnc) spmv4(x, y []float64) {
+	start := 0
+	for bi, end32 := range e.offsets {
+		end := int(end32)
+		if end == start {
+			continue
+		}
+		var s0, s1, s2, s3 float64
+		for blk, c32 := range e.colIdx[start:end] {
+			c0 := int(c32)
+			xb := (*[4]float64)(x[c0 : c0+4])
+			v := (*[16]float64)(e.vals[(start+blk)*16:])
+			x0, x1, x2, x3 := xb[0], xb[1], xb[2], xb[3]
+			s0 = s0 + v[0]*x0 + v[1]*x1 + v[2]*x2 + v[3]*x3
+			s1 = s1 + v[4]*x0 + v[5]*x1 + v[6]*x2 + v[7]*x3
+			s2 = s2 + v[8]*x0 + v[9]*x1 + v[10]*x2 + v[11]*x3
+			s3 = s3 + v[12]*x0 + v[13]*x1 + v[14]*x2 + v[15]*x3
+		}
+		yb := (*[4]float64)(y[bi*4:])
+		yb[0] += s0
+		yb[1] += s1
+		yb[2] += s2
+		yb[3] += s3
+		start = end
+	}
+}
+
 // SpMV implements Encoded: COO scatters its row-major tuple stream
 // (sentinel excluded) element by element.
 func (e *COOEnc) SpMV(x, y []float64) {
@@ -127,71 +177,76 @@ func (e *COOEnc) SpMV(x, y []float64) {
 
 // SpMV implements Encoded: LIL scatters column by column — each column
 // list multiplies one operand entry into its ascending row indices, the
-// executable analogue of the per-column BRAM banks of Listing 4.
+// executable analogue of the per-column BRAM banks of Listing 4. Only
+// the non-empty columns of the encode-time skip list are visited.
 func (e *LILEnc) SpMV(x, y []float64) {
-	for j, rows := range e.colRows {
-		if len(rows) == 0 {
-			continue
-		}
+	for _, j := range e.skip {
+		rows, vals := e.colRows[j], e.colVals[j]
+		vals = vals[:len(rows)]
 		xv := x[j]
-		vals := e.colVals[j]
 		for k, i := range rows {
 			y[i] += vals[k] * xv
 		}
 	}
 }
 
-// SpMV implements Encoded: ELL sweeps the padded rectangle row-major.
-// Entries are left-packed, so the first padding slot ends the row; rows
-// with no entries (including boundary padding rows) never touch y.
+// SpMV implements Encoded: ELL sweeps the padded rectangle row by row,
+// visiting only the non-empty rows of the encode-time skip list; rows
+// with no entries (including boundary padding rows) are never read.
 func (e *ELLEnc) SpMV(x, y []float64) {
 	w := e.w
-	for i := 0; i < e.p; i++ {
-		base := i * w
-		s := 0.0
-		k := 0
-		for ; k < w; k++ {
-			j := e.idx[base+k]
-			if j == ellPad {
-				break
-			}
-			s += e.vals[base+k] * x[j]
-		}
-		if k > 0 {
-			y[i] += s
-		}
+	for _, i := range e.skip {
+		base := int(i) * w
+		y[i] += ellRow(e.idx[base:base+w], e.vals[base:base+w], x)
 	}
 }
 
-// SpMV implements Encoded: DIA strides every stored diagonal, clamping
-// the slot range to the diagonal's extent and to the tile-local operand
-// and output lengths (slots beyond either are padding).
+// ellRow sums one left-packed padded row of the ELL family in
+// ascending-column order; the first padding slot ends the row.
+func ellRow(idx []int32, vals, x []float64) float64 {
+	vals = vals[:len(idx)]
+	s := 0.0
+	for k, j := range idx {
+		if j == ellPad {
+			break
+		}
+		s += vals[k] * x[j]
+	}
+	return s
+}
+
+// SpMV implements Encoded: DIA strides every stored diagonal over the
+// encode-time [lo, hi) slot range of its non-zeros. Slots outside it —
+// out-of-extent padding, and the lane ends clipped by a boundary tile's
+// operand and output lengths — hold only zeros and are never read.
 func (e *DIAEnc) SpMV(x, y []float64) {
 	p := e.p
 	for k, d32 := range e.diagNo {
 		d := int(d32)
-		lane := e.lanes[k*p : (k+1)*p]
-		lo := max(0, -d)
-		hi := min(min(p, p-d), min(len(y), len(x)-d))
-		for i := lo; i < hi; i++ {
-			y[i] += lane[i] * x[i+d]
+		lo, hi := int(e.ext[2*k]), int(e.ext[2*k+1])
+		lane := e.lanes[k*p+lo : k*p+hi]
+		xs := x[lo+d : hi+d]
+		xs = xs[:len(lane)]
+		ys := y[lo:hi]
+		ys = ys[:len(lane)]
+		for i, v := range lane {
+			ys[i] += v * xs[i]
 		}
 	}
 }
 
 // SpMV implements Encoded: CSC scatters column-major — the orientation
-// mismatch §5.2 prices shows up here as strided output writes.
+// mismatch §5.2 prices shows up here as strided output writes. Only the
+// non-empty columns of the encode-time skip list are visited.
 func (e *CSCEnc) SpMV(x, y []float64) {
-	start := int32(0)
-	for j := 0; j < e.p; j++ {
-		end := e.offsets[j]
-		if end > start {
-			xv := x[j]
-			for k := start; k < end; k++ {
-				y[e.rowIdx[k]] += e.vals[k] * xv
-			}
+	for _, j := range e.skip {
+		start, end := e.ColRange(int(j))
+		rows, vals := e.rowIdx[start:end], e.vals[start:end]
+		vals = vals[:len(rows)]
+		xv := x[j]
+		for k, i := range rows {
+			y[i] += vals[k] * xv
 		}
-		start = end
 	}
 }
 
@@ -209,55 +264,41 @@ func (e *DOKEnc) SpMV(x, y []float64) {
 }
 
 // SpMV implements Encoded: SELL sweeps each slice's private rectangle,
-// so short slices pay only their own width.
+// so short slices pay only their own width, visiting only the non-empty
+// rows of the encode-time (row, rectangle offset) skip list.
 func (e *SELLEnc) SpMV(x, y []float64) {
-	base := 0
-	for s, w32 := range e.widths {
-		w := int(w32)
-		for r := 0; r < e.c && w > 0; r++ {
-			rb := base + r*w
-			sum := 0.0
-			k := 0
-			for ; k < w; k++ {
-				j := e.idx[rb+k]
-				if j == ellPad {
-					break
-				}
-				sum += e.vals[rb+k] * x[j]
-			}
-			if k > 0 {
-				y[s*e.c+r] += sum
-			}
-		}
-		base += e.c * w
+	for n := 0; n+1 < len(e.skip); n += 2 {
+		i, rb := e.skip[n], int(e.skip[n+1])
+		w := sliceWidth(e.widths, i, e.c)
+		y[i] += ellRow(e.idx[rb:rb+w], e.vals[rb:rb+w], x)
 	}
+}
+
+// sliceWidth returns the rectangle width of the slice holding row (or
+// sorted position) r. The 32-bit division is cheaper than the 64-bit
+// one, and cheaper than walking the slices alongside the skip list.
+func sliceWidth(widths []int32, r int32, c int) int {
+	return int(widths[uint32(r)/uint32(c)])
 }
 
 // SpMV implements Encoded: the hybrid runs its capped ELL rectangle
 // first (each row's leading entries, ascending), then scatters the COO
 // spill of the long rows — per output row the products still arrive in
 // ascending-column order.
+//
+// The rectangle pass visits only the non-empty rows of the encode-time
+// skip list; with a zero-width rectangle every entry is spill.
 func (e *ELLCOOEnc) SpMV(x, y []float64) {
-	w := e.w
-	if w > 0 {
-		for i := 0; i < e.p; i++ {
-			base := i * w
-			s := 0.0
-			k := 0
-			for ; k < w; k++ {
-				j := e.idx[base+k]
-				if j == ellPad {
-					break
-				}
-				s += e.vals[base+k] * x[j]
-			}
-			if k > 0 {
-				y[i] += s
-			}
+	if w := e.w; w > 0 {
+		for _, i := range e.skip {
+			base := int(i) * w
+			y[i] += ellRow(e.idx[base:base+w], e.vals[base:base+w], x)
 		}
 	}
-	for k := 0; k < len(e.sval)-1; k++ {
-		y[e.srow[k]] += e.sval[k] * x[e.scol[k]]
+	vals := e.sval[:len(e.sval)-1]
+	rows, cols := e.srow[:len(vals)], e.scol[:len(vals)]
+	for k, v := range vals {
+		y[rows[k]] += v * x[cols[k]]
 	}
 }
 
@@ -275,26 +316,13 @@ func (e *JDSEnc) SpMV(x, y []float64) {
 }
 
 // SpMV implements Encoded: SELL-C-σ sweeps each slice's rectangle like
-// SELL and gathers the output row through the σ-window permutation.
+// SELL — only the non-empty rows of the encode-time (sorted position,
+// rectangle offset) skip list — and gathers the output row through the
+// σ-window permutation.
 func (e *SELLCSEnc) SpMV(x, y []float64) {
-	base := 0
-	for s, w32 := range e.widths {
-		w := int(w32)
-		for r := 0; r < e.c && w > 0; r++ {
-			rb := base + r*w
-			sum := 0.0
-			k := 0
-			for ; k < w; k++ {
-				j := e.idx[rb+k]
-				if j == ellPad {
-					break
-				}
-				sum += e.vals[rb+k] * x[j]
-			}
-			if k > 0 {
-				y[e.perm[s*e.c+r]] += sum
-			}
-		}
-		base += e.c * w
+	for n := 0; n+1 < len(e.skip); n += 2 {
+		r, rb := e.skip[n], int(e.skip[n+1])
+		w := sliceWidth(e.widths, r, e.c)
+		y[e.perm[r]] += ellRow(e.idx[rb:rb+w], e.vals[rb:rb+w], x)
 	}
 }

@@ -200,3 +200,22 @@ func TestKernelsAblationShapes(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkKernel times each format's SpMV on one p=256 tile with about
+// 130 non-zeros — the tile shape of an 8192² matrix at density 0.002 —
+// so a kernel regression shows here, below the plan's tile fan-out.
+func BenchmarkKernel(b *testing.B) {
+	const p = 256
+	tile := randomTile(256, p, 0.002)
+	x := testOperand(p, 257)
+	y := make([]float64, p)
+	for _, k := range All() {
+		e := Encode(k, tile)
+		b.Run(k.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e.SpMV(x, y)
+			}
+		})
+	}
+}

@@ -89,7 +89,8 @@ func TestRunExecExactSingleTileColumn(t *testing.T) {
 }
 
 // TestRunExecWarmZeroAllocs: once a format is warm, RunExecIntoContext at
-// threads>1 must not allocate — pooled jobs, parked workers, reused Y.
+// threads>1 must not allocate — pooled jobs, parked workers, reused Y —
+// for every format's kernel.
 func TestRunExecWarmZeroAllocs(t *testing.T) {
 	cfg := Default()
 	m := gen.Random(256, 0.05, 61)
@@ -98,20 +99,24 @@ func TestRunExecWarmZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r Result
 	threads := max(2, runtime.GOMAXPROCS(0))
-	for i := 0; i < 3; i++ { // warm format cache, exec state, and job pool
-		if err := pl.RunExecIntoContext(context.Background(), formats.CSR, x, &r, threads); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := pl.RunExecIntoContext(context.Background(), formats.CSR, x, &r, threads); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("%v allocs per warm RunExecIntoContext at %d threads, want 0", allocs, threads)
+	for _, k := range formats.All() {
+		t.Run(k.String(), func(t *testing.T) {
+			var r Result
+			for i := 0; i < 3; i++ { // warm format cache, exec state, and job pool
+				if err := pl.RunExecIntoContext(context.Background(), k, x, &r, threads); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				if err := pl.RunExecIntoContext(context.Background(), k, x, &r, threads); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%v allocs per warm RunExecIntoContext at %d threads, want 0", allocs, threads)
+			}
+		})
 	}
 }
 

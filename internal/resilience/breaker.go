@@ -16,9 +16,9 @@ var ErrBreakerOpen = errors.New("resilience: circuit breaker open")
 type breakerState int
 
 const (
-	breakerClosed breakerState = iota // normal operation, failures counted
-	breakerOpen                       // refusing calls until cooldown elapses
-	breakerHalfOpen                   // one probe in flight decides the fate
+	breakerClosed   breakerState = iota // normal operation, failures counted
+	breakerOpen                         // refusing calls until cooldown elapses
+	breakerHalfOpen                     // one probe in flight decides the fate
 )
 
 func (s breakerState) String() string {
