@@ -324,24 +324,7 @@ func (pl *Plan) RunExecIntoContext(ctx context.Context, k formats.Kind, x []floa
 		// No global clear: every span clears its own y range, and the
 		// spans cover [0, rows) including all-zero block rows.
 	}
-	*r = Result{
-		Kind:              k,
-		P:                 pl.p,
-		Y:                 y,
-		NonZeroTiles:      len(pl.pt.Tiles),
-		TotalTiles:        pl.pt.TotalTiles,
-		MemCycles:         pf.agg.MemCycles,
-		ComputeCycles:     pf.agg.ComputeCycles,
-		DecompCycles:      pf.agg.DecompCycles,
-		PipelinedCycles:   pf.agg.PipelinedCycles,
-		IdleComputeCycles: pf.agg.IdleComputeCycles,
-		StallMemCycles:    pf.agg.StallMemCycles,
-		DotRows:           pf.agg.DotRows,
-		NNZ:               pf.agg.NNZ,
-		Footprint:         pf.agg.Footprint,
-		sumBalance:        pf.agg.sumBalance,
-		cfg:               pl.cfg,
-	}
+	pl.fillResult(r, k, pf, y)
 
 	job := execJobPool.Get().(*execJob)
 	job.encs, job.tiles, job.spans = ex.encs, pl.pt.Tiles, pl.spans

@@ -643,6 +643,16 @@ func (pl *Plan) RunIntoContext(ctx context.Context, k formats.Kind, x []float64,
 		y = y[:pl.m.Rows]
 		clear(y)
 	}
+	pl.fillResult(r, k, pf, y)
+	pl.spmv(x, y)
+	return nil
+}
+
+// fillResult overwrites r with the modelled run of format k over output
+// buffer y: the plan's tile counts plus the format's aggregated cycle
+// costs. Shared by the modelled (RunIntoContext) and executed
+// (RunExecIntoContext) warm paths; it allocates nothing.
+func (pl *Plan) fillResult(r *Result, k formats.Kind, pf *planFormat, y []float64) {
 	*r = Result{
 		Kind:              k,
 		P:                 pl.p,
@@ -661,8 +671,6 @@ func (pl *Plan) RunIntoContext(ctx context.Context, k formats.Kind, x []float64,
 		sumBalance:        pf.agg.sumBalance,
 		cfg:               pl.cfg,
 	}
-	pl.spmv(x, y)
-	return nil
 }
 
 // RunParallel distributes the non-zero partitions across `lanes`

@@ -82,10 +82,7 @@ func (s *Server) body(e *sweepEntry, k bodyKind, ctr *encCounter, build func() [
 	}
 	e.mu.Unlock()
 
-	start := time.Now()
-	b := build()
-	ctr.encodes.Add(1)
-	ctr.encodeNs.Add(time.Since(start).Nanoseconds())
+	b := ctr.encode(build)
 
 	e.mu.Lock()
 	if e.body[k] == nil {
@@ -135,6 +132,16 @@ func (c *encCounter) snapshot() map[string]int64 {
 	}
 }
 
+// encode runs one response-body build, tallying it on the encode
+// counters.
+func (c *encCounter) encode(build func() []byte) []byte {
+	start := time.Now()
+	b := build()
+	c.encodes.Add(1)
+	c.encodeNs.Add(time.Since(start).Nanoseconds())
+	return b
+}
+
 // encodingStats is the /v1/stats "encoding" section.
 func (s *Server) encodingStats() map[string]any {
 	return map[string]any{
@@ -159,6 +166,42 @@ func (s *Server) writeBody(w http.ResponseWriter, contentType string, ctr *encCo
 	n, _ := w.Write(body)
 	ctr.responses.Add(1)
 	ctr.bytes.Add(int64(n))
+}
+
+// writeSweep answers a finished sweep. A request that negotiated the
+// columnar format gets the entry's slab — encoded once per entry, then
+// served as immutable bytes, with the JSON envelope's metadata moved to
+// response headers. Otherwise the JSON envelope of kind k (the sweep
+// list, or characterize's single result): a warm hit writes the entry's
+// stored body, whose cached=true every warm response carries; the
+// leader's cold cached=false body can never be reused, so it is
+// marshalled straight out (byte-identical to the warm encoder) without
+// being stored.
+func (s *Server) writeSweep(w http.ResponseWriter, r *http.Request, sel sweepSel, entry *sweepEntry, cached bool, k bodyKind) {
+	if wantsColumnar(r) {
+		body := s.body(entry, bodyColumnar, &s.encCol, func() []byte {
+			return wire.Encode(entry.results)
+		})
+		s.writeBody(w, wire.ContentType, &s.encCol, body, func(h http.Header) {
+			h.Set(headerMatrix, sel.info.ID)
+			h.Set(headerCached, strconv.FormatBool(cached))
+			h.Set(headerRows, strconv.Itoa(len(entry.results)))
+		})
+		return
+	}
+	envelope := func(cached bool) []byte {
+		if k == bodyJSONCharacterize {
+			return marshalJSONBody(characterizeEnvelope(sel.info, cached, entry.results[0]))
+		}
+		return marshalJSONBody(sweepEnvelope(sel.info, cached, entry.results))
+	}
+	var body []byte
+	if cached {
+		body = s.body(entry, k, &s.encJSON, func() []byte { return envelope(true) })
+	} else {
+		body = s.encJSON.encode(func() []byte { return envelope(false) })
+	}
+	s.writeBody(w, "application/json", &s.encJSON, body, nil)
 }
 
 // sweepEnvelope and characterizeEnvelope build the JSON response values

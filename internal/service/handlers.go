@@ -1,12 +1,14 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -284,20 +286,6 @@ func resolveBackend(name string, threads int) (backend.Backend, error) {
 	return nb, nil
 }
 
-// queryThreads parses the optional threads= query parameter (0 when
-// absent). An explicit value must be a positive integer; the upper
-// bound and backend applicability are resolveBackend's checks.
-func queryThreads(raw string) (int, error) {
-	if raw == "" {
-		return 0, nil
-	}
-	t, err := strconv.Atoi(raw)
-	if err != nil || t < 1 {
-		return 0, fmt.Errorf("bad threads %q (want a positive integer)", raw)
-	}
-	return t, nil
-}
-
 // errMatrixDeleted marks a sweep that lost a race with DELETE — a
 // client-attributable 404, not a server fault.
 var errMatrixDeleted = errors.New("matrix deleted")
@@ -326,36 +314,155 @@ func (s *Server) execFor(b backend.Backend, internal bool) core.GroupExecutor {
 	return s.cluster.Executor(b.ID(), threads, local)
 }
 
+// sweepRequest is the one request shape of every sweep-shaped endpoint:
+// the POST /v1/sweep and POST /v1/jobs/sweep body, and what queryRequest
+// reads the GET forms into. Backend selects the costing backend
+// ("analytic" cycle model by default, "native" for measured host-CPU
+// wall time); Threads sets the native SpMV fan-out (native-only,
+// 1..GOMAXPROCS, default 1); Kernel selects the kernel spec the points
+// are costed for ("spmv" by default; "cg:60", "spmm:8", ... — see
+// internal/scenario).
+type sweepRequest struct {
+	Matrix     string   `json:"matrix"`
+	Formats    []string `json:"formats,omitempty"`
+	Partitions []int    `json:"partitions,omitempty"`
+	Backend    string   `json:"backend,omitempty"`
+	Threads    int      `json:"threads,omitempty"`
+	Kernel     string   `json:"kernel,omitempty"`
+}
+
+// readSweepRequest reads a /v1/sweep or /v1/jobs/sweep request: the
+// JSON body of a POST (unknown fields rejected), or the query of a GET.
+func readSweepRequest(w http.ResponseWriter, r *http.Request) (sweepRequest, error) {
+	if r.Method != http.MethodPost {
+		return queryRequest(r.URL.Query(), false)
+	}
+	var req sweepRequest
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, fmt.Errorf("parse request: %w", err)
+	}
+	return req, nil
+}
+
+// queryRequest reads a GET request's query into a sweepRequest: the
+// lists formats=CSR,COO&partitions=8,16 of GET /v1/sweep, or — onePoint,
+// for characterize and advise — format=CSR&p=16 (defaults CSR and 16).
+// Every form takes backend=, threads= and kernel=. Only the syntax of
+// the integers is checked here; selectSweep validates the values.
+func queryRequest(q url.Values, onePoint bool) (sweepRequest, error) {
+	req := sweepRequest{Matrix: q.Get("matrix"), Backend: q.Get("backend"), Kernel: q.Get("kernel")}
+	if onePoint {
+		req.Formats = []string{cmp.Or(q.Get("format"), "CSR")}
+		p, err := strconv.Atoi(cmp.Or(q.Get("p"), "16"))
+		if err != nil {
+			return req, fmt.Errorf("bad p: %w", err)
+		}
+		req.Partitions = []int{p}
+	} else {
+		if raw := q.Get("formats"); raw != "" {
+			for _, tok := range strings.Split(raw, ",") {
+				req.Formats = append(req.Formats, strings.TrimSpace(tok))
+			}
+		}
+		if raw := q.Get("partitions"); raw != "" {
+			for _, tok := range strings.Split(raw, ",") {
+				p, err := strconv.Atoi(strings.TrimSpace(tok))
+				if err != nil {
+					return req, fmt.Errorf("bad partition size %q", tok)
+				}
+				req.Partitions = append(req.Partitions, p)
+			}
+		}
+	}
+	// An explicit threads= must be a positive integer (absent means the
+	// native default); its upper bound and backend applicability are
+	// resolveBackend's checks.
+	if raw := q.Get("threads"); raw != "" {
+		t, err := strconv.Atoi(raw)
+		if err != nil || t < 1 {
+			return req, fmt.Errorf("bad threads %q (want a positive integer)", raw)
+		}
+		req.Threads = t
+	}
+	return req, nil
+}
+
+// sweepSel is a validated sweep selection: one matrix and the format ×
+// partition points a backend costs for a kernel.
+type sweepSel struct {
+	info  MatrixInfo
+	m     *matrix.CSR
+	kinds []formats.Kind
+	ps    []int
+	b     backend.Backend
+	sc    scenario.Spec
+}
+
+// key is the selection's result-cache key.
+func (sel sweepSel) key() string {
+	return sweepKey(sel.info.ID, sel.b, sel.sc, sel.kinds, sel.ps)
+}
+
+// selectSweep is the one validation seam of the sweep-shaped endpoints
+// (both /v1/sweep forms, characterize, advise, and sweep jobs): a
+// missing matrix is 400 and an unknown one 404; a bad format, partition,
+// backend, thread count or kernel is 400. The status is for answering
+// a non-nil error.
+func (s *Server) selectSweep(req sweepRequest) (sweepSel, int, error) {
+	if req.Matrix == "" {
+		return sweepSel{}, http.StatusBadRequest, errors.New(`missing "matrix"`)
+	}
+	info, m, ok := s.reg.Lookup(req.Matrix)
+	if !ok {
+		return sweepSel{}, http.StatusNotFound, fmt.Errorf("unknown matrix %q", req.Matrix)
+	}
+	sel := sweepSel{info: info, m: m}
+	var err error
+	if sel.kinds, err = parseKinds(req.Formats); err != nil {
+		return sel, http.StatusBadRequest, err
+	}
+	if sel.ps, err = parsePartitions(req.Partitions); err != nil {
+		return sel, http.StatusBadRequest, err
+	}
+	if sel.b, err = resolveBackend(req.Backend, req.Threads); err != nil {
+		return sel, http.StatusBadRequest, err
+	}
+	if sel.sc, err = parseKernel(req.Kernel); err != nil {
+		return sel, http.StatusBadRequest, err
+	}
+	return sel, http.StatusOK, nil
+}
+
 // computeSweep is the engine half of every sweep path — synchronous,
-// streamed, and job alike: the streaming sweep over kinds × ps for one
-// matrix through the given group executor (local engine or cluster
-// fan-out), with results optionally mirrored to onRow as groups
-// complete, followed by the first half of the delete-race discipline. A
-// DELETE may have raced the sweep (its DropPlansFor ran before the
-// sweep re-inserted the plans), so registration is re-checked before
-// results are considered valid; a deleted matrix is never re-pinned by
-// the engine (and errors are never cached).
-func (s *Server) computeSweep(ctx context.Context, info MatrixInfo, m *matrix.CSR, exec core.GroupExecutor, sc scenario.Spec, kinds []formats.Kind, ps []int, onRow func(core.Result)) ([]core.Result, error) {
+// streamed, and job alike: the streaming sweep over the selection
+// through the given group executor (local engine or cluster fan-out),
+// with each group optionally observed by onGroup as it completes,
+// followed by the first half of the delete-race discipline. A DELETE
+// may have raced the sweep (its DropPlansFor ran before the sweep
+// re-inserted the plans), so registration is re-checked before results
+// are considered valid; a deleted matrix is never re-pinned by the
+// engine (and errors are never cached).
+func (s *Server) computeSweep(ctx context.Context, sel sweepSel, exec core.GroupExecutor, onGroup func(core.SweepGroup)) ([]core.Result, error) {
 	if err := ptServiceSweep.Hit(); err != nil {
 		return nil, err
 	}
-	ws := []workloads.Workload{{ID: info.ID, M: m}}
-	out := make([]core.Result, 0, len(kinds)*len(ps))
-	err := s.engine.SweepGroupsExecWith(ctx, exec, ws, []scenario.Spec{sc}, kinds, ps, func(g core.SweepGroup) error {
+	ws := []workloads.Workload{{ID: sel.info.ID, M: sel.m}}
+	out := make([]core.Result, 0, len(sel.kinds)*len(sel.ps))
+	err := s.engine.SweepGroupsExecWith(ctx, exec, ws, []scenario.Spec{sel.sc}, sel.kinds, sel.ps, func(g core.SweepGroup) error {
 		out = append(out, g.Results...)
-		if onRow != nil {
-			for _, r := range g.Results {
-				onRow(r)
-			}
+		if onGroup != nil {
+			onGroup(g)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if _, _, still := s.reg.Lookup(info.ID); !still {
-		s.engine.DropPlansFor(m)
-		return nil, fmt.Errorf("matrix %q: %w", info.ID, errMatrixDeleted)
+	if _, _, still := s.reg.Lookup(sel.info.ID); !still {
+		s.engine.DropPlansFor(sel.m)
+		return nil, fmt.Errorf("matrix %q: %w", sel.info.ID, errMatrixDeleted)
 	}
 	return out, nil
 }
@@ -367,34 +474,30 @@ func (s *Server) computeSweep(ctx context.Context, info MatrixInfo, m *matrix.CS
 // insert means either the delete's invalidation ran after the insert
 // and cleaned it, or this check sees the deletion and cleans up itself.
 // Shared by the batch, streamed, and job sweep paths.
-func (s *Server) sweepEpilogue(info MatrixInfo, m *matrix.CSR) error {
-	if _, _, still := s.reg.Lookup(info.ID); !still {
-		s.cache.InvalidatePrefix(info.ID + "|")
-		s.engine.DropPlansFor(m)
-		return fmt.Errorf("matrix %q: %w", info.ID, errMatrixDeleted)
+func (s *Server) sweepEpilogue(sel sweepSel) error {
+	if _, _, still := s.reg.Lookup(sel.info.ID); !still {
+		s.cache.InvalidatePrefix(sel.info.ID + "|")
+		s.engine.DropPlansFor(sel.m)
+		return fmt.Errorf("matrix %q: %w", sel.info.ID, errMatrixDeleted)
 	}
 	return nil
 }
 
-// runSweep computes (or returns cached) results for one matrix across
-// kinds × ps under the given backend, singleflight-deduplicated on the
-// canonical key (which embeds the backend ID, isolating each backend's
-// cache entries). The caller's ctx governs how long it *waits*; the
-// compute itself runs under the cache's detached, ref-counted context,
-// so it is aborted only when every request interested in the key —
-// leader and waiters alike — has disconnected.
+// runSweep computes (or returns cached) results for one selection,
+// singleflight-deduplicated on its canonical key (which embeds the
+// backend ID, isolating each backend's cache entries). The caller's ctx
+// governs how long it *waits*; the compute itself runs under the
+// cache's detached, ref-counted context, so it is aborted only when
+// every request interested in the key — leader and waiters alike — has
+// disconnected.
 //
-// onRow, when non-nil, observes each result as the singleflight
+// onGroup, when non-nil, observes each group as the singleflight
 // *leader's* compute produces it — the streaming path's incremental
 // feed. A caller that attached to another leader's flight (or hit the
 // cache) gets cached=true and must replay the returned slab itself.
-func (s *Server) runSweep(ctx context.Context, info MatrixInfo, exec core.GroupExecutor, b backend.Backend, sc scenario.Spec, kinds []formats.Kind, ps []int, onRow func(core.Result)) (*sweepEntry, bool, error) {
-	_, m, ok := s.reg.Lookup(info.ID)
-	if !ok {
-		return nil, false, fmt.Errorf("matrix %q: %w", info.ID, errMatrixDeleted)
-	}
-	v, cached, err := s.cache.Do(ctx, sweepKey(info.ID, b, sc, kinds, ps), func(fctx context.Context) (any, error) {
-		rs, err := s.computeSweep(fctx, info, m, exec, sc, kinds, ps, onRow)
+func (s *Server) runSweep(ctx context.Context, sel sweepSel, exec core.GroupExecutor, onGroup func(core.SweepGroup)) (*sweepEntry, bool, error) {
+	v, cached, err := s.cache.Do(ctx, sel.key(), func(fctx context.Context) (any, error) {
+		rs, err := s.computeSweep(fctx, sel, exec, onGroup)
 		if err != nil {
 			return nil, err
 		}
@@ -402,11 +505,11 @@ func (s *Server) runSweep(ctx context.Context, info MatrixInfo, exec core.GroupE
 		// each content type attach their pre-encoded response body to it.
 		return &sweepEntry{results: rs}, nil
 	})
-	s.noteBackend(b.ID(), cached && err == nil)
+	s.noteBackend(sel.b.ID(), cached && err == nil)
 	if err != nil {
 		return nil, false, err
 	}
-	if err := s.sweepEpilogue(info, m); err != nil {
+	if err := s.sweepEpilogue(sel); err != nil {
 		return nil, false, err
 	}
 	return v.(*sweepEntry), cached, nil
@@ -529,99 +632,23 @@ func (s *Server) handleDeleteMatrix(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// sweepRequest is the POST /v1/sweep body. Backend selects the costing
-// backend ("analytic" cycle model by default, "native" for measured
-// host-CPU wall time); Threads sets the native SpMV fan-out
-// (native-only, 1..GOMAXPROCS, default 1); Kernel selects the kernel
-// spec the points are costed for ("spmv" by default; "cg:60", "spmm:8",
-// ... — see internal/scenario).
-type sweepRequest struct {
-	Matrix     string   `json:"matrix"`
-	Formats    []string `json:"formats,omitempty"`
-	Partitions []int    `json:"partitions,omitempty"`
-	Backend    string   `json:"backend,omitempty"`
-	Threads    int      `json:"threads,omitempty"`
-	Kernel     string   `json:"kernel,omitempty"`
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req sweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "parse request: %v", err)
-		return
-	}
-	if req.Matrix == "" {
-		writeErr(w, http.StatusBadRequest, "missing \"matrix\"")
-		return
-	}
-	s.serveSweep(w, r, req.Matrix, req.Formats, req.Partitions, req.Backend, req.Threads, req.Kernel)
-}
-
-// handleSweepGet is the query-parameter form of /v1/sweep:
-// GET /v1/sweep?matrix=ID&formats=CSR,COO&partitions=8,16&backend=native
-// (&threads=N for the native SpMV fan-out, &kernel=cg:60 for the kernel
-// spec).
-// It feeds the same serveSweep tail as the POST form — identical
-// validation, canonical cache key, and response shape, so the two forms
-// share entries and cannot drift apart.
-func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	var names []string
-	if raw := q.Get("formats"); raw != "" {
-		for _, tok := range strings.Split(raw, ",") {
-			names = append(names, strings.TrimSpace(tok))
-		}
-	}
-	var ps []int
-	if raw := q.Get("partitions"); raw != "" {
-		for _, tok := range strings.Split(raw, ",") {
-			p, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, "bad partition size %q", tok)
-				return
-			}
-			ps = append(ps, p)
-		}
-	}
-	threads, err := queryThreads(q.Get("threads"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.serveSweep(w, r, q.Get("matrix"), names, ps, q.Get("backend"), threads, q.Get("kernel"))
-}
-
-// serveSweep is the shared tail of both /v1/sweep forms: validate the
-// matrix, format, partition, backend, and kernel selections, then answer
-// either as one JSON slab (the default) or, when the request prefers
-// application/x-ndjson, as a row-per-line stream flushed as each
+// handleSweep answers both /v1/sweep forms — the POST JSON body and the
+// GET query (matrix=ID&formats=CSR,COO&partitions=8,16&backend=native,
+// &threads=N for the native SpMV fan-out, &kernel=cg:60 for the kernel
+// spec) — through one selection, so the two share validation, cache
+// keys and response shape and cannot drift apart. It answers as one
+// JSON slab (the default), as the columnar slab, or, when the request
+// prefers application/x-ndjson, as a row-per-line stream flushed as each
 // (workload, kernel, p) group completes.
-func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, matrixID string, names []string, partitions []int, backendName string, threads int, kernel string) {
-	info, _, ok := s.reg.Lookup(matrixID)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown matrix %q", matrixID)
-		return
-	}
-	kinds, err := parseKinds(names)
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+	req, err := readSweepRequest(w, r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ps, err := parsePartitions(partitions)
+	sel, status, err := s.selectSweep(req)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	b, err := resolveBackend(backendName, threads)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	sc, err := parseKernel(kernel)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		writeErr(w, status, "%v", err)
 		return
 	}
 	// cache=only answers from the sweep LRU or 404s — never computes.
@@ -631,23 +658,13 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, matrixID str
 	switch mode := r.URL.Query().Get("cache"); mode {
 	case "":
 	case "only":
-		v, ok := s.cache.Get(sweepKey(info.ID, b, sc, kinds, ps))
+		v, ok := s.cache.Get(sel.key())
 		if !ok {
 			writeErr(w, http.StatusNotFound, "cache miss")
 			return
 		}
-		s.noteBackend(b.ID(), true)
-		entry := v.(*sweepEntry)
-		if wantsColumnar(r) {
-			s.writeColumnar(w, entry, true, func(h http.Header) {
-				h.Set(headerMatrix, info.ID)
-			})
-			return
-		}
-		body := s.body(entry, bodyJSONSweep, &s.encJSON, func() []byte {
-			return marshalJSONBody(sweepEnvelope(info, true, entry.results))
-		})
-		s.writeBody(w, "application/json", &s.encJSON, body, nil)
+		s.noteBackend(sel.b.ID(), true)
+		s.writeSweep(w, r, sel, v.(*sweepEntry), true, bodyJSONSweep)
 		return
 	default:
 		writeErr(w, http.StatusBadRequest, "bad cache mode %q (want \"only\")", mode)
@@ -655,64 +672,19 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, matrixID str
 	}
 	ctx, cancel := s.computeCtx(r)
 	defer cancel()
-	exec := s.execFor(b, clusterInternal(r))
+	exec := s.execFor(sel.b, clusterInternal(r))
 	if wantsNDJSON(r) {
 		// Streaming keeps precedence over the columnar batch body: a
 		// client listing both asked for incremental delivery.
-		s.streamSweep(ctx, w, info, exec, b, sc, kinds, ps)
+		s.streamSweep(ctx, w, sel, exec)
 		return
 	}
-	entry, cached, err := s.runSweep(ctx, info, exec, b, sc, kinds, ps, nil)
+	entry, cached, err := s.runSweep(ctx, sel, exec, nil)
 	if err != nil {
 		writeErr(w, sweepStatus(err), "sweep: %v", err)
 		return
 	}
-	if wantsColumnar(r) {
-		s.writeColumnar(w, entry, cached, func(h http.Header) {
-			h.Set(headerMatrix, info.ID)
-		})
-		return
-	}
-	if cached {
-		// Warm hit: one write of the entry's immutable pre-encoded body —
-		// no marshal, no per-request allocation. The body embeds
-		// cached=true, which every warm response carries by definition.
-		body := s.body(entry, bodyJSONSweep, &s.encJSON, func() []byte {
-			return marshalJSONBody(sweepEnvelope(info, true, entry.results))
-		})
-		s.writeBody(w, "application/json", &s.encJSON, body, nil)
-		return
-	}
-	// Cold: the leader's one-and-only cached=false response; the body
-	// can never be reused, so marshal straight out (byte-identical to
-	// the warm encoder) without storing it.
-	s.writeJSONCounted(w, sweepEnvelope(info, false, entry.results))
-}
-
-// writeColumnar answers with an entry's columnar slab — encoded once
-// per entry, then served as immutable bytes. The JSON envelope's
-// metadata moves to response headers since the body is the raw slab.
-func (s *Server) writeColumnar(w http.ResponseWriter, entry *sweepEntry, cached bool, hdr func(http.Header)) {
-	body := s.body(entry, bodyColumnar, &s.encCol, func() []byte {
-		return wire.Encode(entry.results)
-	})
-	s.writeBody(w, wire.ContentType, &s.encCol, body, func(h http.Header) {
-		h.Set(headerCached, strconv.FormatBool(cached))
-		h.Set(headerRows, strconv.Itoa(len(entry.results)))
-		if hdr != nil {
-			hdr(h)
-		}
-	})
-}
-
-// writeJSONCounted is writeJSON plus the encoding counters — the cold
-// JSON path, where the encode is paid exactly once per cache entry.
-func (s *Server) writeJSONCounted(w http.ResponseWriter, v any) {
-	start := time.Now()
-	body := marshalJSONBody(v)
-	s.encJSON.encodes.Add(1)
-	s.encJSON.encodeNs.Add(time.Since(start).Nanoseconds())
-	s.writeBody(w, "application/json", &s.encJSON, body, nil)
+	s.writeSweep(w, r, sel, entry, cached, bodyJSONSweep)
 }
 
 // wantsNDJSON reports whether the request negotiated newline-delimited
@@ -734,7 +706,7 @@ func wantsNDJSON(r *http.Request) bool {
 // it are still a valid prefix of the batch result set; a failure before
 // any row was written is reported with a proper HTTP status instead,
 // exactly like the batch form.
-func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, info MatrixInfo, exec core.GroupExecutor, b backend.Backend, sc scenario.Spec, kinds []formats.Kind, ps []int) {
+func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, sel sweepSel, exec core.GroupExecutor) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	s.encNDJSON.responses.Add(1)
@@ -753,39 +725,38 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, info Ma
 
 	emitted := 0
 	emitDead := false
-	emit := func(r core.Result) {
-		if emitDead {
-			return
-		}
-		start := time.Now()
-		*bufp = appendResultNDJSON((*bufp)[:0], r)
-		encNs += time.Since(start).Nanoseconds()
-		s.encNDJSON.encodes.Add(1)
-		n, err := w.Write(*bufp)
-		s.encNDJSON.bytes.Add(int64(n))
-		if err != nil {
-			// This client is gone; keep computing silently — as the
-			// singleflight leader the slab still serves attached callers
-			// and warms the cache.
-			emitDead = true
-			return
-		}
-		emitted++
-		if flusher != nil {
-			flusher.Flush()
+	emit := func(rs []core.Result) {
+		for _, r := range rs {
+			if emitDead {
+				return
+			}
+			start := time.Now()
+			*bufp = appendResultNDJSON((*bufp)[:0], r)
+			encNs += time.Since(start).Nanoseconds()
+			s.encNDJSON.encodes.Add(1)
+			n, err := w.Write(*bufp)
+			s.encNDJSON.bytes.Add(int64(n))
+			if err != nil {
+				// This client is gone; keep computing silently — as the
+				// singleflight leader the slab still serves attached
+				// callers and warms the cache.
+				emitDead = true
+				return
+			}
+			emitted++
+			if flusher != nil {
+				flusher.Flush()
+			}
 		}
 	}
 
-	key := sweepKey(info.ID, b, sc, kinds, ps)
-	if v, ok := s.cache.Get(key); ok {
-		s.noteBackend(b.ID(), true)
-		for _, r := range v.(*sweepEntry).results {
-			emit(r)
-		}
+	if v, ok := s.cache.Get(sel.key()); ok {
+		s.noteBackend(sel.b.ID(), true)
+		emit(v.(*sweepEntry).results)
 		return
 	}
 
-	entry, cached, err := s.runSweep(ctx, info, exec, b, sc, kinds, ps, emit)
+	entry, cached, err := s.runSweep(ctx, sel, exec, func(g core.SweepGroup) { emit(g.Results) })
 	if err != nil {
 		if emitted == 0 {
 			// Nothing on the wire yet: a real status line (404/400/503)
@@ -800,9 +771,7 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, info Ma
 		// We attached to another caller's in-flight sweep (or raced a
 		// fresh cache insert): our emit never saw the leader's rows, so
 		// replay the slab.
-		for _, r := range entry.results {
-			emit(r)
-		}
+		emit(entry.results)
 	}
 }
 
@@ -811,70 +780,24 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, info Ma
 // (&threads=N for the native SpMV fan-out, &kernel=cg:60 for the kernel
 // spec).
 func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	info, _, ok := s.reg.Lookup(q.Get("matrix"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown matrix %q", q.Get("matrix"))
-		return
-	}
-	name := q.Get("format")
-	if name == "" {
-		name = "CSR"
-	}
-	kinds, err := parseKinds([]string{name})
+	req, err := queryRequest(r.URL.Query(), true)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	p, err := queryInt(q.Get("p"), 16)
+	sel, status, err := s.selectSweep(req)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad p: %v", err)
-		return
-	}
-	ps, err := parsePartitions([]int{p})
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	threads, err := queryThreads(q.Get("threads"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	b, err := resolveBackend(q.Get("backend"), threads)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	sc, err := parseKernel(q.Get("kernel"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		writeErr(w, status, "%v", err)
 		return
 	}
 	ctx, cancel := s.computeCtx(r)
 	defer cancel()
-	entry, cached, err := s.runSweep(ctx, info, s.execFor(b, clusterInternal(r)), b, sc, kinds, ps, nil)
+	entry, cached, err := s.runSweep(ctx, sel, s.execFor(sel.b, clusterInternal(r)), nil)
 	if err != nil {
 		writeErr(w, sweepStatus(err), "characterize: %v", err)
 		return
 	}
-	if wantsColumnar(r) {
-		s.writeColumnar(w, entry, cached, func(h http.Header) {
-			h.Set(headerMatrix, info.ID)
-		})
-		return
-	}
-	if cached {
-		// Characterize shares cache keys with one-point sweeps but
-		// answers a different envelope — a distinct body slot keeps the
-		// two warm bodies from colliding on one entry.
-		body := s.body(entry, bodyJSONCharacterize, &s.encJSON, func() []byte {
-			return marshalJSONBody(characterizeEnvelope(info, true, entry.results[0]))
-		})
-		s.writeBody(w, "application/json", &s.encJSON, body, nil)
-		return
-	}
-	s.writeJSONCounted(w, characterizeEnvelope(info, false, entry.results[0]))
+	s.writeSweep(w, r, sel, entry, cached, bodyJSONCharacterize)
 }
 
 // handleAdvise recommends the best format for a (matrix, p) point:
@@ -887,21 +810,20 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 // concurrent advise calls share one engine run.
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	info, m, ok := s.reg.Lookup(q.Get("matrix"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown matrix %q", q.Get("matrix"))
-		return
-	}
-	p, err := queryInt(q.Get("p"), 16)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad p: %v", err)
-		return
-	}
-	ps, err := parsePartitions([]int{p})
+	req, err := queryRequest(q, true)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// Advice ranks every sparse format; format= is characterize's
+	// parameter, not advise's.
+	req.Formats = nil
+	sel, status, err := s.selectSweep(req)
+	if err != nil {
+		writeErr(w, status, "%v", err)
+		return
+	}
+	sel.kinds = formats.Sparse()
 	var obj core.Objective
 	switch name := q.Get("objective"); name {
 	case "", "balanced":
@@ -912,25 +834,9 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "unknown objective %q (want balanced or latency)", name)
 		return
 	}
-
-	threads, err := queryThreads(q.Get("threads"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	b, err := resolveBackend(q.Get("backend"), threads)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	sc, err := parseKernel(q.Get("kernel"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	ctx, cancel := s.computeCtx(r)
 	defer cancel()
-	entry, cached, err := s.runSweep(ctx, info, s.execFor(b, clusterInternal(r)), b, sc, formats.Sparse(), ps, nil)
+	entry, cached, err := s.runSweep(ctx, sel, s.execFor(sel.b, clusterInternal(r)), nil)
 	if err != nil {
 		writeErr(w, sweepStatus(err), "advise: %v", err)
 		return
@@ -944,19 +850,16 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	for i, k := range rec.Ranking {
 		ranking[i] = k.String()
 	}
-	class := core.Classify(m)
+	class := core.Classify(sel.m)
 	static, _, why := core.StaticAdvice(class)
 	if wantsColumnar(r) {
 		// The advice's result rows as the raw columnar slab — the fattest
 		// part of the JSON envelope by far — with the verdict metadata in
 		// headers. Encoded per request: the ranked row order depends on
 		// the objective, which is not part of the sweep cache key.
-		start := time.Now()
-		body := wire.Encode(rec.Results)
-		s.encCol.encodes.Add(1)
-		s.encCol.encodeNs.Add(time.Since(start).Nanoseconds())
+		body := s.encCol.encode(func() []byte { return wire.Encode(rec.Results) })
 		s.writeBody(w, wire.ContentType, &s.encCol, body, func(h http.Header) {
-			h.Set(headerMatrix, info.ID)
+			h.Set(headerMatrix, sel.info.ID)
 			h.Set(headerCached, strconv.FormatBool(cached))
 			h.Set(headerRows, strconv.Itoa(len(rec.Results)))
 			h.Set(headerAdviseFormat, rec.Format.String())
@@ -966,10 +869,10 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"matrix":        info,
-		"p":             p,
-		"backend":       b.ID(),
-		"kernel":        sc.String(),
+		"matrix":        sel.info,
+		"p":             sel.ps[0],
+		"backend":       sel.b.ID(),
+		"kernel":        sel.sc.String(),
 		"cached":        cached,
 		"format":        rec.Format.String(),
 		"reason":        rec.Reason,
@@ -999,12 +902,4 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		stats["cluster"] = s.cluster.Stats()
 	}
 	writeJSON(w, http.StatusOK, stats)
-}
-
-// queryInt parses an optional integer query parameter.
-func queryInt(raw string, def int) (int, error) {
-	if raw == "" {
-		return def, nil
-	}
-	return strconv.Atoi(raw)
 }

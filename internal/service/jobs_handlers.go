@@ -7,16 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
-	"copernicus/internal/backend"
 	"copernicus/internal/core"
-	"copernicus/internal/formats"
 	"copernicus/internal/jobs"
-	"copernicus/internal/matrix"
-	"copernicus/internal/scenario"
 	"copernicus/internal/wire"
-	"copernicus/internal/workloads"
 )
 
 // handleJobSubmit is POST /v1/jobs/sweep: the asynchronous form of
@@ -27,43 +21,17 @@ import (
 // synchronous paths use, so a follow-up POST /v1/sweep of the same
 // request is a cache hit.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	var req sweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "parse request: %v", err)
-		return
-	}
-	info, m, ok := s.reg.Lookup(req.Matrix)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown matrix %q", req.Matrix)
-		return
-	}
-	kinds, err := parseKinds(req.Formats)
+	req, err := readSweepRequest(w, r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ps, err := parsePartitions(req.Partitions)
+	sel, status, err := s.selectSweep(req)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		writeErr(w, status, "%v", err)
 		return
 	}
-	b, err := resolveBackend(req.Backend, req.Threads)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	sc, err := parseKernel(req.Kernel)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	key := sweepKey(info.ID, b, sc, kinds, ps)
-	total := len(kinds) * len(ps)
-	task := s.sweepTask(info, m, b, sc, kinds, ps, key)
-	ji, err := s.jobs.Submit(fmt.Sprintf("sweep %s (%s)", info.ID, b.ID()), total, task)
+	ji, err := s.jobs.Submit(fmt.Sprintf("sweep %s (%s)", sel.info.ID, sel.b.ID()), len(sel.kinds)*len(sel.ps), s.sweepTask(sel))
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
 		writeErr(w, http.StatusTooManyRequests, "job queue full; retry later")
@@ -78,42 +46,31 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, map[string]any{"job": ji})
 }
 
-// sweepTask builds the background task for one sweep job: the engine's
-// group-streaming sweep with per-group progress, ending with the same
-// cache population and delete-race discipline as the synchronous paths
-// (the in-flight re-check lives in computeSweep-equivalent code here
-// because the job needs group granularity for timings; the post-insert
-// half is the shared sweepEpilogue).
-func (s *Server) sweepTask(info MatrixInfo, m *matrix.CSR, b backend.Backend, sc scenario.Spec, kinds []formats.Kind, ps []int, key string) jobs.Task {
+// sweepTask builds the background task for one sweep job: the same
+// computeSweep as the synchronous paths, reporting progress per group,
+// then the cache population and the post-insert half of the delete-race
+// discipline (sweepEpilogue). Jobs fan out like synchronous sweeps when
+// this server fronts a cluster: the job API is never used for
+// coordinator-internal dispatch, so there is no loop to guard against.
+func (s *Server) sweepTask(sel sweepSel) jobs.Task {
 	return func(ctx context.Context, report func(int, jobs.GroupTiming)) (any, error) {
-		ws := []workloads.Workload{{ID: info.ID, M: m}}
-		collected := make([]core.Result, 0, len(kinds)*len(ps))
-		// Jobs fan out like synchronous sweeps when this server fronts a
-		// cluster: the job API is never used for coordinator-internal
-		// dispatch, so there is no loop to guard against here.
-		err := s.engine.SweepGroupsExecWith(ctx, s.execFor(b, false), ws, []scenario.Spec{sc}, kinds, ps, func(g core.SweepGroup) error {
-			collected = append(collected, g.Results...)
+		rs, err := s.computeSweep(ctx, sel, s.execFor(sel.b, false), func(g core.SweepGroup) {
 			report(len(g.Results), jobs.GroupTiming{
 				Workload: g.Workload,
 				P:        g.P,
 				Points:   len(g.Results),
 				Seconds:  g.Elapsed.Seconds(),
 			})
-			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		if _, _, still := s.reg.Lookup(info.ID); !still {
-			s.engine.DropPlansFor(m)
-			return nil, fmt.Errorf("matrix %q: %w", info.ID, errMatrixDeleted)
-		}
-		s.cache.Add(key, &sweepEntry{results: collected})
-		s.noteBackend(b.ID(), false)
-		if err := s.sweepEpilogue(info, m); err != nil {
+		s.cache.Add(sel.key(), &sweepEntry{results: rs})
+		s.noteBackend(sel.b.ID(), false)
+		if err := s.sweepEpilogue(sel); err != nil {
 			return nil, err
 		}
-		return collected, nil
+		return rs, nil
 	}
 }
 
@@ -138,10 +95,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 				// A finished job's rows as the raw columnar slab; the job
 				// record moves to a header. Encoded per request — job
 				// results live in the job store, not the sweep LRU.
-				start := time.Now()
-				body := wire.Encode(rs)
-				s.encCol.encodes.Add(1)
-				s.encCol.encodeNs.Add(time.Since(start).Nanoseconds())
+				body := s.encCol.encode(func() []byte { return wire.Encode(rs) })
 				s.writeBody(w, wire.ContentType, &s.encCol, body, func(h http.Header) {
 					h.Set(headerJob, ji.ID)
 					h.Set(headerRows, strconv.Itoa(len(rs)))

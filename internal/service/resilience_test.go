@@ -263,6 +263,60 @@ func TestJobSSECarriesAttempt(t *testing.T) {
 	}
 }
 
+// TestJobPassesServiceSweepPoint: jobs compute through the same seam as
+// the synchronous paths, so a panic armed at service.sweep fails the
+// job's first attempt; the retry completes, and its rows equal a clean
+// synchronous sweep's.
+func TestJobPassesServiceSweepPoint(t *testing.T) {
+	defer faults.DisarmAll()
+	const req = `{"matrix":"2C","formats":["CSR","COO"],"partitions":[8,16]}`
+	_, clean := newTestServer(t)
+	code, want := doJSON(t, http.MethodPost, clean.URL+"/v1/sweep", strings.NewReader(req))
+	if code != http.StatusOK {
+		t.Fatalf("clean sweep = %d %v", code, want)
+	}
+
+	faults.Point("service.sweep").Arm(faults.Injection{Kind: faults.KindPanic, Times: 1})
+	s, ts := newTestServer(t)
+	code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs/sweep", strings.NewReader(req))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d %v", code, body)
+	}
+	id := body["job"].(map[string]any)["id"].(string)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		ji, ok := s.Jobs().Get(id)
+		if !ok {
+			t.Fatalf("job %s disappeared", id)
+		}
+		if ji.State.Terminal() {
+			if ji.State != jobs.StateDone || ji.Attempt != 2 {
+				t.Fatalf("job = %s on attempt %d, want done on attempt 2", ji.State, ji.Attempt)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job stuck in %s", ji.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if hits := faults.Point("service.sweep").Hits(); hits != 2 {
+		t.Fatalf("service.sweep hits = %d, want 2 (the panicked attempt and the retry)", hits)
+	}
+	if st := s.Jobs().Stats(); st.PanicsRecovered != 1 {
+		t.Fatalf("jobs stats = %+v, want one recovered panic", st)
+	}
+	code, got := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+id, nil)
+	if code != http.StatusOK {
+		t.Fatalf("job get = %d %v", code, got)
+	}
+	gotRows, _ := json.Marshal(got["results"])
+	wantRows, _ := json.Marshal(want["results"])
+	if !bytes.Equal(gotRows, wantRows) {
+		t.Fatalf("retried job rows diverge from a clean sweep:\n got %s\nwant %s", gotRows, wantRows)
+	}
+}
+
 // TestRequestTimeoutCapsCompute: a compute request that overruns the
 // server-side deadline cap is answered 503, and the cap is per request —
 // the next (unstalled) request on the same server succeeds.

@@ -347,7 +347,7 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/matrices/{id}", s.handleGetMatrix)
 	s.mux.HandleFunc("DELETE /v1/matrices/{id}", s.handleDeleteMatrix)
 	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("GET /v1/sweep", s.handleSweepGet)
+	s.mux.HandleFunc("GET /v1/sweep", s.handleSweep)
 	s.mux.HandleFunc("GET /v1/characterize", s.handleCharacterize)
 	s.mux.HandleFunc("GET /v1/advise", s.handleAdvise)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)

@@ -205,6 +205,34 @@ func TestErrorPaths(t *testing.T) {
 		{"characterize bad p", "GET", "/v1/characterize?matrix=2C&p=junk", "", http.StatusBadRequest},
 		{"advise unknown matrix", "GET", "/v1/advise?matrix=nope", "", http.StatusNotFound},
 		{"advise bad objective", "GET", "/v1/advise?matrix=2C&objective=vibes", "", http.StatusBadRequest},
+		// Every sweep-shaped endpoint validates one selection the same
+		// way. Advise has no format parameter (it ranks the sparse set),
+		// and only the JSON bodies can carry an unknown field.
+		{"sweep get missing matrix", "GET", "/v1/sweep?formats=CSR", "", http.StatusBadRequest},
+		{"job missing matrix", "POST", "/v1/jobs/sweep", `{}`, http.StatusBadRequest},
+		{"characterize missing matrix", "GET", "/v1/characterize?format=CSR&p=8", "", http.StatusBadRequest},
+		{"advise missing matrix", "GET", "/v1/advise?p=8", "", http.StatusBadRequest},
+		{"sweep get unknown matrix", "GET", "/v1/sweep?matrix=nope", "", http.StatusNotFound},
+		{"job unknown matrix", "POST", "/v1/jobs/sweep", `{"matrix":"nope"}`, http.StatusNotFound},
+		{"sweep get unknown format", "GET", "/v1/sweep?matrix=2C&formats=CSR,ZIP", "", http.StatusBadRequest},
+		{"job unknown format", "POST", "/v1/jobs/sweep", `{"matrix":"2C","formats":["ZIP"]}`, http.StatusBadRequest},
+		{"sweep get bad partition token", "GET", "/v1/sweep?matrix=2C&partitions=8,x", "", http.StatusBadRequest},
+		{"job bad partition token", "POST", "/v1/jobs/sweep", `{"matrix":"2C","partitions":["x"]}`, http.StatusBadRequest},
+		{"job bad partition", "POST", "/v1/jobs/sweep", `{"matrix":"2C","partitions":[0]}`, http.StatusBadRequest},
+		{"advise bad p", "GET", "/v1/advise?matrix=2C&p=junk", "", http.StatusBadRequest},
+		{"sweep get threads on analytic", "GET", "/v1/sweep?matrix=2C&threads=1", "", http.StatusBadRequest},
+		{"job threads on analytic", "POST", "/v1/jobs/sweep", `{"matrix":"2C","threads":1}`, http.StatusBadRequest},
+		{"characterize threads on analytic", "GET", "/v1/characterize?matrix=2C&threads=1", "", http.StatusBadRequest},
+		{"advise threads on analytic", "GET", "/v1/advise?matrix=2C&threads=1", "", http.StatusBadRequest},
+		{"sweep get non-integer threads", "GET", "/v1/sweep?matrix=2C&backend=native&threads=two", "", http.StatusBadRequest},
+		{"job non-integer threads", "POST", "/v1/jobs/sweep", `{"matrix":"2C","backend":"native","threads":"two"}`, http.StatusBadRequest},
+		{"characterize non-integer threads", "GET", "/v1/characterize?matrix=2C&backend=native&threads=two", "", http.StatusBadRequest},
+		{"advise non-integer threads", "GET", "/v1/advise?matrix=2C&backend=native&threads=two", "", http.StatusBadRequest},
+		{"sweep get bad kernel", "GET", "/v1/sweep?matrix=2C&kernel=fft", "", http.StatusBadRequest},
+		{"job bad kernel", "POST", "/v1/jobs/sweep", `{"matrix":"2C","kernel":"fft"}`, http.StatusBadRequest},
+		{"characterize bad kernel", "GET", "/v1/characterize?matrix=2C&kernel=fft", "", http.StatusBadRequest},
+		{"advise bad kernel", "GET", "/v1/advise?matrix=2C&kernel=fft", "", http.StatusBadRequest},
+		{"job unknown field", "POST", "/v1/jobs/sweep", `{"matrix":"2C","fmt":["CSR"]}`, http.StatusBadRequest},
 		{"upload garbage", "POST", "/v1/matrices", "not a matrix market file", http.StatusBadRequest},
 		{"upload skew diagonal", "POST", "/v1/matrices",
 			"%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n1 1 3\n", http.StatusBadRequest},
