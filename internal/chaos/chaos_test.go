@@ -69,9 +69,12 @@ func getJSON(t *testing.T, ts *httptest.Server, path string) (int, map[string]an
 }
 
 // TestChaosBitIdentityAcrossContainedFaults: an engine that survived a
-// storm of contained encode panics produces results bit-identical to a
-// never-faulted engine — containment abandons work unpublished instead
-// of leaking partial state into plans or pools.
+// storm of contained warmup panics — alternating between the encode and
+// the verify stage of the fused per-tile pass — produces results
+// bit-identical to a never-faulted engine: containment abandons work
+// unpublished instead of leaking partial state into plans, and a worker
+// that panics mid-pass hands its slab and decode tile back to the pool
+// in a state the retry's passes encode and decode through correctly.
 func TestChaosBitIdentityAcrossContainedFaults(t *testing.T) {
 	cleanSlate(t)
 	m := gen.Random(192, 0.05, 41)
@@ -85,12 +88,14 @@ func TestChaosBitIdentityAcrossContainedFaults(t *testing.T) {
 	}
 
 	e := core.New()
-	for i := 0; i < 5; i++ {
-		faults.Point("hlsim.encode.tile").Arm(faults.Injection{Kind: faults.KindPanic, Times: 1})
+	points := []string{"hlsim.encode.tile", "hlsim.verify.tile"}
+	for i := 0; i < 6; i++ {
+		point := points[i%2]
+		faults.Point(point).Arm(faults.Injection{Kind: faults.KindPanic, Times: 1})
 		_, err := e.SweepFormatsKernelWith(ctx, backend.Analytic{}, "m", m, scenario.Default(), 16, kinds)
 		var pe *resilience.PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("storm run %d: err = %v, want contained PanicError", i, err)
+		if !errors.As(err, &pe) || pe.Point != point {
+			t.Fatalf("storm run %d: err = %v, want contained PanicError at %s", i, err, point)
 		}
 	}
 	faults.DisarmAll()

@@ -18,8 +18,9 @@
 // row-sorting seal.
 //
 // Encode allocates every stream exactly sized. Slab.Encode instead carves
-// the streams from shared chunks, for passes whose many small encodings
-// die together — the plan warmup's encode-then-verify.
+// the streams from a rewinding slab, for passes that drop each encoding
+// before making the next — the plan warmup's per-tile encode, price and
+// decode-verify step.
 package formats
 
 import (

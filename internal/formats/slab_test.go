@@ -128,3 +128,77 @@ func TestSlabEncodingsSurviveCorpus(t *testing.T) {
 	checkExactStreams(t, EncodeSELLSlice(randomTile(6, 16, 0.3), 8))
 	checkExactStreams(t, EncodeELLCOOCap(randomTile(7, 16, 0.3), 2))
 }
+
+// slabPass is one pass of mixed requests through sl: small streams that
+// share a chunk, oversized int32 and float64 streams above a quarter
+// chunk, and list headers. Every stream is checked exact-length and
+// zeroed, then marked with its request number; the passes' streams are
+// returned for the disjointness check.
+func slabPass(t *testing.T, sl *Slab) (ints [][]int32, floats [][]float64) {
+	t.Helper()
+	sizes := []int{0, 3, 100, slabFloats/4 + 1, 17, slabFloats, 900, slabInts/4 + 5, 1}
+	for k, n := range sizes {
+		a, b := sl.int32s(n), sl.float64s(n)
+		if len(a) != n || cap(a) != n || len(b) != n || cap(b) != n {
+			t.Fatalf("request %d of %d: got len/cap %d/%d and %d/%d", k, n, len(a), cap(a), len(b), cap(b))
+		}
+		for x := range a {
+			if a[x] != 0 || b[x] != 0 {
+				t.Fatalf("request %d of %d: stream not zeroed at %d", k, n, x)
+			}
+			a[x], b[x] = int32(k+1), float64(k+1)
+		}
+		ls, fs := sl.int32Lists(n%40), sl.float64Lists(n%40)
+		for x := range ls {
+			if ls[x] != nil || fs[x] != nil {
+				t.Fatalf("request %d: list header %d not nil", k, x)
+			}
+			ls[x], fs[x] = a, b
+		}
+		ints, floats = append(ints, a), append(floats, b)
+	}
+	return ints, floats
+}
+
+// TestSlabResetReuses: after Reset a slab hands its memory out again —
+// streams still exact-length, zeroed, mutually disjoint and safe to
+// append to — and a second identical pass, oversized streams included,
+// allocates nothing. A nil slab's Reset is a no-op.
+func TestSlabResetReuses(t *testing.T) {
+	sl := new(Slab)
+	slabPass(t, sl)
+	sl.Reset()
+	ints, floats := slabPass(t, sl)
+	for k := range ints {
+		_ = append(ints[k], -1)
+		_ = append(floats[k], -1)
+	}
+	for k := range ints {
+		for x := range ints[k] {
+			if ints[k][x] != int32(k+1) || floats[k][x] != float64(k+1) {
+				t.Fatalf("stream %d overwritten at %d after Reset", k+1, x)
+			}
+		}
+	}
+
+	sizes := []int{3, 100, slabFloats/4 + 1, 17, slabFloats, 900, slabInts/4 + 5}
+	pass := func() {
+		for _, n := range sizes {
+			sl.int32s(n)
+			sl.float64s(n)
+			sl.int32Lists(n % 40)
+			sl.float64Lists(n % 40)
+		}
+		sl.Reset()
+	}
+	pass()
+	if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
+		t.Fatalf("a repeated pass after Reset made %v allocations, want 0", allocs)
+	}
+
+	var nilSlab *Slab
+	nilSlab.Reset()
+	if a := nilSlab.int32s(5); len(a) != 5 || cap(a) != 5 {
+		t.Fatalf("nil slab after Reset: len/cap %d/%d", len(a), cap(a))
+	}
+}

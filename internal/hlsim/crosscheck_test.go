@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"copernicus/internal/formats"
 	"copernicus/internal/gen"
@@ -69,35 +70,93 @@ func TestCrossCheckMismatchMessages(t *testing.T) {
 
 // TestVerifyReportsWrongEncoding swaps one warmup encoding of a plan for
 // the encoding of a tile with one flipped value and requires the verify
-// pass to fail with the cross-check message for that tile.
+// pass to fail with the cross-check message for that tile — both when
+// the first functional use runs the fused pass and when a Trace priced
+// the format first, so verify re-encodes tile by tile.
 func TestVerifyReportsWrongEncoding(t *testing.T) {
+	t.Cleanup(func() { planTileHook = nil })
 	m := gen.Random(64, 0.1, 13)
-	for _, k := range formats.Core() {
-		pl, err := NewPlan(Default(), m, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pf, err := pl.format(context.Background(), k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ti := len(pl.pt.Tiles) / 2
-		tile := pl.pt.Tiles[ti]
-		wrong := tile.Clone()
-		var i, j int
-		var v float64
-		for i = 0; i < tile.P; i++ {
-			if cols, vals := tile.RowView(i); len(cols) > 0 {
-				j, v = int(cols[0]), vals[0]
-				break
+	for _, traceFirst := range []bool{false, true} {
+		for _, k := range formats.Core() {
+			pl, err := NewPlan(Default(), m, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if traceFirst {
+				if _, err := pl.Trace(k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ti := len(pl.pt.Tiles) / 2
+			tile := pl.pt.Tiles[ti]
+			wrong := tile.Clone()
+			var i, j int
+			var v float64
+			for i = 0; i < tile.P; i++ {
+				if cols, vals := tile.RowView(i); len(cols) > 0 {
+					j, v = int(cols[0]), vals[0]
+					break
+				}
+			}
+			wrong.Set(i, j, v+1)
+			planTileHook = func(hk formats.Kind, hti int, enc formats.Encoded) formats.Encoded {
+				if hk == k && hti == ti {
+					return formats.Encode(k, wrong)
+				}
+				return enc
+			}
+			want := fmt.Sprintf("hlsim: tile (%d,%d): %v decode mismatch at local (%d,%d): %g != %g",
+				tile.Row, tile.Col, k, i, j, v+1, v)
+			var r Result
+			err = pl.RunIntoContext(context.Background(), k, testVectorFor(m.Cols), &r)
+			planTileHook = nil
+			if err == nil || err.Error() != want {
+				t.Errorf("%v (trace first %v): verify error %v, want %q", k, traceFirst, err, want)
 			}
 		}
-		wrong.Set(i, j, v+1)
-		pf.encs[ti] = formats.Encode(k, wrong)
-		want := fmt.Sprintf("hlsim: tile (%d,%d): %v decode mismatch at local (%d,%d): %g != %g",
-			tile.Row, tile.Col, k, i, j, v+1, v)
-		if _, err := pl.verify(context.Background(), k); err == nil || err.Error() != want {
-			t.Errorf("%v: verify error %v, want %q", k, err, want)
+	}
+}
+
+// TestVerifyReportsLowestFailingTile plants wrong encodings at several
+// tiles of a plan whose warmup fans out over four workers, delays the
+// lowest so that other workers find the higher ones first, and requires
+// verify to name the lowest every time — the tile a serial pass would
+// report.
+func TestVerifyReportsLowestFailingTile(t *testing.T) {
+	t.Cleanup(func() { planTileHook = nil })
+	m := gen.Random(256, 0.05, 17)
+	x := testVectorFor(m.Cols)
+	for _, traceFirst := range []bool{false, true} {
+		for run := 0; run < 10; run++ {
+			pl := mustPlan(t, m, 16)
+			pl.SetWorkers(4)
+			if traceFirst {
+				if _, err := pl.Trace(formats.CSR); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n := len(pl.pt.Tiles)
+			bad := map[int]bool{n / 3: true, n / 2: true, n - 1: true}
+			planTileHook = func(k formats.Kind, ti int, enc formats.Encoded) formats.Encoded {
+				if !bad[ti] {
+					return enc
+				}
+				if ti == n/3 {
+					// Let the other workers reach the higher bad tiles
+					// first.
+					time.Sleep(5 * time.Millisecond)
+				}
+				wrong := pl.pt.Tiles[ti].Clone()
+				wrong.Set(0, 0, 1e300)
+				return formats.Encode(k, wrong)
+			}
+			_, err := pl.RunContext(context.Background(), formats.CSR, x)
+			planTileHook = nil
+			lo := pl.pt.Tiles[n/3]
+			prefix := fmt.Sprintf("hlsim: tile (%d,%d): CSR decode mismatch", lo.Row, lo.Col)
+			if err == nil || len(err.Error()) < len(prefix) || err.Error()[:len(prefix)] != prefix {
+				t.Fatalf("trace first %v, run %d: verify error %v, want %q…", traceFirst, run, err, prefix)
+			}
 		}
 	}
 }

@@ -64,9 +64,9 @@ func (pl *Plan) ensureSpans() {
 }
 
 // planExec is one format's executable state: a fresh re-encode of every
-// non-zero tile, kept resident for kernel traversal (the warmup
-// encodings are freed by the decode-verify pass, so the exec path owns
-// its own copy, accounted in MemoryBytes).
+// non-zero tile, kept resident for kernel traversal (no warmup encoding
+// outlives its tile's step, so the exec path owns its own copy,
+// accounted in MemoryBytes).
 type planExec struct {
 	encs  []formats.Encoded
 	bytes int64
@@ -84,7 +84,7 @@ func (pl *Plan) exec(ctx context.Context, k formats.Kind) (*planExec, error) {
 // kernel use, chunk-claimed across the caller plus any free encode-pool
 // helpers (fanOut), with cancellation checked between chunks. Worker
 // panics and injected faults abort the build unpublished, exactly like a
-// cancellation (see encodeFormat).
+// cancellation (see warmPass).
 func (pl *Plan) buildExec(ctx context.Context, k formats.Kind) (*planExec, error) {
 	tiles := pl.pt.Tiles
 	n := len(tiles)

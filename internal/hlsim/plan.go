@@ -15,8 +15,9 @@ import (
 )
 
 // Plan is an encode-once streaming plan: one matrix partitioned at one
-// partition size, with per-format encodings, cycle costs, and the
-// decode-and-verify cross-check each performed exactly once and cached.
+// partition size, with each format's per-tile cycle costs and its
+// decode-and-verify cross-check computed exactly once and cached (the
+// warmup encodings themselves are dropped tile by tile).
 // Every entry point of the package (Run, RunParallel, RunSpMM, Trace,
 // BuildSchedule) is a thin wrapper over a transient plan; callers that
 // stream the same matrix repeatedly — iterative kernels, characterization
@@ -75,10 +76,12 @@ type Plan struct {
 // planSlot is one format's cached state: the encode, decode-and-verify
 // and executable-kernel phases, each with its own leader guard so
 // distinct formats (and a format's later phases) never serialize against
-// each other. enc publishes the priced encodings, ver publishes the same
-// planFormat once cross-checked (sticky verify errors live in it), and
-// ex holds the resident encodings the RunExecIntoContext path walks
-// (rebuilt fresh, since verify frees the warmup encodings).
+// each other. enc publishes the priced tile table, ver publishes the
+// same planFormat once every tile has been cross-checked (sticky verify
+// errors live in it) — both from one fused pass when a functional use
+// comes first — and ex holds the resident encodings the
+// RunExecIntoContext path walks (built fresh: no warmup encoding
+// outlives its tile's step).
 type planSlot struct {
 	enc, ver phase[planFormat]
 	ex       phase[planExec]
@@ -147,14 +150,11 @@ func (ph *phase[T]) do(ctx context.Context, build func() (*T, error)) (*T, error
 // the aggregated Result totals, and the outcome of the one-time
 // decode-and-verify cross-check (run on first functional use, not for
 // cycle-model-only consumers like Trace and Schedule). tiles and agg are
-// immutable once published; encs is consumed under the verify once-guard.
+// immutable once published. It holds no encodings: each is dropped at
+// the end of its tile's warmup step.
 type planFormat struct {
 	tiles []TileResult
 	agg   formatAgg
-	// encs holds the encodings from format() until verify consumes them
-	// (freed afterwards); one-shot cycle-model consumers drop the whole
-	// plan, so nothing lingers.
-	encs []formats.Encoded
 	// verifyErr is the sticky decode/cross-check failure, published
 	// atomically so format() readers can observe it without locking.
 	verifyErr atomic.Pointer[error]
@@ -190,10 +190,15 @@ type planRow struct {
 	start, end int
 }
 
-// planEncodeHook, when non-nil, is called at the start of every format
-// encode — a test seam proving that different formats warm up
+// planEncodeHook, when non-nil, is called at the start of every warmup
+// pass — a test seam proving that different formats warm up
 // concurrently rather than serializing on a shared lock.
 var planEncodeHook func(formats.Kind)
+
+// planTileHook, when non-nil, sees every tile encoding a warmup pass
+// makes and may swap it — a test seam that plants a wrong encoding for
+// the cross-check to catch.
+var planTileHook func(k formats.Kind, ti int, enc formats.Encoded) formats.Encoded
 
 // NewPlan partitions m once at partition size p under the given hardware
 // configuration. Encodings are produced lazily, once per format, on first
@@ -323,102 +328,83 @@ func (pl *Plan) ensureRows() {
 
 // format returns the cached per-format state, encoding and pricing every
 // non-zero tile exactly once per format — under that format's own
-// leader guard, so distinct formats warm concurrently. It does not run
-// the decode cross-check; see verify. A Kind outside the implemented
-// range is an ErrUnknownFormat error, not a panic, so it propagates
-// through Characterize/Sweep to callers (and services) as a client fault.
+// leader guard, so distinct formats warm concurrently. On its own it
+// runs the encode-only pass (see warmPass); the decode cross-check is
+// verify's. A Kind outside the implemented range is an ErrUnknownFormat
+// error, not a panic, so it propagates through Characterize/Sweep to
+// callers (and services) as a client fault.
 //
 // Cancellation discipline: a canceled ctx aborts the warmup between
-// tile-encode chunks and returns ctx.Err(). If the canceled caller was
-// the encode leader, the slot is left idle (never half-encoded), so a
-// later characterization of the same format on this cached plan re-runs
-// the encode cleanly; if it was a waiter, the leader is unaffected.
+// tile chunks and returns ctx.Err(). If the canceled caller was the
+// encode leader, the slot is left idle (never half-priced), so a later
+// characterization of the same format on this cached plan re-runs the
+// pass cleanly; if it was a waiter, the leader is unaffected.
 func (pl *Plan) format(ctx context.Context, k formats.Kind) (*planFormat, error) {
-	if k < 0 || int(k) >= formats.NumKinds {
-		return nil, fmt.Errorf("%w: kind %d", ErrUnknownFormat, int(k))
+	if err := checkKind(k); err != nil {
+		return nil, err
 	}
-	pf, err := pl.fmts[k].enc.do(ctx, func() (*planFormat, error) { return pl.encodeFormat(ctx, k) })
+	pf, err := pl.fmts[k].enc.do(ctx, func() (*planFormat, error) { return pl.price(ctx, k, false) })
 	if err != nil {
 		return nil, err // canceled mid-encode; the phase stays idle
 	}
 	return pf, pf.err()
 }
 
-// Tile-parallel warmup tuning: chunks of tiles are claimed atomically so
-// stragglers balance, and tiny tile counts stay serial.
-const (
-	encodeChunk      = 8
-	minParallelTiles = 2 * encodeChunk
-)
+// checkKind rejects a Kind outside the implemented range.
+func checkKind(k formats.Kind) error {
+	if k < 0 || int(k) >= formats.NumKinds {
+		return fmt.Errorf("%w: kind %d", ErrUnknownFormat, int(k))
+	}
+	return nil
+}
 
-// slabPool lends each warmup work goroutine a formats.Slab to carve its
-// encodings from. Warmup encodings live only until the verify pass drops
-// them, so they share chunks instead of allocating each stream; the pool
-// hands a returned slab's unused chunk tail to the next pass.
-var slabPool = sync.Pool{New: func() any { return new(formats.Slab) }}
-
-// encodeFormat encodes and prices every non-zero tile in format k. With
-// an encode pool installed, tiles are claimed in chunks by the caller
-// plus however many pool helpers are free right now, into
-// index-addressed slots; aggregation always runs serially in tile order,
-// so the totals (including the float balance sum) are bit-identical to a
-// serial encode. Cancellation is checked between chunks (by the caller
-// and every helper); a canceled encode returns ctx.Err() and the partial
-// planFormat is discarded by the caller, never published.
+// verify returns the cached per-format state after the decode-and-verify
+// cross-check, hoisted to once per (format, plan): every tile's encoding
+// must decode back to the original tile, so any stream corruption
+// surfaces here rather than as a silently wrong SpMV. Functional entry
+// points (RunIntoContext, RunParallel, RunSpMM) call it; cycle-model-only
+// consumers (Trace, Schedule) call format and skip it, as the pre-plan
+// one-shots did.
 //
-// Fault containment: a panic in any worker (encoder invariant violation,
-// injected chaos fault) is recovered into a *resilience.PanicError and —
-// like an injected error — aborts the encode. The caller treats it
-// exactly as a cancellation: the partial planFormat is never published,
-// so a retry re-runs the encode from scratch and the result is
-// bit-identical to a fault-free run. Pool helpers release their tokens
-// through fanOut's defers either way.
-func (pl *Plan) encodeFormat(ctx context.Context, k formats.Kind) (*planFormat, error) {
-	if planEncodeHook != nil {
-		planEncodeHook(k)
-	}
-	tiles := pl.pt.Tiles
-	n := len(tiles)
-	pf := &planFormat{tiles: make([]TileResult, n), encs: make([]formats.Encoded, n)}
-	var next atomic.Int64
-	var fail atomic.Pointer[error]
-	work := func() {
-		sl := slabPool.Get().(*formats.Slab)
-		defer slabPool.Put(sl)
-		defer func() {
-			if pe := resilience.Recovered(ptEncodeTile.Name(), recover()); pe != nil {
-				storeFirst(&fail, pe)
-			}
-		}()
-		for ctx.Err() == nil && fail.Load() == nil {
-			lo := int(next.Add(encodeChunk)) - encodeChunk
-			if lo >= n {
-				return
-			}
-			for i := lo; i < min(lo+encodeChunk, n); i++ {
-				if err := ptEncodeTile.Hit(); err != nil {
-					storeFirst(&fail, err)
-					return
-				}
-				enc := sl.Encode(k, tiles[i])
-				pf.encs[i] = enc
-				tr, err := RunTile(pl.cfg, enc)
-				if err != nil {
-					// Unreachable for in-range Kinds (format() guards the
-					// range), but a model gap must surface as the slot's
-					// sticky error, never a panic in a worker goroutine.
-					pf.setErr(err)
-					return
-				}
-				pf.tiles[i] = tr
-			}
-		}
-	}
-	pl.fanOut(work, n)
-	if err := ctx.Err(); err != nil {
+// A verify that finds the format unpriced leads the encode phase too and
+// runs the fused pass — encode, price, decode and cross-check each tile
+// in one step — publishing both phases from it. After an encode-only
+// pass (Trace or Schedule came first) it runs a check-only pass that
+// re-encodes tile by tile, since no encoding outlives its tile's step.
+//
+// Like format, verify is cancellation-safe: a leader canceled between
+// tile chunks publishes neither phase it leads, so a later caller re-runs
+// the pass in full. Panics and injected faults follow the same
+// discipline — the slot is abandoned unverified and the failure
+// propagates as an error.
+func (pl *Plan) verify(ctx context.Context, k formats.Kind) (*planFormat, error) {
+	if err := checkKind(k); err != nil {
 		return nil, err
 	}
-	if err := loadErr(&fail); err != nil {
+	slot := &pl.fmts[k]
+	pf, err := slot.ver.do(ctx, func() (*planFormat, error) {
+		fused := false
+		pf, err := slot.enc.do(ctx, func() (*planFormat, error) {
+			fused = true
+			return pl.price(ctx, k, true)
+		})
+		if err != nil || fused || pf.err() != nil {
+			return pf, err
+		}
+		return pf, pl.warmPass(ctx, k, pf, false, true)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return pf, pf.err()
+}
+
+// price runs the pass that encodes and prices every tile of format k into
+// a new planFormat, decode-verifying each tile in the same step when
+// check is set, and aggregates the Result totals in tile order.
+func (pl *Plan) price(ctx context.Context, k formats.Kind, check bool) (*planFormat, error) {
+	pf := &planFormat{tiles: make([]TileResult, len(pl.pt.Tiles))}
+	if err := pl.warmPass(ctx, k, pf, true, check); err != nil {
 		return nil, err
 	}
 	if pf.err() != nil {
@@ -436,7 +422,6 @@ func (pl *Plan) encodeFormat(ctx context.Context, k formats.Kind) (*planFormat, 
 			pf.agg.StallMemCycles += uint64(tr.ComputeCycles - tr.MemCycles)
 		}
 		pf.agg.DotRows += uint64(tr.DotRows)
-		pf.agg.NNZ += uint64(pf.encs[i].Stats().NNZ)
 		pf.agg.Footprint.UsefulBytes += tr.Footprint.UsefulBytes
 		pf.agg.Footprint.MetaBytes += tr.Footprint.MetaBytes
 		pf.agg.Footprint.ValueLaneBytes += tr.Footprint.ValueLaneBytes
@@ -446,12 +431,173 @@ func (pl *Plan) encodeFormat(ctx context.Context, k formats.Kind) (*planFormat, 
 	return pf, nil
 }
 
+// Tile-parallel warmup tuning: chunks of tiles are claimed atomically so
+// stragglers balance, and tiny tile counts stay serial.
+const (
+	encodeChunk      = 8
+	minParallelTiles = 2 * encodeChunk
+)
+
+// warmSlab is one warmup work goroutine's reusable memory: the slab its
+// encodings are carved from, rewound after every tile, and the tile its
+// decodes land in.
+type warmSlab struct {
+	sl  formats.Slab
+	dec *matrix.Tile
+}
+
+// slabPool lends each warmup work goroutine a warmSlab. No encoding
+// outlives its tile's step, so a worker resets its slab after every tile
+// and once more before returning it here (a panic included), and the
+// next pass starts from a clean slab.
+var slabPool = sync.Pool{New: func() any { return &warmSlab{dec: matrix.NewTile(1, 0, 0)} }}
+
+// tileErr is a sticky failure of one tile: a model gap in pricing or a
+// failed decode cross-check.
+type tileErr struct {
+	ti  int
+	err error
+}
+
+// storeLowest keeps the failure of the lowest tile index.
+func storeLowest(p *atomic.Pointer[tileErr], ti int, err error) {
+	te := &tileErr{ti, err}
+	for {
+		cur := p.Load()
+		if cur != nil && cur.ti <= ti {
+			return
+		}
+		if p.CompareAndSwap(cur, te) {
+			return
+		}
+	}
+}
+
+// warmPass walks every non-zero tile of format k once, one step per tile:
+// encode into the worker's slab, then price it into pf.tiles (price),
+// then decode it into the worker's reused tile and cross-check it against
+// the original (check), then rewind the slab. There are three passes:
+// encode-only (price; Trace and Schedule), fused (both; the first
+// functional use) and check-only (check; a functional use after an
+// encode-only pass), which re-encodes each tile to check it.
+//
+// With an encode pool installed, tiles are claimed in chunks by the
+// caller plus however many pool helpers are free right now, into
+// index-addressed slots, so the result does not depend on the helper
+// count. Cancellation is checked between chunks (by the caller and every
+// helper); a canceled pass returns ctx.Err() and the caller publishes
+// nothing.
+//
+// A model gap or a failed cross-check is sticky: it stops the claiming of
+// new chunks, the chunks already claimed finish, and pf.err() is set to
+// the failure of the lowest tile index — the one a serial pass would
+// report. Fault containment: a panic in any worker (encoder or decoder
+// invariant violation, injected chaos fault) is recovered into a
+// *resilience.PanicError naming the fault point of the stage it hit, and
+// — like an injected error — aborts the pass, which the caller treats
+// exactly as a cancellation: nothing is published, so a retry re-runs the
+// pass from scratch and the result is bit-identical to a fault-free run.
+// Pool helpers release their tokens through fanOut's defers either way.
+func (pl *Plan) warmPass(ctx context.Context, k formats.Kind, pf *planFormat, price, check bool) error {
+	if planEncodeHook != nil {
+		planEncodeHook(k)
+	}
+	tiles := pl.pt.Tiles
+	n := len(tiles)
+	encodePoint := ptEncodeTile
+	if !price {
+		encodePoint = ptVerifyTile // the check-only pass's re-encode is part of its check
+	}
+	var next atomic.Int64
+	var nnz atomic.Uint64
+	var fail atomic.Pointer[error]
+	var sticky atomic.Pointer[tileErr]
+	work := func() {
+		ws := slabPool.Get().(*warmSlab)
+		point := encodePoint
+		defer func() {
+			if pe := resilience.Recovered(point.Name(), recover()); pe != nil {
+				storeFirst(&fail, pe)
+			}
+			ws.sl.Reset()
+			slabPool.Put(ws)
+		}()
+		for ctx.Err() == nil && fail.Load() == nil && sticky.Load() == nil {
+			lo := int(next.Add(encodeChunk)) - encodeChunk
+			if lo >= n {
+				return
+			}
+			var sum uint64
+			for i := lo; i < min(lo+encodeChunk, n); i++ {
+				point = encodePoint
+				if price {
+					if err := ptEncodeTile.Hit(); err != nil {
+						storeFirst(&fail, err)
+						return
+					}
+				}
+				enc := ws.sl.Encode(k, tiles[i])
+				if planTileHook != nil {
+					enc = planTileHook(k, i, enc)
+				}
+				if price {
+					tr, err := RunTile(pl.cfg, enc)
+					if err != nil {
+						// Unreachable for in-range Kinds (format() guards
+						// the range), but a model gap must surface as the
+						// slot's sticky error, never a panic in a worker.
+						storeLowest(&sticky, i, err)
+						break
+					}
+					pf.tiles[i] = tr
+					sum += uint64(enc.Stats().NNZ)
+				}
+				if check {
+					point = ptVerifyTile
+					if err := ptVerifyTile.Hit(); err != nil {
+						storeFirst(&fail, err)
+						return
+					}
+					if err := decodeCheck(k, tiles[i], enc, ws.dec); err != nil {
+						storeLowest(&sticky, i, err)
+						break
+					}
+				}
+				ws.sl.Reset()
+			}
+			nnz.Add(sum)
+		}
+	}
+	pl.fanOut(work, n)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if err := loadErr(&fail); err != nil {
+		return err
+	}
+	if te := sticky.Load(); te != nil {
+		pf.setErr(te.err)
+	}
+	if price {
+		pf.agg.NNZ = nnz.Load()
+	}
+	return nil
+}
+
+// decodeCheck decodes enc into dec and cross-checks it against tile.
+func decodeCheck(k formats.Kind, tile *matrix.Tile, enc formats.Encoded, dec *matrix.Tile) error {
+	if err := enc.DecodeInto(dec); err != nil {
+		return fmt.Errorf("hlsim: tile (%d,%d): %w", tile.Row, tile.Col, err)
+	}
+	return crossCheck(k, tile, dec)
+}
+
 // fanOut runs the chunk-claiming work function on the calling goroutine
 // plus however many encode-pool helpers are free right now, for a task of
 // n tiles. Work functions claim chunks from a shared atomic counter, so
 // helper count only affects wall time, never results. With no pool, a
 // drained pool, or a tiny tile count the caller works alone. Both the
-// encode warmup and the exec-state build (exec.go) share this borrowing,
+// warmup passes and the exec-state build (exec.go) share this borrowing,
 // so total extra goroutines across concurrent sweep groups stay bounded
 // by the pool size.
 func (pl *Plan) fanOut(work func(), n int) {
@@ -478,68 +624,6 @@ borrow:
 	}
 	work()
 	wg.Wait()
-}
-
-// verify returns the cached per-format state after the decode-and-verify
-// cross-check, hoisted to once per (format, plan): the encoded streams must
-// decode back to the original tile, so any stream corruption surfaces here
-// rather than as a silently wrong SpMV. Functional entry points
-// (RunIntoContext, RunParallel, RunSpMM) call it; cycle-model-only consumers
-// (Trace, Schedule) skip it, as the pre-plan one-shots did.
-//
-// Like format, verify is cancellation-safe: a leader canceled between
-// tiles leaves the encodings unconsumed and the slot unverified, so a
-// later caller re-runs the cross-check in full. Panics and injected
-// faults follow the same discipline — the slot is abandoned unverified
-// and the failure propagates as an error.
-func (pl *Plan) verify(ctx context.Context, k formats.Kind) (*planFormat, error) {
-	pf, err := pl.format(ctx, k)
-	if err != nil {
-		return pf, err
-	}
-	if _, err := pl.fmts[k].ver.do(ctx, func() (*planFormat, error) {
-		if err := pl.runVerify(ctx, k, pf); err != nil {
-			return nil, err
-		}
-		return pf, nil
-	}); err != nil {
-		return nil, err
-	}
-	return pf, pf.err()
-}
-
-// runVerify cross-checks every tile's encoding. A nil return means the
-// pass completed — success or a sticky model error published in pf —
-// and the encodings were consumed. A non-nil return (cancellation,
-// injected fault, or a panic recovered as *resilience.PanicError) leaves
-// the encodings unconsumed and the slot unverified, so a retry re-runs
-// the cross-check in full.
-func (pl *Plan) runVerify(ctx context.Context, k formats.Kind, pf *planFormat) (abort error) {
-	defer func() {
-		if pe := resilience.Recovered(ptVerifyTile.Name(), recover()); pe != nil {
-			abort = pe
-		}
-	}()
-	encs := pf.encs
-	dec := matrix.NewTile(pl.pt.P, 0, 0) // reused by every decode of the pass
-	for ti, tile := range pl.pt.Tiles {
-		if ti%encodeChunk == 0 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if err := ptVerifyTile.Hit(); err != nil {
-			return err
-		}
-		if err := encs[ti].DecodeInto(dec); err != nil {
-			pf.setErr(fmt.Errorf("hlsim: tile (%d,%d): %w", tile.Row, tile.Col, err))
-			break
-		}
-		if err := crossCheck(k, tile, dec); err != nil {
-			pf.setErr(err)
-			break
-		}
-	}
-	pf.encs = nil // encodings are not needed once cross-checked
-	return nil
 }
 
 // crossCheck compares a decoded tile against the original — O(nnz), with

@@ -1,5 +1,11 @@
 package hlsim
 
+// The operational model of the hardware decompressors: a stream-walking
+// RowSource per format, transliterated from the paper's listings. It is
+// the proof, in rowdecomp_test.go, that the closed-form cycle equations
+// of cycles.go match a row-by-row replay; nothing outside the tests runs
+// it.
+
 import (
 	"fmt"
 
