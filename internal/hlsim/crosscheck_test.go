@@ -68,24 +68,62 @@ func TestCrossCheckMismatchMessages(t *testing.T) {
 	}
 }
 
+// firstUses are the plan's entry points, each of which may be the first
+// use of a format and so lead its one warmup pass.
+var firstUses = []struct {
+	name string
+	use  func(pl *Plan, k formats.Kind, x []float64) error
+}{
+	{"RunIntoContext", func(pl *Plan, k formats.Kind, x []float64) error {
+		var r Result
+		return pl.RunIntoContext(context.Background(), k, x, &r)
+	}},
+	{"RunParallel", func(pl *Plan, k formats.Kind, x []float64) error {
+		_, err := pl.RunParallel(k, x, 3)
+		return err
+	}},
+	{"RunSpMM", func(pl *Plan, k formats.Kind, x []float64) error {
+		_, err := pl.RunSpMM(k, x, 1)
+		return err
+	}},
+	{"RunExecIntoContext", func(pl *Plan, k formats.Kind, x []float64) error {
+		var r Result
+		return pl.RunExecIntoContext(context.Background(), k, x, &r, 2)
+	}},
+	{"Trace", func(pl *Plan, k formats.Kind, _ []float64) error {
+		_, err := pl.Trace(k)
+		return err
+	}},
+	{"Schedule", func(pl *Plan, k formats.Kind, _ []float64) error {
+		_, err := pl.Schedule(k)
+		return err
+	}},
+	{"KernelCycles", func(pl *Plan, k formats.Kind, _ []float64) error {
+		_, err := pl.KernelCycles(context.Background(), k, 60)
+		return err
+	}},
+	{"SpMMCycles", func(pl *Plan, k formats.Kind, _ []float64) error {
+		_, err := pl.SpMMCycles(context.Background(), k, 4)
+		return err
+	}},
+}
+
 // TestVerifyReportsWrongEncoding swaps one warmup encoding of a plan for
-// the encoding of a tile with one flipped value and requires the verify
-// pass to fail with the cross-check message for that tile — both when
-// the first functional use runs the fused pass and when a Trace priced
-// the format first, so verify re-encodes tile by tile.
+// the encoding of a tile with one flipped value and requires the first
+// use of the format, whichever entry point it is, to fail with the
+// cross-check message for that tile: a cycle-model-only use (Trace,
+// Schedule, KernelCycles, SpMMCycles) must not price an encoding that
+// does not round-trip. The failure is sticky, so a second use of another
+// entry point reports it too.
 func TestVerifyReportsWrongEncoding(t *testing.T) {
 	t.Cleanup(func() { planTileHook = nil })
 	m := gen.Random(64, 0.1, 13)
-	for _, traceFirst := range []bool{false, true} {
+	x := testVectorFor(m.Cols)
+	for _, fu := range firstUses {
 		for _, k := range formats.Core() {
 			pl, err := NewPlan(Default(), m, 16)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if traceFirst {
-				if _, err := pl.Trace(k); err != nil {
-					t.Fatal(err)
-				}
 			}
 			ti := len(pl.pt.Tiles) / 2
 			tile := pl.pt.Tiles[ti]
@@ -107,11 +145,13 @@ func TestVerifyReportsWrongEncoding(t *testing.T) {
 			}
 			want := fmt.Sprintf("hlsim: tile (%d,%d): %v decode mismatch at local (%d,%d): %g != %g",
 				tile.Row, tile.Col, k, i, j, v+1, v)
-			var r Result
-			err = pl.RunIntoContext(context.Background(), k, testVectorFor(m.Cols), &r)
+			err = fu.use(pl, k, x)
 			planTileHook = nil
 			if err == nil || err.Error() != want {
-				t.Errorf("%v (trace first %v): verify error %v, want %q", k, traceFirst, err, want)
+				t.Errorf("%v, first use %s: error %v, want %q", k, fu.name, err, want)
+			}
+			if _, err := pl.KernelCycles(context.Background(), k, 1); err == nil || err.Error() != want {
+				t.Errorf("%v, after first use %s: KernelCycles error %v, want the sticky %q", k, fu.name, err, want)
 			}
 		}
 	}
@@ -120,21 +160,16 @@ func TestVerifyReportsWrongEncoding(t *testing.T) {
 // TestVerifyReportsLowestFailingTile plants wrong encodings at several
 // tiles of a plan whose warmup fans out over four workers, delays the
 // lowest so that other workers find the higher ones first, and requires
-// verify to name the lowest every time — the tile a serial pass would
-// report.
+// the first use, whichever entry point it is, to name the lowest every
+// time — the tile a serial pass would report.
 func TestVerifyReportsLowestFailingTile(t *testing.T) {
 	t.Cleanup(func() { planTileHook = nil })
 	m := gen.Random(256, 0.05, 17)
 	x := testVectorFor(m.Cols)
-	for _, traceFirst := range []bool{false, true} {
+	for _, fu := range firstUses {
 		for run := 0; run < 10; run++ {
 			pl := mustPlan(t, m, 16)
 			pl.SetWorkers(4)
-			if traceFirst {
-				if _, err := pl.Trace(formats.CSR); err != nil {
-					t.Fatal(err)
-				}
-			}
 			n := len(pl.pt.Tiles)
 			bad := map[int]bool{n / 3: true, n / 2: true, n - 1: true}
 			planTileHook = func(k formats.Kind, ti int, enc formats.Encoded) formats.Encoded {
@@ -150,12 +185,12 @@ func TestVerifyReportsLowestFailingTile(t *testing.T) {
 				wrong.Set(0, 0, 1e300)
 				return formats.Encode(k, wrong)
 			}
-			_, err := pl.RunContext(context.Background(), formats.CSR, x)
+			err := fu.use(pl, formats.CSR, x)
 			planTileHook = nil
 			lo := pl.pt.Tiles[n/3]
 			prefix := fmt.Sprintf("hlsim: tile (%d,%d): CSR decode mismatch", lo.Row, lo.Col)
 			if err == nil || len(err.Error()) < len(prefix) || err.Error()[:len(prefix)] != prefix {
-				t.Fatalf("trace first %v, run %d: verify error %v, want %q…", traceFirst, run, err, prefix)
+				t.Fatalf("first use %s, run %d: error %v, want %q…", fu.name, run, err, prefix)
 			}
 		}
 	}

@@ -74,7 +74,7 @@ type planExec struct {
 
 // exec returns the cached executable state for format k, building it at
 // most once per (plan, format) under the slot's exec leader guard — the
-// same cancellation-safe discipline as format and verify: a canceled
+// same cancellation-safe discipline as format: a canceled
 // leader publishes nothing and the next caller rebuilds cleanly.
 func (pl *Plan) exec(ctx context.Context, k formats.Kind) (*planExec, error) {
 	return pl.fmts[k].ex.do(ctx, func() (*planExec, error) { return pl.buildExec(ctx, k) })
@@ -304,7 +304,7 @@ func (pl *Plan) RunExecIntoContext(ctx context.Context, k formats.Kind, x []floa
 	if len(x) != pl.m.Cols {
 		return fmt.Errorf("hlsim: vector length %d for %d-column matrix", len(x), pl.m.Cols)
 	}
-	pf, err := pl.verify(ctx, k)
+	pf, err := pl.format(ctx, k)
 	if err != nil {
 		return err
 	}

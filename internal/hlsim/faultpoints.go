@@ -6,11 +6,12 @@ import (
 	"copernicus/internal/faults"
 )
 
-// Fault-injection points of the plan's three warmup phases and the exec
-// hot loop (see internal/faults). Disarmed they cost one atomic load per
-// hit; the chaos suite arms them to prove a panic or error inside any
-// warmup worker or exec span leaves the plan slot idle and the pools at
-// full capacity.
+// Fault-injection points of the plan's warmup pass (encode.tile fires
+// before each tile's encode, verify.tile before its decode), the exec
+// build and the exec hot loop (see internal/faults). Disarmed they cost
+// one atomic load per hit; the chaos suite arms them to prove a panic or
+// error inside any warmup worker or exec span leaves the plan slot idle
+// and the pools at full capacity.
 var (
 	ptEncodeTile = faults.Point("hlsim.encode.tile")
 	ptVerifyTile = faults.Point("hlsim.verify.tile")

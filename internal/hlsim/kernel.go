@@ -27,8 +27,12 @@ import (
 // summed over all non-zero tiles. N = 1 is exactly the per-tile
 // max(mem, compute) sum — i.e. Result.PipelinedCycles — so a spmv kernel
 // point is bit-identical to the pre-kernel-axis model (the golden test in
-// internal/core pins this). Cancellation covers only a cold format's
-// warmup; a warm call is pure arithmetic over the cached tile table.
+// internal/core pins this). Like every use of the plan, the first call
+// for a format runs its one warmup pass (encode, price, decode and
+// cross-check every tile), so a format whose encoding does not round-trip
+// returns the cross-check error here rather than a cycle count. ctx
+// cancels only that warmup; a warm call is pure arithmetic over the
+// cached tile table.
 func (pl *Plan) KernelCycles(ctx context.Context, k formats.Kind, iters int) (uint64, error) {
 	if iters < 1 {
 		return 0, fmt.Errorf("hlsim: KernelCycles with %d iterations", iters)
@@ -88,10 +92,10 @@ func (pl *Plan) SpMMCycles(ctx context.Context, k formats.Kind, cols int) (uint6
 // measurement needs to abort promptly — while each iteration itself runs
 // uncancellable, exactly like the single-SpMV timed loop, so the warm
 // inner multiplication polls nothing and timing it stays pure. (Cold
-// warmup — encode, verify, the exec build — consequently runs to
-// completion of the first iteration; callers wanting cancelable warmup
-// warm the format with RunExecIntoContext first, as the native backend
-// does.)
+// warmup — the format's warmup pass and the exec build — consequently
+// runs to completion of the first iteration; callers wanting cancelable
+// warmup warm the format with RunExecIntoContext first, as the native
+// backend does.)
 func (pl *Plan) RunKernelInto(ctx context.Context, k formats.Kind, x []float64, r *Result, threads, iters int) error {
 	if iters < 1 {
 		return fmt.Errorf("hlsim: RunKernelInto with %d iterations", iters)

@@ -15,9 +15,10 @@ import (
 )
 
 // Plan is an encode-once streaming plan: one matrix partitioned at one
-// partition size, with each format's per-tile cycle costs and its
-// decode-and-verify cross-check computed exactly once and cached (the
-// warmup encodings themselves are dropped tile by tile).
+// partition size, with each format warmed exactly once, by whichever use
+// of it comes first: one pass encodes every tile, prices it, decodes it
+// and cross-checks it, then drops the encoding. Only the priced tile
+// table is cached, so every tile the model prices has round-tripped.
 // Every entry point of the package (Run, RunParallel, RunSpMM, Trace,
 // BuildSchedule) is a thin wrapper over a transient plan; callers that
 // stream the same matrix repeatedly — iterative kernels, characterization
@@ -28,11 +29,11 @@ import (
 // rows/cols/vals arrays are copied straight out of those spans, and each
 // format's encoder walks the sparse tile in O(nnz + p).
 //
-// Format state is guarded per format (one once-guard per Kind for encode
-// and another for verify), so concurrent consumers characterizing
-// different formats on one plan never serialize against each other; a
-// format's tiles can additionally be encoded on a bounded worker pool
-// (SetWorkers) with deterministic, tile-ordered aggregation.
+// Format state is guarded per format (one warmup guard per Kind), so
+// concurrent consumers characterizing different formats on one plan never
+// serialize against each other; a format's tiles can additionally be
+// warmed on a bounded worker pool (SetWorkers) with deterministic,
+// tile-ordered aggregation.
 //
 // A Plan is safe for concurrent use.
 type Plan struct {
@@ -73,18 +74,16 @@ type Plan struct {
 	fmts    [formats.NumKinds]planSlot
 }
 
-// planSlot is one format's cached state: the encode, decode-and-verify
-// and executable-kernel phases, each with its own leader guard so
-// distinct formats (and a format's later phases) never serialize against
-// each other. enc publishes the priced tile table, ver publishes the
-// same planFormat once every tile has been cross-checked (sticky verify
-// errors live in it) — both from one fused pass when a functional use
-// comes first — and ex holds the resident encodings the
-// RunExecIntoContext path walks (built fresh: no warmup encoding
-// outlives its tile's step).
+// planSlot is one format's cached state: the warmup and the
+// executable-kernel phases, each with its own leader guard so distinct
+// formats (and a format's two phases) never serialize against each other.
+// warm publishes the priced tile table once every tile has been
+// cross-checked (a sticky pricing or cross-check error lives in it); ex
+// holds the resident encodings the RunExecIntoContext path walks (built
+// fresh: no warmup encoding outlives its tile's step).
 type planSlot struct {
-	enc, ver phase[planFormat]
-	ex       phase[planExec]
+	warm phase[planFormat]
+	ex   phase[planExec]
 }
 
 // phase is a cancellation-safe once: the first caller of do becomes the
@@ -147,27 +146,17 @@ func (ph *phase[T]) do(ctx context.Context, build func() (*T, error)) (*T, error
 }
 
 // planFormat caches everything format-dependent: per-tile cycle costs,
-// the aggregated Result totals, and the outcome of the one-time
-// decode-and-verify cross-check (run on first functional use, not for
-// cycle-model-only consumers like Trace and Schedule). tiles and agg are
-// immutable once published. It holds no encodings: each is dropped at
-// the end of its tile's warmup step.
+// the aggregated Result totals, and the outcome of the warmup's
+// decode-and-verify cross-check, which every use of the format shares.
+// It is immutable once published and holds no encodings: each is dropped
+// at the end of its tile's warmup step.
 type planFormat struct {
 	tiles []TileResult
 	agg   formatAgg
-	// verifyErr is the sticky decode/cross-check failure, published
-	// atomically so format() readers can observe it without locking.
-	verifyErr atomic.Pointer[error]
+	// err is the sticky pricing or cross-check failure of the lowest
+	// failing tile; a format that has one is never priced for a caller.
+	err error
 }
-
-func (pf *planFormat) err() error {
-	if ep := pf.verifyErr.Load(); ep != nil {
-		return *ep
-	}
-	return nil
-}
-
-func (pf *planFormat) setErr(err error) { pf.verifyErr.Store(&err) }
 
 // formatAgg carries the Result totals aggregated over all non-zero tiles.
 type formatAgg struct {
@@ -276,7 +265,7 @@ func (pl *Plan) SetEncodePool(p *EncodePool) { pl.encPool.Store(p) }
 func (pl *Plan) MemoryBytes() int64 {
 	b := pl.ptBytes + pl.rowsBytes.Load()
 	for i := range pl.fmts {
-		if pf := pl.fmts[i].enc.v.Load(); pf != nil {
+		if pf := pl.fmts[i].warm.v.Load(); pf != nil {
 			b += int64(len(pf.tiles)) * int64(unsafe.Sizeof(TileResult{}))
 		}
 		if ex := pl.fmts[i].ex.v.Load(); ex != nil {
@@ -288,8 +277,8 @@ func (pl *Plan) MemoryBytes() int64 {
 
 // ensureRows copies the CSR-native per-tile row spans into the plan's
 // functional arrays, once per plan, on the first multiplication — a pure
-// O(nnz) copy out of the sparse tiles (the old dense p²-per-tile rescan
-// is gone).
+// O(nnz) copy out of the sparse tiles. The cycle-model-only uses (Trace,
+// Schedule, KernelCycles, SpMMCycles) never call it.
 func (pl *Plan) ensureRows() {
 	pl.rowsOnce.Do(func() {
 		nnz := 0
@@ -326,28 +315,32 @@ func (pl *Plan) ensureRows() {
 	})
 }
 
-// format returns the cached per-format state, encoding and pricing every
-// non-zero tile exactly once per format — under that format's own
-// leader guard, so distinct formats warm concurrently. On its own it
-// runs the encode-only pass (see warmPass); the decode cross-check is
-// verify's. A Kind outside the implemented range is an ErrUnknownFormat
-// error, not a panic, so it propagates through Characterize/Sweep to
-// callers (and services) as a client fault.
+// format returns the cached per-format state, warming the format on its
+// first use by any caller — under that format's own leader guard, so
+// distinct formats warm concurrently. The warmup is one pass (warmPass)
+// that encodes, prices, decodes and cross-checks every non-zero tile, so
+// every priced tile has round-tripped exactly and any stream corruption
+// surfaces here rather than as a silently wrong cycle count or SpMV. A
+// Kind outside the implemented range is an ErrUnknownFormat error, not a
+// panic, so it propagates through Characterize/Sweep to callers (and
+// services) as a client fault.
 //
-// Cancellation discipline: a canceled ctx aborts the warmup between
-// tile chunks and returns ctx.Err(). If the canceled caller was the
-// encode leader, the slot is left idle (never half-priced), so a later
-// characterization of the same format on this cached plan re-runs the
-// pass cleanly; if it was a waiter, the leader is unaffected.
+// Cancellation discipline: a canceled ctx aborts the warmup between tile
+// chunks and returns ctx.Err(). If the canceled caller was the leader,
+// the slot is left idle (never half-priced), so a later use of the same
+// format on this cached plan re-runs the pass cleanly; if it was a
+// waiter, the leader is unaffected. Panics and injected faults follow the
+// same discipline — the slot is abandoned and the failure propagates as
+// an error.
 func (pl *Plan) format(ctx context.Context, k formats.Kind) (*planFormat, error) {
 	if err := checkKind(k); err != nil {
 		return nil, err
 	}
-	pf, err := pl.fmts[k].enc.do(ctx, func() (*planFormat, error) { return pl.price(ctx, k, false) })
+	pf, err := pl.fmts[k].warm.do(ctx, func() (*planFormat, error) { return pl.price(ctx, k) })
 	if err != nil {
-		return nil, err // canceled mid-encode; the phase stays idle
+		return nil, err // aborted mid-warmup; the phase stays idle
 	}
-	return pf, pf.err()
+	return pf, pf.err
 }
 
 // checkKind rejects a Kind outside the implemented range.
@@ -358,56 +351,14 @@ func checkKind(k formats.Kind) error {
 	return nil
 }
 
-// verify returns the cached per-format state after the decode-and-verify
-// cross-check, hoisted to once per (format, plan): every tile's encoding
-// must decode back to the original tile, so any stream corruption
-// surfaces here rather than as a silently wrong SpMV. Functional entry
-// points (RunIntoContext, RunParallel, RunSpMM) call it; cycle-model-only
-// consumers (Trace, Schedule) call format and skip it, as the pre-plan
-// one-shots did.
-//
-// A verify that finds the format unpriced leads the encode phase too and
-// runs the fused pass — encode, price, decode and cross-check each tile
-// in one step — publishing both phases from it. After an encode-only
-// pass (Trace or Schedule came first) it runs a check-only pass that
-// re-encodes tile by tile, since no encoding outlives its tile's step.
-//
-// Like format, verify is cancellation-safe: a leader canceled between
-// tile chunks publishes neither phase it leads, so a later caller re-runs
-// the pass in full. Panics and injected faults follow the same
-// discipline — the slot is abandoned unverified and the failure
-// propagates as an error.
-func (pl *Plan) verify(ctx context.Context, k formats.Kind) (*planFormat, error) {
-	if err := checkKind(k); err != nil {
-		return nil, err
-	}
-	slot := &pl.fmts[k]
-	pf, err := slot.ver.do(ctx, func() (*planFormat, error) {
-		fused := false
-		pf, err := slot.enc.do(ctx, func() (*planFormat, error) {
-			fused = true
-			return pl.price(ctx, k, true)
-		})
-		if err != nil || fused || pf.err() != nil {
-			return pf, err
-		}
-		return pf, pl.warmPass(ctx, k, pf, false, true)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return pf, pf.err()
-}
-
-// price runs the pass that encodes and prices every tile of format k into
-// a new planFormat, decode-verifying each tile in the same step when
-// check is set, and aggregates the Result totals in tile order.
-func (pl *Plan) price(ctx context.Context, k formats.Kind, check bool) (*planFormat, error) {
+// price runs the warmup pass of format k into a new planFormat and
+// aggregates the Result totals in tile order.
+func (pl *Plan) price(ctx context.Context, k formats.Kind) (*planFormat, error) {
 	pf := &planFormat{tiles: make([]TileResult, len(pl.pt.Tiles))}
-	if err := pl.warmPass(ctx, k, pf, true, check); err != nil {
+	if err := pl.warmPass(ctx, k, pf); err != nil {
 		return nil, err
 	}
-	if pf.err() != nil {
+	if pf.err != nil {
 		return pf, nil
 	}
 	for i := range pf.tiles {
@@ -474,12 +425,10 @@ func storeLowest(p *atomic.Pointer[tileErr], ti int, err error) {
 }
 
 // warmPass walks every non-zero tile of format k once, one step per tile:
-// encode into the worker's slab, then price it into pf.tiles (price),
-// then decode it into the worker's reused tile and cross-check it against
-// the original (check), then rewind the slab. There are three passes:
-// encode-only (price; Trace and Schedule), fused (both; the first
-// functional use) and check-only (check; a functional use after an
-// encode-only pass), which re-encodes each tile to check it.
+// encode it into the worker's slab, price it into pf.tiles, decode it into
+// the worker's reused tile, cross-check that against the original, and
+// rewind the slab. It is the plan's only warmup: whichever use of a format
+// comes first runs it, so no tile is priced without its round trip.
 //
 // With an encode pool installed, tiles are claimed in chunks by the
 // caller plus however many pool helpers are free right now, into
@@ -489,32 +438,30 @@ func storeLowest(p *atomic.Pointer[tileErr], ti int, err error) {
 // nothing.
 //
 // A model gap or a failed cross-check is sticky: it stops the claiming of
-// new chunks, the chunks already claimed finish, and pf.err() is set to
+// new chunks, the chunks already claimed finish, and pf.err is set to
 // the failure of the lowest tile index — the one a serial pass would
-// report. Fault containment: a panic in any worker (encoder or decoder
-// invariant violation, injected chaos fault) is recovered into a
-// *resilience.PanicError naming the fault point of the stage it hit, and
-// — like an injected error — aborts the pass, which the caller treats
-// exactly as a cancellation: nothing is published, so a retry re-runs the
-// pass from scratch and the result is bit-identical to a fault-free run.
-// Pool helpers release their tokens through fanOut's defers either way.
-func (pl *Plan) warmPass(ctx context.Context, k formats.Kind, pf *planFormat, price, check bool) error {
+// report. Fault containment: hlsim.encode.tile fires before each encode
+// and hlsim.verify.tile before each decode, and a panic in any worker
+// (encoder or decoder invariant violation, injected chaos fault) is
+// recovered into a *resilience.PanicError naming the point of the stage
+// it hit. Like an injected error it aborts the pass, which the caller
+// treats exactly as a cancellation: nothing is published, so a retry
+// re-runs the pass from scratch and the result is bit-identical to a
+// fault-free run. Pool helpers release their tokens through fanOut's
+// defers either way.
+func (pl *Plan) warmPass(ctx context.Context, k formats.Kind, pf *planFormat) error {
 	if planEncodeHook != nil {
 		planEncodeHook(k)
 	}
 	tiles := pl.pt.Tiles
 	n := len(tiles)
-	encodePoint := ptEncodeTile
-	if !price {
-		encodePoint = ptVerifyTile // the check-only pass's re-encode is part of its check
-	}
 	var next atomic.Int64
 	var nnz atomic.Uint64
 	var fail atomic.Pointer[error]
 	var sticky atomic.Pointer[tileErr]
 	work := func() {
 		ws := slabPool.Get().(*warmSlab)
-		point := encodePoint
+		point := ptEncodeTile
 		defer func() {
 			if pe := resilience.Recovered(point.Name(), recover()); pe != nil {
 				storeFirst(&fail, pe)
@@ -529,39 +476,33 @@ func (pl *Plan) warmPass(ctx context.Context, k formats.Kind, pf *planFormat, pr
 			}
 			var sum uint64
 			for i := lo; i < min(lo+encodeChunk, n); i++ {
-				point = encodePoint
-				if price {
-					if err := ptEncodeTile.Hit(); err != nil {
-						storeFirst(&fail, err)
-						return
-					}
+				point = ptEncodeTile
+				if err := ptEncodeTile.Hit(); err != nil {
+					storeFirst(&fail, err)
+					return
 				}
 				enc := ws.sl.Encode(k, tiles[i])
 				if planTileHook != nil {
 					enc = planTileHook(k, i, enc)
 				}
-				if price {
-					tr, err := RunTile(pl.cfg, enc)
-					if err != nil {
-						// Unreachable for in-range Kinds (format() guards
-						// the range), but a model gap must surface as the
-						// slot's sticky error, never a panic in a worker.
-						storeLowest(&sticky, i, err)
-						break
-					}
-					pf.tiles[i] = tr
-					sum += uint64(enc.Stats().NNZ)
+				tr, err := RunTile(pl.cfg, enc)
+				if err != nil {
+					// Unreachable for in-range Kinds (format() guards the
+					// range), but a model gap must surface as the slot's
+					// sticky error, never a panic in a worker.
+					storeLowest(&sticky, i, err)
+					break
 				}
-				if check {
-					point = ptVerifyTile
-					if err := ptVerifyTile.Hit(); err != nil {
-						storeFirst(&fail, err)
-						return
-					}
-					if err := decodeCheck(k, tiles[i], enc, ws.dec); err != nil {
-						storeLowest(&sticky, i, err)
-						break
-					}
+				pf.tiles[i] = tr
+				sum += uint64(enc.Stats().NNZ)
+				point = ptVerifyTile
+				if err := ptVerifyTile.Hit(); err != nil {
+					storeFirst(&fail, err)
+					return
+				}
+				if err := decodeCheck(k, tiles[i], enc, ws.dec); err != nil {
+					storeLowest(&sticky, i, err)
+					break
 				}
 				ws.sl.Reset()
 			}
@@ -576,11 +517,9 @@ func (pl *Plan) warmPass(ctx context.Context, k formats.Kind, pf *planFormat, pr
 		return err
 	}
 	if te := sticky.Load(); te != nil {
-		pf.setErr(te.err)
+		pf.err = te.err
 	}
-	if price {
-		pf.agg.NNZ = nnz.Load()
-	}
+	pf.agg.NNZ = nnz.Load()
 	return nil
 }
 
@@ -713,7 +652,7 @@ func (pl *Plan) RunIntoContext(ctx context.Context, k formats.Kind, x []float64,
 	if len(x) != pl.m.Cols {
 		return fmt.Errorf("hlsim: vector length %d for %d-column matrix", len(x), pl.m.Cols)
 	}
-	pf, err := pl.verify(ctx, k)
+	pf, err := pl.format(ctx, k)
 	if err != nil {
 		return err
 	}
@@ -767,7 +706,7 @@ func (pl *Plan) RunParallel(k formats.Kind, x []float64, lanes int) (*ParallelRe
 	if len(x) != pl.m.Cols {
 		return nil, fmt.Errorf("hlsim: vector length %d for %d-column matrix", len(x), pl.m.Cols)
 	}
-	pf, err := pl.verify(context.Background(), k)
+	pf, err := pl.format(context.Background(), k)
 	if err != nil {
 		return nil, err
 	}
@@ -801,7 +740,7 @@ func (pl *Plan) RunSpMM(k formats.Kind, b []float64, cols int) (*SpMMResult, err
 	if len(b) != pl.m.Cols*cols {
 		return nil, fmt.Errorf("hlsim: operand is %d values, want %d×%d", len(b), pl.m.Cols, cols)
 	}
-	pf, err := pl.verify(context.Background(), k)
+	pf, err := pl.format(context.Background(), k)
 	if err != nil {
 		return nil, err
 	}
@@ -832,7 +771,8 @@ func (pl *Plan) RunSpMM(k formats.Kind, b []float64, cols int) (*SpMMResult, err
 	return r, nil
 }
 
-// Trace returns the per-partition streaming record in streaming order.
+// Trace returns the per-partition streaming record in streaming order. A
+// first use of k warms it in full, cross-check included (see format).
 func (pl *Plan) Trace(k formats.Kind) ([]TileTrace, error) {
 	pf, err := pl.format(context.Background(), k)
 	if err != nil {
@@ -860,7 +800,8 @@ func (pl *Plan) Trace(k formats.Kind) ([]TileTrace, error) {
 }
 
 // Schedule computes the event-level three-stage pipeline timeline from
-// the cached per-tile costs.
+// the cached per-tile costs; like Trace, a first use of k warms it in
+// full.
 func (pl *Plan) Schedule(k formats.Kind) (*Schedule, error) {
 	pf, err := pl.format(context.Background(), k)
 	if err != nil {

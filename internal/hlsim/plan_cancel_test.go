@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"copernicus/internal/faults"
 	"copernicus/internal/formats"
 	"copernicus/internal/gen"
 )
@@ -56,15 +57,21 @@ func TestPlanCancelMidWarmupLeavesSlotConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-cancel run on the same plan: %v", err)
 	}
-	want := freshReference(t, 41, formats.CSR, x)
+	requireSameRun(t, "post-cancel", got, freshReference(t, 41, formats.CSR, x))
+}
+
+// requireSameRun fails unless got has want's aggregates and output bit for
+// bit.
+func requireSameRun(t *testing.T, label string, got, want *Result) {
+	t.Helper()
 	if got.MemCycles != want.MemCycles || got.ComputeCycles != want.ComputeCycles ||
 		got.DecompCycles != want.DecompCycles || got.Footprint != want.Footprint ||
 		got.NNZ != want.NNZ || got.Sigma() != want.Sigma() {
-		t.Fatal("post-cancel aggregates diverge from an untouched plan")
+		t.Fatalf("%s: aggregates diverge from an untouched plan", label)
 	}
 	for i := range want.Y {
 		if got.Y[i] != want.Y[i] {
-			t.Fatalf("post-cancel Y[%d] = %v, want %v", i, got.Y[i], want.Y[i])
+			t.Fatalf("%s: Y[%d] = %v, want %v", label, i, got.Y[i], want.Y[i])
 		}
 	}
 }
@@ -137,39 +144,58 @@ func TestPlanCancelLeaderPromotesWaiter(t *testing.T) {
 	}
 }
 
-// TestPlanCancelMidVerifyRetries: cancellation between the encode and
-// verify phases must leave the encodings unconsumed so a later caller
-// can still run the decode cross-check and get verified results.
-func TestPlanCancelMidVerifyRetries(t *testing.T) {
+// TestPlanCancelMidTraceRetries: a cycle-model-only first use aborted
+// mid-warmup must publish nothing — no priced tile table, no byte in
+// MemoryBytes — so a later functional run of the same format re-runs the
+// whole warmup, cross-check included, and returns exactly what an
+// untouched plan returns. The encode hook aborts the pass after its
+// leader was elected and before any chunk is priced: it cancels
+// KernelCycles' context, and for Trace, which takes no context, it arms
+// an injected error at hlsim.encode.tile, which the pass handles exactly
+// like a cancellation.
+func TestPlanCancelMidTraceRetries(t *testing.T) {
+	t.Cleanup(faults.DisarmAll)
+	t.Cleanup(func() { planEncodeHook = nil })
+	cases := []struct {
+		name    string
+		abort   func(pl *Plan) error
+		wantErr error
+	}{
+		{"KernelCycles", func(pl *Plan) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			planEncodeHook = func(formats.Kind) { cancel() }
+			_, err := pl.KernelCycles(ctx, formats.ELL, 1)
+			return err
+		}, context.Canceled},
+		{"Trace", func(pl *Plan) error {
+			planEncodeHook = func(formats.Kind) {
+				faults.Point("hlsim.encode.tile").Arm(faults.Injection{Kind: faults.KindError, Times: 1})
+			}
+			_, err := pl.Trace(formats.ELL)
+			return err
+		}, faults.Injected},
+	}
 	m := gen.Random(256, 0.05, 47)
-	pl, err := NewPlan(Default(), m, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	x := testVectorFor(m.Cols)
-	// Trace warms the encode phase only (no verify, like the cycle-model
-	// consumers).
-	if _, err := pl.Trace(formats.ELL); err != nil {
-		t.Fatal(err)
-	}
-	// A pre-canceled context aborts in the verify phase (the encode is
-	// already cached, so the first ctx check it hits is verify's).
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var r Result
-	if err := pl.RunIntoContext(ctx, formats.ELL, x, &r); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled verify returned %v, want context.Canceled", err)
-	}
-	// The retry must verify successfully — the canceled attempt must not
-	// have consumed the encodings or marked the slot verified.
-	got, err := pl.RunContext(context.Background(), formats.ELL, x)
-	if err != nil {
-		t.Fatalf("post-cancel verify: %v", err)
-	}
 	want := freshReference(t, 47, formats.ELL, x)
-	for i := range want.Y {
-		if got.Y[i] != want.Y[i] {
-			t.Fatalf("post-cancel Y[%d] = %v, want %v", i, got.Y[i], want.Y[i])
+	for _, c := range cases {
+		pl, err := NewPlan(Default(), m, 8)
+		if err != nil {
+			t.Fatal(err)
 		}
+		before := pl.MemoryBytes()
+		if err := c.abort(pl); !errors.Is(err, c.wantErr) {
+			t.Fatalf("%s: aborted warmup returned %v, want %v", c.name, err, c.wantErr)
+		}
+		planEncodeHook = nil
+		faults.DisarmAll()
+		if pl.fmts[formats.ELL].warm.v.Load() != nil || pl.MemoryBytes() != before {
+			t.Fatalf("%s: aborted warmup published state (MemoryBytes %d → %d)", c.name, before, pl.MemoryBytes())
+		}
+		got, err := pl.RunContext(context.Background(), formats.ELL, x)
+		if err != nil {
+			t.Fatalf("%s: retry after the aborted warmup: %v", c.name, err)
+		}
+		requireSameRun(t, c.name+" retry", got, want)
 	}
 }

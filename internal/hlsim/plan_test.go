@@ -237,9 +237,9 @@ func TestPlanArgumentErrors(t *testing.T) {
 // TestFirstRunIntoAllocationBoundedByInput pins the cold path's memory
 // to the input size rather than the dimension: on a 16384² matrix with
 // ~54k non-zeros at p=256, the whole cold warmup of every format, Dense
-// included — a Trace (encode-only pass) plus the first RunIntoContext
-// (check-only pass re-encoding and decode-verifying all 4096 tiles, and
-// the functional row copy) — may allocate at most
+// included — a Trace (the one warmup pass, encoding, pricing and
+// decode-verifying all 4096 tiles) plus the first RunIntoContext (the
+// functional row copy) — may allocate at most
 // 64·(nnz + tiles·(p+1) + n) bytes. A p×p buffer per tile, such as a
 // Dense encoding or a dense decode staging, would cost
 // 4096·256²·8 B = 2 GiB here; the warmup must reuse one per worker.
@@ -277,11 +277,11 @@ func TestFirstRunIntoAllocationBoundedByInput(t *testing.T) {
 	}
 }
 
-// TestWarmupAllocsPerEncode bounds the warmup's heap objects: encoding
-// and pricing every tile of a Random(4096, 0.002) plan at p=32 in each
-// core format may make at most 2 heap objects per (tile, format) on
-// average. Allocating every stream of every encoding separately costs
-// about 4.
+// TestWarmupAllocsPerEncode bounds the warmup's heap objects: encoding,
+// pricing and decode-verifying every tile of a Random(4096, 0.002) plan
+// at p=32 (a first-use Trace) in each core format may make at most 2
+// heap objects per (tile, format) on average. Allocating every stream of
+// every encoding separately costs about 4.
 func TestWarmupAllocsPerEncode(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
