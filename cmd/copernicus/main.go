@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"copernicus"
+	"copernicus/internal/formats"
 	"copernicus/internal/service"
 	"copernicus/internal/wire"
 )
@@ -803,7 +804,7 @@ func stats(m *copernicus.Matrix) error {
 
 // trace prints the per-partition pipeline timeline.
 func trace(m *copernicus.Matrix, formatName string, p, maxTiles int) error {
-	f, err := parseFormat(formatName)
+	f, err := formats.Parse(formatName)
 	if err != nil {
 		return err
 	}
@@ -814,19 +815,9 @@ func trace(m *copernicus.Matrix, formatName string, p, maxTiles int) error {
 	return copernicus.RenderTimeline(os.Stdout, traces, maxTiles)
 }
 
-// parseFormat resolves a format by its display name.
-func parseFormat(name string) (copernicus.Format, error) {
-	for _, k := range copernicus.AllFormats() {
-		if strings.EqualFold(k.String(), name) {
-			return k, nil
-		}
-	}
-	return -1, fmt.Errorf("unknown format %q", name)
-}
-
 // scaling sweeps coarse-grained pipeline instances (§5.1).
 func scaling(m *copernicus.Matrix, formatName string, p, maxLanes int) error {
-	f, err := parseFormat(formatName)
+	f, err := formats.Parse(formatName)
 	if err != nil {
 		return err
 	}
@@ -974,7 +965,7 @@ func sweepCmd(ctx context.Context, m *copernicus.Matrix, kind, backendID string,
 	if formatsList != "" {
 		kinds = kinds[:0]
 		for _, name := range strings.Split(formatsList, ",") {
-			k, err := parseFormat(strings.TrimSpace(name))
+			k, err := formats.Parse(strings.TrimSpace(name))
 			if err != nil {
 				return err
 			}

@@ -30,10 +30,8 @@
 package copernicus
 
 import (
-	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"copernicus/internal/backend"
 	"copernicus/internal/core"
@@ -231,15 +229,7 @@ func NativeBackend(runs int) Backend { return &backend.Native{Runs: runs} }
 // beyond GOMAXPROCS are rejected — the extra goroutines could only
 // time-slice and distort the measurement.
 func WithNativeThreads(b Backend, threads int) (Backend, error) {
-	nb, ok := b.(*backend.Native)
-	if !ok {
-		return nil, fmt.Errorf("threads applies only to the native backend, not %q", b.ID())
-	}
-	if maxT := runtime.GOMAXPROCS(0); threads < 1 || threads > maxT {
-		return nil, fmt.Errorf("threads %d outside [1, GOMAXPROCS=%d]", threads, maxT)
-	}
-	nb.Threads = threads
-	return nb, nil
+	return backend.WithThreads(b, threads)
 }
 
 // BackendFor resolves a backend by ID ("analytic", "native"); the empty
@@ -306,16 +296,17 @@ func SpMV(m *Matrix, x []float64, f Format, p int) ([]float64, error) {
 // bit-identical results.
 type StreamPlan = hlsim.Plan
 
-// ExecPool is the persistent worker pool behind
-// StreamPlan.RunExecIntoContext, the tile-parallel SpMV through each
-// format's own executable kernel. Plans use a process-shared GOMAXPROCS-wide
-// pool by default; install a custom one with StreamPlan.SetExecPool to bound
-// exec parallelism across many plans explicitly.
-type ExecPool = hlsim.ExecPool
+// ExecPool is the parked worker pool every tile fan-out of a StreamPlan
+// borrows helpers from: the tile-parallel warmup (SetWorkers), the exec
+// build, and RunExecIntoContext, the tile-parallel SpMV through each
+// format's own executable kernel. Plans share a process-wide pool of
+// GOMAXPROCS-1 workers by default; install another with StreamPlan.SetPool
+// to bound their parallelism explicitly.
+type ExecPool = hlsim.Pool
 
-// NewExecPool starts a pool of `workers` parked helper goroutines for
-// RunExecIntoContext (0 means every caller executes alone).
-func NewExecPool(workers int) *ExecPool { return hlsim.NewExecPool(workers) }
+// NewExecPool starts a pool of `workers` parked helper goroutines (0
+// means every caller works alone). Close stops them.
+func NewExecPool(workers int) *ExecPool { return hlsim.NewPool(workers) }
 
 // StreamResult is one modelled SpMV run: the functional output vector
 // plus the aggregated cycle totals. Hold one and call
@@ -412,6 +403,7 @@ func PageRank(mul SpMVBackend, n int, damping, tol float64, maxIter int) ([]floa
 
 // BFSLevels computes breadth-first levels from source using repeated
 // frontier SpMVs with mulT (a backend over the adjacency transpose).
+// Adjacency with a negative edge weight is rejected.
 func BFSLevels(adj *Matrix, source int, mulT SpMVBackend) ([]int, error) {
 	return kernels.BFSLevels(adj, source, mulT)
 }

@@ -56,9 +56,9 @@ type Measurement struct {
 
 	// Runs and Threads record the measurement methodology for measured
 	// backends: the number of timed repetitions (Seconds is their
-	// minimum) and the effective SpMV fan-out actually used — the
-	// goroutine count each multiplication spread its block rows over,
-	// not the machine width. Zero for modelled backends.
+	// minimum) and the requested SpMV fan-out — an upper bound on the
+	// goroutines each multiplication spread its block rows over, since a
+	// busy worker pool lends fewer helpers. Zero for modelled backends.
 	Runs    int
 	Threads int
 

@@ -35,16 +35,17 @@ import (
 // kernel invocations per timer read — so clock granularity cannot
 // dominate small matrices (a 60-iteration kernel usually self-batches
 // past the threshold at batch 1). Threads selects the fan-out of each
-// SpMV (1..GOMAXPROCS; the recorded Measurement.Threads is the effective
-// count actually used, 1 when unset).
+// SpMV (1..GOMAXPROCS; the recorded Measurement.Threads is the requested
+// count, 1 when unset).
 //
 // Lock ordering: the timed region holds the process-wide measureMu while
-// RunExecIntoContext borrows parked ExecPool workers. The two are
-// independent — exec workers only run format kernels and never take
-// measureMu (or any backend lock), and measureMu holders never wait for
-// a *specific* worker (dispatch is non-blocking and degrades to serial)
-// — so a thread-count sweep holding the lock cannot deadlock against
-// concurrent exec or encode-pool activity.
+// RunExecIntoContext borrows helpers from the plan's hlsim.Pool, the one
+// pool that warmups and exec builds borrow from too. The two are
+// independent — pool workers only run tile passes and format kernels and
+// never take measureMu (or any backend lock), and measureMu holders never
+// wait for a *specific* worker (dispatch is non-blocking and a busy pool
+// lends fewer helpers) — so a thread-count sweep holding the lock cannot
+// deadlock against concurrent warmups or exec runs on other plans.
 //
 // The absolute numbers are host CPU nanoseconds, not accelerator cycles:
 // they are comparable across formats and thread counts on one machine
@@ -60,6 +61,22 @@ type Native struct {
 	// kernel walk); values above GOMAXPROCS are rejected, since the extra
 	// goroutines could only time-slice and distort the measurement.
 	Threads int
+}
+
+// WithThreads sets the SpMV fan-out of a native backend value. Only the
+// native backend has a measured fan-out, and counts beyond GOMAXPROCS are
+// rejected: the extra goroutines could only time-slice and distort the
+// measurement.
+func WithThreads(b Backend, threads int) (Backend, error) {
+	nb, ok := b.(*Native)
+	if !ok {
+		return nil, fmt.Errorf("threads applies only to the native backend, not %q", b.ID())
+	}
+	if maxT := runtime.GOMAXPROCS(0); threads < 1 || threads > maxT {
+		return nil, fmt.Errorf("threads %d outside [1, GOMAXPROCS=%d]", threads, maxT)
+	}
+	nb.Threads = threads
+	return nb, nil
 }
 
 // DefaultRuns is the min-of-k sample count used when Native.Runs is

@@ -54,8 +54,9 @@ type Result struct {
 	Backend  string
 	Measured bool
 	// MeasuredRuns and Threads record a measured backend's methodology:
-	// timed repetitions (Seconds is their minimum) and GOMAXPROCS at
-	// measurement time. Zero for modelled results.
+	// timed repetitions (Seconds is their minimum) and the requested SpMV
+	// fan-out (backend.Measurement.Threads, an upper bound on the
+	// goroutines used). Zero for modelled results.
 	MeasuredRuns int
 	Threads      int
 	// Degraded is true when the requested backend could not cost this
@@ -130,11 +131,6 @@ type Engine struct {
 	plans map[planKey]*list.Element // value: *planEntry
 	lru   *list.List                // front = most recently used
 	stats PlanStats
-	// encPool is the single helper pool shared by every cached plan's
-	// tile-parallel warmup, so total encode goroutines stay bounded by
-	// the engine's worker count even when many sweep groups warm plans
-	// concurrently.
-	encPool *hlsim.EncodePool
 }
 
 // planKey identifies a cached streaming plan. Matrices are treated as
@@ -164,9 +160,10 @@ const maxCachedPlans = 128
 // Hits are requests served by a cached plan (the amortized regime: no
 // re-partition, no re-encode); misses built a new plan; evictions are
 // LRU capacity drops, not explicit DropPlans calls. ResidentBytes is the
-// total resident footprint of every cached plan — sparse tile spans,
-// functional arrays, and per-format cycle tables — which scales with
-// nnz, not with tiles·p², now that tiles are CSR-native.
+// total resident footprint of every cached plan (Plan.MemoryBytes): the
+// sparse tile spans, functional arrays and per-format cycle tables, which
+// scale with nnz, plus any resident exec encodings at their modelled
+// footprint, which for Dense is tiles·p² values.
 type PlanStats struct {
 	Hits          uint64 `json:"hits"`
 	Misses        uint64 `json:"misses"`
@@ -194,30 +191,22 @@ func NewWithConfig(cfg hlsim.Config) (*Engine, error) {
 		verifyTol: 1e-9,
 		plans:     make(map[planKey]*list.Element),
 		lru:       list.New(),
-		encPool:   hlsim.NewEncodePool(runtime.GOMAXPROCS(0) - 1),
 	}, nil
 }
 
 // Config returns the engine's hardware configuration.
 func (e *Engine) Config() hlsim.Config { return e.cfg }
 
-// SetWorkers bounds the sweep worker pool. n <= 0 restores the default
+// SetWorkers bounds the sweep worker pool, and with it each cached
+// plan's tile-parallel warmup (see plan). n <= 0 restores the default
 // (GOMAXPROCS). Parallel and serial sweeps produce identical results in
 // identical order.
 func (e *Engine) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	eff := n
-	if eff == 0 {
-		eff = runtime.GOMAXPROCS(0)
-	}
 	e.mu.Lock()
-	e.workers = n
-	// Re-share a pool of the new size with every cached plan.
-	e.encPool = hlsim.NewEncodePool(eff - 1)
+	e.workers = max(n, 0)
+	w := e.workersLocked()
 	for el := e.lru.Front(); el != nil; el = el.Next() {
-		el.Value.(*planEntry).pl.SetEncodePool(e.encPool)
+		el.Value.(*planEntry).pl.SetWorkers(w)
 	}
 	e.mu.Unlock()
 }
@@ -225,10 +214,14 @@ func (e *Engine) SetWorkers(n int) {
 // Workers returns the effective sweep worker-pool size.
 func (e *Engine) Workers() int {
 	e.mu.Lock()
-	w := e.workers
-	e.mu.Unlock()
-	if w > 0 {
-		return w
+	defer e.mu.Unlock()
+	return e.workersLocked()
+}
+
+// workersLocked is Workers for a caller holding e.mu.
+func (e *Engine) workersLocked() int {
+	if e.workers > 0 {
+		return e.workers
 	}
 	return runtime.GOMAXPROCS(0)
 }
@@ -286,17 +279,18 @@ func (e *Engine) plan(m *matrix.CSR, p int) (*hlsim.Plan, error) {
 		e.mu.Unlock()
 		return pl, nil
 	}
-	pool := e.encPool
+	workers := e.workersLocked()
 	e.mu.Unlock()
 	pl, err := hlsim.NewPlan(e.cfg, m, p)
 	if err != nil {
 		return nil, err
 	}
-	// Warm this plan's formats on the engine's shared helper pool: tiles
-	// encode in parallel with deterministic, tile-ordered aggregation,
-	// and total encode goroutines across all concurrent sweep groups stay
-	// bounded by the engine's worker count.
-	pl.SetEncodePool(pool)
+	// Warm this plan's formats on up to `workers` goroutines, borrowing
+	// helpers from the process-wide hlsim pool: tiles encode in parallel
+	// with deterministic, tile-ordered aggregation, and total helpers
+	// across all concurrent sweep groups and engines stay bounded by the
+	// pool's size.
+	pl.SetWorkers(workers)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.stats.Misses++

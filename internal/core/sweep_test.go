@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"time"
 
 	"copernicus/internal/formats"
 	"copernicus/internal/workloads"
@@ -41,6 +43,29 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("workers=%d: result %d diverges:\n got %+v\nwant %+v", workers, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestEnginesLeaveNoGoroutines: engines have no Close, so whatever an
+// engine's sweeps fan out over must not outlive them. Fifty fresh engines
+// each run a small sweep at the default worker count (tile-parallel
+// warmup included) and the goroutine count returns to its baseline.
+func TestEnginesLeaveNoGoroutines(t *testing.T) {
+	c := workloads.Config{Scale: 128, RandomDim: 128, BandDim: 128, Seed: 0xC0FE}
+	ws := workloads.RandomSuite(c)[3:4] // density 0.1: every tile non-zero at p=8
+	base := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		if _, err := New().SweepKernelsWith(context.Background(), nil, ws, spmvOnly,
+			[]formats.Kind{formats.CSR, formats.COO}, []int{8}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after 50 engine sweeps, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -26,6 +26,7 @@ package formats
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"copernicus/internal/matrix"
 )
@@ -89,6 +90,17 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+}
+
+// Parse resolves a format by its conventional name (String), ignoring
+// case.
+func Parse(name string) (Kind, error) {
+	for k := Kind(0); k < numKinds; k++ {
+		if strings.EqualFold(k.String(), name) {
+			return k, nil
+		}
+	}
+	return -1, fmt.Errorf("unknown format %q", name)
 }
 
 // Core returns the seven formats of the paper's evaluation plus the dense

@@ -2,6 +2,7 @@ package formats
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -46,6 +47,21 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(99).String() != "Kind(99)" {
 		t.Errorf("unknown kind String = %q", Kind(99).String())
+	}
+}
+
+// TestParse: every format resolves from its name in any case, and the
+// error names an unknown one.
+func TestParse(t *testing.T) {
+	for _, k := range All() {
+		for _, name := range []string{k.String(), strings.ToLower(k.String())} {
+			if got, err := Parse(name); err != nil || got != k {
+				t.Errorf("Parse(%q) = %v, %v; want %v", name, got, err, k)
+			}
+		}
+	}
+	if _, err := Parse("CSX"); err == nil || err.Error() != `unknown format "CSX"` {
+		t.Errorf("Parse(CSX) error = %v", err)
 	}
 }
 

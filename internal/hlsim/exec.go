@@ -3,7 +3,6 @@ package hlsim
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -14,8 +13,8 @@ import (
 
 // Tile-parallel executable SpMV: RunExecIntoContext multiplies through
 // the format's own encoded layout (formats.Encoded.SpMV) instead of the
-// plan's CSR-native reference rows, partitioning tiles across a
-// persistent worker pool.
+// plan's CSR-native reference rows, fanning block rows out over helpers
+// borrowed from the plan's Pool (pool.go).
 //
 // Parallel decomposition: the partitioning emits tiles block-row-major,
 // so each grid block row is a contiguous tile range whose kernels write
@@ -24,12 +23,9 @@ import (
 // that is bit-for-bit independent of the thread count (each block row's
 // tiles always run in ascending block-column order on one goroutine).
 //
-// Pool discipline mirrors EncodePool's token bucket: dispatch is a
-// non-blocking send to parked workers, so a busy pool degrades the call
-// toward serial execution instead of oversubscribing, and the caller
-// always executes too. Cancellation is checked between block-row claims;
-// a worker that observes it simply stops claiming, parks again, and the
-// pool's capacity is fully restored — there is no token to leak.
+// Cancellation is checked between block-row claims; a helper that
+// observes it simply stops claiming and parks again, so the pool's
+// capacity is fully restored.
 
 // execSpan is one grid block row's ownership record: the half-open
 // output range y[y0:y1) and the contiguous tile range Tiles[t0:t1) that
@@ -81,41 +77,17 @@ func (pl *Plan) exec(ctx context.Context, k formats.Kind) (*planExec, error) {
 }
 
 // buildExec re-encodes every non-zero tile in format k for resident
-// kernel use, chunk-claimed across the caller plus any free encode-pool
-// helpers (fanOut), with cancellation checked between chunks. Worker
-// panics and injected faults abort the build unpublished, exactly like a
-// cancellation (see warmPass).
+// kernel use in one tile pass (runTiles), so chunk claiming, helper
+// borrowing, cancellation and fault containment are the warmup's:
+// hlsim.exec.build fires before each encode, and an abort publishes
+// nothing.
 func (pl *Plan) buildExec(ctx context.Context, k formats.Kind) (*planExec, error) {
 	tiles := pl.pt.Tiles
-	n := len(tiles)
-	ex := &planExec{encs: make([]formats.Encoded, n)}
-	var next atomic.Int64
-	var fail atomic.Pointer[error]
-	work := func() {
-		defer func() {
-			if pe := resilience.Recovered(ptExecBuild.Name(), recover()); pe != nil {
-				storeFirst(&fail, pe)
-			}
-		}()
-		for ctx.Err() == nil && fail.Load() == nil {
-			lo := int(next.Add(encodeChunk)) - encodeChunk
-			if lo >= n {
-				return
-			}
-			for i := lo; i < min(lo+encodeChunk, n); i++ {
-				if err := ptExecBuild.Hit(); err != nil {
-					storeFirst(&fail, err)
-					return
-				}
-				ex.encs[i] = formats.Encode(k, tiles[i])
-			}
-		}
-	}
-	pl.fanOut(work, n)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := loadErr(&fail); err != nil {
+	ex := &planExec{encs: make([]formats.Encoded, len(tiles))}
+	if _, err := pl.runTiles(ctx, tileStage{ptExecBuild, func(_ *warmSlab, i int) error {
+		ex.encs[i] = formats.Encode(k, tiles[i])
+		return nil
+	}}); err != nil {
 		return nil, err
 	}
 	for _, enc := range ex.encs {
@@ -123,100 +95,6 @@ func (pl *Plan) buildExec(ctx context.Context, k formats.Kind) (*planExec, error
 	}
 	return ex, nil
 }
-
-// ExecPool is a set of persistently parked worker goroutines shared by
-// the RunExecIntoContext paths of every plan that uses it. Dispatch is a
-// non-blocking handoff: a job reaches exactly as many workers as are
-// parked at that instant, and a fully busy pool leaves the caller
-// executing alone — concurrent measurements degrade gracefully instead
-// of oversubscribing the host (the EncodePool token-bucket discipline,
-// with the tokens embodied as parked workers).
-type ExecPool struct {
-	queue chan *execJob
-	quit  chan struct{}
-	idle  atomic.Int32
-	size  int
-}
-
-// NewExecPool starts a pool of `workers` parked helper goroutines
-// (0 means every caller executes alone).
-func NewExecPool(workers int) *ExecPool {
-	if workers < 0 {
-		workers = 0
-	}
-	p := &ExecPool{
-		queue: make(chan *execJob),
-		quit:  make(chan struct{}),
-		size:  workers,
-	}
-	p.idle.Store(int32(workers))
-	for i := 0; i < workers; i++ {
-		go p.work()
-	}
-	return p
-}
-
-func (p *ExecPool) work() {
-	for {
-		select {
-		case j := <-p.queue:
-			p.runJob(j)
-		case <-p.quit:
-			return
-		}
-	}
-}
-
-// runJob executes one dispatched job on a pool worker with panic
-// containment: a panic inside a format kernel (or an injected chaos
-// fault) is recovered into a *resilience.PanicError stored on the job —
-// the dispatcher returns it as the call's error — and the worker parks
-// again with its accounting intact. The defers run recover first, then
-// the idle increment, then Done, so park accounting still precedes Done:
-// once the dispatcher's Wait returns, every helper it reached is already
-// counted idle again — the invariant the leak test asserts.
-func (p *ExecPool) runJob(j *execJob) {
-	p.idle.Add(-1)
-	defer j.wg.Done()
-	defer p.idle.Add(1)
-	defer func() {
-		if pe := resilience.Recovered(ptExecSpan.Name(), recover()); pe != nil {
-			j.fail(pe)
-		}
-	}()
-	j.run()
-}
-
-// Size returns the pool's worker count.
-func (p *ExecPool) Size() int { return p.size }
-
-// Idle returns how many workers are parked right now. After every
-// dispatched job has completed (or been canceled), Idle equals Size —
-// cancellation restores full capacity; there is no token to leak.
-func (p *ExecPool) Idle() int { return int(p.idle.Load()) }
-
-// Close stops the parked workers. Jobs already dispatched run to
-// completion; Close never strands a caller's WaitGroup.
-func (p *ExecPool) Close() { close(p.quit) }
-
-// sharedExec is the process-wide default pool, started on first use with
-// GOMAXPROCS-1 workers so a full-width RunExecIntoContext (caller
-// included) matches the host's parallelism.
-var (
-	sharedExecOnce sync.Once
-	sharedExec     *ExecPool
-)
-
-func sharedExecPool() *ExecPool {
-	sharedExecOnce.Do(func() {
-		sharedExec = NewExecPool(runtime.GOMAXPROCS(0) - 1)
-	})
-	return sharedExec
-}
-
-// SetExecPool installs a (possibly shared) worker pool for this plan's
-// RunExecIntoContext calls; nil restores the process-shared default.
-func (pl *Plan) SetExecPool(p *ExecPool) { pl.xpool.Store(p) }
 
 // execJob is one RunExecIntoContext dispatch, pooled so the warm path
 // performs zero allocations. Workers and the caller claim block-row spans from
@@ -250,8 +128,15 @@ func (j *execJob) err() error { return loadErr(&j.errp) }
 // run claims block rows until none remain, the job is canceled, or a
 // participant failed. Each claimed span clears its own y range and
 // accumulates its tiles in ascending block-column order through the
-// format kernels.
+// format kernels. A panic inside a kernel (or an injected chaos fault) is
+// recovered into a *resilience.PanicError recorded on the job, on a pool
+// helper and the caller alike, so it never unwinds past the dispatch.
 func (j *execJob) run() {
+	defer func() {
+		if pe := resilience.Recovered(ptExecSpan.Name(), recover()); pe != nil {
+			j.fail(pe)
+		}
+	}()
 	nspans := int64(len(j.spans))
 	for {
 		if j.failed.Load() {
@@ -284,7 +169,8 @@ func (j *execJob) run() {
 // RunExecIntoContext is RunIntoContext through the executable format
 // kernels: y = A·x computed by walking format k's own encoded layout tile
 // by tile, with block rows fanned out across up to `threads` goroutines
-// (the caller plus parked pool workers). The result is bit-for-bit
+// (the caller plus helpers borrowed from the plan's pool; a busy pool
+// lends fewer). The result is bit-for-bit
 // independent of the thread count, and — for the row-ordered kernels (see
 // formats/spmv.go) — bit-identical to RunIntoContext when every block row
 // spans a single tile column; multi-tile rows and the column-ordered
@@ -334,33 +220,7 @@ func (pl *Plan) RunExecIntoContext(ctx context.Context, k formats.Kind, x []floa
 	job.failed.Store(false)
 	job.errp.Store(nil)
 
-	pool := pl.xpool.Load()
-	if pool == nil {
-		pool = sharedExecPool()
-	}
-dispatch:
-	for h := 0; h < min(threads-1, len(pl.spans)-1); h++ {
-		job.wg.Add(1)
-		select {
-		case pool.queue <- job: // a parked worker takes the job
-		default:
-			job.wg.Done()
-			break dispatch // pool busy: degrade toward serial
-		}
-	}
-	// The caller executes under the same containment as pool workers: a
-	// kernel panic on this goroutine becomes the job's recorded failure
-	// instead of unwinding past the dispatch (which would strand the
-	// pooled job and skip the Wait).
-	func() {
-		defer func() {
-			if pe := resilience.Recovered(ptExecSpan.Name(), recover()); pe != nil {
-				job.fail(pe)
-			}
-		}()
-		job.run()
-	}()
-	job.wg.Wait()
+	pl.activePool().fanOut(job, &job.wg, min(threads-1, len(pl.spans)-1))
 	ferr := job.err()
 
 	job.encs, job.tiles, job.spans = nil, nil, nil

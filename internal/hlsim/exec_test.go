@@ -223,9 +223,9 @@ func TestExecPoolNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewExecPool(3)
+	pool := NewPool(3)
 	defer pool.Close()
-	pl.SetExecPool(pool)
+	pl.SetPool(pool)
 	var r Result
 	if err := pl.RunExecIntoContext(context.Background(), formats.CSR, x, &r, 4); err != nil {
 		t.Fatal(err)

@@ -134,9 +134,9 @@ func TestExecSpanPanicContained(t *testing.T) {
 	m := gen.Random(192, 0.05, 337)
 	x := testVectorFor(m.Cols)
 	pl := mustPlan(t, m, 16)
-	pool := NewExecPool(3)
+	pool := NewPool(3)
 	defer pool.Close()
-	pl.SetExecPool(pool)
+	pl.SetPool(pool)
 
 	// Warm first so the fault lands in the multiplication, not the warmup.
 	var ref Result
@@ -193,25 +193,26 @@ func TestExecSpanInjectedError(t *testing.T) {
 	}
 }
 
-// TestEncodePoolNoLeakOnPanic: encode-fanout helpers release their pool
-// tokens even when the work function panics, so repeated contained
-// faults never drain the shared encode pool.
+// TestEncodePoolNoLeakOnPanic: warmup helpers park again even when the
+// pass panics, so repeated contained faults never drain the shared pool.
 func TestEncodePoolNoLeakOnPanic(t *testing.T) {
 	t.Cleanup(faults.DisarmAll)
 	m := gen.Random(256, 0.05, 353)
 	x := testVectorFor(m.Cols)
-	pool := NewEncodePool(3)
+	pool := NewPool(3)
+	defer pool.Close()
 	for i := 0; i < 10; i++ {
 		pl := mustPlan(t, m, 16)
-		pl.SetEncodePool(pool)
+		pl.SetPool(pool)
+		pl.SetWorkers(4)
 		faults.Point("hlsim.encode.tile").Arm(faults.Injection{Kind: faults.KindPanic, Times: 1})
 		_, err := pl.RunContext(context.Background(), formats.CSR, x)
 		var pe *resilience.PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("run %d: err = %v, want *resilience.PanicError", i, err)
 		}
-		if n := len(pool.tokens); n != 0 {
-			t.Fatalf("run %d: %d encode tokens still borrowed after contained panic", i, n)
+		if pool.Idle() != pool.Size() {
+			t.Fatalf("run %d: %d idle workers after contained panic, want %d", i, pool.Idle(), pool.Size())
 		}
 	}
 }

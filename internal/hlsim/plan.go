@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"copernicus/internal/faults"
 	"copernicus/internal/formats"
 	"copernicus/internal/matrix"
 	"copernicus/internal/resilience"
@@ -32,8 +33,8 @@ import (
 // Format state is guarded per format (one warmup guard per Kind), so
 // concurrent consumers characterizing different formats on one plan never
 // serialize against each other; a format's tiles can additionally be
-// warmed on a bounded worker pool (SetWorkers) with deterministic,
-// tile-ordered aggregation.
+// warmed on helpers borrowed from a worker pool (SetWorkers, SetPool)
+// with deterministic, tile-ordered aggregation.
 //
 // A Plan is safe for concurrent use.
 type Plan struct {
@@ -42,15 +43,14 @@ type Plan struct {
 	p   int
 	pt  *matrix.Partitioning
 
-	// encPool, when set, lends helper goroutines to tile-parallel warmup;
-	// nil encodes serially. The engine shares one pool across every plan
-	// it caches so total encode parallelism stays bounded by its worker
-	// count even when many sweep groups warm plans at once.
-	encPool atomic.Pointer[EncodePool]
+	// helpers caps the pool helpers the tile passes (warmup and exec
+	// build) borrow: SetWorkers(n) stores n-1, and the zero value keeps
+	// them serial.
+	helpers atomic.Int32
 
-	// xpool, when set, overrides the process-shared ExecPool used by the
-	// tile-parallel RunExecIntoContext path; nil uses the shared default.
-	xpool atomic.Pointer[ExecPool]
+	// pool, when set, overrides the process-wide default Pool that every
+	// tile fan-out of this plan borrows from (see pool.go).
+	pool atomic.Pointer[Pool]
 
 	// spansOnce/spans hold the per-grid-block-row ownership table of the
 	// exec path: each span owns a contiguous y range and tile range, so
@@ -218,50 +218,24 @@ func (pl *Plan) P() int { return pl.p }
 // Partitioning returns the cached partitioning.
 func (pl *Plan) Partitioning() *matrix.Partitioning { return pl.pt }
 
-// EncodePool is a token bucket lending helper goroutines to the
-// tile-parallel warmup of every plan that shares it. A format encode
-// borrows helpers only when tokens are immediately free and always does
-// work on the calling goroutine too, so a pool shared across concurrent
-// sweep groups bounds *total* extra encode goroutines at the pool size
-// instead of multiplying per plan — and a drained pool degrades to the
-// plain serial encode.
-type EncodePool struct {
-	tokens chan struct{}
-}
-
-// NewEncodePool returns a pool lending up to `helpers` concurrent helper
-// goroutines (0 means no parallelism beyond the caller).
-func NewEncodePool(helpers int) *EncodePool {
-	if helpers < 0 {
-		helpers = 0
-	}
-	return &EncodePool{tokens: make(chan struct{}, helpers)}
-}
-
-// SetWorkers bounds the tile-parallel warmup: format encodes fan tiles
-// out over up to n goroutines, caller included (aggregation stays serial
-// and tile-ordered, so results are bit-identical to a serial encode).
-// n <= 1 encodes serially; 0 is treated as GOMAXPROCS. The pool created
-// here is private to this plan; use SetEncodePool to share one bound
-// across many plans.
+// SetWorkers bounds the tile passes (the warmup and the exec build): they
+// fan tiles out over up to n goroutines, the caller plus n-1 helpers
+// borrowed from the plan's pool (aggregation stays serial and
+// tile-ordered, so results are bit-identical to a serial pass). A new
+// plan works serially; 0 is treated as GOMAXPROCS.
 func (pl *Plan) SetWorkers(n int) {
 	if n == 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if n < 1 {
-		n = 1
-	}
-	pl.SetEncodePool(NewEncodePool(n - 1))
+	pl.helpers.Store(int32(max(n, 1) - 1))
 }
 
-// SetEncodePool installs a (possibly shared) helper pool for
-// tile-parallel warmup; nil restores serial encoding.
-func (pl *Plan) SetEncodePool(p *EncodePool) { pl.encPool.Store(p) }
-
 // MemoryBytes returns the plan's resident footprint: the sparse tile
-// spans, the functional rows/cols/vals arrays (once built), and every
-// cached per-format cycle table. Because tiles are CSR-native this is
-// O(nnz + tiles·p + formats·tiles), not O(tiles·p²).
+// spans, the functional rows/cols/vals arrays (once built), every cached
+// per-format cycle table, and every resident exec encoding (counted at its
+// modelled Footprint). The warmup state is O(nnz + tiles·p +
+// formats·tiles), since tiles are CSR-native; an exec encoding is as large
+// as its format makes it, so a Dense one is O(tiles·p²).
 func (pl *Plan) MemoryBytes() int64 {
 	b := pl.ptBytes + pl.rowsBytes.Load()
 	for i := range pl.fmts {
@@ -382,25 +356,30 @@ func (pl *Plan) price(ctx context.Context, k formats.Kind) (*planFormat, error) 
 	return pf, nil
 }
 
-// Tile-parallel warmup tuning: chunks of tiles are claimed atomically so
-// stragglers balance, and tiny tile counts stay serial.
-const (
-	encodeChunk      = 8
-	minParallelTiles = 2 * encodeChunk
-)
+// encodeChunk is how many tiles a tile-pass participant claims at once,
+// so stragglers balance; a pass lends a helper per further chunk at most,
+// so tiny tile counts stay serial.
+const encodeChunk = 8
 
-// warmSlab is one warmup work goroutine's reusable memory: the slab its
-// encodings are carved from, rewound after every tile, and the tile its
-// decodes land in.
+// warmSlab is one tile-pass participant's reusable memory: the slab its
+// warmup encodings are carved from, rewound after every tile, the current
+// tile's encoding, and the tile its decodes land in.
 type warmSlab struct {
 	sl  formats.Slab
+	enc formats.Encoded
 	dec *matrix.Tile
 }
 
-// slabPool lends each warmup work goroutine a warmSlab. No encoding
-// outlives its tile's step, so a worker resets its slab after every tile
-// and once more before returning it here (a panic included), and the
-// next pass starts from a clean slab.
+// reset drops the current tile's encoding and rewinds the slab.
+func (ws *warmSlab) reset() {
+	ws.enc = nil
+	ws.sl.Reset()
+}
+
+// slabPool lends each tile-pass participant a warmSlab. No warmup
+// encoding outlives its tile's step, so a participant resets its slab
+// after every tile and once more before returning it here (a panic
+// included), and the next pass starts from a clean slab.
 var slabPool = sync.Pool{New: func() any { return &warmSlab{dec: matrix.NewTile(1, 0, 0)} }}
 
 // tileErr is a sticky failure of one tile: a model gap in pricing or a
@@ -424,101 +403,133 @@ func storeLowest(p *atomic.Pointer[tileErr], ti int, err error) {
 	}
 }
 
+// tileStage is one step a tile pass takes on every tile, behind its fault
+// point: the point fires before the step, and a panic inside the step is
+// reported at that point. An error the step returns is the tile's sticky
+// failure.
+type tileStage struct {
+	pt   *faults.P
+	step func(ws *warmSlab, i int) error
+}
+
+// tilePass is one chunk-claiming pass over the plan's non-zero tiles, the
+// shape of both the warmup and the exec build. The caller and however
+// many pool helpers are free claim encodeChunk tiles at a time and run
+// every stage on each tile in order, writing index-addressed slots, so
+// the result does not depend on the helper count. Cancellation is checked
+// between chunks by every participant.
+//
+// A step's error is sticky: it stops the claiming of new chunks, the
+// chunks already claimed finish, and the pass reports the failure of the
+// lowest tile index — the one a serial pass would report. An injected
+// fault, or a panic in any participant (an encoder or decoder invariant
+// violation, an injected chaos fault) recovered into a
+// *resilience.PanicError naming the point of the stage it hit, aborts
+// the pass instead, with the first such fault kept.
+type tilePass struct {
+	ctx    context.Context
+	n      int
+	stages []tileStage
+	next   atomic.Int64
+	fail   atomic.Pointer[error]
+	sticky atomic.Pointer[tileErr]
+	wg     sync.WaitGroup
+}
+
+func (t *tilePass) run() {
+	ws := slabPool.Get().(*warmSlab)
+	at := t.stages[0].pt
+	defer func() {
+		if pe := resilience.Recovered(at.Name(), recover()); pe != nil {
+			storeFirst(&t.fail, pe)
+		}
+		ws.reset()
+		slabPool.Put(ws)
+	}()
+	for t.ctx.Err() == nil && t.fail.Load() == nil && t.sticky.Load() == nil {
+		lo := int(t.next.Add(encodeChunk)) - encodeChunk
+		if lo >= t.n {
+			return
+		}
+	chunk:
+		for i := lo; i < min(lo+encodeChunk, t.n); i++ {
+			for _, s := range t.stages {
+				at = s.pt
+				if err := at.Hit(); err != nil {
+					storeFirst(&t.fail, err)
+					return
+				}
+				if err := s.step(ws, i); err != nil {
+					storeLowest(&t.sticky, i, err)
+					break chunk
+				}
+			}
+			ws.reset()
+		}
+	}
+}
+
+// runTiles runs one tile pass of the given stages over the plan's tiles,
+// on the caller plus up to SetWorkers-1 helpers borrowed from the plan's
+// pool. It returns the pass's abort (ctx.Err() or the first fault) as
+// err, and otherwise the lowest failing tile's error as sticky.
+func (pl *Plan) runTiles(ctx context.Context, stages ...tileStage) (sticky, err error) {
+	t := &tilePass{ctx: ctx, n: len(pl.pt.Tiles), stages: stages}
+	pl.activePool().fanOut(t, &t.wg, min(int(pl.helpers.Load()), t.n/encodeChunk-1))
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := loadErr(&t.fail); err != nil {
+		return nil, err
+	}
+	if te := t.sticky.Load(); te != nil {
+		return te.err, nil
+	}
+	return nil, nil
+}
+
 // warmPass walks every non-zero tile of format k once, one step per tile:
-// encode it into the worker's slab, price it into pf.tiles, decode it into
-// the worker's reused tile, cross-check that against the original, and
-// rewind the slab. It is the plan's only warmup: whichever use of a format
-// comes first runs it, so no tile is priced without its round trip.
+// encode it into the participant's slab, price it into pf.tiles, decode
+// it into the participant's reused tile, cross-check that against the
+// original, and rewind the slab. It is the plan's only warmup: whichever
+// use of a format comes first runs it, so no tile is priced without its
+// round trip. hlsim.encode.tile fires before each encode and
+// hlsim.verify.tile before each decode.
 //
-// With an encode pool installed, tiles are claimed in chunks by the
-// caller plus however many pool helpers are free right now, into
-// index-addressed slots, so the result does not depend on the helper
-// count. Cancellation is checked between chunks (by the caller and every
-// helper); a canceled pass returns ctx.Err() and the caller publishes
-// nothing.
-//
-// A model gap or a failed cross-check is sticky: it stops the claiming of
-// new chunks, the chunks already claimed finish, and pf.err is set to
-// the failure of the lowest tile index — the one a serial pass would
-// report. Fault containment: hlsim.encode.tile fires before each encode
-// and hlsim.verify.tile before each decode, and a panic in any worker
-// (encoder or decoder invariant violation, injected chaos fault) is
-// recovered into a *resilience.PanicError naming the point of the stage
-// it hit. Like an injected error it aborts the pass, which the caller
-// treats exactly as a cancellation: nothing is published, so a retry
-// re-runs the pass from scratch and the result is bit-identical to a
-// fault-free run. Pool helpers release their tokens through fanOut's
-// defers either way.
+// A model gap or a failed cross-check becomes pf.err. An abort (a
+// cancellation, an injected fault, a recovered panic) is returned, and
+// the caller publishes nothing, so a retry re-runs the pass from scratch
+// and the result is bit-identical to a fault-free run.
 func (pl *Plan) warmPass(ctx context.Context, k formats.Kind, pf *planFormat) error {
 	if planEncodeHook != nil {
 		planEncodeHook(k)
 	}
 	tiles := pl.pt.Tiles
-	n := len(tiles)
-	var next atomic.Int64
 	var nnz atomic.Uint64
-	var fail atomic.Pointer[error]
-	var sticky atomic.Pointer[tileErr]
-	work := func() {
-		ws := slabPool.Get().(*warmSlab)
-		point := ptEncodeTile
-		defer func() {
-			if pe := resilience.Recovered(point.Name(), recover()); pe != nil {
-				storeFirst(&fail, pe)
+	sticky, err := pl.runTiles(ctx,
+		tileStage{ptEncodeTile, func(ws *warmSlab, i int) error {
+			ws.enc = ws.sl.Encode(k, tiles[i])
+			if planTileHook != nil {
+				ws.enc = planTileHook(k, i, ws.enc)
 			}
-			ws.sl.Reset()
-			slabPool.Put(ws)
-		}()
-		for ctx.Err() == nil && fail.Load() == nil && sticky.Load() == nil {
-			lo := int(next.Add(encodeChunk)) - encodeChunk
-			if lo >= n {
-				return
+			// A model gap is unreachable for in-range Kinds (format()
+			// guards the range), but it must surface as the slot's sticky
+			// error, never a panic in a worker.
+			tr, err := RunTile(pl.cfg, ws.enc)
+			if err != nil {
+				return err
 			}
-			var sum uint64
-			for i := lo; i < min(lo+encodeChunk, n); i++ {
-				point = ptEncodeTile
-				if err := ptEncodeTile.Hit(); err != nil {
-					storeFirst(&fail, err)
-					return
-				}
-				enc := ws.sl.Encode(k, tiles[i])
-				if planTileHook != nil {
-					enc = planTileHook(k, i, enc)
-				}
-				tr, err := RunTile(pl.cfg, enc)
-				if err != nil {
-					// Unreachable for in-range Kinds (format() guards the
-					// range), but a model gap must surface as the slot's
-					// sticky error, never a panic in a worker.
-					storeLowest(&sticky, i, err)
-					break
-				}
-				pf.tiles[i] = tr
-				sum += uint64(enc.Stats().NNZ)
-				point = ptVerifyTile
-				if err := ptVerifyTile.Hit(); err != nil {
-					storeFirst(&fail, err)
-					return
-				}
-				if err := decodeCheck(k, tiles[i], enc, ws.dec); err != nil {
-					storeLowest(&sticky, i, err)
-					break
-				}
-				ws.sl.Reset()
-			}
-			nnz.Add(sum)
-		}
-	}
-	pl.fanOut(work, n)
-	if err := ctx.Err(); err != nil {
+			pf.tiles[i] = tr
+			nnz.Add(uint64(ws.enc.Stats().NNZ))
+			return nil
+		}},
+		tileStage{ptVerifyTile, func(ws *warmSlab, i int) error {
+			return decodeCheck(k, tiles[i], ws.enc, ws.dec)
+		}})
+	if err != nil {
 		return err
 	}
-	if err := loadErr(&fail); err != nil {
-		return err
-	}
-	if te := sticky.Load(); te != nil {
-		pf.err = te.err
-	}
+	pf.err = sticky
 	pf.agg.NNZ = nnz.Load()
 	return nil
 }
@@ -529,40 +540,6 @@ func decodeCheck(k formats.Kind, tile *matrix.Tile, enc formats.Encoded, dec *ma
 		return fmt.Errorf("hlsim: tile (%d,%d): %w", tile.Row, tile.Col, err)
 	}
 	return crossCheck(k, tile, dec)
-}
-
-// fanOut runs the chunk-claiming work function on the calling goroutine
-// plus however many encode-pool helpers are free right now, for a task of
-// n tiles. Work functions claim chunks from a shared atomic counter, so
-// helper count only affects wall time, never results. With no pool, a
-// drained pool, or a tiny tile count the caller works alone. Both the
-// warmup passes and the exec-state build (exec.go) share this borrowing,
-// so total extra goroutines across concurrent sweep groups stay bounded
-// by the pool size.
-func (pl *Plan) fanOut(work func(), n int) {
-	pool := pl.encPool.Load()
-	if pool == nil || n < minParallelTiles {
-		work()
-		return
-	}
-	var wg sync.WaitGroup
-	maxHelpers := min(cap(pool.tokens), n/encodeChunk-1)
-borrow:
-	for h := 0; h < maxHelpers; h++ {
-		select {
-		case pool.tokens <- struct{}{}: // a helper slot is free now
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-pool.tokens }()
-				work()
-			}()
-		default:
-			break borrow // pool busy: the caller works alone
-		}
-	}
-	work()
-	wg.Wait()
 }
 
 // crossCheck compares a decoded tile against the original — O(nnz), with

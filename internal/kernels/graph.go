@@ -69,12 +69,22 @@ func PageRank(mul SpMV, n int, damping, tol float64, maxIter int) ([]float64, St
 // adjacency matrix using repeated frontier SpMVs — the §3.3 vertex-
 // centric formulation where one traversal step is a sparse operator
 // applied to the frontier vector. Unreachable vertices get level -1.
+//
+// A vertex counts as reached when its frontier product is non-zero, so
+// the edge weights must not be negative: a positive and a negative
+// product could cancel and hide a reached vertex. The mulT backend is
+// opaque here, so such adjacency is rejected up front.
 func BFSLevels(adj *matrix.CSR, source int, mulT SpMV) ([]int, error) {
 	if source < 0 || source >= adj.Rows {
 		return nil, fmt.Errorf("kernels: BFS source %d out of range", source)
 	}
 	if adj.Rows != adj.Cols {
 		return nil, fmt.Errorf("kernels: BFS needs a square adjacency matrix")
+	}
+	for _, v := range adj.Val {
+		if v < 0 {
+			return nil, fmt.Errorf("kernels: BFS adjacency has a negative edge weight %g", v)
+		}
 	}
 	n := adj.Rows
 	level := make([]int, n)

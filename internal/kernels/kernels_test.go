@@ -2,12 +2,15 @@ package kernels
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"copernicus/internal/formats"
 	"copernicus/internal/gen"
 	"copernicus/internal/hlsim"
 	"copernicus/internal/matrix"
+	"copernicus/internal/scenario"
+	"copernicus/internal/workloads"
 	"copernicus/internal/xrand"
 )
 
@@ -235,6 +238,42 @@ func TestBFSThroughAccelerator(t *testing.T) {
 	for i := range want {
 		if levels[i] != want[i] {
 			t.Fatalf("level[%d] = %d, want %d", i, levels[i], want[i])
+		}
+	}
+}
+
+// TestBFSRejectsNegativeWeights: with edges 0→1, 0→2, 1→3 of weight 1
+// and 2→3 of weight −1, vertex 3's two frontier products cancel, so the
+// frontier test could not see it reached. Such adjacency is rejected.
+func TestBFSRejectsNegativeWeights(t *testing.T) {
+	b := matrix.NewBuilder(4, 4)
+	b.Add(0, 1, 1)
+	b.Add(0, 2, 1)
+	b.Add(1, 3, 1)
+	b.Add(2, 3, -1)
+	adj := b.Build()
+	if levels, err := BFSLevels(adj, 0, Software(adj.Transpose())); err == nil {
+		t.Fatalf("negative edge weight accepted, levels %v", levels)
+	}
+}
+
+// TestBFSLevelCountMatchesScenario pins the two BFS level counts to each
+// other: on the all-ones pattern of every SuiteSparse surrogate, the cost
+// model's scenario.BFSLevels is one more than the deepest level the SpMV
+// traversal from vertex 0 reaches.
+func TestBFSLevelCountMatchesScenario(t *testing.T) {
+	for _, w := range workloads.SuiteSparse(workloads.Config{Scale: 256}) {
+		m := *w.M
+		m.Val = make([]float64, len(w.M.Val))
+		for i := range m.Val {
+			m.Val[i] = 1
+		}
+		levels, err := BFSLevels(&m, 0, Software(m.Transpose()))
+		if err != nil {
+			t.Fatalf("%s: %v", w.ID, err)
+		}
+		if got, want := scenario.BFSLevels(&m), 1+slices.Max(levels); got != want {
+			t.Errorf("%s: scenario.BFSLevels = %d, 1 + deepest SpMV level = %d", w.ID, got, want)
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -155,22 +155,14 @@ func parseKinds(names []string) ([]formats.Kind, error) {
 	}
 	out := make([]formats.Kind, 0, len(names))
 	for _, name := range names {
-		found := false
-		for _, k := range formats.All() {
-			if strings.EqualFold(k.String(), name) {
-				for _, prior := range out {
-					if prior == k {
-						return nil, fmt.Errorf("duplicate format %q", name)
-					}
-				}
-				out = append(out, k)
-				found = true
-				break
-			}
+		k, err := formats.Parse(name)
+		if err != nil {
+			return nil, err
 		}
-		if !found {
-			return nil, fmt.Errorf("unknown format %q", name)
+		if slices.Contains(out, k) {
+			return nil, fmt.Errorf("duplicate format %q", name)
 		}
+		out = append(out, k)
 	}
 	return out, nil
 }
@@ -275,15 +267,7 @@ func resolveBackend(name string, threads int) (backend.Backend, error) {
 	if threads == 0 {
 		return b, nil
 	}
-	nb, ok := b.(*backend.Native)
-	if !ok {
-		return nil, fmt.Errorf("threads applies only to the native backend, not %q", b.ID())
-	}
-	if maxT := runtime.GOMAXPROCS(0); threads < 1 || threads > maxT {
-		return nil, fmt.Errorf("threads %d outside [1, GOMAXPROCS=%d]", threads, maxT)
-	}
-	nb.Threads = threads
-	return nb, nil
+	return backend.WithThreads(b, threads)
 }
 
 // errMatrixDeleted marks a sweep that lost a race with DELETE — a
