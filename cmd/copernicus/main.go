@@ -251,6 +251,9 @@ type benchResult struct {
 	// Speedup is set on derived ratio entries (parallel_speedup_csr):
 	// the single-thread ns_per_op over the full-width ns_per_op.
 	Speedup float64 `json:"speedup,omitempty"`
+	// ResidentBytes is set on the warm sweep entry: the engine's cached
+	// plans' resident bytes (PlanStats().ResidentBytes) after the sweep.
+	ResidentBytes int64 `json:"resident_bytes,omitempty"`
 }
 
 // measure times fn over iters iterations, recording wall time and heap
@@ -342,6 +345,7 @@ func benchCmd(ctx context.Context, scale, iters int, jsonOut bool, out, backendI
 	if err != nil {
 		return err
 	}
+	res.ResidentBytes = e.PlanStats().ResidentBytes
 	rec.Benchmarks = append(rec.Benchmarks, res)
 
 	// Cold sweep: the same inputs on a fresh engine per op, so every plan

@@ -161,9 +161,10 @@ const maxCachedPlans = 128
 // re-partition, no re-encode); misses built a new plan; evictions are
 // LRU capacity drops, not explicit DropPlans calls. ResidentBytes is the
 // total resident footprint of every cached plan (Plan.MemoryBytes): the
-// sparse tile spans, functional arrays and per-format cycle tables, which
-// scale with nnz, plus any resident exec encodings at their modelled
-// footprint, which for Dense is tiles·p² values.
+// sparse tile spans and functional arrays, which scale with nnz, the
+// per-format cycle tables at 16 B per non-zero tile, plus any resident
+// exec encodings at their host size, which for Dense is tiles·p² float64
+// values.
 type PlanStats struct {
 	Hits          uint64 `json:"hits"`
 	Misses        uint64 `json:"misses"`

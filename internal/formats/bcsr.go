@@ -24,7 +24,8 @@ func encodeBCSR(t *matrix.Tile, b int, sl *Slab) *BCSREnc {
 		panic("formats: BCSR requires p divisible by block size")
 	}
 	nb := t.P / b
-	e := &BCSREnc{p: t.P, b: b, offsets: sl.int32s(nb), nnz: t.NNZ(), nzr: t.NonZeroRows()}
+	e := slabEnc[BCSREnc](sl, BCSR)
+	*e = BCSREnc{p: t.P, b: b, offsets: sl.int32s(nb), nnz: t.NNZ(), nzr: t.NonZeroRows()}
 	s := getScratch()
 	// A counting pass sizes the streams exactly: seen marks the block
 	// columns already counted in block row bi with bi+1.

@@ -20,7 +20,8 @@ const cooSentinel = int32(-1)
 
 func encodeCOO(t *matrix.Tile, sl *Slab) *COOEnc {
 	nnz := t.NNZ()
-	e := &COOEnc{p: t.P, nzr: t.NonZeroRows(),
+	e := slabEnc[COOEnc](sl, COO)
+	*e = COOEnc{p: t.P, nzr: t.NonZeroRows(),
 		rows: sl.int32s(nnz + 1), cols: sl.int32s(nnz + 1), vals: sl.float64s(nnz + 1)}
 	n := 0
 	for i := 0; i < t.P; i++ {

@@ -20,7 +20,8 @@ type CSCEnc struct {
 
 func encodeCSC(t *matrix.Tile, sl *Slab) *CSCEnc {
 	p, nnz := t.P, t.NNZ()
-	e := &CSCEnc{p: p, offsets: sl.int32s(p), nzr: t.NonZeroRows(),
+	e := slabEnc[CSCEnc](sl, CSC)
+	*e = CSCEnc{p: p, offsets: sl.int32s(p), nzr: t.NonZeroRows(),
 		rowIdx: sl.int32s(nnz), vals: sl.float64s(nnz)}
 	s := getScratch()
 	cur := s.ints(p) // per-column counts, then scatter cursors

@@ -25,7 +25,8 @@ type CSREnc struct {
 
 func encodeCSR(t *matrix.Tile, sl *Slab) *CSREnc {
 	nnz, nzr := t.NNZ(), t.NonZeroRows()
-	e := &CSREnc{p: t.P, offsets: sl.int32s(t.P), nzr: nzr,
+	e := slabEnc[CSREnc](sl, CSR)
+	*e = CSREnc{p: t.P, offsets: sl.int32s(t.P), nzr: nzr,
 		colIdx: sl.int32s(nnz), vals: sl.float64s(nnz), skip: sl.int32s(nzr)}
 	n, r := 0, 0
 	for i := 0; i < t.P; i++ {

@@ -15,7 +15,8 @@ type DenseEnc struct {
 }
 
 func encodeDense(t *matrix.Tile, sl *Slab) *DenseEnc {
-	e := &DenseEnc{p: t.P, nnz: t.NNZ(), nzr: t.NonZeroRows(), val: sl.float64s(t.P * t.P)}
+	e := slabEnc[DenseEnc](sl, Dense)
+	*e = DenseEnc{p: t.P, nnz: t.NNZ(), nzr: t.NonZeroRows(), val: sl.float64s(t.P * t.P)}
 	for i := 0; i < t.P; i++ { // the fresh stream is already zeroed
 		cols, vals := t.RowView(i)
 		for k, j := range cols {

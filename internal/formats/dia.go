@@ -25,7 +25,8 @@ type DIAEnc struct {
 
 func encodeDIA(t *matrix.Tile, sl *Slab) *DIAEnc {
 	p := t.P
-	e := &DIAEnc{p: p, nnz: t.NNZ(), nzr: t.NonZeroRows()}
+	e := slabEnc[DIAEnc](sl, DIA)
+	*e = DIAEnc{p: p, nnz: t.NNZ(), nzr: t.NonZeroRows()}
 	s := getScratch()
 	// Diagonal d = j-i is indexed at d+p-1 in [0, 2p-1).
 	count := s.ints(2*p - 1)

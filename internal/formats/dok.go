@@ -24,7 +24,8 @@ func dokKey(i, j int) int32 { return int32(i)<<16 | int32(j) }
 func dokUnpack(k int32) (i, j int) { return int(k >> 16), int(k & 0xffff) }
 
 func encodeDOK(t *matrix.Tile, sl *Slab) *DOKEnc {
-	e := &DOKEnc{p: t.P, nnz: t.NNZ(), nzr: t.NonZeroRows()}
+	e := slabEnc[DOKEnc](sl, DOK)
+	*e = DOKEnc{p: t.P, nnz: t.NNZ(), nzr: t.NonZeroRows()}
 	size := 2
 	for size < 2*max(1, e.nnz) {
 		size *= 2

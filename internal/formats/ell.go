@@ -36,7 +36,8 @@ func encodeELL(t *matrix.Tile, sl *Slab) *ELLEnc {
 			w = n
 		}
 	}
-	e := &ELLEnc{p: t.P, w: w, nnz: t.NNZ(), nzr: t.NonZeroRows()}
+	e := slabEnc[ELLEnc](sl, ELL)
+	*e = ELLEnc{p: t.P, w: w, nnz: t.NNZ(), nzr: t.NonZeroRows()}
 	e.idx = sl.int32s(t.P * w)
 	e.vals = sl.float64s(t.P * w)
 	e.skip = sl.int32s(e.nzr)

@@ -35,7 +35,8 @@ func encodeELLCOO(t *matrix.Tile, cap int, sl *Slab) *ELLCOOEnc {
 	for i := 0; i < t.P; i++ {
 		spill += max(t.RowNNZ(i)-w, 0)
 	}
-	e := &ELLCOOEnc{p: t.P, w: w, nnz: t.NNZ(), nzr: t.NonZeroRows()}
+	e := slabEnc[ELLCOOEnc](sl, ELLCOO)
+	*e = ELLCOOEnc{p: t.P, w: w, nnz: t.NNZ(), nzr: t.NonZeroRows()}
 	e.idx = sl.int32s(t.P * w)
 	e.vals = sl.float64s(t.P * w)
 	for i := range e.idx {

@@ -18,15 +18,18 @@
 // row-sorting seal.
 //
 // Encode allocates every stream exactly sized. Slab.Encode instead carves
-// the streams from a rewinding slab, for passes that drop each encoding
-// before making the next — the plan warmup's per-tile encode, price and
-// decode-verify step.
+// the streams from a rewinding slab and reuses the slab's own encoder
+// struct, for passes that drop each encoding before making the next — the
+// plan warmup's per-tile encode, price and decode-verify step. HostBytes
+// is what an encoding holds in host memory, as opposed to the modelled
+// transfer its Footprint counts.
 package formats
 
 import (
 	"errors"
 	"fmt"
 	"strings"
+	"unsafe"
 
 	"copernicus/internal/matrix"
 )
@@ -201,6 +204,67 @@ func (f Footprint) Utilization() float64 {
 		return float64(f.UsefulBytes) / float64(t)
 	}
 	return 0
+}
+
+// HostBytes returns the host memory an encoding made by this package
+// holds: its encoder struct plus every stream at its capacity times its
+// element size, the host-kernel indexes (skip, DIA's ext) included, and
+// for LIL's list-of-lists streams the list headers plus each list; 0 for
+// any other Encoded. Footprint is instead what the modelled accelerator
+// transfers, with 4-byte values and no host indexes; the host keeps
+// float64 values, so a resident encoding is about twice its Footprint.
+func HostBytes(e Encoded) int64 {
+	switch e := e.(type) {
+	case *DenseEnc:
+		return structBytes(e) + capBytes(e.val)
+	case *CSREnc:
+		return structBytes(e) + capBytes(e.offsets, e.colIdx, e.skip) + capBytes(e.vals)
+	case *CSCEnc:
+		return structBytes(e) + capBytes(e.offsets, e.rowIdx, e.skip) + capBytes(e.vals)
+	case *BCSREnc:
+		return structBytes(e) + capBytes(e.offsets, e.colIdx) + capBytes(e.vals)
+	case *COOEnc:
+		return structBytes(e) + capBytes(e.rows, e.cols) + capBytes(e.vals)
+	case *DOKEnc:
+		return structBytes(e) + capBytes(e.keys) + capBytes(e.vals)
+	case *LILEnc:
+		return structBytes(e) + listBytes(e.colRows) + listBytes(e.colVals) + capBytes(e.skip)
+	case *ELLEnc:
+		return structBytes(e) + capBytes(e.idx, e.skip) + capBytes(e.vals)
+	case *DIAEnc:
+		return structBytes(e) + capBytes(e.diagNo, e.ext) + capBytes(e.lanes)
+	case *SELLEnc:
+		return structBytes(e) + capBytes(e.widths, e.idx, e.skip) + capBytes(e.vals)
+	case *ELLCOOEnc:
+		return structBytes(e) + capBytes(e.idx, e.srow, e.scol, e.skip) + capBytes(e.vals, e.sval)
+	case *JDSEnc:
+		return structBytes(e) + capBytes(e.perm, e.ptr, e.idx) + capBytes(e.vals)
+	case *SELLCSEnc:
+		return structBytes(e) + capBytes(e.perm, e.widths, e.idx, e.skip) + capBytes(e.vals)
+	}
+	return 0
+}
+
+func structBytes[T any](e *T) int64 { return int64(unsafe.Sizeof(*e)) }
+
+// capBytes is the bytes of the given streams at their capacities.
+func capBytes[T any](streams ...[]T) int64 {
+	var n int64
+	for _, s := range streams {
+		n += int64(cap(s))
+	}
+	var z T
+	return n * int64(unsafe.Sizeof(z))
+}
+
+// listBytes is the bytes of a list-of-lists stream: its headers and each
+// list.
+func listBytes[T any](lists [][]T) int64 {
+	b := capBytes(lists)
+	for _, l := range lists {
+		b += capBytes(l)
+	}
+	return b
 }
 
 // Stats carries the structural quantities the hlsim cycle model consumes.

@@ -252,3 +252,46 @@ func abs(v int) int {
 	}
 	return v
 }
+
+// FuzzSlabEncodeReuse drives one Slab through a random sequence of
+// encodes (kind, tile) and Resets, three input bytes per step. After every
+// step, each encoding made since the last Reset must still equal the
+// exact, separately allocated Encode of its tile stream for stream and
+// decode to its tile: reusing the slab's encoder structs and streams after
+// a Reset, or handing out a struct twice before one, would break that.
+func FuzzSlabEncodeReuse(f *testing.F) {
+	f.Add([]byte{1, 0, 50, 1, 1, 10, 0x81, 2, 90, 1, 3, 30})
+	f.Add([]byte{0, 4, 100, 0x80, 4, 100, 0, 4, 5, 0, 4, 100})
+	f.Add([]byte{7, 2, 60, 8, 3, 20, 0x87, 4, 60, 12, 1, 40, 0x8c, 0, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		type kept struct {
+			tile *matrix.Tile
+			enc  Encoded
+		}
+		ps := []int{4, 8, 12, 16, 64}
+		sl := new(Slab)
+		var live []kept
+		dec := matrix.NewTile(1, 0, 0)
+		for i := 0; i+2 < len(ops) && i < 3*32; i += 3 {
+			if ops[i]&0x80 != 0 {
+				sl.Reset()
+				live = live[:0]
+			}
+			k := Kind(int(ops[i]&0x7f) % NumKinds)
+			p := ps[int(ops[i+1])%len(ps)]
+			tile := randomTile(uint64(i)<<8|uint64(ops[i+1]), p, float64(ops[i+2])/255)
+			live = append(live, kept{tile, sl.Encode(k, tile)})
+			for _, c := range live {
+				if !encStreamsEqual(t, c.enc, Encode(c.enc.Kind(), c.tile)) {
+					t.Fatalf("step %d: a %v p=%d encoding no longer equals its exact encode", i/3, c.enc.Kind(), c.tile.P)
+				}
+				if err := c.enc.DecodeInto(dec); err != nil {
+					t.Fatalf("step %d: %v p=%d: decode: %v", i/3, c.enc.Kind(), c.tile.P, err)
+				}
+				if !dec.SameEntries(c.tile) {
+					t.Fatalf("step %d: a %v p=%d encoding no longer decodes to its tile", i/3, c.enc.Kind(), c.tile.P)
+				}
+			}
+		}
+	})
+}

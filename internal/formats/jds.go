@@ -22,7 +22,8 @@ type JDSEnc struct {
 
 func encodeJDS(t *matrix.Tile, sl *Slab) *JDSEnc {
 	p, nnz := t.P, t.NNZ()
-	e := &JDSEnc{p: p, nzr: t.NonZeroRows()}
+	e := slabEnc[JDSEnc](sl, JDS)
+	*e = JDSEnc{p: p, nzr: t.NonZeroRows()}
 	e.perm = sl.int32s(p)
 	// Stable counting sort of rows by descending non-zero count —
 	// identical ordering to a stable comparison sort, in O(p).

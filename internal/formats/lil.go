@@ -28,7 +28,8 @@ const lilTerm = int32(-1)
 
 func encodeLIL(t *matrix.Tile, sl *Slab) *LILEnc {
 	p, nnz := t.P, t.NNZ()
-	e := &LILEnc{
+	e := slabEnc[LILEnc](sl, LIL)
+	*e = LILEnc{
 		p:       p,
 		colRows: sl.int32Lists(p),
 		colVals: sl.float64Lists(p),

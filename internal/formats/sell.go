@@ -23,7 +23,8 @@ func encodeSELL(t *matrix.Tile, c int, sl *Slab) *SELLEnc {
 	if t.P%c != 0 {
 		panic("formats: SELL requires p divisible by slice height")
 	}
-	e := &SELLEnc{p: t.P, c: c, nnz: t.NNZ(), nzr: t.NonZeroRows()}
+	e := slabEnc[SELLEnc](sl, SELL)
+	*e = SELLEnc{p: t.P, c: c, nnz: t.NNZ(), nzr: t.NonZeroRows()}
 	e.widths = sl.int32s(t.P / c)
 	total := 0
 	for s := range e.widths {

@@ -33,7 +33,8 @@ func encodeSELLCS(t *matrix.Tile, c, sigma int, sl *Slab) *SELLCSEnc {
 	if t.P%c != 0 || sigma%c != 0 {
 		panic("formats: SELL-C-sigma needs p divisible by C and sigma divisible by C")
 	}
-	e := &SELLCSEnc{p: t.P, c: c, nnz: t.NNZ(), nzr: t.NonZeroRows()}
+	e := slabEnc[SELLCSEnc](sl, SELLCS)
+	*e = SELLCSEnc{p: t.P, c: c, nnz: t.NNZ(), nzr: t.NonZeroRows()}
 	e.perm = sl.int32s(t.P)
 	for i := range e.perm {
 		e.perm[i] = int32(i)

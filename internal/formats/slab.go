@@ -17,14 +17,42 @@ package formats
 // twice; a chunk then lives until the last encoding carved from it is
 // dropped.
 //
-// A nil *Slab allocates every stream with make, exactly sized — what the
-// public encoders, the resident exec encodings and the ablation encoders
-// use. A Slab is not safe for concurrent use; give each goroutine its own.
+// The slab also owns one encoder struct per kind, so an encode, use and
+// drop step allocates nothing once the slab is warm. It hands each struct
+// out at most once between Resets; a second Encode of the same kind
+// before the next Reset gets a struct of its own, so encodings that are
+// kept never share one.
+//
+// A nil *Slab allocates every stream and encoder struct with make, exactly
+// sized — what the public encoders, the resident exec encodings and the
+// ablation encoders use. A Slab is not safe for concurrent use; give each
+// goroutine its own.
 type Slab struct {
 	i32      arena[int32]
 	f64      arena[float64]
 	i32Lists arena[[]int32]
 	f64Lists arena[[]float64]
+
+	// encs[k] is the slab's own encoder struct of kind k, made on its
+	// first use; taken has bit k set while it is handed out.
+	encs  [numKinds]any
+	taken uint32
+}
+
+// slabEnc returns the encoder struct for a kind-k encode: the slab's own
+// when it is not handed out since the last Reset, else a new one. The
+// caller overwrites every field.
+func slabEnc[T any](s *Slab, k Kind) *T {
+	if s == nil || s.taken&(1<<k) != 0 {
+		return new(T)
+	}
+	s.taken |= 1 << k
+	e, ok := s.encs[k].(*T)
+	if !ok {
+		e = new(T)
+		s.encs[k] = e
+	}
+	return e
 }
 
 // Chunk lengths, in elements: 32 KiB of int32 or float64 data, or 1024
@@ -67,16 +95,18 @@ func (s *Slab) float64Lists(n int) [][]float64 {
 	return s.f64Lists.carve(slabLists, n)
 }
 
-// Reset makes every stream handed out since the last Reset available
-// again: each current chunk rewinds to its start with only its used
-// prefix cleared, and the oversized streams go on a free list that later
-// requests of a fitting size take from (zeroed, with len == cap). Only a
-// chunk that a pass outgrew is dropped rather than rewound. A nil slab's
-// Reset is a no-op.
+// Reset makes every stream and encoder struct handed out since the last
+// Reset available again: each current chunk rewinds to its start with
+// only its used prefix cleared, the oversized streams go on a free list
+// that later requests of a fitting size take from (zeroed, with len ==
+// cap), and the next Encode of each kind reuses the slab's own struct.
+// Only a chunk that a pass outgrew is dropped rather than rewound. A nil
+// slab's Reset is a no-op.
 func (s *Slab) Reset() {
 	if s == nil {
 		return
 	}
+	s.taken = 0
 	s.i32.reset()
 	s.f64.reset()
 	s.i32Lists.reset()

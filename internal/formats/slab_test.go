@@ -202,3 +202,78 @@ func TestSlabResetReuses(t *testing.T) {
 		t.Fatalf("nil slab after Reset: len/cap %d/%d", len(a), cap(a))
 	}
 }
+
+// TestSlabOwnsEncoderStructs: a slab hands out its own encoder struct of
+// a kind once per Reset, so Encode → Reset → Encode of one kind allocates
+// nothing once the slab is warm, in every format. Two Encodes of one kind
+// without a Reset between them get distinct structs, and both encodings
+// decode to their own tiles.
+func TestSlabOwnsEncoderStructs(t *testing.T) {
+	a, b := randomTile(21, 16, 0.3), randomTile(22, 16, 0.1)
+	dec := matrix.NewTile(1, 0, 0)
+	for _, k := range All() {
+		sl := new(Slab)
+		sl.Encode(k, a)
+		sl.Reset()
+		allocs := testing.AllocsPerRun(50, func() {
+			sl.Encode(k, a)
+			sl.Reset()
+		})
+		if allocs != 0 && !raceEnabled {
+			t.Errorf("%v: Encode → Reset made %v allocations, want 0", k, allocs)
+		}
+		ea, eb := sl.Encode(k, a), sl.Encode(k, b)
+		if ea == eb {
+			t.Fatalf("%v: two Encodes without a Reset share one encoder struct", k)
+		}
+		for _, c := range []struct {
+			enc  Encoded
+			tile *matrix.Tile
+		}{{ea, a}, {eb, b}} {
+			if err := c.enc.DecodeInto(dec); err != nil {
+				t.Fatalf("%v: decode: %v", k, err)
+			}
+			if !dec.SameEntries(c.tile) {
+				t.Fatalf("%v: an encoding kept beside a second one of its kind no longer decodes to its tile", k)
+			}
+		}
+	}
+}
+
+// reflectHostBytes is HostBytes' reference: it walks every field of the
+// encoder struct by reflection, so a stream added to an encoder and left
+// out of HostBytes' per-format list shows up as a difference.
+func reflectHostBytes(e Encoded) int64 {
+	v := reflect.ValueOf(e).Elem()
+	b := int64(v.Type().Size())
+	var stream func(f reflect.Value) int64
+	stream = func(f reflect.Value) int64 {
+		if f.Kind() != reflect.Slice {
+			return 0
+		}
+		n := int64(f.Cap()) * int64(f.Type().Elem().Size())
+		for j := 0; f.Type().Elem().Kind() == reflect.Slice && j < f.Len(); j++ {
+			n += stream(f.Index(j))
+		}
+		return n
+	}
+	for i := 0; i < v.NumField(); i++ {
+		b += stream(v.Field(i))
+	}
+	return b
+}
+
+// TestHostBytesCountsEveryStream: HostBytes equals a reflective walk of
+// every field of every format's encoding, over tiles from empty to full.
+func TestHostBytesCountsEveryStream(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		density := []float64{0, 0.05, 0.3, 1}[seed%4]
+		tile := randomTile(seed, 16, density)
+		for _, k := range All() {
+			e := Encode(k, tile)
+			if got, want := HostBytes(e), reflectHostBytes(e); got != want {
+				t.Fatalf("%v density %v: HostBytes = %d, reflective walk = %d", k, density, got, want)
+			}
+		}
+	}
+}

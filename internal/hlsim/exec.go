@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"copernicus/internal/formats"
 	"copernicus/internal/matrix"
@@ -61,8 +62,9 @@ func (pl *Plan) ensureSpans() {
 
 // planExec is one format's executable state: a fresh re-encode of every
 // non-zero tile, kept resident for kernel traversal (no warmup encoding
-// outlives its tile's step, so the exec path owns its own copy,
-// accounted in MemoryBytes).
+// outlives its tile's step, so the exec path owns its own copy). bytes
+// is its host size for MemoryBytes: the encs slice plus each encoding's
+// formats.HostBytes.
 type planExec struct {
 	encs  []formats.Encoded
 	bytes int64
@@ -84,15 +86,15 @@ func (pl *Plan) exec(ctx context.Context, k formats.Kind) (*planExec, error) {
 func (pl *Plan) buildExec(ctx context.Context, k formats.Kind) (*planExec, error) {
 	tiles := pl.pt.Tiles
 	ex := &planExec{encs: make([]formats.Encoded, len(tiles))}
-	if _, err := pl.runTiles(ctx, tileStage{ptExecBuild, func(_ *warmSlab, i int) error {
+	sums, _, err := pl.runTiles(ctx, tileStage{ptExecBuild, func(ws *warmSlab, i int) error {
 		ex.encs[i] = formats.Encode(k, tiles[i])
+		ws.sums.bytes += formats.HostBytes(ex.encs[i])
 		return nil
-	}}); err != nil {
+	}})
+	if err != nil {
 		return nil, err
 	}
-	for _, enc := range ex.encs {
-		ex.bytes += int64(enc.Footprint().TotalBytes())
-	}
+	ex.bytes = int64(len(ex.encs))*int64(unsafe.Sizeof(formats.Encoded(nil))) + sums.bytes
 	return ex, nil
 }
 

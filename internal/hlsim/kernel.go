@@ -46,9 +46,9 @@ func (pl *Plan) KernelCycles(ctx context.Context, k formats.Kind, iters int) (ui
 	}
 	warm := uint64(iters - 1)
 	var total uint64
-	for _, tr := range pf.tiles {
-		dot := tr.ComputeCycles - tr.DecompCycles
-		total += uint64(max(tr.MemCycles, tr.ComputeCycles)) + warm*uint64(max(tr.MemCycles, dot))
+	for _, tc := range pf.tiles {
+		dot := uint64(tc.compute) - uint64(tc.decomp)
+		total += tc.pipelined() + warm*max(uint64(tc.mem), dot)
 	}
 	return total, nil
 }
@@ -67,11 +67,10 @@ func (pl *Plan) SpMMCycles(ctx context.Context, k formats.Kind, cols int) (uint6
 	if err != nil {
 		return 0, err
 	}
-	td := pl.cfg.DotLatency(pl.p)
+	colDot := uint64(cols) * uint64(pl.cfg.DotLatency(pl.p))
 	var total uint64
-	for _, tr := range pf.tiles {
-		comp := tr.DecompCycles + tr.DotRows*cols*td
-		total += uint64(max(tr.MemCycles, comp))
+	for _, tc := range pf.tiles {
+		total += max(uint64(tc.mem), uint64(tc.decomp)+uint64(tc.dotRows)*colDot)
 	}
 	return total, nil
 }

@@ -56,9 +56,9 @@ func TestKernelCyclesAmortizedPin(t *testing.T) {
 			t.Fatal(err)
 		}
 		var want uint64
-		for _, tr := range pf.tiles {
-			dot := tr.ComputeCycles - tr.DecompCycles
-			want += uint64(max(tr.MemCycles, tr.ComputeCycles)) + (iters-1)*uint64(max(tr.MemCycles, dot))
+		for _, tc := range pf.tiles {
+			mem, comp := uint64(tc.mem), uint64(tc.compute)
+			want += max(mem, comp) + (iters-1)*max(mem, comp-uint64(tc.decomp))
 		}
 		got, err := pl.KernelCycles(ctx, k, iters)
 		if err != nil {

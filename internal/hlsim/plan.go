@@ -145,18 +145,41 @@ func (ph *phase[T]) do(ctx context.Context, build func() (*T, error)) (*T, error
 	}
 }
 
-// planFormat caches everything format-dependent: per-tile cycle costs,
-// the aggregated Result totals, and the outcome of the warmup's
-// decode-and-verify cross-check, which every use of the format shares.
-// It is immutable once published and holds no encodings: each is dropped
-// at the end of its tile's warmup step.
+// planFormat caches everything format-dependent: the packed per-tile
+// cycle table, the aggregated Result totals, and the outcome of the
+// warmup's decode-and-verify cross-check, which every use of the format
+// shares. It is immutable once published and holds no encodings: each is
+// dropped at the end of its tile's warmup step. The table keeps only the
+// four counts the warm paths read per tile, 16 B a tile; a tile's
+// Footprint is summed into agg during the warmup and not kept.
 type planFormat struct {
-	tiles []TileResult
+	tiles []tileCost
 	agg   formatAgg
 	// err is the sticky pricing or cross-check failure of the lowest
 	// failing tile; a format that has one is never priced for a caller.
 	err error
 }
+
+// tileCost is one tile's priced cycle counts, packed. warmPass makes a
+// count outside uint32 the tile's sticky error, so no reader sees a
+// wrapped value; readers widen to uint64 (or int) before any multiply.
+type tileCost struct {
+	mem, decomp, compute, dotRows uint32
+}
+
+// packCost packs tile's priced TileResult, or fails naming the tile when
+// a count does not fit in uint32.
+func packCost(tile *matrix.Tile, tr TileResult) (tileCost, error) {
+	for _, v := range [...]int{tr.MemCycles, tr.DecompCycles, tr.ComputeCycles, tr.DotRows} {
+		if v < 0 || v > math.MaxUint32 {
+			return tileCost{}, fmt.Errorf("hlsim: tile (%d,%d): cycle count %d does not fit the uint32 cost table", tile.Row, tile.Col, v)
+		}
+	}
+	return tileCost{uint32(tr.MemCycles), uint32(tr.DecompCycles), uint32(tr.ComputeCycles), uint32(tr.DotRows)}, nil
+}
+
+// pipelined returns the tile's max(mem, compute), widened.
+func (tc tileCost) pipelined() uint64 { return uint64(max(tc.mem, tc.compute)) }
 
 // formatAgg carries the Result totals aggregated over all non-zero tiles.
 type formatAgg struct {
@@ -232,15 +255,16 @@ func (pl *Plan) SetWorkers(n int) {
 
 // MemoryBytes returns the plan's resident footprint: the sparse tile
 // spans, the functional rows/cols/vals arrays (once built), every cached
-// per-format cycle table, and every resident exec encoding (counted at its
-// modelled Footprint). The warmup state is O(nnz + tiles·p +
+// per-format cycle table (16 B a tile), and every resident exec encoding
+// at its host size (formats.HostBytes: float64 values, host-kernel
+// indexes included). The warmup state is O(nnz + tiles·p +
 // formats·tiles), since tiles are CSR-native; an exec encoding is as large
 // as its format makes it, so a Dense one is O(tiles·p²).
 func (pl *Plan) MemoryBytes() int64 {
 	b := pl.ptBytes + pl.rowsBytes.Load()
 	for i := range pl.fmts {
 		if pf := pl.fmts[i].warm.v.Load(); pf != nil {
-			b += int64(len(pf.tiles)) * int64(unsafe.Sizeof(TileResult{}))
+			b += int64(len(pf.tiles)) * int64(unsafe.Sizeof(tileCost{}))
 		}
 		if ex := pl.fmts[i].ex.v.Load(); ex != nil {
 			b += ex.bytes
@@ -326,32 +350,29 @@ func checkKind(k formats.Kind) error {
 }
 
 // price runs the warmup pass of format k into a new planFormat and
-// aggregates the Result totals in tile order.
+// aggregates the cycle totals and the balance sum in tile order (the
+// pass already summed NNZ and Footprint).
 func (pl *Plan) price(ctx context.Context, k formats.Kind) (*planFormat, error) {
-	pf := &planFormat{tiles: make([]TileResult, len(pl.pt.Tiles))}
+	pf := &planFormat{tiles: make([]tileCost, len(pl.pt.Tiles))}
 	if err := pl.warmPass(ctx, k, pf); err != nil {
 		return nil, err
 	}
 	if pf.err != nil {
 		return pf, nil
 	}
-	for i := range pf.tiles {
-		tr := &pf.tiles[i]
-		pf.agg.MemCycles += uint64(tr.MemCycles)
-		pf.agg.ComputeCycles += uint64(tr.ComputeCycles)
-		pf.agg.DecompCycles += uint64(tr.DecompCycles)
-		pf.agg.PipelinedCycles += uint64(max(tr.MemCycles, tr.ComputeCycles))
-		if tr.MemCycles > tr.ComputeCycles {
-			pf.agg.IdleComputeCycles += uint64(tr.MemCycles - tr.ComputeCycles)
+	for _, tc := range pf.tiles {
+		mem, comp := uint64(tc.mem), uint64(tc.compute)
+		pf.agg.MemCycles += mem
+		pf.agg.ComputeCycles += comp
+		pf.agg.DecompCycles += uint64(tc.decomp)
+		pf.agg.PipelinedCycles += max(mem, comp)
+		if mem > comp {
+			pf.agg.IdleComputeCycles += mem - comp
 		} else {
-			pf.agg.StallMemCycles += uint64(tr.ComputeCycles - tr.MemCycles)
+			pf.agg.StallMemCycles += comp - mem
 		}
-		pf.agg.DotRows += uint64(tr.DotRows)
-		pf.agg.Footprint.UsefulBytes += tr.Footprint.UsefulBytes
-		pf.agg.Footprint.MetaBytes += tr.Footprint.MetaBytes
-		pf.agg.Footprint.ValueLaneBytes += tr.Footprint.ValueLaneBytes
-		pf.agg.Footprint.IndexLaneBytes += tr.Footprint.IndexLaneBytes
-		pf.agg.sumBalance += tr.Balance()
+		pf.agg.DotRows += uint64(tc.dotRows)
+		pf.agg.sumBalance += float64(tc.mem) / float64(tc.compute)
 	}
 	return pf, nil
 }
@@ -363,11 +384,38 @@ const encodeChunk = 8
 
 // warmSlab is one tile-pass participant's reusable memory: the slab its
 // warmup encodings are carved from, rewound after every tile, the current
-// tile's encoding, and the tile its decodes land in.
+// tile's encoding, the tile its decodes land in, and the participant's
+// share of the pass's sums.
 type warmSlab struct {
-	sl  formats.Slab
-	enc formats.Encoded
-	dec *matrix.Tile
+	sl   formats.Slab
+	enc  formats.Encoded
+	dec  *matrix.Tile
+	sums tileSums
+}
+
+// tileSums is what a tile pass adds up over its tiles: each participant
+// sums into its own warmSlab, and the pass merges the shares as the
+// participants leave. Integer sums do not depend on the order, so the
+// totals do not depend on the helper count.
+type tileSums struct {
+	nnz   uint64
+	fp    formats.Footprint
+	bytes int64
+}
+
+func (s *tileSums) add(o tileSums) {
+	s.nnz += o.nnz
+	s.fp = addFootprint(s.fp, o.fp)
+	s.bytes += o.bytes
+}
+
+func addFootprint(a, b formats.Footprint) formats.Footprint {
+	return formats.Footprint{
+		UsefulBytes:    a.UsefulBytes + b.UsefulBytes,
+		MetaBytes:      a.MetaBytes + b.MetaBytes,
+		ValueLaneBytes: a.ValueLaneBytes + b.ValueLaneBytes,
+		IndexLaneBytes: a.IndexLaneBytes + b.IndexLaneBytes,
+	}
 }
 
 // reset drops the current tile's encoding and rewinds the slab.
@@ -434,6 +482,10 @@ type tilePass struct {
 	fail   atomic.Pointer[error]
 	sticky atomic.Pointer[tileErr]
 	wg     sync.WaitGroup
+
+	// mu guards sums, the participants' merged tileSums.
+	mu   sync.Mutex
+	sums tileSums
 }
 
 func (t *tilePass) run() {
@@ -443,6 +495,10 @@ func (t *tilePass) run() {
 		if pe := resilience.Recovered(at.Name(), recover()); pe != nil {
 			storeFirst(&t.fail, pe)
 		}
+		t.mu.Lock()
+		t.sums.add(ws.sums)
+		t.mu.Unlock()
+		ws.sums = tileSums{}
 		ws.reset()
 		slabPool.Put(ws)
 	}()
@@ -472,41 +528,43 @@ func (t *tilePass) run() {
 // runTiles runs one tile pass of the given stages over the plan's tiles,
 // on the caller plus up to SetWorkers-1 helpers borrowed from the plan's
 // pool. It returns the pass's abort (ctx.Err() or the first fault) as
-// err, and otherwise the lowest failing tile's error as sticky.
-func (pl *Plan) runTiles(ctx context.Context, stages ...tileStage) (sticky, err error) {
+// err, and otherwise the steps' sums and the lowest failing tile's error
+// as sticky.
+func (pl *Plan) runTiles(ctx context.Context, stages ...tileStage) (sums tileSums, sticky, err error) {
 	t := &tilePass{ctx: ctx, n: len(pl.pt.Tiles), stages: stages}
 	pl.activePool().fanOut(t, &t.wg, min(int(pl.helpers.Load()), t.n/encodeChunk-1))
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return tileSums{}, nil, err
 	}
 	if err := loadErr(&t.fail); err != nil {
-		return nil, err
+		return tileSums{}, nil, err
 	}
 	if te := t.sticky.Load(); te != nil {
-		return te.err, nil
+		sticky = te.err
 	}
-	return nil, nil
+	return t.sums, sticky, nil
 }
 
 // warmPass walks every non-zero tile of format k once, one step per tile:
-// encode it into the participant's slab, price it into pf.tiles, decode
-// it into the participant's reused tile, cross-check that against the
-// original, and rewind the slab. It is the plan's only warmup: whichever
-// use of a format comes first runs it, so no tile is priced without its
-// round trip. hlsim.encode.tile fires before each encode and
-// hlsim.verify.tile before each decode.
+// encode it into the participant's slab, price it into pf.tiles (its NNZ
+// and Footprint into the pass's sums), decode it into the participant's
+// reused tile, cross-check that against the original, and rewind the
+// slab. It is the plan's only warmup: whichever use of a format comes
+// first runs it, so no tile is priced without its round trip.
+// hlsim.encode.tile fires before each encode and hlsim.verify.tile before
+// each decode.
 //
-// A model gap or a failed cross-check becomes pf.err. An abort (a
-// cancellation, an injected fault, a recovered panic) is returned, and
-// the caller publishes nothing, so a retry re-runs the pass from scratch
-// and the result is bit-identical to a fault-free run.
+// A model gap, a cycle count outside the packed table's uint32, or a
+// failed cross-check becomes pf.err. An abort (a cancellation, an
+// injected fault, a recovered panic) is returned, and the caller
+// publishes nothing, so a retry re-runs the pass from scratch and the
+// result is bit-identical to a fault-free run.
 func (pl *Plan) warmPass(ctx context.Context, k formats.Kind, pf *planFormat) error {
 	if planEncodeHook != nil {
 		planEncodeHook(k)
 	}
 	tiles := pl.pt.Tiles
-	var nnz atomic.Uint64
-	sticky, err := pl.runTiles(ctx,
+	sums, sticky, err := pl.runTiles(ctx,
 		tileStage{ptEncodeTile, func(ws *warmSlab, i int) error {
 			ws.enc = ws.sl.Encode(k, tiles[i])
 			if planTileHook != nil {
@@ -519,8 +577,11 @@ func (pl *Plan) warmPass(ctx context.Context, k formats.Kind, pf *planFormat) er
 			if err != nil {
 				return err
 			}
-			pf.tiles[i] = tr
-			nnz.Add(uint64(ws.enc.Stats().NNZ))
+			if pf.tiles[i], err = packCost(tiles[i], tr); err != nil {
+				return err
+			}
+			ws.sums.nnz += uint64(ws.enc.Stats().NNZ)
+			ws.sums.fp = addFootprint(ws.sums.fp, tr.Footprint)
 			return nil
 		}},
 		tileStage{ptVerifyTile, func(ws *warmSlab, i int) error {
@@ -530,7 +591,7 @@ func (pl *Plan) warmPass(ctx context.Context, k formats.Kind, pf *planFormat) er
 		return err
 	}
 	pf.err = sticky
-	pf.agg.NNZ = nnz.Load()
+	pf.agg.NNZ, pf.agg.Footprint = sums.nnz, sums.fp
 	return nil
 }
 
@@ -696,8 +757,8 @@ func (pl *Plan) RunParallel(k formats.Kind, x []float64, lanes int) (*ParallelRe
 		NonZeroTiles: len(pl.pt.Tiles),
 		cfg:          pl.cfg,
 	}
-	for i, tr := range pf.tiles {
-		r.LaneCycles[i%lanes] += uint64(max(tr.MemCycles, tr.ComputeCycles))
+	for i, tc := range pf.tiles {
+		r.LaneCycles[i%lanes] += tc.pipelined()
 	}
 	for _, c := range r.LaneCycles {
 		if c > r.TotalCycles {
@@ -727,13 +788,13 @@ func (pl *Plan) RunSpMM(k formats.Kind, b []float64, cols int) (*SpMMResult, err
 		NonZeroTiles: len(pl.pt.Tiles),
 		cfg:          pl.cfg,
 	}
-	td := pl.cfg.DotLatency(pl.p)
-	for _, tr := range pf.tiles {
-		comp := tr.DecompCycles + tr.DotRows*cols*td
-		r.MemCycles += uint64(tr.MemCycles)
-		r.DecompCycles += uint64(tr.DecompCycles)
-		r.ComputeCycles += uint64(comp)
-		r.PipelinedCycles += uint64(max(tr.MemCycles, comp))
+	colDot := uint64(cols) * uint64(pl.cfg.DotLatency(pl.p))
+	for _, tc := range pf.tiles {
+		mem, comp := uint64(tc.mem), uint64(tc.decomp)+uint64(tc.dotRows)*colDot
+		r.MemCycles += mem
+		r.DecompCycles += uint64(tc.decomp)
+		r.ComputeCycles += comp
+		r.PipelinedCycles += max(mem, comp)
 	}
 	pl.ensureRows()
 	for _, row := range pl.rows {
@@ -756,20 +817,21 @@ func (pl *Plan) Trace(k formats.Kind) ([]TileTrace, error) {
 		return nil, err
 	}
 	out := make([]TileTrace, 0, len(pl.pt.Tiles))
-	for i, tr := range pf.tiles {
+	for i, tc := range pf.tiles {
 		tile := pl.pt.Tiles[i]
+		mem, comp := int(tc.mem), int(tc.compute)
 		tt := TileTrace{
 			Row: tile.Row, Col: tile.Col, NNZ: tile.NNZ(),
-			MemCycles:     tr.MemCycles,
-			DecompCycles:  tr.DecompCycles,
-			ComputeCycles: tr.ComputeCycles,
-			Pipelined:     max(tr.MemCycles, tr.ComputeCycles),
-			MemoryBound:   tr.MemCycles > tr.ComputeCycles,
+			MemCycles:     mem,
+			DecompCycles:  int(tc.decomp),
+			ComputeCycles: comp,
+			Pipelined:     max(mem, comp),
+			MemoryBound:   mem > comp,
 		}
 		if tt.MemoryBound {
-			tt.Bubble = tr.MemCycles - tr.ComputeCycles
+			tt.Bubble = mem - comp
 		} else {
-			tt.Bubble = tr.ComputeCycles - tr.MemCycles
+			tt.Bubble = comp - mem
 		}
 		out = append(out, tt)
 	}
@@ -786,14 +848,14 @@ func (pl *Plan) Schedule(k formats.Kind) (*Schedule, error) {
 	}
 	s := &Schedule{Kind: k, P: pl.p, Tiles: make([]StageTimes, 0, len(pf.tiles)), cfg: pl.cfg}
 	var memFree, compFree, writeFree uint64
-	for _, tr := range pf.tiles {
+	for _, tc := range pf.tiles {
 		var st StageTimes
 		st.MemStart = memFree
-		st.MemEnd = st.MemStart + uint64(tr.MemCycles)
+		st.MemEnd = st.MemStart + uint64(tc.mem)
 		memFree = st.MemEnd
 
 		st.ComputeStart = max64(st.MemEnd, compFree)
-		st.ComputeEnd = st.ComputeStart + uint64(tr.ComputeCycles)
+		st.ComputeEnd = st.ComputeStart + uint64(tc.compute)
 		compFree = st.ComputeEnd
 
 		st.WriteStart = max64(st.ComputeEnd, writeFree)
