@@ -208,9 +208,8 @@ func (f Footprint) Utilization() float64 {
 
 // HostBytes returns the host memory an encoding made by this package
 // holds: its encoder struct plus every stream at its capacity times its
-// element size, the host-kernel indexes (skip, DIA's ext) included, and
-// for LIL's list-of-lists streams the list headers plus each list; 0 for
-// any other Encoded. Footprint is instead what the modelled accelerator
+// element size, the host-kernel skip indexes included; 0 for any other
+// Encoded. Footprint is instead what the modelled accelerator
 // transfers, with 4-byte values and no host indexes; the host keeps
 // float64 values, so a resident encoding is about twice its Footprint.
 func HostBytes(e Encoded) int64 {
@@ -228,7 +227,7 @@ func HostBytes(e Encoded) int64 {
 	case *DOKEnc:
 		return structBytes(e) + capBytes(e.keys) + capBytes(e.vals)
 	case *LILEnc:
-		return structBytes(e) + listBytes(e.colRows) + listBytes(e.colVals) + capBytes(e.skip)
+		return structBytes(e) + capBytes(e.offsets, e.rows, e.skip) + capBytes(e.vals)
 	case *ELLEnc:
 		return structBytes(e) + capBytes(e.idx, e.skip) + capBytes(e.vals)
 	case *DIAEnc:
@@ -255,16 +254,6 @@ func capBytes[T any](streams ...[]T) int64 {
 	}
 	var z T
 	return n * int64(unsafe.Sizeof(z))
-}
-
-// listBytes is the bytes of a list-of-lists stream: its headers and each
-// list.
-func listBytes[T any](lists [][]T) int64 {
-	b := capBytes(lists)
-	for _, l := range lists {
-		b += capBytes(l)
-	}
-	return b
 }
 
 // Stats carries the structural quantities the hlsim cycle model consumes.

@@ -378,55 +378,58 @@ func TestCorruptionDetection(t *testing.T) {
 	cases := []struct {
 		name    string
 		corrupt func() Encoded
+		// strict cases must fail to decode; the others may instead
+		// decode to a different valid tile.
+		strict bool
 	}{
 		{"csr column out of range", func() Encoded {
 			e := encodeCSR(tile, nil)
 			e.colIdx[0] = 99
 			return e
-		}},
+		}, false},
 		{"csr offsets decrease", func() Encoded {
 			e := encodeCSR(tile, nil)
 			e.offsets[3] = e.offsets[2] - 1
 			e.offsets[e.p-1] = int32(len(e.vals)) // keep the total consistent
 			return e
-		}},
+		}, false},
 		{"csr offset overruns stream", func() Encoded {
 			// The fuzz-found class: a middle offset larger than the
 			// stream, with the final offset still consistent.
 			e := encodeCSR(tile, nil)
 			e.offsets[0] = int32(len(e.vals)) + 10
 			return e
-		}},
+		}, false},
 		{"csc offset overruns stream", func() Encoded {
 			e := encodeCSC(tile, nil)
 			e.offsets[0] = int32(len(e.vals)) + 10
 			return e
-		}},
+		}, false},
 		{"bcsr offset overruns blocks", func() Encoded {
 			e := encodeBCSR(tile, 4, nil)
 			e.offsets[0] = int32(len(e.colIdx)) + 3
 			return e
-		}},
+		}, false},
 		{"csc row out of range", func() Encoded {
 			e := encodeCSC(tile, nil)
 			e.rowIdx[0] = -2
 			return e
-		}},
+		}, false},
 		{"bcsr bad block column", func() Encoded {
 			e := encodeBCSR(tile, 4, nil)
 			e.colIdx[0] = 3 // not block-aligned
 			return e
-		}},
+		}, false},
 		{"coo missing sentinel", func() Encoded {
 			e := encodeCOO(tile, nil)
 			e.rows[len(e.rows)-1] = 0
 			return e
-		}},
+		}, false},
 		{"coo out of range", func() Encoded {
 			e := encodeCOO(tile, nil)
 			e.cols[0] = 64
 			return e
-		}},
+		}, false},
 		{"dok bad key", func() Encoded {
 			e := encodeDOK(tile, nil)
 			for s, k := range e.keys {
@@ -436,17 +439,17 @@ func TestCorruptionDetection(t *testing.T) {
 				}
 			}
 			return e
-		}},
+		}, false},
 		{"lil rows not ascending", func() Encoded {
 			e := encodeLIL(tile, nil)
-			for j := range e.colRows {
-				if len(e.colRows[j]) >= 2 {
-					e.colRows[j][0], e.colRows[j][1] = e.colRows[j][1], e.colRows[j][0]
+			for j := range e.p {
+				if rows := e.ColRows(j); len(rows) >= 2 {
+					rows[0], rows[1] = rows[1], rows[0]
 					break
 				}
 			}
 			return e
-		}},
+		}, false},
 		{"ell column out of range", func() Encoded {
 			e := encodeELL(tile, nil)
 			for i, v := range e.idx {
@@ -456,41 +459,62 @@ func TestCorruptionDetection(t *testing.T) {
 				}
 			}
 			return e
-		}},
+		}, false},
 		{"dia out of extent", func() Encoded {
+			// Push the last diagonal's hi one row past the diagonal's
+			// in-tile rows [max(0, -d), min(p, p-d)), with a value in
+			// that row; its lane ends the stream, so growing the stream
+			// keeps the lanes and extents consistent.
 			e := encodeDIA(tile, nil)
-			// Force a value into an out-of-extent slot of a non-main
-			// diagonal, if one exists.
-			for k, d := range e.diagNo {
-				if d > 0 {
-					e.lanes[k*e.p+e.p-1] = 7 // row p-1, col p-1+d out of range
-					return e
-				}
-				if d < 0 {
-					e.lanes[k*e.p] = 7 // row 0, col d < 0 out of range
-					return e
-				}
-			}
-			// All-main-diagonal tile: corrupt the lane count instead.
+			k := len(e.diagNo) - 1
+			end := min(e.p, e.p-int(e.diagNo[k])) + 1
+			e.lanes = append(e.lanes, make([]float64, end-int(e.ext[2*k+1]))...)
+			e.lanes[len(e.lanes)-1] = 7
+			e.ext[2*k+1] = int32(end)
+			return e
+		}, true},
+		{"dia empty extent", func() Encoded {
+			// Empty the first diagonal's extent and drop its slots, which
+			// start the stream, so the lanes still match the extents.
+			e := encodeDIA(tile, nil)
+			e.lanes = e.lanes[e.ext[1]-e.ext[0]:]
+			e.ext[1] = e.ext[0]
+			return e
+		}, true},
+		{"dia lanes short of extents", func() Encoded {
+			e := encodeDIA(tile, nil)
 			e.lanes = e.lanes[:len(e.lanes)-1]
 			return e
-		}},
+		}, true},
+		{"dia lanes past extents", func() Encoded {
+			e := encodeDIA(tile, nil)
+			e.lanes = append(e.lanes, 7)
+			return e
+		}, true},
+		{"dia extent bounds short of diagonals", func() Encoded {
+			e := encodeDIA(tile, nil)
+			e.ext = e.ext[:len(e.ext)-1]
+			return e
+		}, true},
 		{"jds broken permutation", func() Encoded {
 			e := encodeJDS(tile, nil)
 			e.perm[0] = e.perm[1]
 			return e
-		}},
+		}, false},
 		{"sell width out of range", func() Encoded {
 			e := encodeSELL(tile, 4, nil)
 			e.widths[0] = int32(e.p + 1)
 			return e
-		}},
+		}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			enc := c.corrupt()
 			dec, err := Decode(enc)
 			if err == nil {
+				if c.strict {
+					t.Fatal("corrupted stream decoded without error")
+				}
 				// Corruption may accidentally produce a valid different
 				// encoding; it must at least not equal the source tile.
 				if dec.EqualValues(tile) {

@@ -2,6 +2,7 @@ package formats
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"copernicus/internal/matrix"
@@ -76,24 +77,132 @@ func FuzzCOODecode(f *testing.F) {
 	})
 }
 
+// FuzzDIADecode builds a diagonal stream from the input: diagonal
+// numbers offset to reach out-of-range values, and per-diagonal [lo, hi)
+// extents from ext byte pairs offset to reach negative, empty and
+// past-the-diagonal ranges (a diagonal without a pair spans its full
+// in-tile rows). An odd ext length uses the last byte as flags: 1 drops
+// the last extent bound, 2 stores one lane slot past the extents. An
+// accepted stream must have valid extents and decode each lane slot to
+// its tile position.
 func FuzzDIADecode(f *testing.F) {
-	f.Add([]byte{0, 3}, []byte{1, 2, 3}, 8)
-	f.Add([]byte{255}, []byte{9}, 8)
-	f.Fuzz(func(t *testing.T, diags, vals []byte, p int) {
+	f.Add([]byte{32, 35}, []byte{}, []byte{1, 2, 3}, 8)
+	f.Add([]byte{255}, []byte{}, []byte{9}, 8)
+	// p = 0 selects an 8×8 tile.
+	f.Add([]byte{31, 32}, []byte{5, 9, 4, 7}, []byte{1, 0, 2, 3, 4, 5, 6}, 0) // valid, trimmed
+	f.Add([]byte{33}, []byte{4, 12}, []byte{1, 2, 3, 4, 5, 6, 7, 8}, 0)       // hi past the diagonal
+	f.Add([]byte{32}, []byte{6, 6}, []byte{}, 0)                              // empty extent
+	f.Add([]byte{32}, []byte{4, 6, 2}, []byte{1, 2, 3}, 0)                    // lanes past the extents
+	f.Add([]byte{32, 34}, []byte{1}, []byte{1, 2}, 0)                         // ext length mismatch
+	f.Fuzz(func(t *testing.T, diags, exts, vals []byte, p int) {
 		p = 8 + (abs(p) % 3 * 8)
-		e := &DIAEnc{p: p}
-		for i := 0; i < len(diags) && i < 64; i++ {
-			e.diagNo = append(e.diagNo, int32(diags[i])-32)
+		var flags byte
+		if len(exts)%2 == 1 {
+			flags, exts = exts[len(exts)-1], exts[:len(exts)-1]
 		}
-		e.lanes = make([]float64, len(e.diagNo)*p)
+		e := &DIAEnc{p: p}
+		n := 0
+		for k := 0; k < len(diags) && k < 64; k++ {
+			d := int(diags[k]) - 32
+			e.diagNo = append(e.diagNo, int32(d))
+			lo, hi := max(0, -d), min(p, p-d)
+			if 2*k+1 < len(exts) {
+				lo, hi = int(exts[2*k])-4, int(exts[2*k+1])-4
+			}
+			e.ext = append(e.ext, int32(lo), int32(hi))
+			n += max(0, hi-lo)
+		}
+		if flags&1 != 0 && len(e.ext) > 0 {
+			e.ext = e.ext[:len(e.ext)-1]
+		}
+		if flags&2 != 0 {
+			n++
+		}
+		e.lanes = make([]float64, n)
 		for i := range e.lanes {
 			if i < len(vals) {
 				e.lanes[i] = float64(vals[i])
 			}
 		}
 		tile, err := Decode(e)
-		if err == nil {
-			fuzzTileOK(t, tile, p)
+		fuzzCorruptOK(t, err)
+		if err != nil {
+			return
+		}
+		fuzzTileOK(t, tile, p)
+		nz, off := 0, 0
+		for k, d32 := range e.diagNo {
+			d, lo, hi := int(d32), int(e.ext[2*k]), int(e.ext[2*k+1])
+			if lo >= hi || lo < max(0, -d) || hi > min(p, p-d) {
+				t.Fatalf("diagonal %d accepted with extent [%d, %d)", d, lo, hi)
+			}
+			for i := lo; i < hi; i++ {
+				v := e.lanes[off+i-lo]
+				if got := tile.At(i, i+d); got != v {
+					t.Fatalf("(%d,%d) = %v, lane holds %v", i, i+d, got, v)
+				}
+				if v != 0 {
+					nz++
+				}
+			}
+			off += hi - lo
+		}
+		if off != len(e.lanes) || tile.NNZ() != nz {
+			t.Fatalf("decoded %d non-zeros from %d lane slots (%d non-zero, %d stored)", tile.NNZ(), off, nz, len(e.lanes))
+		}
+	})
+}
+
+// FuzzDIARoundTrip builds a tile from (row, column, value) byte triples
+// — the first byte picks p and whether the kernel's operand and output
+// are clipped to the last used column and row, as on a boundary tile —
+// and requires encodeDIA to match the dense-scan reference encoder
+// stream for stream, Decode to return the tile, and SpMV to be
+// bit-identical to the full p-slot walk of every lane.
+func FuzzDIARoundTrip(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 4, 1, 1, 8, 2, 3, 252})
+	f.Add([]byte{0x81, 7, 0, 3, 0, 7, 5, 3, 3, 1})
+	f.Add([]byte{2, 0, 31, 9, 31, 0, 17, 5, 6, 200, 6, 5, 40, 12, 12, 3})
+	f.Add([]byte{3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		p := []int{4, 8, 32, 64}[data[0]&3]
+		tile := matrix.NewTile(p, 0, 0)
+		rows, cols := 0, 0
+		for k := 1; k+2 < len(data) && k < 3*512; k += 3 {
+			i, j := int(data[k])%p, int(data[k+1])%p
+			if v := float64(int8(data[k+2])) / 4; v != 0 {
+				tile.Set(i, j, v)
+				rows, cols = max(rows, i+1), max(cols, j+1)
+			}
+		}
+		e := encodeDIA(tile, nil)
+		if !encStreamsEqual(t, e, refEncodeDIA(tile)) {
+			t.Fatal("encodeDIA differs from the dense-scan reference")
+		}
+		dec, err := Decode(e)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if !dec.SameEntries(tile) {
+			t.Fatal("decoded tile differs from the encoded one")
+		}
+		if data[0]&0x80 == 0 {
+			rows, cols = p, p
+		}
+		x := make([]float64, cols)
+		for j := range x {
+			x[j] = float64(j%7) - 2.5
+		}
+		got, want := make([]float64, rows), make([]float64, rows)
+		e.SpMV(x, got)
+		refDIAWalk(e, x, want)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("y[%d] = %v, full walk %v", i, got[i], want[i])
+			}
 		}
 	})
 }
@@ -142,9 +251,9 @@ func fuzzCorruptOK(t *testing.T, err error) {
 }
 
 // FuzzLILDecode builds column lists from the input — per-column length
-// bytes whose high bits inject a length mismatch (0x80) or an explicit
-// zero (0x40), rows offset to reach negative and out-of-range values —
-// and checks that an accepted stream has strictly ascending rows in every
+// bytes whose high bits drop the value stream's last entry (0x80, a
+// row/value length mismatch) or store an explicit zero (0x40), rows
+// offset to reach negative and out-of-range values — and checks that an accepted stream has strictly ascending rows in every
 // column and decodes to exactly its entries.
 func FuzzLILDecode(f *testing.F) {
 	f.Add([]byte{2, 1, 0, 1}, []byte{5, 9, 4, 11}, 8) // valid, ascending
@@ -155,21 +264,22 @@ func FuzzLILDecode(f *testing.F) {
 	f.Add([]byte{3, 3, 3}, []byte{4, 5, 6, 4, 6, 7, 5, 6, 7}, 24)
 	f.Fuzz(func(t *testing.T, lens, rows []byte, p int) {
 		p = 8 + (abs(p) % 3 * 8)
-		e := &LILEnc{p: p, colRows: make([][]int32, p), colVals: make([][]float64, p)}
+		e := &LILEnc{p: p, offsets: make([]int32, p)}
 		next := 0
-		for j := 0; j < p && j < len(lens); j++ {
-			for k := 0; k < int(lens[j]&7) && next < len(rows); k++ {
+		for j := 0; j < p; j++ {
+			for k := 0; j < len(lens) && k < int(lens[j]&7) && next < len(rows); k++ {
 				v := float64(next + 1)
 				if k == 0 && lens[j]&0x40 != 0 {
 					v = 0
 				}
-				e.colRows[j] = append(e.colRows[j], int32(rows[next])-4)
-				e.colVals[j] = append(e.colVals[j], v)
+				e.rows = append(e.rows, int32(rows[next])-4)
+				e.vals = append(e.vals, v)
 				next++
 			}
-			if lens[j]&0x80 != 0 && len(e.colVals[j]) > 0 {
-				e.colVals[j] = e.colVals[j][:len(e.colVals[j])-1]
+			if j < len(lens) && lens[j]&0x80 != 0 && len(e.vals) > 0 {
+				e.vals = e.vals[:len(e.vals)-1]
 			}
+			e.offsets[j] = int32(len(e.rows))
 		}
 		e.nnz = next
 		tile, err := Decode(e)
@@ -181,13 +291,14 @@ func FuzzLILDecode(f *testing.F) {
 		if tile.NNZ() != next {
 			t.Fatalf("decoded %d non-zeros from %d list entries", tile.NNZ(), next)
 		}
-		for j := range e.colRows {
-			for k, r := range e.colRows[j] {
-				if k > 0 && e.colRows[j][k-1] >= r {
-					t.Fatalf("column %d accepted with rows out of order: %v", j, e.colRows[j])
+		for j := 0; j < p; j++ {
+			rows, vals := e.ColRows(j), e.ColVals(j)
+			for k, r := range rows {
+				if k > 0 && rows[k-1] >= r {
+					t.Fatalf("column %d accepted with rows out of order: %v", j, rows)
 				}
-				if got := tile.At(int(r), j); got != e.colVals[j][k] {
-					t.Fatalf("(%d,%d) = %v, stream holds %v", r, j, got, e.colVals[j][k])
+				if got := tile.At(int(r), j); got != vals[k] {
+					t.Fatalf("(%d,%d) = %v, stream holds %v", r, j, got, vals[k])
 				}
 			}
 		}

@@ -136,21 +136,17 @@ func refEncodeDOK(t *matrix.Tile) *DOKEnc {
 }
 
 func refEncodeLIL(t *matrix.Tile) *LILEnc {
-	e := &LILEnc{
-		p:       t.P,
-		colRows: make([][]int32, t.P),
-		colVals: make([][]float64, t.P),
-		nnz:     t.NNZ(),
-		nzr:     t.NonZeroRows(),
-	}
+	e := &LILEnc{p: t.P, nnz: t.NNZ(), nzr: t.NonZeroRows()}
 	for j := 0; j < t.P; j++ {
+		n := len(e.rows)
 		for i := 0; i < t.P; i++ {
 			if v := t.At(i, j); v != 0 {
-				e.colRows[j] = append(e.colRows[j], int32(i))
-				e.colVals[j] = append(e.colVals[j], v)
+				e.rows = append(e.rows, int32(i))
+				e.vals = append(e.vals, v)
 			}
 		}
-		if len(e.colRows[j]) > 0 {
+		e.offsets = append(e.offsets, int32(len(e.rows)))
+		if len(e.rows) > n {
 			e.skip = append(e.skip, int32(j))
 		}
 	}
@@ -214,7 +210,7 @@ func refEncodeDIA(t *matrix.Tile) *DIAEnc {
 				}
 			}
 		}
-		e.lanes = append(e.lanes, lane...)
+		e.lanes = append(e.lanes, lane[lo:hi]...)
 		e.ext = append(e.ext, int32(lo), int32(hi))
 	}
 	return e
@@ -426,7 +422,7 @@ func refEncode(k Kind, t *matrix.Tile) Encoded {
 }
 
 // encStreamsEqual compares two same-format encodings stream by stream,
-// the host-kernel indexes (skip lists, DIA extents) included
+// the host-kernel skip lists included
 // (slices.Equal treats nil and empty as equal, so append-grown reference
 // streams match exactly-allocated production ones).
 func encStreamsEqual(t *testing.T, got, want Encoded) bool {
@@ -458,15 +454,9 @@ func encStreamsEqual(t *testing.T, got, want Encoded) bool {
 		return g.p == w.p && slices.Equal(g.keys, w.keys) && slices.Equal(g.vals, w.vals)
 	case *LILEnc:
 		w := want.(*LILEnc)
-		if g.p != w.p || len(g.colRows) != len(w.colRows) || !slices.Equal(g.skip, w.skip) {
-			return false
-		}
-		for j := range g.colRows {
-			if !slices.Equal(g.colRows[j], w.colRows[j]) || !slices.Equal(g.colVals[j], w.colVals[j]) {
-				return false
-			}
-		}
-		return true
+		return g.p == w.p && slices.Equal(g.offsets, w.offsets) &&
+			slices.Equal(g.rows, w.rows) && slices.Equal(g.vals, w.vals) &&
+			slices.Equal(g.skip, w.skip)
 	case *ELLEnc:
 		w := want.(*ELLEnc)
 		return g.p == w.p && g.w == w.w && slices.Equal(g.idx, w.idx) && slices.Equal(g.vals, w.vals) &&

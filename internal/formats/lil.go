@@ -11,10 +11,15 @@ import "copernicus/internal/matrix"
 // index and gathers every column whose head matches. One terminator entry
 // per column marks the end of the lists — the "one additional row" of
 // transfer the paper charges LIL for.
+//
+// The host copy keeps the lists column-major in two shared streams — the
+// row indices and the values, column after column — with one cumulative
+// offset per column, so a tile costs no list header per column.
 type LILEnc struct {
 	p       int
-	colRows [][]int32 // per column: ascending row indices of non-zeros
-	colVals [][]float64
+	offsets []int32   // len p, cumulative entries through each column
+	rows    []int32   // per column: ascending row indices of non-zeros
+	vals    []float64 // the values, in rows order
 	nnz     int
 	nzr     int
 	// skip lists the non-empty columns, ascending — host-kernel metadata
@@ -31,8 +36,9 @@ func encodeLIL(t *matrix.Tile, sl *Slab) *LILEnc {
 	e := slabEnc[LILEnc](sl, LIL)
 	*e = LILEnc{
 		p:       p,
-		colRows: sl.int32Lists(p),
-		colVals: sl.float64Lists(p),
+		offsets: sl.int32s(p),
+		rows:    sl.int32s(nnz),
+		vals:    sl.float64s(nnz),
 		nnz:     nnz,
 		nzr:     t.NonZeroRows(),
 	}
@@ -48,28 +54,24 @@ func encodeLIL(t *matrix.Tile, sl *Slab) *LILEnc {
 			cur[j]++
 		}
 	}
-	// All column lists slice two shared backing arrays.
-	rowsBuf := sl.int32s(nnz)
-	valsBuf := sl.float64s(nnz)
 	e.skip = sl.int32s(nzc)
 	running, n := int32(0), 0
 	for j := 0; j < p; j++ {
 		c := cur[j]
 		cur[j] = running
+		running += c
+		e.offsets[j] = running
 		if c > 0 {
-			e.colRows[j] = rowsBuf[running : running+c : running+c]
-			e.colVals[j] = valsBuf[running : running+c : running+c]
 			e.skip[n] = int32(j)
 			n++
 		}
-		running += c
 	}
 	// Scattering the row-major walk keeps each list's rows ascending.
 	for i := 0; i < p; i++ {
 		cols, vals := t.RowView(i)
 		for k, j := range cols {
-			rowsBuf[cur[j]] = int32(i)
-			valsBuf[cur[j]] = vals[k]
+			e.rows[cur[j]] = int32(i)
+			e.vals[cur[j]] = vals[k]
 			cur[j]++
 		}
 	}
@@ -83,37 +85,59 @@ func (e *LILEnc) Kind() Kind { return LIL }
 // P implements Encoded.
 func (e *LILEnc) P() int { return e.p }
 
+// colRange returns the [start, end) range of column j's list in the row
+// and value streams.
+func (e *LILEnc) colRange(j int) (start, end int32) {
+	if j > 0 {
+		start = e.offsets[j-1]
+	}
+	return start, e.offsets[j]
+}
+
 // ColRows exposes column j's row-index list for the hardware model.
-func (e *LILEnc) ColRows(j int) []int32 { return e.colRows[j] }
+func (e *LILEnc) ColRows(j int) []int32 {
+	start, end := e.colRange(j)
+	return e.rows[start:end]
+}
 
 // ColVals exposes column j's value list for the hardware model.
-func (e *LILEnc) ColVals(j int) []float64 { return e.colVals[j] }
+func (e *LILEnc) ColVals(j int) []float64 {
+	start, end := e.colRange(j)
+	return e.vals[start:end]
+}
 
 // Height returns the longest column list (the rectangular BRAM array's
 // used height, excluding the terminator row).
 func (e *LILEnc) Height() int {
-	h := 0
-	for _, c := range e.colRows {
-		if len(c) > h {
-			h = len(c)
-		}
+	h, start := int32(0), int32(0)
+	for _, end := range e.offsets {
+		h = max(h, end-start)
+		start = end
 	}
-	return h
+	return int(h)
 }
 
 // DecodeInto implements Encoded. It walks each column list once —
-// O(nnz + p) — validating that rows ascend within the list; the row-major
-// order the Listing 4 merge produces is restored by the tile's seal.
+// O(nnz + p) — validating the offsets and that rows ascend within a
+// list; the row-major order the Listing 4 merge produces is restored by
+// the tile's seal.
 func (e *LILEnc) DecodeInto(t *matrix.Tile) error {
-	if len(e.colRows) != e.p || len(e.colVals) != e.p {
-		return corruptf("lil: %d/%d columns for p=%d", len(e.colRows), len(e.colVals), e.p)
+	if len(e.offsets) != e.p {
+		return corruptf("lil: %d offsets for p=%d", len(e.offsets), e.p)
+	}
+	if len(e.rows) != len(e.vals) {
+		return corruptf("lil: %d rows for %d values", len(e.rows), len(e.vals))
+	}
+	if int(e.offsets[e.p-1]) != len(e.rows) {
+		return corruptf("lil: final offset %d != %d entries", e.offsets[e.p-1], len(e.rows))
 	}
 	t.Reset(e.p)
-	for j, rows := range e.colRows {
-		vals := e.colVals[j]
-		if len(rows) != len(vals) {
-			return corruptf("lil: column %d length mismatch", j)
+	start := int32(0)
+	for j, end := range e.offsets {
+		if end < start || int(end) > len(e.rows) {
+			return corruptf("lil: offset %d of column %d outside [%d, %d]", end, j, start, len(e.rows))
 		}
+		rows, vals := e.rows[start:end], e.vals[start:end]
 		for k, r := range rows {
 			if r < 0 || int(r) >= e.p {
 				return corruptf("lil: row %d out of range in column %d", r, j)
@@ -126,6 +150,7 @@ func (e *LILEnc) DecodeInto(t *matrix.Tile) error {
 			}
 			t.Set(int(r), j, vals[k])
 		}
+		start = end
 	}
 	return nil
 }

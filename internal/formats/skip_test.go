@@ -59,9 +59,9 @@ func skipIndex(e Encoded) []int32 {
 // TestSkipIndexContents: every index holds exactly the stored work of a
 // hand-checked tile — ascending non-empty rows (CSR, ELL, ELL+COO) or
 // columns (CSC, LIL), (row or sorted position, rectangle offset) pairs
-// (SELL, SELL-C-σ), and per-diagonal [lo, hi) non-zero extents (DIA) —
-// and it is derived metadata: a decode/re-encode round trip rebuilds it
-// identically.
+// (SELL, SELL-C-σ), and per-diagonal [lo, hi) non-zero extents (DIA),
+// with DIA's lanes holding just those extents — and a decode/re-encode
+// round trip rebuilds it identically.
 func TestSkipIndexContents(t *testing.T) {
 	// Non-zeros at (1,1), (1,6), (5,2), (6,5), (6,6) of an 8×8 tile.
 	tile := matrix.NewTile(8, 0, 0)
@@ -96,6 +96,11 @@ func TestSkipIndexContents(t *testing.T) {
 		if re := skipIndex(Encode(k, dec)); !slices.Equal(re, w) {
 			t.Fatalf("%v: re-encoded index = %v, want %v", k, re, w)
 		}
+	}
+	// DIA stores only those extents, back to back: (5,2); (6,5); (1,1),
+	// four in-band zeros, (6,6); and (1,6).
+	if got, want := Encode(DIA, tile).(*DIAEnc).lanes, []float64{8, 12, 3, 0, 0, 0, 0, 13, 8}; !slices.Equal(got, want) {
+		t.Fatalf("DIA lanes = %v, want %v", got, want)
 	}
 	if n := Encode(CSR, tile).Stats().NonZeroRows; n != len(rows) {
 		t.Fatalf("NonZeroRows = %d, skip lists hold %d rows", n, len(rows))

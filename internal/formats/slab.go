@@ -28,10 +28,8 @@ package formats
 // ablation encoders use. A Slab is not safe for concurrent use; give each
 // goroutine its own.
 type Slab struct {
-	i32      arena[int32]
-	f64      arena[float64]
-	i32Lists arena[[]int32]
-	f64Lists arena[[]float64]
+	i32 arena[int32]
+	f64 arena[float64]
 
 	// encs[k] is the slab's own encoder struct of kind k, made on its
 	// first use; taken has bit k set while it is handed out.
@@ -55,12 +53,10 @@ func slabEnc[T any](s *Slab, k Kind) *T {
 	return e
 }
 
-// Chunk lengths, in elements: 32 KiB of int32 or float64 data, or 1024
-// list headers.
+// Chunk lengths, in elements: 32 KiB of int32 or float64 data.
 const (
 	slabInts   = 8192
 	slabFloats = 4096
-	slabLists  = 1024
 )
 
 // int32s returns a zeroed stream of n int32s.
@@ -79,22 +75,6 @@ func (s *Slab) float64s(n int) []float64 {
 	return s.f64.carve(slabFloats, n)
 }
 
-// int32Lists returns n nil []int32 list headers (LIL's per-column lists).
-func (s *Slab) int32Lists(n int) [][]int32 {
-	if s == nil {
-		return make([][]int32, n)
-	}
-	return s.i32Lists.carve(slabLists, n)
-}
-
-// float64Lists returns n nil []float64 list headers.
-func (s *Slab) float64Lists(n int) [][]float64 {
-	if s == nil {
-		return make([][]float64, n)
-	}
-	return s.f64Lists.carve(slabLists, n)
-}
-
 // Reset makes every stream and encoder struct handed out since the last
 // Reset available again: each current chunk rewinds to its start with
 // only its used prefix cleared, the oversized streams go on a free list
@@ -109,8 +89,6 @@ func (s *Slab) Reset() {
 	s.taken = 0
 	s.i32.reset()
 	s.f64.reset()
-	s.i32Lists.reset()
-	s.f64Lists.reset()
 }
 
 // arena is one element type's share of a Slab.

@@ -8,9 +8,8 @@ import (
 	"copernicus/internal/xrand"
 )
 
-// checkExactStreams fails unless every stream of e — and every list of a
-// list-of-lists stream — has cap == len, so an append on one can never
-// write into memory another stream owns.
+// checkExactStreams fails unless every stream of e has cap == len, so an
+// append on one can never write into memory another stream owns.
 func checkExactStreams(t *testing.T, e Encoded) {
 	t.Helper()
 	v := reflect.ValueOf(e).Elem()
@@ -22,14 +21,6 @@ func checkExactStreams(t *testing.T, e Encoded) {
 		name := v.Type().Field(i).Name
 		if f.Cap() != f.Len() {
 			t.Fatalf("%v p=%d: stream %s has len %d, cap %d", e.Kind(), e.P(), name, f.Len(), f.Cap())
-		}
-		if f.Type().Elem().Kind() != reflect.Slice {
-			continue
-		}
-		for j := 0; j < f.Len(); j++ {
-			if l := f.Index(j); l.Cap() != l.Len() {
-				t.Fatalf("%v p=%d: %s[%d] has len %d, cap %d", e.Kind(), e.P(), name, j, l.Len(), l.Cap())
-			}
 		}
 	}
 }
@@ -59,16 +50,6 @@ func TestSlabStreamsExactZeroedDisjoint(t *testing.T) {
 				a[x], b[x] = int32(k), float64(k)
 			}
 			ints, floats = append(ints, a), append(floats, b)
-			ls, fs := sl.int32Lists(n%40), sl.float64Lists(n%40)
-			if len(ls) != n%40 || cap(ls) != n%40 || len(fs) != n%40 || cap(fs) != n%40 {
-				t.Fatalf("request %d: list headers not exact", k)
-			}
-			for x := range ls {
-				if ls[x] != nil || fs[x] != nil {
-					t.Fatalf("request %d: list header %d not nil", k, x)
-				}
-				ls[x], fs[x] = a, b
-			}
 		}
 		for k := range ints {
 			_ = append(ints[k], -1)
@@ -130,8 +111,8 @@ func TestSlabEncodingsSurviveCorpus(t *testing.T) {
 }
 
 // slabPass is one pass of mixed requests through sl: small streams that
-// share a chunk, oversized int32 and float64 streams above a quarter
-// chunk, and list headers. Every stream is checked exact-length and
+// share a chunk, and oversized int32 and float64 streams above a quarter
+// chunk. Every stream is checked exact-length and
 // zeroed, then marked with its request number; the passes' streams are
 // returned for the disjointness check.
 func slabPass(t *testing.T, sl *Slab) (ints [][]int32, floats [][]float64) {
@@ -147,13 +128,6 @@ func slabPass(t *testing.T, sl *Slab) (ints [][]int32, floats [][]float64) {
 				t.Fatalf("request %d of %d: stream not zeroed at %d", k, n, x)
 			}
 			a[x], b[x] = int32(k+1), float64(k+1)
-		}
-		ls, fs := sl.int32Lists(n%40), sl.float64Lists(n%40)
-		for x := range ls {
-			if ls[x] != nil || fs[x] != nil {
-				t.Fatalf("request %d: list header %d not nil", k, x)
-			}
-			ls[x], fs[x] = a, b
 		}
 		ints, floats = append(ints, a), append(floats, b)
 	}
@@ -186,8 +160,6 @@ func TestSlabResetReuses(t *testing.T) {
 		for _, n := range sizes {
 			sl.int32s(n)
 			sl.float64s(n)
-			sl.int32Lists(n % 40)
-			sl.float64Lists(n % 40)
 		}
 		sl.Reset()
 	}

@@ -27,11 +27,12 @@ package formats
 // columns or slots that hold stored entries. The ELL family, CSC and LIL
 // walk encode-time lists of their non-empty rows or columns (CSR's skip
 // list generalized), and DIA strides each diagonal only over its
-// [lo, hi) extent of non-zeros. Each kernel keeps its accumulation
-// order, so on a cleared y with finite x it is bit-identical to the full
-// walk it replaced: the only products skipped are DIA's zero slots
-// outside the extent, which are ±0, and a sum that starts at +0 never
-// becomes -0.
+// [lo, hi) extent of non-zeros — the only slots its host copy stores,
+// back to back, while the modelled lane keeps all p. Each kernel keeps
+// its accumulation order, so on a cleared y with finite x it is
+// bit-identical to the full walk it replaced: the only products skipped
+// are DIA's zero slots outside the extent, which are ±0, and a sum that
+// starts at +0 never becomes -0.
 //
 // Padded formats still multiply explicitly stored zeros in three places:
 // every slot of Dense, the in-block zeros of BCSR, and the zeros inside
@@ -181,7 +182,8 @@ func (e *COOEnc) SpMV(x, y []float64) {
 // the non-empty columns of the encode-time skip list are visited.
 func (e *LILEnc) SpMV(x, y []float64) {
 	for _, j := range e.skip {
-		rows, vals := e.colRows[j], e.colVals[j]
+		start, end := e.colRange(int(j))
+		rows, vals := e.rows[start:end], e.vals[start:end]
 		vals = vals[:len(rows)]
 		xv := x[j]
 		for k, i := range rows {
@@ -215,16 +217,18 @@ func ellRow(idx []int32, vals, x []float64) float64 {
 	return s
 }
 
-// SpMV implements Encoded: DIA strides every stored diagonal over the
-// encode-time [lo, hi) slot range of its non-zeros. Slots outside it —
-// out-of-extent padding, and the lane ends clipped by a boundary tile's
-// operand and output lengths — hold only zeros and are never read.
+// SpMV implements Encoded: DIA strides every stored diagonal over its
+// [lo, hi) row range of non-zeros, the only slots the host stores.
+// Slots outside it — out-of-extent padding, and the lane ends clipped by
+// a boundary tile's operand and output lengths — hold only zeros in the
+// modelled lane and are never read.
 func (e *DIAEnc) SpMV(x, y []float64) {
-	p := e.p
+	off := 0
 	for k, d32 := range e.diagNo {
 		d := int(d32)
 		lo, hi := int(e.ext[2*k]), int(e.ext[2*k+1])
-		lane := e.lanes[k*p+lo : k*p+hi]
+		lane := e.lanes[off : off+hi-lo]
+		off += hi - lo
 		xs := x[lo+d : hi+d]
 		xs = xs[:len(lane)]
 		ys := y[lo:hi]

@@ -40,12 +40,12 @@ func refBCSRWalk(e *BCSREnc, x, y []float64) {
 }
 
 func refLILWalk(e *LILEnc, x, y []float64) {
-	for j, rows := range e.colRows {
+	for j := 0; j < e.p; j++ {
+		rows, vals := e.ColRows(j), e.ColVals(j)
 		if len(rows) == 0 {
 			continue
 		}
 		xv := x[j]
-		vals := e.colVals[j]
 		for k, i := range rows {
 			y[i] += vals[k] * xv
 		}
@@ -75,7 +75,7 @@ func refDIAWalk(e *DIAEnc, x, y []float64) {
 	p := e.p
 	for k, d32 := range e.diagNo {
 		d := int(d32)
-		lane := e.lanes[k*p : (k+1)*p]
+		lane := e.Lane(k)
 		lo := max(0, -d)
 		hi := min(min(p, p-d), min(len(y), len(x)-d))
 		for i := lo; i < hi; i++ {

@@ -7,9 +7,11 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"copernicus/internal/formats"
 	"copernicus/internal/gen"
+	"copernicus/internal/matrix"
 	"copernicus/internal/scenario"
 )
 
@@ -147,11 +149,10 @@ func TestSpMMCyclesWidensAtMaxN(t *testing.T) {
 // TestMemoryBytesTracksExecHeap: building a format's exec encodings grows
 // Plan.MemoryBytes by what it grows the live heap, for every format.
 // MemoryBytes counts requested bytes, while the heap rounds each object up
-// to its size class and gives a pointer-holding object above 512 B an
-// 8-byte header, so MemoryBytes may fall short: by 12% for LIL, whose
-// 64-entry list-header arrays (1,536 B) take 1,792 B each. It may fall
-// short by at most 20% and exceed the heap growth by at most 2%; counting
-// values at the modelled 4 bytes, as Footprint does, reads about half.
+// to its size class, so MemoryBytes may fall short (by about 5% for
+// BCSR, the lowest). It may fall short by at most 20% and exceed the heap
+// growth by at most 2%; counting values at the modelled 4 bytes, as
+// Footprint does, reads about half.
 func TestMemoryBytesTracksExecHeap(t *testing.T) {
 	m := gen.Random(2048, 0.01, 17)
 	x := testVectorFor(m.Cols)
@@ -193,5 +194,54 @@ func TestMemoryBytesTracksExecHeap(t *testing.T) {
 			t.Errorf("%v: MemoryBytes grew %d B for %d B of heap (ratio %.3f, want 0.8..1.02)", k, mb, h, ratio)
 		}
 		runtime.KeepAlive(pl) // the exec encodings must be live when heap() reads
+	}
+}
+
+// TestDIAHostBytesBoundedByExtent: a DIA encoding holds on the host only
+// each stored diagonal's [lo, hi) extent of non-zeros — its struct, 12 B
+// a diagonal (number and extent pair) and 8 B an extent slot — not the
+// modelled p slots a diagonal, so a scattered matrix's resident DIA exec
+// stays within a small multiple of its nnz.
+func TestDIAHostBytesBoundedByExtent(t *testing.T) {
+	const p = 64
+	tile := matrix.NewTile(p, 0, 0)
+	for _, ij := range [][2]int{{0, 63}, {63, 0}, {10, 20}, {30, 40}, {31, 41}, {40, 2}, {5, 5}, {60, 60}} {
+		tile.Set(ij[0], ij[1], float64(ij[0]-ij[1])+0.5)
+	}
+	e := formats.Encode(formats.DIA, tile).(*formats.DIAEnc)
+	slots := 0
+	for k := range e.Diagonals() {
+		lo, hi := -1, 0
+		for i, v := range e.Lane(k) {
+			if v != 0 {
+				if lo < 0 {
+					lo = i
+				}
+				hi = i + 1
+			}
+		}
+		slots += hi - lo
+	}
+	want := int64(unsafe.Sizeof(formats.DIAEnc{})) + int64(12*e.Diagonals()+8*slots)
+	if got := formats.HostBytes(e); got != want {
+		t.Fatalf("HostBytes = %d for %d diagonals and %d extent slots, want %d", got, e.Diagonals(), slots, want)
+	}
+	// The modelled lanes keep all p slots.
+	if got, want := e.Footprint().ValueLaneBytes, e.Diagonals()*p*matrix.BytesPerValue; got != want {
+		t.Fatalf("Footprint value lane = %d B, want %d", got, want)
+	}
+
+	m := gen.Random(8192, 0.002, 1)
+	pl, err := NewPlan(Default(), m, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Result{Y: make([]float64, m.Rows)}
+	if err := pl.RunExecIntoContext(context.Background(), formats.DIA, testVectorFor(m.Cols), &r, 1); err != nil {
+		t.Fatal(err)
+	}
+	const limit = 32 << 20
+	if mb := pl.MemoryBytes(); mb >= limit {
+		t.Fatalf("MemoryBytes after the DIA exec build = %d B for %d non-zeros, want under %d", mb, m.NNZ(), limit)
 	}
 }

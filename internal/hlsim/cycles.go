@@ -18,7 +18,12 @@ var ErrUnknownFormat = errors.New("hlsim: unknown format kind")
 // of each format's Listing. A Kind outside the modelled set returns an
 // error wrapping ErrUnknownFormat.
 func (c Config) DecompCycles(enc formats.Encoded) (int, error) {
-	s := enc.Stats()
+	return c.decompCycles(enc, enc.Stats())
+}
+
+// decompCycles is DecompCycles for enc whose Stats s the caller has
+// already taken.
+func (c Config) decompCycles(enc formats.Encoded, s formats.Stats) (int, error) {
 	p := enc.P()
 	switch enc.Kind() {
 	case formats.Dense:
@@ -115,18 +120,23 @@ func (c Config) DecompCycles(enc formats.Encoded) (int, error) {
 // ComputeCycles returns the compute-stage latency for one tile:
 // T_decomp + DotRows·T_dot, the numerator of Eq. (1).
 func (c Config) ComputeCycles(enc formats.Encoded) (int, error) {
-	d, err := c.DecompCycles(enc)
+	s := enc.Stats()
+	d, err := c.decompCycles(enc, s)
 	if err != nil {
 		return 0, err
 	}
-	return d + enc.Stats().DotRows*c.DotLatency(enc.P()), nil
+	return d + s.DotRows*c.DotLatency(enc.P()), nil
 }
 
 // MemCycles returns the memory-stage latency for one tile: the longer of
 // the two AXI streamlines plus the fixed burst overhead (or the serial
 // sum when SingleStreamline is set).
 func (c Config) MemCycles(enc formats.Encoded) int {
-	f := enc.Footprint()
+	return c.memCycles(enc.Footprint())
+}
+
+// memCycles is MemCycles for an encoding of footprint f.
+func (c Config) memCycles(f formats.Footprint) int {
 	v := ceilDiv(f.ValueLaneBytes, c.AXIBytesPerCycle)
 	i := ceilDiv(f.IndexLaneBytes, c.AXIBytesPerCycle)
 	if c.SingleStreamline {

@@ -164,21 +164,26 @@ func (r *Result) InnerPipelineUtilization() float64 {
 // cycle model has no equations for returns an error wrapping
 // ErrUnknownFormat instead of panicking.
 func RunTile(cfg Config, enc formats.Encoded) (TileResult, error) {
-	dec, err := cfg.DecompCycles(enc)
+	tr, _, err := runTile(cfg, enc)
+	return tr, err
+}
+
+// runTile is RunTile that also returns enc's Stats: it takes them and
+// the Footprint once and runs the decompression model once for the tile.
+func runTile(cfg Config, enc formats.Encoded) (TileResult, formats.Stats, error) {
+	s := enc.Stats()
+	dec, err := cfg.decompCycles(enc, s)
 	if err != nil {
-		return TileResult{}, err
+		return TileResult{}, s, err
 	}
-	comp, err := cfg.ComputeCycles(enc)
-	if err != nil {
-		return TileResult{}, err
-	}
+	f := enc.Footprint()
 	return TileResult{
-		MemCycles:     cfg.MemCycles(enc),
+		MemCycles:     cfg.memCycles(f),
 		DecompCycles:  dec,
-		ComputeCycles: comp,
-		DotRows:       enc.Stats().DotRows,
-		Footprint:     enc.Footprint(),
-	}, nil
+		ComputeCycles: dec + s.DotRows*cfg.DotLatency(enc.P()),
+		DotRows:       s.DotRows,
+		Footprint:     f,
+	}, s, nil
 }
 
 // Run streams every non-zero partition of m through the modelled

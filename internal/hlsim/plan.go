@@ -573,14 +573,14 @@ func (pl *Plan) warmPass(ctx context.Context, k formats.Kind, pf *planFormat) er
 			// A model gap is unreachable for in-range Kinds (format()
 			// guards the range), but it must surface as the slot's sticky
 			// error, never a panic in a worker.
-			tr, err := RunTile(pl.cfg, ws.enc)
+			tr, st, err := runTile(pl.cfg, ws.enc)
 			if err != nil {
 				return err
 			}
 			if pf.tiles[i], err = packCost(tiles[i], tr); err != nil {
 				return err
 			}
-			ws.sums.nnz += uint64(ws.enc.Stats().NNZ)
+			ws.sums.nnz += uint64(st.NNZ)
 			ws.sums.fp = addFootprint(ws.sums.fp, tr.Footprint)
 			return nil
 		}},

@@ -53,7 +53,11 @@ func NewRowSource(cfg Config, enc formats.Encoded) (RowSource, error) {
 	case *formats.ELLEnc:
 		return &ellSource{cfg: cfg, e: e, drow: make([]float64, e.P())}, nil
 	case *formats.DIAEnc:
-		return &diaSource{cfg: cfg, e: e, drow: make([]float64, e.P())}, nil
+		lanes := make([][]float64, e.Diagonals())
+		for k := range lanes {
+			lanes[k] = e.Lane(k)
+		}
+		return &diaSource{cfg: cfg, e: e, lanes: lanes, drow: make([]float64, e.P())}, nil
 	default:
 		return newGenericSource(cfg, enc)
 	}
@@ -306,10 +310,11 @@ func (s *ellSource) Next() (Row, bool) {
 // diaSource is Listing 7: per output row, a pipelined scan over every
 // stored diagonal, gated by the IsRowOnDiagonal bound checks.
 type diaSource struct {
-	cfg  Config
-	e    *formats.DIAEnc
-	row  int
-	drow []float64
+	cfg   Config
+	e     *formats.DIAEnc
+	lanes [][]float64 // the modelled p-slot lane of each stored diagonal
+	row   int
+	drow  []float64
 }
 
 func (s *diaSource) Next() (Row, bool) {
@@ -323,7 +328,7 @@ func (s *diaSource) Next() (Row, bool) {
 		if j < 0 || j >= p {
 			continue // IsRowOnDiagonal fails
 		}
-		if v := s.e.Lane(k)[s.row]; v != 0 {
+		if v := s.lanes[k][s.row]; v != 0 {
 			s.drow[j] = v
 		}
 	}

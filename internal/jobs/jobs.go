@@ -466,7 +466,9 @@ func (m *Manager) runJob(j *job) {
 // Submit enqueues a job. total is the number of progress points the task
 // will report (sweep points); label is a human-readable description
 // surfaced in Info. Returns ErrQueueFull when the bounded queue is at
-// capacity and ErrShuttingDown after the root context is canceled.
+// capacity and ErrShuttingDown after the root context is canceled. The
+// returned Info is the job as enqueued, in StateQueued: a runner may
+// start it before Submit returns.
 func (m *Manager) Submit(label string, total int, task Task) (Info, error) {
 	ctx, cancel := context.WithCancel(m.root)
 	m.mu.Lock()
@@ -497,6 +499,9 @@ func (m *Manager) Submit(label string, total int, task Task) (Info, error) {
 		cancel: cancel,
 		subs:   make(map[chan Info]struct{}),
 	}
+	// No runner can see j before it is pending, so its snapshot needs
+	// no lock here; taken later it could already be running or done.
+	snap := j.snapshotLocked()
 	m.pending = append(m.pending, j)
 	m.jobs[j.info.ID] = j
 	m.order = append(m.order, j.info.ID)
@@ -506,10 +511,6 @@ func (m *Manager) Submit(label string, total int, task Task) (Info, error) {
 	case m.notify <- struct{}{}:
 	default:
 	}
-
-	j.mu.Lock()
-	snap := j.snapshotLocked()
-	j.mu.Unlock()
 	return snap, nil
 }
 
