@@ -258,7 +258,11 @@ func BenchmarkAblationStreamlines(b *testing.B) {
 	run := func(b *testing.B, cfg hlsim.Config) {
 		var mem float64
 		for i := 0; i < b.N; i++ {
-			res, err := hlsim.Run(cfg, m, formats.CSR, 16, x)
+			pl, err := hlsim.NewPlan(cfg, m, 16)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := pl.RunContext(context.Background(), formats.CSR, x)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -30,6 +30,7 @@
 package copernicus
 
 import (
+	"context"
 	"io"
 	"os"
 
@@ -279,7 +280,11 @@ func Characterize(m *Matrix, f Format, p int) (Result, error) {
 // the dot-product engine. Use Matrix.MulVec for the plain software path,
 // or a StreamPlan when multiplying the same matrix repeatedly.
 func SpMV(m *Matrix, x []float64, f Format, p int) ([]float64, error) {
-	res, err := hlsim.Run(hlsim.Default(), m, f, p, x)
+	pl, err := NewStreamPlan(m, p)
+	if err != nil {
+		return nil, err
+	}
+	res, err := pl.RunContext(context.Background(), f, x)
 	if err != nil {
 		return nil, err
 	}
@@ -289,24 +294,12 @@ func SpMV(m *Matrix, x []float64, f Format, p int) ([]float64, error) {
 // StreamPlan is an encode-once streaming plan: the matrix is partitioned
 // once at one partition size, each format is encoded and decode-verified
 // once on first use, and every subsequent modelled SpMV on the plan pays
-// only the per-iteration dot work. Its RunContext, RunParallel, RunSpMM,
-// Trace, and Schedule methods mirror the package-level one-shot helpers;
+// only the per-iteration dot work. SpMV, SpMVParallel, SpMM,
+// BuildSchedule and TraceSpMV each build one and call one method.
 // RunIntoContext is the allocation-free warm path (reuse one StreamResult
-// across calls), and SetWorkers enables tile-parallel warmup with
-// bit-identical results.
+// across calls). Every plan's tile fan-outs (SetWorkers warmup, exec
+// build, RunExecIntoContext) share one pool of GOMAXPROCS-1 workers.
 type StreamPlan = hlsim.Plan
-
-// ExecPool is the parked worker pool every tile fan-out of a StreamPlan
-// borrows helpers from: the tile-parallel warmup (SetWorkers), the exec
-// build, and RunExecIntoContext, the tile-parallel SpMV through each
-// format's own executable kernel. Plans share a process-wide pool of
-// GOMAXPROCS-1 workers by default; install another with StreamPlan.SetPool
-// to bound their parallelism explicitly.
-type ExecPool = hlsim.Pool
-
-// NewExecPool starts a pool of `workers` parked helper goroutines (0
-// means every caller works alone). Close stops them.
-func NewExecPool(workers int) *ExecPool { return hlsim.NewPool(workers) }
 
 // StreamResult is one modelled SpMV run: the functional output vector
 // plus the aggregated cycle totals. Hold one and call
@@ -333,7 +326,11 @@ type ParallelResult = hlsim.ParallelResult
 // instances — the coarse-grained parallelism of §5.1 — returning the
 // functional result and the per-lane timing model.
 func SpMVParallel(m *Matrix, x []float64, f Format, p, lanes int) (*ParallelResult, error) {
-	return hlsim.RunParallel(hlsim.Default(), m, f, p, x, lanes)
+	pl, err := NewStreamPlan(m, p)
+	if err != nil {
+		return nil, err
+	}
+	return pl.RunParallel(f, x, lanes)
 }
 
 // SpMMResult models sparse-matrix × dense-matrix multiplication, where
@@ -343,7 +340,11 @@ type SpMMResult = hlsim.SpMMResult
 // SpMM multiplies m by the dense operand b (m.Cols × cols, row-major)
 // through the modelled pipeline.
 func SpMM(m *Matrix, b []float64, cols int, f Format, p int) (*SpMMResult, error) {
-	return hlsim.RunSpMM(hlsim.Default(), m, f, p, b, cols)
+	pl, err := NewStreamPlan(m, p)
+	if err != nil {
+		return nil, err
+	}
+	return pl.RunSpMM(f, b, cols)
 }
 
 // Schedule is the event-level three-stage pipeline timeline (memory
@@ -354,7 +355,11 @@ type Schedule = hlsim.Schedule
 // refining the per-tile max(mem, compute) approximation with fill,
 // drain, and writeback overlap.
 func BuildSchedule(m *Matrix, f Format, p int) (*Schedule, error) {
-	return hlsim.BuildSchedule(hlsim.Default(), m, f, p)
+	pl, err := NewStreamPlan(m, p)
+	if err != nil {
+		return nil, err
+	}
+	return pl.Schedule(f)
 }
 
 // Application kernels (§3.3): iterative solvers and graph algorithms
@@ -419,7 +424,11 @@ type TraceSummary = hlsim.TraceSummary
 // pipeline trace, making the §4.2 streaming bubbles visible tile by
 // tile.
 func TraceSpMV(m *Matrix, f Format, p int) ([]TileTrace, error) {
-	return hlsim.Trace(hlsim.Default(), m, f, p)
+	pl, err := NewStreamPlan(m, p)
+	if err != nil {
+		return nil, err
+	}
+	return pl.Trace(f)
 }
 
 // SummarizeTrace folds a trace into totals.

@@ -2,8 +2,10 @@ package copernicus_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -205,6 +207,96 @@ func TestSpMVParallelFacade(t *testing.T) {
 	}
 	if e := r.Efficiency(); e <= 0 || e > 1 {
 		t.Fatalf("efficiency %v", e)
+	}
+}
+
+// TestOneShotHelpersMatchPlan: SpMV, SpMVParallel, SpMM, BuildSchedule
+// and TraceSpMV each equal the matching StreamPlan method bit for bit —
+// output values, cycle totals and per-tile records — in every format.
+func TestOneShotHelpersMatchPlan(t *testing.T) {
+	m := copernicus.Random(96, 0.08, 37)
+	const p, lanes, cols = 16, 3, 2
+	x := make([]float64, m.Cols)
+	for i := range x {
+		x[i] = float64(i%7) - 3.25
+	}
+	b := make([]float64, m.Cols*cols)
+	for i := range b {
+		b[i] = float64(i%5) - 1.5
+	}
+	pl, err := copernicus.NewStreamPlan(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits := func(f copernicus.Format, what string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%v %s: %d values, plan gives %d", f, what, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%v %s: y[%d] = %v, plan gives %v", f, what, i, got[i], want[i])
+			}
+		}
+	}
+	same := func(f copernicus.Format, what string, got, want any) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v %s: one-shot %+v, plan %+v", f, what, got, want)
+		}
+	}
+	for _, f := range copernicus.AllFormats() {
+		y, err := copernicus.SpMV(m, x, f, p)
+		if err != nil {
+			t.Fatalf("%v: %v", f, err)
+		}
+		run, err := pl.RunContext(context.Background(), f, x)
+		if err != nil {
+			t.Fatalf("%v: %v", f, err)
+		}
+		sameBits(f, "SpMV", y, run.Y)
+
+		par, err := copernicus.SpMVParallel(m, x, f, p, lanes)
+		if err != nil {
+			t.Fatalf("%v: %v", f, err)
+		}
+		planPar, err := pl.RunParallel(f, x, lanes)
+		if err != nil {
+			t.Fatalf("%v: %v", f, err)
+		}
+		sameBits(f, "SpMVParallel", par.Y, planPar.Y)
+		same(f, "SpMVParallel", par, planPar)
+
+		mm, err := copernicus.SpMM(m, b, cols, f, p)
+		if err != nil {
+			t.Fatalf("%v: %v", f, err)
+		}
+		planMM, err := pl.RunSpMM(f, b, cols)
+		if err != nil {
+			t.Fatalf("%v: %v", f, err)
+		}
+		sameBits(f, "SpMM", mm.Y, planMM.Y)
+		same(f, "SpMM", mm, planMM)
+
+		sc, err := copernicus.BuildSchedule(m, f, p)
+		if err != nil {
+			t.Fatalf("%v: %v", f, err)
+		}
+		planSc, err := pl.Schedule(f)
+		if err != nil {
+			t.Fatalf("%v: %v", f, err)
+		}
+		same(f, "BuildSchedule", sc, planSc)
+
+		tr, err := copernicus.TraceSpMV(m, f, p)
+		if err != nil {
+			t.Fatalf("%v: %v", f, err)
+		}
+		planTr, err := pl.Trace(f)
+		if err != nil {
+			t.Fatalf("%v: %v", f, err)
+		}
+		same(f, "TraceSpMV", tr, planTr)
 	}
 }
 

@@ -39,8 +39,8 @@ import (
 // count, 1 when unset).
 //
 // Lock ordering: the timed region holds the process-wide measureMu while
-// RunExecIntoContext borrows helpers from the plan's hlsim.Pool, the one
-// pool that warmups and exec builds borrow from too. The two are
+// RunExecIntoContext borrows helpers from hlsim's process-wide worker
+// pool, the one pool that warmups and exec builds borrow from too. The two are
 // independent — pool workers only run tile passes and format kernels and
 // never take measureMu (or any backend lock), and measureMu holders never
 // wait for a *specific* worker (dispatch is non-blocking and a busy pool

@@ -137,8 +137,8 @@ type Engine struct {
 // immutable once characterized (every producer in this repository builds
 // them once via Builder), so identity by pointer is sound. Note the key
 // pins its matrix (and the plan its tiles) until eviction; engines fed a
-// stream of large one-off matrices should call DropPlans or DropPlansFor
-// between them.
+// stream of large one-off matrices should call DropPlansFor on each once
+// it is done.
 type planKey struct {
 	m *matrix.CSR
 	p int
@@ -159,7 +159,7 @@ const maxCachedPlans = 128
 // PlanStats counts plan-cache traffic since the engine was created.
 // Hits are requests served by a cached plan (the amortized regime: no
 // re-partition, no re-encode); misses built a new plan; evictions are
-// LRU capacity drops, not explicit DropPlans calls. ResidentBytes is the
+// LRU capacity drops, not explicit DropPlansFor calls. ResidentBytes is the
 // total resident footprint of every cached plan (Plan.MemoryBytes): the
 // sparse tile spans and functional arrays, which scale with nnz, the
 // per-format cycle tables at 16 B per non-zero tile, plus any resident
@@ -225,17 +225,6 @@ func (e *Engine) workersLocked() int {
 		return e.workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// DropPlans empties the plan cache. Long-lived engines characterizing a
-// stream of large one-off matrices can call it to release the cached
-// partitionings (and the matrices they pin) without waiting for LRU
-// eviction.
-func (e *Engine) DropPlans() {
-	e.mu.Lock()
-	e.plans = make(map[planKey]*list.Element)
-	e.lru.Init()
-	e.mu.Unlock()
 }
 
 // DropPlansFor releases every cached plan of one matrix — all partition

@@ -59,16 +59,6 @@ func (e *DOKEnc) Kind() Kind { return DOK }
 // P implements Encoded.
 func (e *DOKEnc) P() int { return e.p }
 
-// TableSize returns the hash-table slot count.
-func (e *DOKEnc) TableSize() int { return len(e.keys) }
-
-// Keys exposes the packed key slots (dokEmpty for free) for the hardware
-// model.
-func (e *DOKEnc) Keys() []int32 { return e.keys }
-
-// Values exposes the value slots for the hardware model.
-func (e *DOKEnc) Values() []float64 { return e.vals }
-
 // DecodeInto implements Encoded.
 func (e *DOKEnc) DecodeInto(t *matrix.Tile) error {
 	if len(e.keys) != len(e.vals) {

@@ -42,7 +42,7 @@ func denseMaxPPlan(t *testing.T) *Plan {
 
 // TestCostTableFitsDenseTileAtMaxP: under Default(), a fully dense tile at
 // p = 1024 prices in every format with each count inside the packed
-// table's uint32, and the table holds the counts RunTile computes. CSC is
+// table's uint32, and the table holds the counts runTile computes. CSC is
 // the largest, at about 5.4e8 cycles, so the table has about 8× headroom.
 func TestCostTableFitsDenseTileAtMaxP(t *testing.T) {
 	pl := denseMaxPPlan(t)
@@ -50,7 +50,7 @@ func TestCostTableFitsDenseTileAtMaxP(t *testing.T) {
 	var maxK formats.Kind
 	maxCycles := 0
 	for _, k := range formats.All() {
-		tr, err := RunTile(pl.Config(), formats.Encode(k, tile))
+		tr, _, err := runTile(pl.Config(), formats.Encode(k, tile))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestCostTableFitsDenseTileAtMaxP(t *testing.T) {
 		}
 		got := tt[0]
 		if got.MemCycles != tr.MemCycles || got.DecompCycles != tr.DecompCycles || got.ComputeCycles != tr.ComputeCycles {
-			t.Fatalf("%v: packed table gives mem/decomp/compute %d/%d/%d, RunTile %d/%d/%d",
+			t.Fatalf("%v: packed table gives mem/decomp/compute %d/%d/%d, runTile %d/%d/%d",
 				k, got.MemCycles, got.DecompCycles, got.ComputeCycles, tr.MemCycles, tr.DecompCycles, tr.ComputeCycles)
 		}
 		for _, v := range []int{tr.MemCycles, tr.DecompCycles, tr.ComputeCycles, tr.DotRows} {
@@ -88,7 +88,7 @@ func TestCostTableOverflowIsTileError(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := pl.Partitioning().Tiles[0]
-	tr, err := RunTile(cfg, formats.Encode(formats.CSR, first))
+	tr, _, err := runTile(cfg, formats.Encode(formats.CSR, first))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,13 +121,13 @@ func TestCostTableOverflowIsTileError(t *testing.T) {
 
 // TestSpMMCyclesWidensAtMaxN: at cols = scenario.MaxN the per-tile SpMM
 // compute of a dense p = 1024 tile is far beyond uint32; SpMMCycles must
-// equal the same model recomputed in uint64 from RunTile's counts.
+// equal the same model recomputed in uint64 from runTile's counts.
 func TestSpMMCyclesWidensAtMaxN(t *testing.T) {
 	pl := denseMaxPPlan(t)
 	tile := pl.Partitioning().Tiles[0]
 	td := uint64(pl.Config().DotLatency(pl.P()))
 	for _, k := range []formats.Kind{formats.Dense, formats.CSR, formats.CSC, formats.ELL, formats.JDS} {
-		tr, err := RunTile(pl.Config(), formats.Encode(k, tile))
+		tr, _, err := runTile(pl.Config(), formats.Encode(k, tile))
 		if err != nil {
 			t.Fatal(err)
 		}

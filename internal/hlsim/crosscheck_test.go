@@ -166,12 +166,12 @@ func TestVerifyReportsLowestFailingTile(t *testing.T) {
 	t.Cleanup(func() { planTileHook = nil })
 	m := gen.Random(256, 0.05, 17)
 	x := testVectorFor(m.Cols)
-	pool := NewPool(3)
-	defer pool.Close()
+	pool := newPool(3)
+	defer pool.stop()
 	for _, fu := range firstUses {
 		for run := 0; run < 10; run++ {
 			pl := mustPlan(t, m, 16)
-			pl.SetPool(pool)
+			pl.pool.Store(pool)
 			pl.SetWorkers(4)
 			n := len(pl.pt.Tiles)
 			bad := map[int]bool{n / 3: true, n / 2: true, n - 1: true}

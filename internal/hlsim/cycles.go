@@ -13,16 +13,11 @@ import (
 // can map it to a client error rather than losing the goroutine.
 var ErrUnknownFormat = errors.New("hlsim: unknown format kind")
 
-// DecompCycles returns T_decomp of Eq. (1) for one encoded tile: the cycle
-// cost of the decompress stage (Fig. 2 ❷), derived from the HLS structure
-// of each format's Listing. A Kind outside the modelled set returns an
-// error wrapping ErrUnknownFormat.
-func (c Config) DecompCycles(enc formats.Encoded) (int, error) {
-	return c.decompCycles(enc, enc.Stats())
-}
-
-// decompCycles is DecompCycles for enc whose Stats s the caller has
-// already taken.
+// decompCycles returns T_decomp of Eq. (1) for one encoded tile whose
+// Stats s the caller has already taken: the cycle cost of the decompress
+// stage (Fig. 2 ❷), derived from the HLS structure of each format's
+// Listing. A Kind outside the modelled set returns an error wrapping
+// ErrUnknownFormat.
 func (c Config) decompCycles(enc formats.Encoded, s formats.Stats) (int, error) {
 	p := enc.P()
 	switch enc.Kind() {
@@ -113,29 +108,13 @@ func (c Config) decompCycles(enc formats.Encoded, s formats.Stats) (int, error) 
 		return s.NNZ*c.IICOO + s.Slices*c.PipeDepth + s.NonZeroRows*c.BRAMReadLatency, nil
 
 	default:
-		return 0, fmt.Errorf("%w: DecompCycles for kind %v", ErrUnknownFormat, enc.Kind())
+		return 0, fmt.Errorf("%w: decompCycles for kind %v", ErrUnknownFormat, enc.Kind())
 	}
 }
 
-// ComputeCycles returns the compute-stage latency for one tile:
-// T_decomp + DotRows·T_dot, the numerator of Eq. (1).
-func (c Config) ComputeCycles(enc formats.Encoded) (int, error) {
-	s := enc.Stats()
-	d, err := c.decompCycles(enc, s)
-	if err != nil {
-		return 0, err
-	}
-	return d + s.DotRows*c.DotLatency(enc.P()), nil
-}
-
-// MemCycles returns the memory-stage latency for one tile: the longer of
-// the two AXI streamlines plus the fixed burst overhead (or the serial
-// sum when SingleStreamline is set).
-func (c Config) MemCycles(enc formats.Encoded) int {
-	return c.memCycles(enc.Footprint())
-}
-
-// memCycles is MemCycles for an encoding of footprint f.
+// memCycles returns the memory-stage latency for one tile of footprint
+// f: the longer of the two AXI streamlines plus the fixed burst overhead
+// (or the serial sum when SingleStreamline is set).
 func (c Config) memCycles(f formats.Footprint) int {
 	v := ceilDiv(f.ValueLaneBytes, c.AXIBytesPerCycle)
 	i := ceilDiv(f.IndexLaneBytes, c.AXIBytesPerCycle)
@@ -150,11 +129,12 @@ func (c Config) memCycles(f formats.Footprint) int {
 func (c Config) Sigma(enc formats.Encoded) (float64, error) {
 	p := enc.P()
 	td := c.DotLatency(p)
-	cc, err := c.ComputeCycles(enc)
+	s := enc.Stats()
+	d, err := c.decompCycles(enc, s)
 	if err != nil {
 		return 0, err
 	}
-	return float64(cc) / float64(p*td), nil
+	return float64(d+s.DotRows*td) / float64(p*td), nil
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -70,21 +70,21 @@ func TestMemCyclesHandComputed(t *testing.T) {
 	tile.Set(7, 7, 3)
 
 	// Dense: 64 values × 4 B / 8 B-per-cycle = 32 + 4 burst = 36.
-	if got := cfg.MemCycles(formats.Encode(formats.Dense, tile)); got != 36 {
+	if got := cfg.memCycles(formats.Encode(formats.Dense, tile).Footprint()); got != 36 {
 		t.Errorf("dense mem = %d, want 36", got)
 	}
 	// CSR: value lane 3×4=12 B → 2 cycles; index lane (3+8)×4=44 B → 6
 	// cycles; max 6 + 4 = 10.
-	if got := cfg.MemCycles(formats.Encode(formats.CSR, tile)); got != 10 {
+	if got := cfg.memCycles(formats.Encode(formats.CSR, tile).Footprint()); got != 10 {
 		t.Errorf("CSR mem = %d, want 10", got)
 	}
 	// COO: value lane 12 B → 2; index lane 2·3·4=24 B → 3; max 3 + 4 = 7.
-	if got := cfg.MemCycles(formats.Encode(formats.COO, tile)); got != 7 {
+	if got := cfg.memCycles(formats.Encode(formats.COO, tile).Footprint()); got != 7 {
 		t.Errorf("COO mem = %d, want 7", got)
 	}
 	// DIA: value lane 2 diagonals × 8 slots × 4 B = 64 B → 8; index lane
 	// 2 headers × 4 B = 8 B → 1; max 8 + 4 = 12.
-	if got := cfg.MemCycles(formats.Encode(formats.DIA, tile)); got != 12 {
+	if got := cfg.memCycles(formats.Encode(formats.DIA, tile).Footprint()); got != 12 {
 		t.Errorf("DIA mem = %d, want 12", got)
 	}
 }

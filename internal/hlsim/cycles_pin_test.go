@@ -15,20 +15,20 @@ import (
 
 func mustDecomp(t *testing.T, c Config, enc formats.Encoded) int {
 	t.Helper()
-	v, err := c.DecompCycles(enc)
+	v, err := c.decompCycles(enc, enc.Stats())
 	if err != nil {
-		t.Fatalf("DecompCycles(%v): %v", enc.Kind(), err)
+		t.Fatalf("decompCycles(%v): %v", enc.Kind(), err)
 	}
 	return v
 }
 
 func mustCompute(t *testing.T, c Config, enc formats.Encoded) int {
 	t.Helper()
-	v, err := c.ComputeCycles(enc)
+	tr, _, err := runTile(c, enc)
 	if err != nil {
-		t.Fatalf("ComputeCycles(%v): %v", enc.Kind(), err)
+		t.Fatalf("runTile(%v): %v", enc.Kind(), err)
 	}
-	return v
+	return tr.ComputeCycles
 }
 
 func mustSigma(t *testing.T, c Config, enc formats.Encoded) float64 {
@@ -42,9 +42,9 @@ func mustSigma(t *testing.T, c Config, enc formats.Encoded) float64 {
 
 func mustDirectCompute(t *testing.T, c Config, enc formats.Encoded) int {
 	t.Helper()
-	v, err := c.DirectComputeCycles(enc)
+	v, err := c.directComputeCycles(enc)
 	if err != nil {
-		t.Fatalf("DirectComputeCycles(%v): %v", enc.Kind(), err)
+		t.Fatalf("directComputeCycles(%v): %v", enc.Kind(), err)
 	}
 	return v
 }
@@ -73,8 +73,8 @@ func pinTile() *matrix.Tile {
 }
 
 // TestCycleModelPinned is the analytic model's drift guard: one case per
-// implemented format kind, asserting the exact DecompCycles,
-// ComputeCycles and MemCycles the default configuration produces on
+// implemented format kind, asserting the exact decompression, compute
+// and memory cycles the default configuration produces on
 // pinTile. The backend refactor moved the call path of these functions
 // (core → backend.Analytic → Plan); this table pins their values, so any
 // seam that silently shifts a constant fails here rather than in a
@@ -112,7 +112,7 @@ func TestCycleModelPinned(t *testing.T) {
 		if got := mustCompute(t, cfg, enc); got != tc.compute {
 			t.Errorf("%v: ComputeCycles = %d, pinned %d", tc.kind, got, tc.compute)
 		}
-		if got := cfg.MemCycles(enc); got != tc.mem {
+		if got := cfg.memCycles(enc.Footprint()); got != tc.mem {
 			t.Errorf("%v: MemCycles = %d, pinned %d", tc.kind, got, tc.mem)
 		}
 	}
@@ -130,20 +130,17 @@ func (fakeEncoded) Kind() formats.Kind { return formats.Kind(formats.NumKinds + 
 func TestUnknownKindIsErrorNotPanic(t *testing.T) {
 	cfg := Default()
 	enc := fakeEncoded{formats.Encode(formats.CSR, pinTile())}
-	if _, err := cfg.DecompCycles(enc); !errors.Is(err, ErrUnknownFormat) {
-		t.Fatalf("DecompCycles error = %v, want ErrUnknownFormat", err)
-	}
-	if _, err := cfg.ComputeCycles(enc); !errors.Is(err, ErrUnknownFormat) {
-		t.Fatalf("ComputeCycles error = %v, want ErrUnknownFormat", err)
+	if _, err := cfg.decompCycles(enc, enc.Stats()); !errors.Is(err, ErrUnknownFormat) {
+		t.Fatalf("decompCycles error = %v, want ErrUnknownFormat", err)
 	}
 	if _, err := cfg.Sigma(enc); !errors.Is(err, ErrUnknownFormat) {
 		t.Fatalf("Sigma error = %v, want ErrUnknownFormat", err)
 	}
-	if _, err := cfg.DirectComputeCycles(enc); !errors.Is(err, ErrUnknownFormat) {
-		t.Fatalf("DirectComputeCycles error = %v, want ErrUnknownFormat", err)
+	if _, err := cfg.directComputeCycles(enc); !errors.Is(err, ErrUnknownFormat) {
+		t.Fatalf("directComputeCycles error = %v, want ErrUnknownFormat", err)
 	}
-	if _, err := RunTile(cfg, enc); !errors.Is(err, ErrUnknownFormat) {
-		t.Fatalf("RunTile error = %v, want ErrUnknownFormat", err)
+	if _, _, err := runTile(cfg, enc); !errors.Is(err, ErrUnknownFormat) {
+		t.Fatalf("runTile error = %v, want ErrUnknownFormat", err)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"copernicus/internal/formats"
 )
 
-// DirectComputeCycles models the alternative architecture class of the
+// directComputeCycles models the alternative architecture class of the
 // paper's §7 related work (EIE, SpArch, SIGMA, Tensaurus): accelerators
 // that consume compressed operands *directly*, issuing one
 // multiply-accumulate per stored element instead of reconstructing dense
@@ -21,7 +21,7 @@ import (
 // architecture disappears — the ext6 artifact quantifies how much of a
 // format's cost is the format and how much is the format/architecture
 // pairing, which is §8's co-design insight.
-func (c Config) DirectComputeCycles(enc formats.Encoded) (int, error) {
+func (c Config) directComputeCycles(enc formats.Encoded) (int, error) {
 	s := enc.Stats()
 	p := enc.P()
 	// accumDrain is the adder pipeline drain charged once per emitted
@@ -65,7 +65,7 @@ func (c Config) DirectComputeCycles(enc formats.Encoded) (int, error) {
 		return s.Diagonals*(c.BRAMReadLatency+p/4) + accumDrain, nil
 
 	default:
-		return 0, fmt.Errorf("%w: DirectComputeCycles for kind %v", ErrUnknownFormat, enc.Kind())
+		return 0, fmt.Errorf("%w: directComputeCycles for kind %v", ErrUnknownFormat, enc.Kind())
 	}
 }
 
@@ -73,7 +73,7 @@ func (c Config) DirectComputeCycles(enc formats.Encoded) (int, error) {
 // compute cycles normalized by the dense baseline's dot latency.
 func (c Config) SigmaDirect(enc formats.Encoded) (float64, error) {
 	p := enc.P()
-	d, err := c.DirectComputeCycles(enc)
+	d, err := c.directComputeCycles(enc)
 	if err != nil {
 		return 0, err
 	}

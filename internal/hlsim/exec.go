@@ -15,7 +15,7 @@ import (
 // Tile-parallel executable SpMV: RunExecIntoContext multiplies through
 // the format's own encoded layout (formats.Encoded.SpMV) instead of the
 // plan's CSR-native reference rows, fanning block rows out over helpers
-// borrowed from the plan's Pool (pool.go).
+// borrowed from the plan's worker pool (pool.go).
 //
 // Parallel decomposition: the partitioning emits tiles block-row-major,
 // so each grid block row is a contiguous tile range whose kernels write

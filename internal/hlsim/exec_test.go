@@ -212,6 +212,9 @@ func TestRunExecCancel(t *testing.T) {
 	}
 }
 
+// idleWorkers returns how many of p's workers are parked right now.
+func idleWorkers(p *workerPool) int { return int(p.idle.Load()) }
+
 // TestExecPoolNoLeak: a canceled multi-thread run restores the pool's
 // full parked capacity — workers are the tokens, and a worker that
 // observes cancellation parks again instead of leaking.
@@ -223,15 +226,15 @@ func TestExecPoolNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewPool(3)
-	defer pool.Close()
-	pl.SetPool(pool)
+	pool := newPool(3)
+	defer pool.stop()
+	pl.pool.Store(pool)
 	var r Result
 	if err := pl.RunExecIntoContext(context.Background(), formats.CSR, x, &r, 4); err != nil {
 		t.Fatal(err)
 	}
-	if pool.Idle() != pool.Size() {
-		t.Fatalf("after clean run: %d idle workers, want %d", pool.Idle(), pool.Size())
+	if idleWorkers(pool) != pool.size {
+		t.Fatalf("after clean run: %d idle workers, want %d", idleWorkers(pool), pool.size)
 	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -239,9 +242,9 @@ func TestExecPoolNoLeak(t *testing.T) {
 		if err := pl.RunExecIntoContext(canceled, formats.CSR, x, &r, 4); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
-		if pool.Idle() != pool.Size() {
+		if idleWorkers(pool) != pool.size {
 			t.Fatalf("after canceled run %d: %d idle workers, want %d (token leak)",
-				i, pool.Idle(), pool.Size())
+				i, idleWorkers(pool), pool.size)
 		}
 	}
 	if err := pl.RunExecIntoContext(context.Background(), formats.CSR, x, &r, 4); err != nil {

@@ -134,9 +134,9 @@ func TestExecSpanPanicContained(t *testing.T) {
 	m := gen.Random(192, 0.05, 337)
 	x := testVectorFor(m.Cols)
 	pl := mustPlan(t, m, 16)
-	pool := NewPool(3)
-	defer pool.Close()
-	pl.SetPool(pool)
+	pool := newPool(3)
+	defer pool.stop()
+	pl.pool.Store(pool)
 
 	// Warm first so the fault lands in the multiplication, not the warmup.
 	var ref Result
@@ -156,9 +156,9 @@ func TestExecSpanPanicContained(t *testing.T) {
 		if pe.Point != "hlsim.exec.span" {
 			t.Fatalf("run %d: panic point %q", i, pe.Point)
 		}
-		if pool.Idle() != pool.Size() {
+		if idleWorkers(pool) != pool.size {
 			t.Fatalf("run %d: %d idle workers after contained panic, want %d (token leak)",
-				i, pool.Idle(), pool.Size())
+				i, idleWorkers(pool), pool.size)
 		}
 	}
 	faults.DisarmAll()
@@ -199,11 +199,11 @@ func TestEncodePoolNoLeakOnPanic(t *testing.T) {
 	t.Cleanup(faults.DisarmAll)
 	m := gen.Random(256, 0.05, 353)
 	x := testVectorFor(m.Cols)
-	pool := NewPool(3)
-	defer pool.Close()
+	pool := newPool(3)
+	defer pool.stop()
 	for i := 0; i < 10; i++ {
 		pl := mustPlan(t, m, 16)
-		pl.SetPool(pool)
+		pl.pool.Store(pool)
 		pl.SetWorkers(4)
 		faults.Point("hlsim.encode.tile").Arm(faults.Injection{Kind: faults.KindPanic, Times: 1})
 		_, err := pl.RunContext(context.Background(), formats.CSR, x)
@@ -211,8 +211,8 @@ func TestEncodePoolNoLeakOnPanic(t *testing.T) {
 		if !errors.As(err, &pe) {
 			t.Fatalf("run %d: err = %v, want *resilience.PanicError", i, err)
 		}
-		if pool.Idle() != pool.Size() {
-			t.Fatalf("run %d: %d idle workers after contained panic, want %d", i, pool.Idle(), pool.Size())
+		if idleWorkers(pool) != pool.size {
+			t.Fatalf("run %d: %d idle workers after contained panic, want %d", i, idleWorkers(pool), pool.size)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package hlsim
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -10,6 +11,17 @@ import (
 	"copernicus/internal/matrix"
 	"copernicus/internal/xrand"
 )
+
+// mustRun runs one SpMV of m in format k at partition size p on a fresh
+// default-configuration plan.
+func mustRun(t *testing.T, m *matrix.CSR, k formats.Kind, p int, x []float64) *Result {
+	t.Helper()
+	res, err := mustPlan(t, m, p).RunContext(context.Background(), k, x)
+	if err != nil {
+		t.Fatalf("%v/p=%d: %v", k, p, err)
+	}
+	return res
+}
 
 func randomTile(seed uint64, p int, density float64) *matrix.Tile {
 	r := xrand.New(seed)
@@ -141,9 +153,9 @@ func TestSigmaGrowsWithDensity(t *testing.T) {
 func TestMemCyclesSparseBelowDense(t *testing.T) {
 	c := Default()
 	tile := randomTile(19, 16, 0.05)
-	dense := c.MemCycles(formats.Encode(formats.Dense, tile))
+	dense := c.memCycles(formats.Encode(formats.Dense, tile).Footprint())
 	for _, k := range formats.Sparse() {
-		if m := c.MemCycles(formats.Encode(k, tile)); m >= dense {
+		if m := c.memCycles(formats.Encode(k, tile).Footprint()); m >= dense {
 			t.Errorf("mem(%v) = %d >= mem(dense) = %d on a 5%% tile", k, m, dense)
 		}
 	}
@@ -159,7 +171,7 @@ func TestMemCyclesUsesLongerLane(t *testing.T) {
 		t.Fatal("COO index lane unexpectedly short")
 	}
 	want := (f.IndexLaneBytes+c.AXIBytesPerCycle-1)/c.AXIBytesPerCycle + c.BurstOverhead
-	if got := c.MemCycles(enc); got != want {
+	if got := c.memCycles(f); got != want {
 		t.Fatalf("MemCycles = %d, want %d (longer lane + burst)", got, want)
 	}
 }
@@ -168,7 +180,6 @@ func TestMemCyclesUsesLongerLane(t *testing.T) {
 // SpMV computed through encode → hardware decode → dot products equals the
 // software reference for every format, on every workload shape.
 func TestRunFunctionalCorrectness(t *testing.T) {
-	cfg := Default()
 	mats := map[string]*matrix.CSR{
 		"random":   gen.Random(100, 0.05, 1),
 		"denseish": gen.Random(60, 0.4, 2),
@@ -184,9 +195,10 @@ func TestRunFunctionalCorrectness(t *testing.T) {
 			x[i] = r.ValueIn(-1, 1)
 		}
 		want := m.MulVec(x)
-		for _, k := range formats.All() {
-			for _, p := range []int{8, 16} {
-				res, err := Run(cfg, m, k, p, x)
+		for _, p := range []int{8, 16} {
+			pl := mustPlan(t, m, p)
+			for _, k := range formats.All() {
+				res, err := pl.RunContext(context.Background(), k, x)
 				if err != nil {
 					t.Fatalf("%s/%v/p=%d: %v", name, k, p, err)
 				}
@@ -202,7 +214,7 @@ func TestRunFunctionalCorrectness(t *testing.T) {
 
 func TestRunVectorLengthError(t *testing.T) {
 	m := gen.Random(32, 0.1, 1)
-	if _, err := Run(Default(), m, formats.CSR, 8, make([]float64, 31)); err == nil {
+	if _, err := mustPlan(t, m, 8).RunContext(context.Background(), formats.CSR, make([]float64, 31)); err == nil {
 		t.Fatal("mismatched vector accepted")
 	}
 }
@@ -211,7 +223,7 @@ func TestRunInvalidConfigError(t *testing.T) {
 	bad := Default()
 	bad.AXIBytesPerCycle = 0
 	m := gen.Random(16, 0.1, 1)
-	if _, err := Run(bad, m, formats.CSR, 8, make([]float64, 16)); err == nil {
+	if _, err := NewPlan(bad, m, 8); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -222,10 +234,7 @@ func TestResultAggregates(t *testing.T) {
 	for i := range x {
 		x[i] = 1
 	}
-	res, err := Run(Default(), m, formats.CSR, 16, x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, m, formats.CSR, 16, x)
 	if res.NonZeroTiles == 0 || res.NonZeroTiles > res.TotalTiles {
 		t.Fatalf("tile counts: %d/%d", res.NonZeroTiles, res.TotalTiles)
 	}
@@ -252,17 +261,11 @@ func TestResultAggregates(t *testing.T) {
 func TestUtilizationMetrics(t *testing.T) {
 	m := gen.Random(128, 0.05, 41)
 	x := make([]float64, 128)
-	dense, err := Run(Default(), m, formats.Dense, 16, x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dense := mustRun(t, m, formats.Dense, 16, x)
 	if u := dense.InnerPipelineUtilization(); u != 1 {
 		t.Fatalf("dense inner-pipeline utilization %v, want 1 (processes every row)", u)
 	}
-	csr, err := Run(Default(), m, formats.CSR, 16, x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	csr := mustRun(t, m, formats.CSR, 16, x)
 	if u := csr.InnerPipelineUtilization(); u <= 0 || u >= 1 {
 		t.Fatalf("CSR inner-pipeline utilization %v, want in (0,1)", u)
 	}
@@ -284,10 +287,7 @@ func TestUtilizationMetrics(t *testing.T) {
 func TestSigmaAggregateDense(t *testing.T) {
 	m := gen.Random(96, 0.1, 9)
 	x := make([]float64, 96)
-	res, err := Run(Default(), m, formats.Dense, 16, x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, m, formats.Dense, 16, x)
 	if s := res.Sigma(); s != 1 {
 		t.Fatalf("aggregate dense σ = %v, want 1", s)
 	}
@@ -298,14 +298,15 @@ func TestSigmaAggregateDense(t *testing.T) {
 func TestBalanceDenseNearOne(t *testing.T) {
 	m := gen.Random(128, 0.03, 11)
 	x := make([]float64, 128)
-	dense, err := Run(Default(), m, formats.Dense, 16, x)
+	pl := mustPlan(t, m, 16)
+	dense, err := pl.RunContext(context.Background(), formats.Dense, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bd := math.Abs(math.Log(dense.BalanceRatio()))
 	closer := 0
 	for _, k := range formats.Sparse() {
-		res, err := Run(Default(), m, k, 16, x)
+		res, err := pl.RunContext(context.Background(), k, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,10 +324,10 @@ func TestRunTileDeterministic(t *testing.T) {
 	cfg := Default()
 	tile := randomTile(31, 16, 0.2)
 	for _, k := range formats.All() {
-		a, errA := RunTile(cfg, formats.Encode(k, tile))
-		b, errB := RunTile(cfg, formats.Encode(k, tile))
+		a, _, errA := runTile(cfg, formats.Encode(k, tile))
+		b, _, errB := runTile(cfg, formats.Encode(k, tile))
 		if errA != nil || errB != nil {
-			t.Fatalf("%v: RunTile errors %v, %v", k, errA, errB)
+			t.Fatalf("%v: runTile errors %v, %v", k, errA, errB)
 		}
 		if a != b {
 			t.Fatalf("%v: non-deterministic tile result", k)

@@ -1,9 +1,6 @@
 package hlsim
 
-import (
-	"copernicus/internal/formats"
-	"copernicus/internal/matrix"
-)
+import "copernicus/internal/formats"
 
 // ParallelResult models the coarse-grained parallelism of §5.1:
 // independent instances of the Fig. 2 pipeline process disjoint subsets
@@ -42,17 +39,4 @@ func (r *ParallelResult) Efficiency() float64 {
 	}
 	ideal := float64(sum) / float64(r.Lanes)
 	return ideal / float64(r.TotalCycles)
-}
-
-// RunParallel streams the non-zero partitions of m across `lanes`
-// independent pipeline instances (round-robin distribution, the static
-// schedule a streaming DMA would use) in format k at partition size p.
-// With lanes=1 it degenerates to Run's pipelined total. It builds a
-// transient Plan; hold a NewPlan for repeated multiplications.
-func RunParallel(cfg Config, m *matrix.CSR, k formats.Kind, p int, x []float64, lanes int) (*ParallelResult, error) {
-	pl, err := NewPlan(cfg, m, p)
-	if err != nil {
-		return nil, err
-	}
-	return pl.RunParallel(k, x, lanes)
 }

@@ -1,6 +1,7 @@
 package hlsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -22,8 +23,9 @@ func TestRunParallelFunctional(t *testing.T) {
 	m := gen.Random(200, 0.05, 3)
 	x := testVectorFor(m.Cols)
 	want := m.MulVec(x)
+	pl := mustPlan(t, m, 16)
 	for _, lanes := range []int{1, 2, 4, 7} {
-		res, err := RunParallel(Default(), m, formats.COO, 16, x, lanes)
+		res, err := pl.RunParallel(formats.COO, x, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,11 +40,12 @@ func TestRunParallelFunctional(t *testing.T) {
 func TestRunParallelOneLaneMatchesRun(t *testing.T) {
 	m := gen.Random(128, 0.04, 5)
 	x := testVectorFor(m.Cols)
-	seq, err := Run(Default(), m, formats.CSR, 16, x)
+	pl := mustPlan(t, m, 16)
+	seq, err := pl.RunContext(context.Background(), formats.CSR, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunParallel(Default(), m, formats.CSR, 16, x, 1)
+	par, err := pl.RunParallel(formats.CSR, x, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +58,9 @@ func TestRunParallelSpeedup(t *testing.T) {
 	m := gen.Random(256, 0.05, 7)
 	x := testVectorFor(m.Cols)
 	prev := uint64(math.MaxUint64)
+	pl := mustPlan(t, m, 16)
 	for _, lanes := range []int{1, 2, 4, 8} {
-		res, err := RunParallel(Default(), m, formats.CSR, 16, x, lanes)
+		res, err := pl.RunParallel(formats.CSR, x, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,8 +70,8 @@ func TestRunParallelSpeedup(t *testing.T) {
 		prev = res.TotalCycles
 	}
 	// 8 lanes over hundreds of tiles should give near-linear speedup.
-	one, _ := RunParallel(Default(), m, formats.CSR, 16, x, 1)
-	eight, _ := RunParallel(Default(), m, formats.CSR, 16, x, 8)
+	one, _ := pl.RunParallel(formats.CSR, x, 1)
+	eight, _ := pl.RunParallel(formats.CSR, x, 8)
 	speedup := float64(one.TotalCycles) / float64(eight.TotalCycles)
 	if speedup < 6 {
 		t.Fatalf("8-lane speedup %.2f, want ≥6 on a well-populated matrix", speedup)
@@ -77,8 +81,9 @@ func TestRunParallelSpeedup(t *testing.T) {
 func TestRunParallelEfficiencyBounds(t *testing.T) {
 	m := gen.Band(128, 8, 9)
 	x := testVectorFor(m.Cols)
+	pl := mustPlan(t, m, 16)
 	for _, lanes := range []int{1, 3, 5} {
-		res, err := RunParallel(Default(), m, formats.DIA, 16, x, lanes)
+		res, err := pl.RunParallel(formats.DIA, x, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,10 +97,11 @@ func TestRunParallelEfficiencyBounds(t *testing.T) {
 func TestRunParallelRejectsBadInput(t *testing.T) {
 	m := gen.Random(32, 0.1, 1)
 	x := testVectorFor(m.Cols)
-	if _, err := RunParallel(Default(), m, formats.CSR, 8, x, 0); err == nil {
+	pl := mustPlan(t, m, 8)
+	if _, err := pl.RunParallel(formats.CSR, x, 0); err == nil {
 		t.Fatal("0 lanes accepted")
 	}
-	if _, err := RunParallel(Default(), m, formats.CSR, 8, x[:10], 2); err == nil {
+	if _, err := pl.RunParallel(formats.CSR, x[:10], 2); err == nil {
 		t.Fatal("short vector accepted")
 	}
 }
@@ -103,11 +109,11 @@ func TestRunParallelRejectsBadInput(t *testing.T) {
 func TestRunParallelDeterministic(t *testing.T) {
 	m := gen.Random(128, 0.05, 19)
 	x := testVectorFor(m.Cols)
-	a, err := RunParallel(Default(), m, formats.LIL, 16, x, 3)
+	a, err := mustPlan(t, m, 16).RunParallel(formats.LIL, x, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunParallel(Default(), m, formats.LIL, 16, x, 3)
+	b, err := mustPlan(t, m, 16).RunParallel(formats.LIL, x, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +130,7 @@ func TestRunParallelDeterministic(t *testing.T) {
 func TestBubbleAccounting(t *testing.T) {
 	m := gen.Random(128, 0.05, 11)
 	x := testVectorFor(m.Cols)
-	res, err := Run(Default(), m, formats.CSC, 16, x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, m, formats.CSC, 16, x)
 	// CSC is severely compute-bound: the stream must stall, compute
 	// almost never idles.
 	if res.StallMemCycles == 0 {
@@ -138,10 +141,7 @@ func TestBubbleAccounting(t *testing.T) {
 			res.MemStallFraction(), res.ComputeIdleFraction())
 	}
 	// Dense at p=32 is memory-bound: compute idles.
-	dense, err := Run(Default(), m, formats.Dense, 32, x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dense := mustRun(t, m, formats.Dense, 32, x)
 	if dense.IdleComputeCycles == 0 {
 		t.Fatal("dense p=32 run reports no compute idle")
 	}

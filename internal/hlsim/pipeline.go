@@ -1,26 +1,15 @@
 package hlsim
 
-import (
-	"context"
+import "copernicus/internal/formats"
 
-	"copernicus/internal/formats"
-	"copernicus/internal/matrix"
-)
-
-// TileResult records the modelled cost of streaming and processing one
+// tileResult records the modelled cost of streaming and processing one
 // compressed partition.
-type TileResult struct {
+type tileResult struct {
 	MemCycles     int
 	DecompCycles  int
 	ComputeCycles int
 	DotRows       int
 	Footprint     formats.Footprint
-}
-
-// Balance returns the tile's memory/compute latency ratio (the paper's
-// balance metric; 1 is perfectly balanced streaming).
-func (t TileResult) Balance() float64 {
-	return float64(t.MemCycles) / float64(t.ComputeCycles)
 }
 
 // Result aggregates a full SpMV run of one matrix in one format at one
@@ -160,46 +149,23 @@ func (r *Result) InnerPipelineUtilization() float64 {
 	return float64(r.DotRows) / float64(uint64(r.NonZeroTiles)*uint64(r.P))
 }
 
-// RunTile models one encoded tile without touching vectors. A format the
-// cycle model has no equations for returns an error wrapping
-// ErrUnknownFormat instead of panicking.
-func RunTile(cfg Config, enc formats.Encoded) (TileResult, error) {
-	tr, _, err := runTile(cfg, enc)
-	return tr, err
-}
-
-// runTile is RunTile that also returns enc's Stats: it takes them and
-// the Footprint once and runs the decompression model once for the tile.
-func runTile(cfg Config, enc formats.Encoded) (TileResult, formats.Stats, error) {
+// runTile models one encoded tile without touching vectors and also
+// returns enc's Stats: it takes them and the Footprint once and runs the
+// decompression model once for the tile. A format the cycle model has no
+// equations for returns an error wrapping ErrUnknownFormat instead of
+// panicking.
+func runTile(cfg Config, enc formats.Encoded) (tileResult, formats.Stats, error) {
 	s := enc.Stats()
 	dec, err := cfg.decompCycles(enc, s)
 	if err != nil {
-		return TileResult{}, s, err
+		return tileResult{}, s, err
 	}
 	f := enc.Footprint()
-	return TileResult{
+	return tileResult{
 		MemCycles:     cfg.memCycles(f),
 		DecompCycles:  dec,
 		ComputeCycles: dec + s.DotRows*cfg.DotLatency(enc.P()),
 		DotRows:       s.DotRows,
 		Footprint:     f,
 	}, s, nil
-}
-
-// Run streams every non-zero partition of m through the modelled
-// accelerator in format k with partition size p, multiplying by x. It
-// returns the functional SpMV result alongside the aggregated performance
-// model. The encoded streams are decoded back through the format's
-// decoder and cross-checked against the partition — any corruption
-// surfaces as an error rather than a wrong answer.
-//
-// Run builds a transient Plan per call; callers multiplying the same
-// matrix repeatedly should hold a NewPlan and call its RunContext
-// method, which partitions, encodes, and cross-checks only once.
-func Run(cfg Config, m *matrix.CSR, k formats.Kind, p int, x []float64) (*Result, error) {
-	pl, err := NewPlan(cfg, m, p)
-	if err != nil {
-		return nil, err
-	}
-	return pl.RunContext(context.Background(), k, x)
 }

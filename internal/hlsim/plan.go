@@ -20,10 +20,11 @@ import (
 // of it comes first: one pass encodes every tile, prices it, decodes it
 // and cross-checks it, then drops the encoding. Only the priced tile
 // table is cached, so every tile the model prices has round-tripped.
-// Every entry point of the package (Run, RunParallel, RunSpMM, Trace,
-// BuildSchedule) is a thin wrapper over a transient plan; callers that
-// stream the same matrix repeatedly — iterative kernels, characterization
-// sweeps — hold a Plan so each SpMV pays only the per-iteration dot work.
+// The Plan is the package's one way into the model: a one-shot run
+// builds a plan and calls one method (RunContext, RunParallel, RunSpMM,
+// Trace, Schedule), and callers that stream the same matrix repeatedly —
+// iterative kernels, characterization sweeps — hold a Plan so each SpMV
+// pays only the per-iteration dot work.
 //
 // The plan is sparse-native end to end: the partitioning stores compact
 // per-tile CSR spans (O(nnz) resident, never p² buffers), the functional
@@ -33,8 +34,8 @@ import (
 // Format state is guarded per format (one warmup guard per Kind), so
 // concurrent consumers characterizing different formats on one plan never
 // serialize against each other; a format's tiles can additionally be
-// warmed on helpers borrowed from a worker pool (SetWorkers, SetPool)
-// with deterministic, tile-ordered aggregation.
+// warmed on helpers borrowed from the process-wide worker pool
+// (SetWorkers) with deterministic, tile-ordered aggregation.
 //
 // A Plan is safe for concurrent use.
 type Plan struct {
@@ -48,9 +49,9 @@ type Plan struct {
 	// them serial.
 	helpers atomic.Int32
 
-	// pool, when set, overrides the process-wide default Pool that every
+	// pool, when set, overrides the process-wide default pool that every
 	// tile fan-out of this plan borrows from (see pool.go).
-	pool atomic.Pointer[Pool]
+	pool atomic.Pointer[workerPool]
 
 	// spansOnce/spans hold the per-grid-block-row ownership table of the
 	// exec path: each span owns a contiguous y range and tile range, so
@@ -167,9 +168,9 @@ type tileCost struct {
 	mem, decomp, compute, dotRows uint32
 }
 
-// packCost packs tile's priced TileResult, or fails naming the tile when
+// packCost packs tile's priced tileResult, or fails naming the tile when
 // a count does not fit in uint32.
-func packCost(tile *matrix.Tile, tr TileResult) (tileCost, error) {
+func packCost(tile *matrix.Tile, tr tileResult) (tileCost, error) {
 	for _, v := range [...]int{tr.MemCycles, tr.DecompCycles, tr.ComputeCycles, tr.DotRows} {
 		if v < 0 || v > math.MaxUint32 {
 			return tileCost{}, fmt.Errorf("hlsim: tile (%d,%d): cycle count %d does not fit the uint32 cost table", tile.Row, tile.Col, v)
@@ -735,8 +736,9 @@ func (pl *Plan) fillResult(r *Result, k formats.Kind, pf *planFormat, y []float6
 }
 
 // RunParallel distributes the non-zero partitions across `lanes`
-// independent pipeline instances (round-robin, as in RunParallel the
-// free function) using the cached per-tile costs.
+// independent pipeline instances (round-robin, the static schedule a
+// streaming DMA would use) using the cached per-tile costs. With lanes=1
+// it degenerates to RunContext's pipelined total.
 func (pl *Plan) RunParallel(k formats.Kind, x []float64, lanes int) (*ParallelResult, error) {
 	if lanes < 1 {
 		return nil, fmt.Errorf("hlsim: RunParallel with %d lanes", lanes)
@@ -854,11 +856,11 @@ func (pl *Plan) Schedule(k formats.Kind) (*Schedule, error) {
 		st.MemEnd = st.MemStart + uint64(tc.mem)
 		memFree = st.MemEnd
 
-		st.ComputeStart = max64(st.MemEnd, compFree)
+		st.ComputeStart = max(st.MemEnd, compFree)
 		st.ComputeEnd = st.ComputeStart + uint64(tc.compute)
 		compFree = st.ComputeEnd
 
-		st.WriteStart = max64(st.ComputeEnd, writeFree)
+		st.WriteStart = max(st.ComputeEnd, writeFree)
 		st.WriteEnd = st.WriteStart + uint64(pl.cfg.writeCycles(pl.p))
 		writeFree = st.WriteEnd
 

@@ -77,9 +77,9 @@ func TestPlanParallelWarmupDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewPool(3)
-	defer pool.Close()
-	parallel.SetPool(pool)
+	pool := newPool(3)
+	defer pool.stop()
+	parallel.pool.Store(pool)
 	parallel.SetWorkers(4)
 	for _, k := range formats.All() {
 		sr, err := serial.RunContext(context.Background(), k, x)

@@ -11,8 +11,8 @@ import (
 	"copernicus/internal/matrix"
 )
 
-// TestPlanRunMatchesFreshRun: a reused plan must reproduce the one-shot
-// Run bit for bit — aggregates and functional output alike — for every
+// TestPlanRunMatchesFreshRun: a reused plan must reproduce a fresh
+// plan's first run bit for bit — aggregates and functional output alike — for every
 // format.
 func TestPlanRunMatchesFreshRun(t *testing.T) {
 	cfg := Default()
@@ -23,7 +23,7 @@ func TestPlanRunMatchesFreshRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range formats.All() {
-		fresh, err := Run(cfg, m, k, 16, x)
+		fresh, err := mustPlan(t, m, 16).RunContext(context.Background(), k, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestPlanRunMatchesFreshRun(t *testing.T) {
 				got.IdleComputeCycles != fresh.IdleComputeCycles || got.StallMemCycles != fresh.StallMemCycles ||
 				got.DotRows != fresh.DotRows || got.NNZ != fresh.NNZ || got.Footprint != fresh.Footprint ||
 				got.NonZeroTiles != fresh.NonZeroTiles || got.TotalTiles != fresh.TotalTiles {
-				t.Fatalf("%v call %d: aggregates diverge from one-shot Run", k, call)
+				t.Fatalf("%v call %d: aggregates diverge from a fresh plan's run", k, call)
 			}
 			if got.Sigma() != fresh.Sigma() || got.BalanceRatio() != fresh.BalanceRatio() {
 				t.Fatalf("%v call %d: derived metrics diverge", k, call)
@@ -53,8 +53,8 @@ func TestPlanRunMatchesFreshRun(t *testing.T) {
 	}
 }
 
-// TestPlanSharedAcrossEntryPoints: one plan serves Run, RunParallel,
-// RunSpMM, Trace, and Schedule, matching the one-shot helpers.
+// TestPlanSharedAcrossEntryPoints: one plan serves RunParallel, RunSpMM,
+// Trace, and Schedule in turn, each matching a fresh plan's first call.
 func TestPlanSharedAcrossEntryPoints(t *testing.T) {
 	cfg := Default()
 	m := gen.Random(96, 0.08, 23)
@@ -69,7 +69,7 @@ func TestPlanSharedAcrossEntryPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshPar, err := RunParallel(cfg, m, k, 8, x, 4)
+	freshPar, err := mustPlan(t, m, 8).RunParallel(k, x, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestPlanSharedAcrossEntryPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshMM, err := RunSpMM(cfg, m, k, 8, b, cols)
+	freshMM, err := mustPlan(t, m, 8).RunSpMM(k, b, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestPlanSharedAcrossEntryPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshTr, err := Trace(cfg, m, k, 8)
+	freshTr, err := mustPlan(t, m, 8).Trace(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestPlanSharedAcrossEntryPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshSc, err := BuildSchedule(cfg, m, k, 8)
+	freshSc, err := mustPlan(t, m, 8).Schedule(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestPlanNaNEntries(t *testing.T) {
 }
 
 // TestPlanArgumentErrors: the plan rejects bad vectors, lane counts, and
-// operand shapes exactly like the one-shot helpers.
+// operand shapes.
 func TestPlanArgumentErrors(t *testing.T) {
 	m := gen.Random(32, 0.1, 37)
 	pl, err := NewPlan(Default(), m, 8)

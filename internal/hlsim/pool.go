@@ -6,15 +6,15 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a set of parked worker goroutines that lends helpers to every
-// tile fan-out of the plans using it: the warmup pass, the exec build
-// and the exec SpMV. Dispatch is a non-blocking handoff, so a job
+// workerPool is a set of parked worker goroutines that lends helpers to
+// every tile fan-out of the plans using it: the warmup pass, the exec
+// build and the exec SpMV. Dispatch is a non-blocking handoff, so a job
 // reaches only the workers parked at that instant; a busy pool lends
 // fewer helpers and a drained one leaves the caller working alone,
 // instead of oversubscribing the host. The caller always works too.
 // Parked workers are the pool's tokens: a canceled or failed job parks
 // its helpers again, so there is nothing to leak.
-type Pool struct {
+type workerPool struct {
 	queue chan handoff
 	quit  chan struct{}
 	idle  atomic.Int32
@@ -33,19 +33,21 @@ type handoff struct {
 	wg *sync.WaitGroup
 }
 
-// defaultPool is the process-wide pool every plan uses unless SetPool
-// installs another: GOMAXPROCS−1 workers, so a full-width fan-out
-// (caller included) matches the host's parallelism. It starts at package
-// init, so its goroutines exist before any caller counts goroutines.
-var defaultPool = NewPool(runtime.GOMAXPROCS(0) - 1)
+// defaultPool is the process-wide pool every plan borrows from unless
+// its pool field holds another (only tests install one): GOMAXPROCS−1
+// workers, so a full-width fan-out (caller included) matches the host's
+// parallelism. It starts at package init, so its goroutines exist before
+// any caller counts goroutines.
+var defaultPool = newPool(runtime.GOMAXPROCS(0) - 1)
 
-// NewPool starts a pool of `workers` parked helper goroutines (0 means
-// every caller works alone).
-func NewPool(workers int) *Pool {
+// newPool starts a pool of `workers` parked helper goroutines (0 means
+// every caller works alone). Once every dispatched job has completed,
+// failed or been canceled, idle equals size.
+func newPool(workers int) *workerPool {
 	if workers < 0 {
 		workers = 0
 	}
-	p := &Pool{
+	p := &workerPool{
 		queue: make(chan handoff),
 		quit:  make(chan struct{}),
 		size:  workers,
@@ -57,10 +59,10 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// work parks until a job or Close arrives. The worker counts itself idle
+// work parks until a job or stop arrives. The worker counts itself idle
 // again before Done, so once a dispatcher's Wait returns, every helper it
 // reached is already counted idle — the invariant the leak tests assert.
-func (p *Pool) work() {
+func (p *workerPool) work() {
 	for {
 		select {
 		case h := <-p.queue:
@@ -77,7 +79,7 @@ func (p *Pool) work() {
 // fanOut hands r to at most `helpers` parked workers without blocking,
 // runs it on the caller too, and waits for every worker it reached. wg
 // belongs to the job, so the warm exec path allocates nothing.
-func (p *Pool) fanOut(r runner, wg *sync.WaitGroup, helpers int) {
+func (p *workerPool) fanOut(r runner, wg *sync.WaitGroup, helpers int) {
 dispatch:
 	for h := 0; h < helpers; h++ {
 		wg.Add(1)
@@ -92,24 +94,12 @@ dispatch:
 	wg.Wait()
 }
 
-// Size returns the pool's worker count.
-func (p *Pool) Size() int { return p.size }
-
-// Idle returns how many workers are parked right now. Once every
-// dispatched job has completed, failed or been canceled, Idle equals
-// Size.
-func (p *Pool) Idle() int { return int(p.idle.Load()) }
-
-// Close stops the parked workers. Jobs already dispatched run to
-// completion; Close never strands a caller's WaitGroup.
-func (p *Pool) Close() { close(p.quit) }
-
-// SetPool installs the pool this plan's fan-outs borrow helpers from;
-// nil restores the process-wide default.
-func (pl *Plan) SetPool(p *Pool) { pl.pool.Store(p) }
+// stop stops the parked workers. Jobs already dispatched run to
+// completion; stop never strands a caller's WaitGroup.
+func (p *workerPool) stop() { close(p.quit) }
 
 // activePool returns the plan's installed pool or the default.
-func (pl *Plan) activePool() *Pool {
+func (pl *Plan) activePool() *workerPool {
 	if p := pl.pool.Load(); p != nil {
 		return p
 	}

@@ -24,7 +24,7 @@ type Row struct {
 // RowSource replays a format's decompressor the way the hardware does:
 // one reconstructed row per call, in the order the pipeline would emit
 // them. The sum of per-row cycles over a full drain equals
-// Config.DecompCycles for the same encoding — the test suite proves the
+// Config.decompCycles for the same encoding — the test suite proves the
 // identity for every format — so the closed-form cycle model and the
 // operational model cannot drift apart.
 type RowSource interface {
@@ -341,7 +341,7 @@ func (s *diaSource) Next() (Row, bool) {
 // genericSource replays an extension format through its decoder,
 // distributing the closed-form cycle total uniformly over the emitted
 // rows (remainder on the first) so the per-tile identity with
-// DecompCycles still holds.
+// decompCycles still holds.
 type genericSource struct {
 	p      int
 	rows   []int
@@ -373,7 +373,7 @@ func newGenericSource(cfg Config, enc formats.Encoded) (*genericSource, error) {
 		s.rows = append(s.rows, i)
 		s.vals = append(s.vals, row)
 	}
-	total, err := cfg.DecompCycles(enc)
+	total, err := cfg.decompCycles(enc, enc.Stats())
 	if err != nil {
 		return nil, err
 	}

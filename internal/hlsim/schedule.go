@@ -20,8 +20,8 @@ type StageTimes struct {
 // stage processes tiles in order, a tile enters a stage only after the
 // previous stage finished it and the stage finished the previous tile
 // (a FIFO of depth one between stages, as in Fig. 2). It refines the
-// Σ max(mem, compute) approximation used by Run: the Makespan accounts
-// for pipeline fill, drain, and writeback overlap exactly.
+// Σ max(mem, compute) approximation used by RunContext: the Makespan
+// accounts for pipeline fill, drain, and writeback overlap exactly.
 type Schedule struct {
 	Kind  formats.Kind
 	P     int
@@ -38,17 +38,6 @@ func (s *Schedule) Seconds() float64 { return s.cfg.CycleSeconds(s.Makespan) }
 // vector (p words) plus burst overhead on the write lane.
 func (c Config) writeCycles(p int) int {
 	return ceilDiv(p*matrix.BytesPerValue, c.AXIBytesPerCycle) + c.BurstOverhead
-}
-
-// BuildSchedule computes the event-level pipeline timeline for a run.
-// It builds a transient Plan; hold a NewPlan to schedule several formats
-// of one matrix.
-func BuildSchedule(cfg Config, m *matrix.CSR, k formats.Kind, p int) (*Schedule, error) {
-	pl, err := NewPlan(cfg, m, p)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Schedule(k)
 }
 
 // Validate checks the schedule's structural invariants: stage intervals

@@ -1,6 +1,7 @@
 package hlsim
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -9,10 +10,9 @@ import (
 )
 
 func TestScheduleInvariants(t *testing.T) {
-	cfg := Default()
+	pl := mustPlan(t, gen.Random(128, 0.05, 3), 16)
 	for _, k := range formats.Core() {
-		m := gen.Random(128, 0.05, 3)
-		s, err := BuildSchedule(cfg, m, k, 16)
+		s, err := pl.Schedule(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,17 +30,18 @@ func TestScheduleBoundsVsApproximation(t *testing.T) {
 	check := func(seed uint64) bool {
 		m := gen.Random(96, 0.08, seed)
 		x := make([]float64, m.Cols)
+		pl := mustPlan(t, m, 16)
 		for _, k := range []formats.Kind{formats.CSR, formats.Dense, formats.CSC} {
-			s, err := BuildSchedule(cfg, m, k, 16)
+			s, err := pl.Schedule(k)
 			if err != nil {
 				return false
 			}
-			run, err := Run(cfg, m, k, 16, x)
+			run, err := pl.RunContext(context.Background(), k, x)
 			if err != nil {
 				return false
 			}
 			wb := uint64(run.NonZeroTiles * cfg.writeCycles(16))
-			lower := max64(run.MemCycles, run.ComputeCycles)
+			lower := max(run.MemCycles, run.ComputeCycles)
 			if wb > lower {
 				lower = wb
 			}
@@ -60,9 +61,8 @@ func TestScheduleBoundsVsApproximation(t *testing.T) {
 // TestSchedulePipeliningHelps: the pipelined makespan beats fully
 // serialized execution on any multi-tile run.
 func TestSchedulePipeliningHelps(t *testing.T) {
-	cfg := Default()
 	m := gen.Random(256, 0.05, 7)
-	s, err := BuildSchedule(cfg, m, formats.CSR, 16)
+	s, err := mustPlan(t, m, 16).Schedule(formats.CSR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,9 +80,8 @@ func TestSchedulePipeliningHelps(t *testing.T) {
 // TestScheduleBottleneckStageSaturated: for a strongly compute-bound
 // format the compute stage utilization approaches 1.
 func TestScheduleBottleneckStageSaturated(t *testing.T) {
-	cfg := Default()
 	m := gen.Random(256, 0.1, 9)
-	s, err := BuildSchedule(cfg, m, formats.CSC, 16)
+	s, err := mustPlan(t, m, 16).Schedule(formats.CSC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +90,7 @@ func TestScheduleBottleneckStageSaturated(t *testing.T) {
 		t.Fatalf("CSC compute utilization %.3f, want ≈1 (bottleneck stage)", compute)
 	}
 	// Dense at p=32 is memory-bound: the memory stage saturates instead.
-	s, err = BuildSchedule(cfg, m, formats.Dense, 32)
+	s, err = mustPlan(t, m, 32).Schedule(formats.Dense)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +101,7 @@ func TestScheduleBottleneckStageSaturated(t *testing.T) {
 }
 
 func TestScheduleEmptyMatrix(t *testing.T) {
-	s, err := BuildSchedule(Default(), gen.Random(64, 0, 1), formats.COO, 16)
+	s, err := mustPlan(t, gen.Random(64, 0, 1), 16).Schedule(formats.COO)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +116,7 @@ func TestScheduleEmptyMatrix(t *testing.T) {
 func TestScheduleRejectsInvalidConfig(t *testing.T) {
 	bad := Default()
 	bad.AXIBytesPerCycle = 0
-	if _, err := BuildSchedule(bad, gen.Random(16, 0.2, 1), formats.CSR, 8); err == nil {
+	if _, err := NewPlan(bad, gen.Random(16, 0.2, 1), 8); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }

@@ -1,9 +1,6 @@
 package hlsim
 
-import (
-	"copernicus/internal/formats"
-	"copernicus/internal/matrix"
-)
+import "copernicus/internal/formats"
 
 // SpMMResult models sparse-matrix × dense-matrix multiplication on the
 // same pipeline (§3.3: ML workloads use SpMV or SpMM on one dot-product
@@ -17,7 +14,7 @@ type SpMMResult struct {
 	Columns int
 
 	// Y is the m.Rows × Columns product, row-major. The operand matrix
-	// is treated as resident, like Run's x vector.
+	// is treated as resident, like RunContext's x vector.
 	Y []float64
 
 	NonZeroTiles    int
@@ -43,15 +40,4 @@ func (r *SpMMResult) SigmaPerColumn(dotRows uint64) float64 {
 	denom := float64(uint64(r.NonZeroTiles) * uint64(r.P) * td)
 	amortized := float64(r.DecompCycles)/float64(r.Columns) + float64(dotRows*td)
 	return amortized / denom
-}
-
-// RunSpMM multiplies m by the dense operand b (m.Cols × cols, row-major)
-// through the modelled pipeline in format k at partition size p. It
-// builds a transient Plan; hold a NewPlan for repeated multiplications.
-func RunSpMM(cfg Config, m *matrix.CSR, k formats.Kind, p int, b []float64, cols int) (*SpMMResult, error) {
-	pl, err := NewPlan(cfg, m, p)
-	if err != nil {
-		return nil, err
-	}
-	return pl.RunSpMM(k, b, cols)
 }

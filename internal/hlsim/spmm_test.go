@@ -1,6 +1,7 @@
 package hlsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -22,8 +23,9 @@ func TestSpMMFunctional(t *testing.T) {
 	m := gen.Random(96, 0.08, 3)
 	const cols = 5
 	b := denseOperand(m.Cols, cols, 7)
+	pl := mustPlan(t, m, 16)
 	for _, k := range formats.Core() {
-		res, err := RunSpMM(Default(), m, k, 16, b, cols)
+		res, err := pl.RunSpMM(k, b, cols)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
@@ -46,17 +48,17 @@ func TestSpMMFunctional(t *testing.T) {
 // TestSpMMAmortizesDecompression: per-column σ shrinks as the operand
 // widens for decompress-heavy formats, approaching the dots-only floor.
 func TestSpMMAmortizesDecompression(t *testing.T) {
-	cfg := Default()
 	m := gen.Random(128, 0.1, 5)
 	x := make([]float64, m.Cols)
-	run, err := Run(cfg, m, formats.CSR, 16, x)
+	pl := mustPlan(t, m, 16)
+	run, err := pl.RunContext(context.Background(), formats.CSR, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := math.Inf(1)
 	for _, cols := range []int{1, 4, 16, 64} {
 		b := denseOperand(m.Cols, cols, 9)
-		res, err := RunSpMM(cfg, m, formats.CSR, 16, b, cols)
+		res, err := pl.RunSpMM(formats.CSR, b, cols)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,14 +78,14 @@ func TestSpMMAmortizesDecompression(t *testing.T) {
 // TestSpMMColumnOneMatchesSpMV: with one column the cycle model reduces
 // to the SpMV model exactly.
 func TestSpMMColumnOneMatchesSpMV(t *testing.T) {
-	cfg := Default()
 	m := gen.Band(96, 8, 11)
 	x := denseOperand(m.Cols, 1, 13)
-	run, err := Run(cfg, m, formats.DIA, 16, x)
+	pl := mustPlan(t, m, 16)
+	run, err := pl.RunContext(context.Background(), formats.DIA, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mm, err := RunSpMM(cfg, m, formats.DIA, 16, x, 1)
+	mm, err := pl.RunSpMM(formats.DIA, x, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +104,11 @@ func TestSpMMColumnOneMatchesSpMV(t *testing.T) {
 
 func TestSpMMRejectsBadInput(t *testing.T) {
 	m := gen.Random(32, 0.1, 1)
-	if _, err := RunSpMM(Default(), m, formats.CSR, 8, nil, 0); err == nil {
+	pl := mustPlan(t, m, 8)
+	if _, err := pl.RunSpMM(formats.CSR, nil, 0); err == nil {
 		t.Fatal("0 columns accepted")
 	}
-	if _, err := RunSpMM(Default(), m, formats.CSR, 8, make([]float64, 10), 2); err == nil {
+	if _, err := pl.RunSpMM(formats.CSR, make([]float64, 10), 2); err == nil {
 		t.Fatal("short operand accepted")
 	}
 }

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"copernicus/internal/formats"
-	"copernicus/internal/matrix"
 )
 
 // TileTrace is the per-partition event record of one streaming run: what
@@ -23,17 +20,6 @@ type TileTrace struct {
 	Pipelined     int // max(mem, compute)
 	Bubble        int // |mem - compute|: the faster stage's wait
 	MemoryBound   bool
-}
-
-// Trace streams every non-zero partition and records a TileTrace per
-// tile, in streaming order. It builds a transient Plan; hold a NewPlan
-// to trace several formats of one matrix.
-func Trace(cfg Config, m *matrix.CSR, k formats.Kind, p int) ([]TileTrace, error) {
-	pl, err := NewPlan(cfg, m, p)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Trace(k)
 }
 
 // TraceSummary aggregates a trace.
@@ -93,14 +79,7 @@ func RenderTimeline(w io.Writer, traces []TileTrace, maxTiles int) error {
 	s := Summarize(traces)
 	_, err := fmt.Fprintf(w, "%d tiles, %d cycles pipelined, %d bubble cycles (%.1f%%), %d/%d memory-bound\n",
 		s.Tiles, s.TotalCycles, s.BubbleCycles,
-		100*float64(s.BubbleCycles)/float64(max64(s.TotalCycles, 1)),
+		100*float64(s.BubbleCycles)/float64(max(s.TotalCycles, 1)),
 		s.MemoryBoundTiles, s.Tiles)
 	return err
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

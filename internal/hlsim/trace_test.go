@@ -2,6 +2,7 @@ package hlsim
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -12,12 +13,13 @@ import (
 func TestTraceMatchesRunTotals(t *testing.T) {
 	m := gen.Random(128, 0.05, 3)
 	x := make([]float64, m.Cols)
+	pl := mustPlan(t, m, 16)
 	for _, k := range []formats.Kind{formats.CSR, formats.Dense, formats.DIA} {
-		traces, err := Trace(Default(), m, k, 16)
+		traces, err := pl.Trace(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := Run(Default(), m, k, 16, x)
+		run, err := pl.RunContext(context.Background(), k, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +40,7 @@ func TestTraceMatchesRunTotals(t *testing.T) {
 func TestTraceBoundClassification(t *testing.T) {
 	m := gen.Random(96, 0.05, 5)
 	// CSC: compute-bound everywhere.
-	traces, err := Trace(Default(), m, formats.CSC, 16)
+	traces, err := mustPlan(t, m, 16).Trace(formats.CSC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestTraceBoundClassification(t *testing.T) {
 		}
 	}
 	// Dense at p=32: memory-bound everywhere.
-	traces, err = Trace(Default(), m, formats.Dense, 32)
+	traces, err = mustPlan(t, m, 32).Trace(formats.Dense)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +70,14 @@ func TestTraceBoundClassification(t *testing.T) {
 func TestTraceInvalidConfig(t *testing.T) {
 	bad := Default()
 	bad.ClockHz = 0
-	if _, err := Trace(bad, gen.Random(16, 0.2, 1), formats.CSR, 8); err == nil {
+	if _, err := NewPlan(bad, gen.Random(16, 0.2, 1), 8); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
 
 func TestRenderTimeline(t *testing.T) {
 	m := gen.Random(64, 0.1, 7)
-	traces, err := Trace(Default(), m, formats.COO, 16)
+	traces, err := mustPlan(t, m, 16).Trace(formats.COO)
 	if err != nil {
 		t.Fatal(err)
 	}

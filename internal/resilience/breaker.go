@@ -176,31 +176,3 @@ func (b *Breaker) Snapshot() BreakerSnapshot {
 	defer b.mu.Unlock()
 	return BreakerSnapshot{State: b.state.String(), Failures: b.failures, Trips: b.trips}
 }
-
-// BreakerGroup lazily creates one Breaker per key (e.g. per backend, per
-// worker node), all sharing a threshold and cooldown.
-type BreakerGroup struct {
-	threshold int
-	cooldown  time.Duration
-
-	mu sync.Mutex
-	m  map[string]*Breaker
-}
-
-// NewBreakerGroup returns an empty group whose members are created with
-// NewBreaker(threshold, cooldown) on first use.
-func NewBreakerGroup(threshold int, cooldown time.Duration) *BreakerGroup {
-	return &BreakerGroup{threshold: threshold, cooldown: cooldown, m: make(map[string]*Breaker)}
-}
-
-// For returns the breaker for key, creating it if needed.
-func (g *BreakerGroup) For(key string) *Breaker {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	br, ok := g.m[key]
-	if !ok {
-		br = NewBreaker(g.threshold, g.cooldown)
-		g.m[key] = br
-	}
-	return br
-}

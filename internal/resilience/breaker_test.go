@@ -121,17 +121,3 @@ func TestBreakerReset(t *testing.T) {
 		t.Fatalf("Allow after Reset: %v", err)
 	}
 }
-
-func TestBreakerGroupPerKey(t *testing.T) {
-	g := NewBreakerGroup(1, time.Hour)
-	g.For("native").Failure()
-	if err := g.For("native").Allow(); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatal("native breaker should be open")
-	}
-	if err := g.For("analytic").Allow(); err != nil {
-		t.Fatalf("unrelated key shares breaker state: %v", err)
-	}
-	if g.For("native") != g.For("native") {
-		t.Fatal("For must return the same instance per key")
-	}
-}

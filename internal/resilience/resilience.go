@@ -1,6 +1,6 @@
 // Package resilience is the fault-containment substrate of Copernicus:
 // retry with capped exponential backoff and full jitter, circuit
-// breakers, per-phase deadline budgets, and structured panic capture.
+// breakers, and structured panic capture.
 // Every primitive is context-first — cancellation wins over any retry or
 // backoff schedule — and deterministic when seeded, so chaos tests can
 // replay a failure byte for byte.
@@ -17,8 +17,6 @@
 //   - Breaker trips after consecutive failures and recovers through a
 //     half-open probe, so a persistently failing dependency degrades to
 //     an immediate ErrBreakerOpen instead of burning retry budgets.
-//   - Phase derives a per-phase budget from a request deadline, so one
-//     slow phase cannot consume the entire request allowance.
 //   - PanicError carries a recovered panic (value, point, stack) as an
 //     ordinary error, so a panic in a worker goroutine propagates to the
 //     caller like any other failure instead of killing the process.
@@ -182,37 +180,6 @@ func Retry(ctx context.Context, p Policy, fn func(context.Context) error) error 
 			}
 		}
 	}
-}
-
-// Phase derives a per-phase budget from ctx's deadline: a child context
-// whose deadline is fraction of the remaining time, clamped to
-// [floor, cap]. A ctx without a deadline gets cap (or no deadline at all
-// when cap is zero). Phases that overrun their slice fail early with
-// DeadlineExceeded instead of silently eating the whole request
-// allowance, so a later phase still has time to report a structured
-// error. The returned cancel must always be called.
-func Phase(ctx context.Context, fraction float64, floor, cap time.Duration) (context.Context, context.CancelFunc) {
-	if fraction <= 0 || fraction > 1 {
-		fraction = 1
-	}
-	dl, ok := ctx.Deadline()
-	if !ok {
-		if cap <= 0 {
-			return context.WithCancel(ctx)
-		}
-		return context.WithTimeout(ctx, cap)
-	}
-	budget := time.Duration(fraction * float64(time.Until(dl)))
-	if budget < floor {
-		budget = floor
-	}
-	if cap > 0 && budget > cap {
-		budget = cap
-	}
-	// Never extend past the parent deadline: context.WithTimeout already
-	// clamps to the parent, so a floor above the remaining time degrades
-	// to the parent's own deadline.
-	return context.WithTimeout(ctx, budget)
 }
 
 // Counter is a tiny concurrent event tally shared by the failure

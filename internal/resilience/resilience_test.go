@@ -195,61 +195,6 @@ func TestDelayCapsAtMaxDelay(t *testing.T) {
 	}
 }
 
-func TestPhaseDerivesBudget(t *testing.T) {
-	parent, cancel := context.WithTimeout(context.Background(), time.Hour)
-	defer cancel()
-
-	ctx, pc := Phase(parent, 0.5, 0, 0)
-	defer pc()
-	dl, ok := ctx.Deadline()
-	if !ok {
-		t.Fatal("phase context lost the deadline")
-	}
-	rem := time.Until(dl)
-	if rem < 25*time.Minute || rem > 31*time.Minute {
-		t.Fatalf("phase budget %v, want ~30m", rem)
-	}
-
-	// Floor lifts a tiny slice; cap trims a huge one.
-	ctx2, pc2 := Phase(parent, 0.0001, 10*time.Minute, 0)
-	defer pc2()
-	if dl2, _ := ctx2.Deadline(); time.Until(dl2) < 9*time.Minute {
-		t.Fatalf("floor not applied: %v", time.Until(dl2))
-	}
-	ctx3, pc3 := Phase(parent, 1, 0, time.Minute)
-	defer pc3()
-	if dl3, _ := ctx3.Deadline(); time.Until(dl3) > time.Minute+time.Second {
-		t.Fatalf("cap not applied: %v", time.Until(dl3))
-	}
-
-	// No parent deadline: cap becomes the budget; zero cap means none.
-	ctx4, pc4 := Phase(context.Background(), 0.5, 0, time.Minute)
-	defer pc4()
-	if _, ok := ctx4.Deadline(); !ok {
-		t.Fatal("cap should impose a deadline on deadline-less parent")
-	}
-	ctx5, pc5 := Phase(context.Background(), 0.5, 0, 0)
-	defer pc5()
-	if _, ok := ctx5.Deadline(); ok {
-		t.Fatal("deadline appeared from nowhere")
-	}
-}
-
-func TestPhaseNeverExtendsParentDeadline(t *testing.T) {
-	parent, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	ctx, pc := Phase(parent, 1, time.Hour, 0) // floor far beyond the parent
-	defer pc()
-	dl, ok := ctx.Deadline()
-	if !ok {
-		t.Fatal("no deadline")
-	}
-	pdl, _ := parent.Deadline()
-	if dl.After(pdl) {
-		t.Fatalf("phase deadline %v extends past parent %v", dl, pdl)
-	}
-}
-
 func TestPanicError(t *testing.T) {
 	if Recovered("p", nil) != nil {
 		t.Fatal("Recovered(nil) must be nil")
