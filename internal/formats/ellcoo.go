@@ -82,10 +82,18 @@ func (e *ELLCOOEnc) DecodeInto(t *matrix.Tile) error {
 	}
 	t.Reset(e.p)
 	for i := 0; i < e.p; i++ {
+		padded := false
 		for k := 0; k < e.w; k++ {
 			j := e.idx[i*e.w+k]
 			if j == ellPad {
+				if e.vals[i*e.w+k] != 0 {
+					return corruptf("ell+coo: padded slot (%d,%d) holds a value", i, k)
+				}
+				padded = true
 				continue
+			}
+			if padded {
+				return corruptf("ell+coo: entry after padding at row %d slot %d", i, k)
 			}
 			if j < 0 || int(j) >= e.p {
 				return corruptf("ell+coo: column %d out of range at row %d", j, i)

@@ -15,7 +15,9 @@
 // random tiles of every format. The CSR, COO, Dense, ELL and SELL
 // decoders emit entries in ascending (row, column) order, which the tile
 // seals in one pass; the other formats' decodes take the tile's general,
-// row-sorting seal.
+// row-sorting seal. Matches checks the round trip of the six row-major
+// formats (those five and BCSR) without decoding: it walks the streams
+// against the source tile's CSR arrays.
 //
 // Encode allocates every stream exactly sized. Slab.Encode instead carves
 // the streams from a rewinding slab and reuses the slab's own encoder
@@ -285,7 +287,9 @@ type Encoded interface {
 	// It resets t (which must come from matrix.NewTile) to a P×P tile at
 	// origin (0, 0), reusing its capacity, so one tile can receive every
 	// decode of a verification pass. On error t's contents are
-	// unspecified.
+	// unspecified. ELL-family rectangle rows must be left-packed, as
+	// their kernels read them: an entry after a padding slot, or a
+	// padding slot holding a non-zero, is ErrCorrupt.
 	DecodeInto(t *matrix.Tile) error
 	// Footprint returns the transmitted-byte accounting.
 	Footprint() Footprint

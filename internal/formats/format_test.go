@@ -371,17 +371,22 @@ func TestEmptyTileAllFormats(t *testing.T) {
 	}
 }
 
-// TestCorruptionDetection injects stream corruption per format and checks
-// the decoder reports ErrCorrupt rather than silently mis-decoding.
-func TestCorruptionDetection(t *testing.T) {
-	tile := randomTile(9, 8, 0.3)
-	cases := []struct {
-		name    string
-		corrupt func() Encoded
-		// strict cases must fail to decode; the others may instead
-		// decode to a different valid tile.
-		strict bool
-	}{
+// corruptionTile is the source tile of every corruptionCases encoding.
+func corruptionTile() *matrix.Tile { return randomTile(9, 8, 0.3) }
+
+// corruptionCase is one stream corruption of an encoding of a source
+// tile. Strict cases must fail to decode; the others may instead decode
+// to a different valid tile.
+type corruptionCase struct {
+	name    string
+	corrupt func() Encoded
+	strict  bool
+}
+
+// corruptionCases returns the stream corruptions of encodings of tile
+// that TestCorruptionDetection and TestCorruptionNeverMatches run.
+func corruptionCases(tile *matrix.Tile) []corruptionCase {
+	return []corruptionCase{
 		{"csr column out of range", func() Encoded {
 			e := encodeCSR(tile, nil)
 			e.colIdx[0] = 99
@@ -506,8 +511,100 @@ func TestCorruptionDetection(t *testing.T) {
 			e.widths[0] = int32(e.p + 1)
 			return e
 		}, false},
+		// The ELL-family kernels end a row at its first padding slot, so
+		// every decoder of the family rejects a row that is not
+		// left-packed: an entry after a pad, or a pad holding a value.
+		{"ell entry after padding", func() Encoded {
+			e := encodeELL(tile, nil)
+			swapPastPad(e.idx, e.vals, e.w)
+			return e
+		}, true},
+		{"ell padded slot holds a value", func() Encoded {
+			e := encodeELL(tile, nil)
+			e.vals[firstPadAfterEntry(e.idx, e.w)] = 7
+			return e
+		}, true},
+		{"sell entry after padding", func() Encoded {
+			e := encodeSELL(tile, 4, nil)
+			base, w := sliceWithPad(e.idx, e.widths, e.c)
+			swapPastPad(e.idx[base:], e.vals[base:], w)
+			return e
+		}, true},
+		{"sell padded slot holds a value", func() Encoded {
+			e := encodeSELL(tile, 4, nil)
+			base, w := sliceWithPad(e.idx, e.widths, e.c)
+			e.vals[base+firstPadAfterEntry(e.idx[base:base+e.c*w], w)] = 7
+			return e
+		}, true},
+		{"sell-c-sigma entry after padding", func() Encoded {
+			e := encodeSELLCS(tile, SELLSlice, SELLCSigmaWindow, nil)
+			base, w := sliceWithPad(e.idx, e.widths, e.c)
+			swapPastPad(e.idx[base:], e.vals[base:], w)
+			return e
+		}, true},
+		{"sell-c-sigma padded slot holds a value", func() Encoded {
+			e := encodeSELLCS(tile, SELLSlice, SELLCSigmaWindow, nil)
+			base, w := sliceWithPad(e.idx, e.widths, e.c)
+			e.vals[base+firstPadAfterEntry(e.idx[base:base+e.c*w], w)] = 7
+			return e
+		}, true},
+		{"ell+coo entry after padding", func() Encoded {
+			e := encodeELLCOO(tile, ELLWidth, nil)
+			swapPastPad(e.idx, e.vals, e.w)
+			return e
+		}, true},
+		{"ell+coo padded slot holds a value", func() Encoded {
+			e := encodeELLCOO(tile, ELLWidth, nil)
+			e.vals[firstPadAfterEntry(e.idx, e.w)] = 7
+			return e
+		}, true},
 	}
-	for _, c := range cases {
+}
+
+// firstPadAfterEntry returns the offset of the first padding slot that
+// follows an entry in a row of the w-wide rectangle idx.
+func firstPadAfterEntry(idx []int32, w int) int {
+	for base := 0; base+w <= len(idx); base += w {
+		for k := 1; k < w && idx[base] != ellPad; k++ {
+			if idx[base+k] == ellPad {
+				return base + k
+			}
+		}
+	}
+	panic("formats: no rectangle row holds an entry before a pad")
+}
+
+// swapPastPad moves the last entry of a row of the w-wide rectangle past
+// the padding slot after it, leaving the row's entries intact but no
+// longer left-packed.
+func swapPastPad(idx []int32, vals []float64, w int) {
+	k := firstPadAfterEntry(idx[:len(idx)/w*w], w)
+	idx[k-1], idx[k] = idx[k], idx[k-1]
+	vals[k-1], vals[k] = vals[k], vals[k-1]
+}
+
+// sliceWithPad returns the stream offset and width of the first slice of
+// a sliced-ELL encoding whose rectangle has a row with an entry before a
+// pad.
+func sliceWithPad(idx, widths []int32, c int) (base, w int) {
+	for _, w32 := range widths {
+		w = int(w32)
+		for r := 0; r < c && w > 1; r++ {
+			row := idx[base+r*w : base+(r+1)*w]
+			if row[0] != ellPad && row[w-1] == ellPad {
+				return base, w
+			}
+		}
+		base += c * w
+	}
+	panic("formats: no slice holds an entry before a pad")
+}
+
+// TestCorruptionDetection injects stream corruption per format and checks
+// the decoder reports ErrCorrupt rather than silently mis-decoding.
+func TestCorruptionDetection(t *testing.T) {
+	tile := corruptionTile()
+	for _, c := range corruptionCases(tile) {
 		t.Run(c.name, func(t *testing.T) {
 			enc := c.corrupt()
 			dec, err := Decode(enc)

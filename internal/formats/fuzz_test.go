@@ -406,3 +406,81 @@ func FuzzSlabEncodeReuse(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMatchesImpliesDecode holds Matches to its contract: an honest
+// encoding always matches its tile, and a mutated one matches only if
+// it still decodes, without error, to exactly the tile's entries. The
+// tile comes from (row, column, value) byte triples; kind and psel pick
+// one of the six row-major formats and a p it accepts. what%3 picks the
+// mutation — a value set to 0, -0, NaN or ±1 (as to directs), an index
+// set to the padding index, or an index set to to's value in [-2, p+1] —
+// and what/3 the index stream: a column, BCSR block column or padding
+// index, or else an offset, COO row or SELL width. slot picks the
+// position in the stream.
+func FuzzMatchesImpliesDecode(f *testing.F) {
+	f.Add([]byte{0, 3, 9, 4, 7, 200, 7, 7, 1}, uint8(1), uint8(0), uint8(0), uint16(1), uint8(1))
+	f.Add([]byte{1, 1, 30, 1, 2, 40, 5, 0, 90}, uint8(4), uint8(1), uint8(5), uint16(3), uint8(0))
+	f.Add([]byte{0, 0, 255, 2, 5, 60, 3, 3, 3}, uint8(2), uint8(2), uint8(6), uint16(0), uint8(5))
+	f.Add([]byte{9, 1, 10, 9, 2, 11, 10, 6, 12}, uint8(5), uint8(1), uint8(4), uint16(2), uint8(3))
+	f.Add([]byte{}, uint8(3), uint8(0), uint8(2), uint16(0), uint8(0))
+	f.Fuzz(func(t *testing.T, ents []byte, kind, psel, what uint8, slot uint16, to uint8) {
+		kinds := []Kind{Dense, CSR, BCSR, COO, ELL, SELL}
+		k := kinds[int(kind)%len(kinds)]
+		p := []int{8, 16, 12, 5, 3}[int(psel)%5]
+		if ValidateP(k, p) != nil {
+			p = 8
+		}
+		tile := matrix.NewTile(p, 0, 0)
+		for i := 0; i+2 < len(ents) && i < 3*256; i += 3 {
+			v := float64(int(ents[i+2])-128) / 4 // 128 clears the entry
+			if ents[i+2] == 255 {
+				v = math.NaN()
+			}
+			tile.Set(int(ents[i])%p, int(ents[i+1])%p, v)
+		}
+		enc := Encode(k, tile)
+		if !Matches(enc, tile) {
+			t.Fatalf("%v p=%d: honest encoding does not match its tile", k, p)
+		}
+
+		floats := valueStream(enc)
+		var streams [][]int32
+		switch e := enc.(type) {
+		case *CSREnc:
+			streams = [][]int32{e.colIdx, e.offsets}
+		case *BCSREnc:
+			streams = [][]int32{e.colIdx, e.offsets}
+		case *COOEnc:
+			streams = [][]int32{e.cols, e.rows}
+		case *ELLEnc:
+			streams = [][]int32{e.idx}
+		case *SELLEnc:
+			streams = [][]int32{e.idx, e.widths}
+		}
+		var ints []int32
+		if len(streams) > 0 {
+			ints = streams[int(what/3)%len(streams)]
+		}
+		s := int(slot)
+		switch op := what % 3; {
+		case op == 0 && len(floats) > 0:
+			floats[s%len(floats)] = []float64{0, math.Copysign(0, -1), math.NaN(), 1, -1}[int(to)%5]
+		case op == 1 && len(ints) > 0:
+			ints[s%len(ints)] = ellPad // a padding index, or a negative one
+		case op == 2 && len(ints) > 0:
+			ints[s%len(ints)] = int32(int(to)%(p+4)) - 2 // -2 … p+1
+		default:
+			return
+		}
+		if !Matches(enc, tile) {
+			return
+		}
+		dec, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("%v p=%d: mutated encoding matches but does not decode: %v", k, p, err)
+		}
+		if !dec.SameEntries(tile) {
+			t.Fatalf("%v p=%d: mutated encoding matches but decodes to other entries", k, p)
+		}
+	})
+}

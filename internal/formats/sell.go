@@ -88,10 +88,18 @@ func (e *SELLEnc) DecodeInto(t *matrix.Tile) error {
 			return corruptf("sell: rectangle overflow at slice %d", s)
 		}
 		for r := 0; r < e.c; r++ {
+			padded := false
 			for k := 0; k < w; k++ {
 				j := e.idx[base+r*w+k]
 				if j == ellPad {
+					if e.vals[base+r*w+k] != 0 {
+						return corruptf("sell: padded slot (%d,%d) in slice %d holds a value", r, k, s)
+					}
+					padded = true
 					continue
+				}
+				if padded {
+					return corruptf("sell: entry after padding in slice %d row %d slot %d", s, r, k)
 				}
 				if j < 0 || int(j) >= e.p {
 					return corruptf("sell: column %d out of range in slice %d", j, s)

@@ -132,10 +132,18 @@ func (e *SELLCSEnc) DecodeInto(t *matrix.Tile) error {
 		}
 		for r := 0; r < e.c; r++ {
 			orig := int(e.perm[s*e.c+r])
+			padded := false
 			for k := 0; k < w; k++ {
 				j := e.idx[base+r*w+k]
 				if j == ellPad {
+					if e.vals[base+r*w+k] != 0 {
+						return corruptf("sell-c-sigma: padded slot (%d,%d) in slice %d holds a value", r, k, s)
+					}
+					padded = true
 					continue
+				}
+				if padded {
+					return corruptf("sell-c-sigma: entry after padding in slice %d row %d slot %d", s, r, k)
 				}
 				if j < 0 || int(j) >= e.p {
 					return corruptf("sell-c-sigma: column %d out of range in slice %d", j, s)

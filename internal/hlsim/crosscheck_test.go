@@ -68,6 +68,32 @@ func TestCrossCheckMismatchMessages(t *testing.T) {
 	}
 }
 
+// TestDecodeCheckRoutes: decodeCheck verifies an honest encoding of the
+// six row-major formats without touching the decode tile (a nil one
+// would panic) and decodes the other seven; a wrong encoding of every
+// format gets the decode-and-cross-check message.
+func TestDecodeCheckRoutes(t *testing.T) {
+	streamed := map[formats.Kind]bool{formats.Dense: true, formats.CSR: true, formats.BCSR: true,
+		formats.COO: true, formats.ELL: true, formats.SELL: true}
+	orig := crossCheckTile()
+	wrong := crossCheckTile()
+	wrong.Set(0, 5, -3)
+	for _, k := range formats.All() {
+		dec := matrix.NewTile(1, 0, 0)
+		if streamed[k] {
+			dec = nil
+		}
+		if err := decodeCheck(k, orig, formats.Encode(k, orig), dec); err != nil {
+			t.Fatalf("%v: honest encoding failed: %v", k, err)
+		}
+		want := fmt.Sprintf("hlsim: tile (16,24): %v decode mismatch at local (0,5): -3 != 3", k)
+		err := decodeCheck(k, orig, formats.Encode(k, wrong), matrix.NewTile(1, 0, 0))
+		if err == nil || err.Error() != want {
+			t.Errorf("%v: wrong encoding: error %v, want %q", k, err, want)
+		}
+	}
+}
+
 // firstUses are the plan's entry points, each of which may be the first
 // use of a format and so lead its one warmup pass.
 var firstUses = []struct {
@@ -166,12 +192,10 @@ func TestVerifyReportsLowestFailingTile(t *testing.T) {
 	t.Cleanup(func() { planTileHook = nil })
 	m := gen.Random(256, 0.05, 17)
 	x := testVectorFor(m.Cols)
-	pool := newPool(3)
-	defer pool.stop()
+	usePool(t, 3)
 	for _, fu := range firstUses {
 		for run := 0; run < 10; run++ {
 			pl := mustPlan(t, m, 16)
-			pl.pool.Store(pool)
 			pl.SetWorkers(4)
 			n := len(pl.pt.Tiles)
 			bad := map[int]bool{n / 3: true, n / 2: true, n - 1: true}

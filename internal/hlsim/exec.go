@@ -15,7 +15,7 @@ import (
 // Tile-parallel executable SpMV: RunExecIntoContext multiplies through
 // the format's own encoded layout (formats.Encoded.SpMV) instead of the
 // plan's CSR-native reference rows, fanning block rows out over helpers
-// borrowed from the plan's worker pool (pool.go).
+// borrowed from the process-wide worker pool (pool.go).
 //
 // Parallel decomposition: the partitioning emits tiles block-row-major,
 // so each grid block row is a contiguous tile range whose kernels write
@@ -171,7 +171,7 @@ func (j *execJob) run() {
 // RunExecIntoContext is RunIntoContext through the executable format
 // kernels: y = A·x computed by walking format k's own encoded layout tile
 // by tile, with block rows fanned out across up to `threads` goroutines
-// (the caller plus helpers borrowed from the plan's pool; a busy pool
+// (the caller plus helpers borrowed from the process-wide pool; a busy pool
 // lends fewer). The result is bit-for-bit
 // independent of the thread count, and — for the row-ordered kernels (see
 // formats/spmv.go) — bit-identical to RunIntoContext when every block row
@@ -222,7 +222,7 @@ func (pl *Plan) RunExecIntoContext(ctx context.Context, k formats.Kind, x []floa
 	job.failed.Store(false)
 	job.errp.Store(nil)
 
-	pl.activePool().fanOut(job, &job.wg, min(threads-1, len(pl.spans)-1))
+	defaultPool.fanOut(job, &job.wg, min(threads-1, len(pl.spans)-1))
 	ferr := job.err()
 
 	job.encs, job.tiles, job.spans = nil, nil, nil

@@ -215,6 +215,21 @@ func TestRunExecCancel(t *testing.T) {
 // idleWorkers returns how many of p's workers are parked right now.
 func idleWorkers(p *workerPool) int { return int(p.idle.Load()) }
 
+// usePool makes a fresh pool of n workers the one every plan's fan-outs
+// borrow from, until the test ends: then the default pool is back and
+// this one stops. No hlsim test runs in parallel, so no fan-out sees the
+// swap.
+func usePool(t *testing.T, n int) *workerPool {
+	t.Helper()
+	p, prev := newPool(n), defaultPool
+	defaultPool = p
+	t.Cleanup(func() {
+		defaultPool = prev
+		p.stop()
+	})
+	return p
+}
+
 // TestExecPoolNoLeak: a canceled multi-thread run restores the pool's
 // full parked capacity — workers are the tokens, and a worker that
 // observes cancellation parks again instead of leaking.
@@ -226,9 +241,7 @@ func TestExecPoolNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := newPool(3)
-	defer pool.stop()
-	pl.pool.Store(pool)
+	pool := usePool(t, 3)
 	var r Result
 	if err := pl.RunExecIntoContext(context.Background(), formats.CSR, x, &r, 4); err != nil {
 		t.Fatal(err)

@@ -7,7 +7,7 @@ import (
 )
 
 // Fault-injection points of the plan's warmup pass (encode.tile fires
-// before each tile's encode, verify.tile before its decode), the exec
+// before each tile's encode, verify.tile before each verify), the exec
 // build and the exec hot loop (see internal/faults). Disarmed they cost
 // one atomic load per hit; the chaos suite arms them to prove a panic or
 // error inside any warmup worker or exec span leaves the plan slot idle

@@ -134,9 +134,7 @@ func TestExecSpanPanicContained(t *testing.T) {
 	m := gen.Random(192, 0.05, 337)
 	x := testVectorFor(m.Cols)
 	pl := mustPlan(t, m, 16)
-	pool := newPool(3)
-	defer pool.stop()
-	pl.pool.Store(pool)
+	pool := usePool(t, 3)
 
 	// Warm first so the fault lands in the multiplication, not the warmup.
 	var ref Result
@@ -199,11 +197,9 @@ func TestEncodePoolNoLeakOnPanic(t *testing.T) {
 	t.Cleanup(faults.DisarmAll)
 	m := gen.Random(256, 0.05, 353)
 	x := testVectorFor(m.Cols)
-	pool := newPool(3)
-	defer pool.stop()
+	pool := usePool(t, 3)
 	for i := 0; i < 10; i++ {
 		pl := mustPlan(t, m, 16)
-		pl.pool.Store(pool)
 		pl.SetWorkers(4)
 		faults.Point("hlsim.encode.tile").Arm(faults.Injection{Kind: faults.KindPanic, Times: 1})
 		_, err := pl.RunContext(context.Background(), formats.CSR, x)

@@ -17,9 +17,10 @@ import (
 
 // Plan is an encode-once streaming plan: one matrix partitioned at one
 // partition size, with each format warmed exactly once, by whichever use
-// of it comes first: one pass encodes every tile, prices it, decodes it
-// and cross-checks it, then drops the encoding. Only the priced tile
-// table is cached, so every tile the model prices has round-tripped.
+// of it comes first: one pass encodes every tile, prices it, verifies
+// that it round-trips (decodeCheck), then drops the encoding. Only the
+// priced tile table is cached, so every tile the model prices has
+// round-tripped.
 // The Plan is the package's one way into the model: a one-shot run
 // builds a plan and calls one method (RunContext, RunParallel, RunSpMM,
 // Trace, Schedule), and callers that stream the same matrix repeatedly —
@@ -49,10 +50,6 @@ type Plan struct {
 	// them serial.
 	helpers atomic.Int32
 
-	// pool, when set, overrides the process-wide default pool that every
-	// tile fan-out of this plan borrows from (see pool.go).
-	pool atomic.Pointer[workerPool]
-
 	// spansOnce/spans hold the per-grid-block-row ownership table of the
 	// exec path: each span owns a contiguous y range and tile range, so
 	// parallel workers never write the same output row (see exec.go).
@@ -79,7 +76,7 @@ type Plan struct {
 // executable-kernel phases, each with its own leader guard so distinct
 // formats (and a format's two phases) never serialize against each other.
 // warm publishes the priced tile table once every tile has been
-// cross-checked (a sticky pricing or cross-check error lives in it); ex
+// verified (a sticky pricing or verify error lives in it); ex
 // holds the resident encodings the RunExecIntoContext path walks (built
 // fresh: no warmup encoding outlives its tile's step).
 type planSlot struct {
@@ -148,7 +145,7 @@ func (ph *phase[T]) do(ctx context.Context, build func() (*T, error)) (*T, error
 
 // planFormat caches everything format-dependent: the packed per-tile
 // cycle table, the aggregated Result totals, and the outcome of the
-// warmup's decode-and-verify cross-check, which every use of the format
+// warmup's round-trip verify, which every use of the format
 // shares. It is immutable once published and holds no encodings: each is
 // dropped at the end of its tile's warmup step. The table keeps only the
 // four counts the warm paths read per tile, 16 B a tile; a tile's
@@ -210,7 +207,7 @@ var planEncodeHook func(formats.Kind)
 
 // planTileHook, when non-nil, sees every tile encoding a warmup pass
 // makes and may swap it — a test seam that plants a wrong encoding for
-// the cross-check to catch.
+// the verify to catch.
 var planTileHook func(k formats.Kind, ti int, enc formats.Encoded) formats.Encoded
 
 // NewPlan partitions m once at partition size p under the given hardware
@@ -244,7 +241,7 @@ func (pl *Plan) Partitioning() *matrix.Partitioning { return pl.pt }
 
 // SetWorkers bounds the tile passes (the warmup and the exec build): they
 // fan tiles out over up to n goroutines, the caller plus n-1 helpers
-// borrowed from the plan's pool (aggregation stays serial and
+// borrowed from the process-wide pool (aggregation stays serial and
 // tile-ordered, so results are bit-identical to a serial pass). A new
 // plan works serially; 0 is treated as GOMAXPROCS.
 func (pl *Plan) SetWorkers(n int) {
@@ -317,7 +314,7 @@ func (pl *Plan) ensureRows() {
 // format returns the cached per-format state, warming the format on its
 // first use by any caller — under that format's own leader guard, so
 // distinct formats warm concurrently. The warmup is one pass (warmPass)
-// that encodes, prices, decodes and cross-checks every non-zero tile, so
+// that encodes, prices and round-trip verifies every non-zero tile, so
 // every priced tile has round-tripped exactly and any stream corruption
 // surfaces here rather than as a silently wrong cycle count or SpMV. A
 // Kind outside the implemented range is an ErrUnknownFormat error, not a
@@ -527,13 +524,13 @@ func (t *tilePass) run() {
 }
 
 // runTiles runs one tile pass of the given stages over the plan's tiles,
-// on the caller plus up to SetWorkers-1 helpers borrowed from the plan's
-// pool. It returns the pass's abort (ctx.Err() or the first fault) as
-// err, and otherwise the steps' sums and the lowest failing tile's error
-// as sticky.
+// on the caller plus up to SetWorkers-1 helpers borrowed from the
+// process-wide pool. It returns the pass's abort (ctx.Err() or the first
+// fault) as err, and otherwise the steps' sums and the lowest failing
+// tile's error as sticky.
 func (pl *Plan) runTiles(ctx context.Context, stages ...tileStage) (sums tileSums, sticky, err error) {
 	t := &tilePass{ctx: ctx, n: len(pl.pt.Tiles), stages: stages}
-	pl.activePool().fanOut(t, &t.wg, min(int(pl.helpers.Load()), t.n/encodeChunk-1))
+	defaultPool.fanOut(t, &t.wg, min(int(pl.helpers.Load()), t.n/encodeChunk-1))
 	if err := ctx.Err(); err != nil {
 		return tileSums{}, nil, err
 	}
@@ -548,12 +545,14 @@ func (pl *Plan) runTiles(ctx context.Context, stages ...tileStage) (sums tileSum
 
 // warmPass walks every non-zero tile of format k once, one step per tile:
 // encode it into the participant's slab, price it into pf.tiles (its NNZ
-// and Footprint into the pass's sums), decode it into the participant's
-// reused tile, cross-check that against the original, and rewind the
-// slab. It is the plan's only warmup: whichever use of a format comes
-// first runs it, so no tile is priced without its round trip.
-// hlsim.encode.tile fires before each encode and hlsim.verify.tile before
-// each decode.
+// and Footprint into the pass's sums), verify it, and rewind the slab.
+// The verify (decodeCheck) compares the streams of Dense, CSR, BCSR, COO,
+// ELL and SELL with the original tile's CSR arrays, and decodes the other
+// seven formats into the participant's reused tile and cross-checks that
+// against the original. It is the plan's only warmup: whichever use of a
+// format comes first runs it, so no tile is priced without its round
+// trip. hlsim.encode.tile fires before each encode and hlsim.verify.tile
+// before each verify.
 //
 // A model gap, a cycle count outside the packed table's uint32, or a
 // failed cross-check becomes pf.err. An abort (a cancellation, an
@@ -596,8 +595,16 @@ func (pl *Plan) warmPass(ctx context.Context, k formats.Kind, pf *planFormat) er
 	return nil
 }
 
-// decodeCheck decodes enc into dec and cross-checks it against tile.
+// decodeCheck verifies that enc round-trips to tile. The six row-major
+// formats' streams are compared with the tile's CSR arrays directly
+// (formats.Matches). Every other format, and any stream that comparison
+// cannot prove, is decoded into dec and cross-checked against tile, the
+// only route that builds an error, so the ErrCorrupt and decode mismatch
+// messages do not depend on the format's route.
 func decodeCheck(k formats.Kind, tile *matrix.Tile, enc formats.Encoded, dec *matrix.Tile) error {
+	if formats.Matches(enc, tile) {
+		return nil
+	}
 	if err := enc.DecodeInto(dec); err != nil {
 		return fmt.Errorf("hlsim: tile (%d,%d): %w", tile.Row, tile.Col, err)
 	}
@@ -812,7 +819,7 @@ func (pl *Plan) RunSpMM(k formats.Kind, b []float64, cols int) (*SpMMResult, err
 }
 
 // Trace returns the per-partition streaming record in streaming order. A
-// first use of k warms it in full, cross-check included (see format).
+// first use of k warms it in full, verify included (see format).
 func (pl *Plan) Trace(k formats.Kind) ([]TileTrace, error) {
 	pf, err := pl.format(context.Background(), k)
 	if err != nil {

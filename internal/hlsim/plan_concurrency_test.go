@@ -77,9 +77,7 @@ func TestPlanParallelWarmupDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := newPool(3)
-	defer pool.stop()
-	parallel.pool.Store(pool)
+	usePool(t, 3)
 	parallel.SetWorkers(4)
 	for _, k := range formats.All() {
 		sr, err := serial.RunContext(context.Background(), k, x)

@@ -33,11 +33,11 @@ type handoff struct {
 	wg *sync.WaitGroup
 }
 
-// defaultPool is the process-wide pool every plan borrows from unless
-// its pool field holds another (only tests install one): GOMAXPROCS−1
-// workers, so a full-width fan-out (caller included) matches the host's
-// parallelism. It starts at package init, so its goroutines exist before
-// any caller counts goroutines.
+// defaultPool is the process-wide pool every plan borrows from:
+// GOMAXPROCS−1 workers, so a full-width fan-out (caller included) matches
+// the host's parallelism. It starts at package init, so its goroutines
+// exist before any caller counts goroutines. Only in-package tests swap
+// it, while no plan of theirs is running.
 var defaultPool = newPool(runtime.GOMAXPROCS(0) - 1)
 
 // newPool starts a pool of `workers` parked helper goroutines (0 means
@@ -97,11 +97,3 @@ dispatch:
 // stop stops the parked workers. Jobs already dispatched run to
 // completion; stop never strands a caller's WaitGroup.
 func (p *workerPool) stop() { close(p.quit) }
-
-// activePool returns the plan's installed pool or the default.
-func (pl *Plan) activePool() *workerPool {
-	if p := pl.pool.Load(); p != nil {
-		return p
-	}
-	return defaultPool
-}

@@ -320,6 +320,19 @@ func (t *Tile) RowView(i int) (cols []int32, vals []float64) {
 	return t.cols[s:e:e], t.vals[s:e:e]
 }
 
+// Spans returns the tile's sealed CSR arrays: row i's entries are
+// cols/vals[rowPtr[i]:rowPtr[i+1]], and len(rowPtr) is P+1. Pending Set
+// entries are sealed first. The slices alias the tile's storage, with
+// the RowView contract: callers must not mutate them, and a later Set or
+// Reset invalidates them. Flat arrays let a per-tile check walk every row
+// without a call per row.
+func (t *Tile) Spans() (rowPtr, cols []int32, vals []float64) {
+	if t.dirty() {
+		t.seal()
+	}
+	return t.rowPtr, t.cols, t.vals
+}
+
 // Dense materializes the tile as a fresh P*P row-major buffer, zeros
 // included — the escape hatch for consumers that genuinely need the p²
 // form (the dense encoding, golden cross-checks, tests). The
