@@ -384,7 +384,8 @@ func BenchmarkCGAccelerator(b *testing.B) {
 
 // BenchmarkPlanReuseSpMV contrasts the one-shot SpMV path (which
 // partitions, encodes, and cross-checks per call) against repeated Run
-// calls on a shared StreamPlan (which pay only the dot work).
+// calls on a shared StreamPlan (which pay only the dot work: the plan is
+// warmed with another operand, so its stored product does not match x).
 func BenchmarkPlanReuseSpMV(b *testing.B) {
 	m := copernicus.Random(256, 0.02, 17)
 	x := make([]float64, 256)
@@ -401,6 +402,9 @@ func BenchmarkPlanReuseSpMV(b *testing.B) {
 	b.Run("plan", func(b *testing.B) {
 		pl, err := copernicus.NewStreamPlan(m, 16)
 		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := pl.RunContext(context.Background(), copernicus.CSR, make([]float64, len(x))); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
@@ -490,7 +494,9 @@ func BenchmarkLargeSparseColdPlan(b *testing.B) {
 
 // BenchmarkPlanWarmRunInto measures the steady-state SpMV on a warm plan
 // through the allocation-free RunIntoContext path (0 allocs/op by design; the
-// assertion lives in internal/hlsim's AllocsPerRun test).
+// assertion lives in internal/hlsim's AllocsPerRun test). The plan is warmed
+// with another operand, so the timed x walks the row list instead of
+// matching the plan's stored product.
 func BenchmarkPlanWarmRunInto(b *testing.B) {
 	m := copernicus.Random(1024, 0.01, 31)
 	x := make([]float64, m.Cols)
@@ -502,7 +508,7 @@ func BenchmarkPlanWarmRunInto(b *testing.B) {
 		b.Fatal(err)
 	}
 	var r copernicus.StreamResult
-	if err := pl.RunIntoContext(context.Background(), copernicus.CSR, x, &r); err != nil {
+	if err := pl.RunIntoContext(context.Background(), copernicus.CSR, make([]float64, len(x)), &r); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

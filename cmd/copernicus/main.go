@@ -504,13 +504,20 @@ func benchCmd(ctx context.Context, scale, iters int, jsonOut bool, out, backendI
 	}
 
 	// Warm-path benchmark: steady-state SpMV on a warm plan through the
-	// allocation-free RunIntoContext path (allocs_per_op must stay 0).
+	// allocation-free RunIntoContext path (allocs_per_op must stay 0). The
+	// plan keeps the product of the first operand it multiplies, so it is
+	// warmed with another operand (x is all zeros, this one all ones): the
+	// timed x walks the row list, as a solver iteration does.
 	warm, err := copernicus.NewStreamPlan(big, scale/4)
 	if err != nil {
 		return err
 	}
+	ones := make([]float64, len(x))
+	for i := range ones {
+		ones[i] = 1
+	}
 	var sr copernicus.StreamResult
-	if err := warm.RunIntoContext(context.Background(), copernicus.CSR, x, &sr); err != nil {
+	if err := warm.RunIntoContext(context.Background(), copernicus.CSR, ones, &sr); err != nil {
 		return err
 	}
 	res, err = measure("warm_plan_runinto_csr", iters*100, 0, func() error {

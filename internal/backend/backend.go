@@ -82,16 +82,19 @@ type Backend interface {
 	// artifact, so it must never change for an existing backend.
 	ID() string
 
-	// Evaluate costs one (plan, kernel, format) point, multiplying by x.
-	// The kernel spec selects what is priced or measured: one SpMV, an
-	// SpMM, or an N-iteration solver loop (Analytic amortizes the
-	// one-time decomposition over the iterations; Native times the real
-	// exec iteration loop). The plan's encode-once state is shared across
-	// backends and kernels; Evaluate pays only per-evaluation work (the
-	// functional dot products, plus timing for measured backends). A
-	// canceled ctx aborts promptly — between warmup tile chunks for every
-	// backend, and between iterations and timed samples for measured ones
-	// — returning ctx.Err() without corrupting shared plan state.
+	// Evaluate costs one (plan, kernel, format) point, multiplying by x,
+	// which it must not modify: the engine shares one x across every
+	// point of a matrix. The kernel spec selects what is priced or
+	// measured: one SpMV, an SpMM, or an N-iteration solver loop
+	// (Analytic amortizes the one-time decomposition over the iterations;
+	// Native times the real exec iteration loop). The plan's encode-once
+	// state is shared across backends and kernels; Evaluate pays only
+	// per-evaluation work (the functional product, which the modelled
+	// path copies from the plan for an operand it has seen, plus timing
+	// for measured backends). A canceled ctx aborts promptly — between
+	// warmup tile chunks for every backend, and between iterations and
+	// timed samples for measured ones — returning ctx.Err() without
+	// corrupting shared plan state.
 	Evaluate(ctx context.Context, pl *hlsim.Plan, sc scenario.Spec, k formats.Kind, x []float64) (Measurement, error)
 
 	// Parallelizable reports whether concurrent Evaluate calls preserve

@@ -145,10 +145,18 @@ type planKey struct {
 }
 
 // planEntry is one LRU node: the key lets eviction delete the map slot
-// from the list element alone.
+// from the list element alone. x is the matrix's characterization operand
+// (testVector) and ref its software reference product (MulVec). They are
+// built once on a miss, next to the plan, or shared with another cached
+// entry of the same matrix, and are released with the entry: they live on
+// the entries, not in a table keyed by matrix, so DropPlansFor and
+// eviction free them with the matrix's last plan. Since every sweep of the
+// plan multiplies the same x, the plan walks its rows once and every
+// later point copies the stored product (hlsim.Plan.RunContext).
 type planEntry struct {
-	key planKey
-	pl  *hlsim.Plan
+	key    planKey
+	pl     *hlsim.Plan
+	x, ref []float64
 }
 
 // maxCachedPlans bounds the plan cache. Beyond it the least-recently-used
@@ -162,9 +170,10 @@ const maxCachedPlans = 128
 // LRU capacity drops, not explicit DropPlansFor calls. ResidentBytes is the
 // total resident footprint of every cached plan (Plan.MemoryBytes): the
 // sparse tile spans and functional arrays, which scale with nnz, the
-// per-format cycle tables at 16 B per non-zero tile, plus any resident
-// exec encodings at their host size, which for Dense is tiles·p² float64
-// values.
+// stored product, the per-format cycle tables at 16 B per non-zero tile,
+// plus any resident exec encodings at their host size, which for Dense is
+// tiles·p² float64 values. It also counts each cached matrix's operand
+// and reference vectors once.
 type PlanStats struct {
 	Hits          uint64 `json:"hits"`
 	Misses        uint64 `json:"misses"`
@@ -245,35 +254,50 @@ func (e *Engine) DropPlansFor(m *matrix.CSR) {
 }
 
 // PlanStats returns a snapshot of the plan-cache counters, including the
-// total resident bytes of every cached plan.
+// total resident bytes of every cached plan and of each cached matrix's
+// operand and reference vectors.
 func (e *Engine) PlanStats() PlanStats {
 	e.mu.Lock()
 	s := e.stats
 	s.Cached = len(e.plans)
+	counted := make(map[*matrix.CSR]bool, len(e.plans))
 	for el := e.lru.Front(); el != nil; el = el.Next() {
-		s.ResidentBytes += el.Value.(*planEntry).pl.MemoryBytes()
+		ent := el.Value.(*planEntry)
+		s.ResidentBytes += ent.pl.MemoryBytes()
+		if !counted[ent.key.m] {
+			counted[ent.key.m] = true
+			s.ResidentBytes += int64(len(ent.x)+len(ent.ref)) * 8
+		}
 	}
 	e.mu.Unlock()
 	return s
 }
 
-// plan returns the cached streaming plan for (m, p), building it on the
-// first request and promoting it to most-recently-used on every hit.
-func (e *Engine) plan(m *matrix.CSR, p int) (*hlsim.Plan, error) {
+// plan returns the cached entry for (m, p) — the streaming plan, the
+// operand and the reference product — building it on the first request
+// and promoting it to most-recently-used on every hit.
+func (e *Engine) plan(m *matrix.CSR, p int) (*planEntry, error) {
 	key := planKey{m: m, p: p}
 	e.mu.Lock()
 	if el, ok := e.plans[key]; ok {
 		e.lru.MoveToFront(el)
 		e.stats.Hits++
-		pl := el.Value.(*planEntry).pl
+		ent := el.Value.(*planEntry)
 		e.mu.Unlock()
-		return pl, nil
+		return ent, nil
 	}
 	workers := e.workersLocked()
+	ent := &planEntry{key: key}
+	shared := e.operandsLocked(ent)
 	e.mu.Unlock()
 	pl, err := hlsim.NewPlan(e.cfg, m, p)
 	if err != nil {
 		return nil, err
+	}
+	ent.pl = pl
+	if !shared {
+		ent.x = testVector(m.Cols)
+		ent.ref = m.MulVec(ent.x)
 	}
 	// Warm this plan's formats on up to `workers` goroutines, borrowing
 	// helpers from the process-wide hlsim pool: tiles encode in parallel
@@ -288,16 +312,32 @@ func (e *Engine) plan(m *matrix.CSR, p int) (*hlsim.Plan, error) {
 	// sweep groups over the same point share encodings.
 	if el, ok := e.plans[key]; ok {
 		e.lru.MoveToFront(el)
-		return el.Value.(*planEntry).pl, nil
+		return el.Value.(*planEntry), nil
 	}
-	e.plans[key] = e.lru.PushFront(&planEntry{key: key, pl: pl})
+	// A plan of the same matrix may have been cached meanwhile: share its
+	// operands, so one matrix's entries always hold one pair.
+	e.operandsLocked(ent)
+	e.plans[key] = e.lru.PushFront(ent)
 	for len(e.plans) > maxCachedPlans {
 		oldest := e.lru.Back()
 		e.lru.Remove(oldest)
 		delete(e.plans, oldest.Value.(*planEntry).key)
 		e.stats.Evictions++
 	}
-	return pl, nil
+	return ent, nil
+}
+
+// operandsLocked points ent at the operand and reference of another
+// cached entry of ent's matrix, if there is one, and reports whether there
+// was. The caller holds e.mu.
+func (e *Engine) operandsLocked(ent *planEntry) bool {
+	for el := e.lru.Front(); el != nil; el = el.Next() {
+		if o := el.Value.(*planEntry); o.key.m == ent.key.m {
+			ent.x, ent.ref = o.x, o.ref
+			return true
+		}
+	}
+	return false
 }
 
 // testVector returns the deterministic operand vector used in every
@@ -344,8 +384,8 @@ func validatePoint(k formats.Kind, p int) error {
 }
 
 // characterizeOn runs one (kernel, format) point on a prepared plan against
-// a precomputed operand vector and software reference — the shared inner
-// step of Characterize and every sweep. The backend supplies the cost
+// the plan entry's operand vector and software reference — the shared
+// inner step of Characterize and every sweep. The backend supplies the cost
 // (Seconds and everything derived from it) for the kernel's full iteration
 // stream; the structural metrics come from the plan's analytic cycle totals
 // either way, and the functional output — one A·x, the iteration operand
@@ -428,10 +468,11 @@ func (e *Engine) Characterize(name string, m *matrix.CSR, k formats.Kind, p int)
 // for the given kernel spec (scenario.Default() is one SpMV) by backend b
 // (nil selects the analytic default). The plan, the operand vector, and
 // the reference MulVec are shared across formats — and, because the
-// engine's plan cache keys only (matrix, p), across kernels too:
+// engine's plan cache keys only (matrix, p), across kernels and calls too:
 // sweeping spmv and cg:60 over one matrix encodes each format exactly
-// once. Cancellation is checked between formats and inside each format's
-// warmup (and a measured backend's timing loop), returning ctx.Err().
+// once, and the analytic backend walks the plan's rows for A·x once.
+// Cancellation is checked between formats and inside each format's warmup
+// (and a measured backend's timing loop), returning ctx.Err().
 func (e *Engine) SweepFormatsKernelWith(ctx context.Context, b backend.Backend, name string, m *matrix.CSR, sc scenario.Spec, p int, kinds []formats.Kind) ([]Result, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %s/p=%d: %w", name, p, err)
@@ -442,18 +483,16 @@ func (e *Engine) SweepFormatsKernelWith(ctx context.Context, b backend.Backend, 
 		}
 	}
 	b = defaultBackend(b)
-	pl, err := e.plan(m, p)
+	ent, err := e.plan(m, p)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s/%s/p=%d: %w", name, sc, p, err)
 	}
-	x := testVector(m.Cols)
-	ref := m.MulVec(x)
 	out := make([]Result, 0, len(kinds))
 	for _, k := range kinds {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r, err := e.characterizeOn(ctx, b, name, pl, sc, k, x, ref)
+		r, err := e.characterizeOn(ctx, b, name, ent.pl, sc, k, ent.x, ent.ref)
 		if err != nil {
 			return nil, err
 		}

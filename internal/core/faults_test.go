@@ -190,3 +190,30 @@ func TestDegradedMeasurementPropagates(t *testing.T) {
 		t.Fatalf("analytic result must not be degraded: %+v", r2)
 	}
 }
+
+// TestSweepVerifiesEveryFormat: the functional check runs on every point,
+// not only on the first format of a plan, whose product the plan stores
+// and later formats copy. A backend that corrupts Y of one later format
+// fails the sweep naming that format, cold and warm, and leaves the plan's
+// stored product intact for a clean sweep afterwards.
+func TestSweepVerifiesEveryFormat(t *testing.T) {
+	ws, kinds, ps := sweepInputs()
+	ws, ps = ws[:1], ps[:1]
+	bad := kinds[3]
+	b := &wrapBackend{mutate: func(m *backend.Measurement) {
+		if m.Run.Kind == bad {
+			m.Run.Y[len(m.Run.Y)-1] += 0.5
+		}
+	}}
+	e := New()
+	for _, pass := range []string{"cold", "warm"} {
+		_, err := e.SweepKernelsWith(context.Background(), b, ws, spmvOnly, kinds, ps)
+		if err == nil || !strings.Contains(err.Error(), "functional mismatch") ||
+			!strings.Contains(err.Error(), fmt.Sprintf("/%v/", bad)) {
+			t.Fatalf("%s: want a functional mismatch naming %v, got %v", pass, bad, err)
+		}
+	}
+	if _, err := e.SweepKernelsWith(context.Background(), nil, ws, spmvOnly, kinds, ps); err != nil {
+		t.Fatalf("clean sweep after the corrupted ones: %v", err)
+	}
+}

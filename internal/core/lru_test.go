@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"copernicus/internal/formats"
@@ -108,6 +109,54 @@ func TestDropPlansFor(t *testing.T) {
 	if pl != planB {
 		t.Fatal("unrelated matrix's plan was dropped")
 	}
+}
+
+// TestDropPlansForReleasesOperands: the operand and reference vectors
+// live on the plan-cache entries, so dropping a matrix's plans frees them
+// with the plans: the resident bytes return to 0 and the live heap to its
+// level before the sweep.
+func TestDropPlansForReleasesOperands(t *testing.T) {
+	e := New()
+	e.SetWorkers(1)
+	ws, kinds, ps := sweepInputs()
+	// A first sweep builds every process-wide cache and pool, so the
+	// measured one below adds only what its own plans hold.
+	if _, err := e.SweepKernelsWith(context.Background(), nil, ws[:1], spmvOnly, kinds, ps); err != nil {
+		t.Fatal(err)
+	}
+	e.DropPlansFor(ws[0].M)
+	m := gen.Random(1<<13, 0.0005, 9)
+	before := liveHeap()
+	if _, err := e.SweepFormatsKernelWith(context.Background(), nil, "m", m, scenario.Default(), 16, kinds); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.SweepFormatsKernelWith(context.Background(), nil, "m", m, scenario.Default(), 32, kinds); err != nil {
+		t.Fatal(err)
+	}
+	operands := int64(m.Cols+m.Rows) * 8
+	held := liveHeap() - before
+	if s := e.PlanStats(); s.ResidentBytes < 3*operands || held < uint64(3*operands) {
+		t.Fatalf("two plans hold %d resident bytes and %d heap bytes, want at least %d (operands and two stored products)",
+			s.ResidentBytes, held, 3*operands)
+	}
+	e.DropPlansFor(m)
+	if got := e.PlanStats().ResidentBytes; got != 0 {
+		t.Fatalf("resident bytes after drop = %d, want 0", got)
+	}
+	if after := liveHeap(); after > before+uint64(operands)/4 {
+		t.Fatalf("live heap %d B after the drop, %d B before the sweep: %d B still held", after, before, after-before)
+	}
+	runtime.KeepAlive(m)
+}
+
+// liveHeap returns the bytes of live heap objects. It collects twice, so
+// sync.Pool caches are empty on both sides of a measurement.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // TestRankMatchesRecommend: Rank over precomputed results must agree

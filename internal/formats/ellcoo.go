@@ -98,6 +98,9 @@ func (e *ELLCOOEnc) DecodeInto(t *matrix.Tile) error {
 			if j < 0 || int(j) >= e.p {
 				return corruptf("ell+coo: column %d out of range at row %d", j, i)
 			}
+			if e.vals[i*e.w+k] == 0 {
+				return corruptf("ell+coo: explicit zero at row %d slot %d", i, k)
+			}
 			t.Set(i, int(j), e.vals[i*e.w+k])
 		}
 	}
@@ -108,6 +111,9 @@ func (e *ELLCOOEnc) DecodeInto(t *matrix.Tile) error {
 		i, j := e.srow[k], e.scol[k]
 		if i < 0 || int(i) >= e.p || j < 0 || int(j) >= e.p {
 			return corruptf("ell+coo: spill tuple %d out of range", k)
+		}
+		if e.sval[k] == 0 {
+			return corruptf("ell+coo: spill tuple %d stores explicit zero", k)
 		}
 		t.Set(int(i), int(j), e.sval[k])
 	}

@@ -558,6 +558,18 @@ func corruptionCases(tile *matrix.Tile) []corruptionCase {
 			e.vals[firstPadAfterEntry(e.idx, e.w)] = 7
 			return e
 		}, true},
+		// Set drops a stored 0, so a decoder that took one would hand
+		// back a tile with fewer entries than the stream claims.
+		{"ell+coo rectangle explicit zero", func() Encoded {
+			e := encodeELLCOO(tile, ELLWidth, nil)
+			e.vals[0] = 0
+			return e
+		}, true},
+		{"ell+coo spill explicit zero", func() Encoded {
+			e := encodeELLCOO(tile, 1, nil)
+			e.sval[0] = 0
+			return e
+		}, true},
 	}
 }
 

@@ -1,10 +1,12 @@
 package hlsim
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -59,14 +61,20 @@ type Plan struct {
 	// CSR-native functional view of the non-zero tiles, built lazily by
 	// ensureRows on the first multiplication (cycle-model-only paths —
 	// Trace, Schedule — never pay for it): each row spans
-	// cols/vals[row.start:row.end]. Iterating these reproduces the exact
-	// accumulation order of the per-tile pipeline (ascending local row,
-	// ascending column), so results are bit-identical to the pre-plan path.
+	// cols/vals[start:row.end], where start is the previous row's end.
+	// Iterating these reproduces the exact accumulation order of the
+	// per-tile pipeline (ascending local row, ascending column), so results
+	// are bit-identical to the pre-plan path.
 	rowsOnce  sync.Once
 	rows      []planRow
 	cols      []int32
 	vals      []float64
 	rowsBytes atomic.Int64
+
+	// prod is the product of the first operand the modelled path
+	// multiplied (see mulVec), published once and never replaced. The
+	// exec path never reads it.
+	prod atomic.Pointer[product]
 
 	ptBytes int64
 	fmts    [formats.NumKinds]planSlot
@@ -193,11 +201,17 @@ type formatAgg struct {
 	sumBalance        float64
 }
 
-// planRow is one non-zero tile row: its global row index and the span of
-// its entries in the plan's cols/vals arrays.
+// planRow is one non-zero tile row: its global row index and the end of
+// its entries in the plan's cols/vals arrays. A row starts where the
+// previous one ends, so the start is not stored.
 type planRow struct {
-	gi         int
-	start, end int
+	gi, end int
+}
+
+// product is one remembered A·x: a private copy of the operand x and the
+// product y the rows gave for it. It is immutable once published.
+type product struct {
+	x, y []float64
 }
 
 // planEncodeHook, when non-nil, is called at the start of every warmup
@@ -252,14 +266,18 @@ func (pl *Plan) SetWorkers(n int) {
 }
 
 // MemoryBytes returns the plan's resident footprint: the sparse tile
-// spans, the functional rows/cols/vals arrays (once built), every cached
-// per-format cycle table (16 B a tile), and every resident exec encoding
-// at its host size (formats.HostBytes: float64 values, host-kernel
-// indexes included). The warmup state is O(nnz + tiles·p +
-// formats·tiles), since tiles are CSR-native; an exec encoding is as large
-// as its format makes it, so a Dense one is O(tiles·p²).
+// spans, the functional rows/cols/vals arrays (once built), the stored
+// product (once made), every cached per-format cycle table (16 B a tile),
+// and every resident exec encoding at its host size (formats.HostBytes:
+// float64 values, host-kernel indexes included). The warmup state is
+// O(nnz + tiles·p + formats·tiles), since tiles are CSR-native; an exec
+// encoding is as large as its format makes it, so a Dense one is
+// O(tiles·p²).
 func (pl *Plan) MemoryBytes() int64 {
 	b := pl.ptBytes + pl.rowsBytes.Load()
+	if pr := pl.prod.Load(); pr != nil {
+		b += int64(len(pr.x)+len(pr.y)) * 8
+	}
 	for i := range pl.fmts {
 		if pf := pl.fmts[i].warm.v.Load(); pf != nil {
 			b += int64(len(pf.tiles)) * int64(unsafe.Sizeof(tileCost{}))
@@ -297,12 +315,11 @@ func (pl *Plan) ensureRows() {
 				if len(tc) == 0 {
 					continue
 				}
-				start := len(cols)
 				for _, c := range tc {
 					cols = append(cols, base+c)
 				}
 				vals = append(vals, tv...)
-				rows = append(rows, planRow{gi: gi, start: start, end: len(cols)})
+				rows = append(rows, planRow{gi: gi, end: len(cols)})
 			}
 		}
 		pl.rows, pl.cols, pl.vals = rows, cols, vals
@@ -660,23 +677,57 @@ func slicesOverlap(a, b []float64) bool {
 // exactly as in the golden model the output is verified against.
 func (pl *Plan) spmv(x []float64, y []float64) {
 	pl.ensureRows()
+	start := 0
 	for _, r := range pl.rows {
 		s := 0.0
-		for k := r.start; k < r.end; k++ {
+		for k := start; k < r.end; k++ {
 			s += pl.vals[k] * x[pl.cols[k]]
 		}
 		y[r.gi] += s
+		start = r.end
 	}
+}
+
+// mulVec overwrites y (m.Rows long) with A·x on the modelled path. The
+// product does not depend on the format, so the plan keeps the one for
+// the first operand it multiplies: an operand whose bits equal the stored
+// one gets a copy of the stored y, and any other operand walks the rows,
+// allocation-free. A sweep multiplies one operand per format, so it walks
+// the rows once per plan.
+func (pl *Plan) mulVec(x, y []float64) {
+	pr := pl.prod.Load()
+	if pr != nil && sameBits(pr.x, x) {
+		copy(y, pr.y)
+		return
+	}
+	clear(y)
+	pl.spmv(x, y)
+	if pr == nil {
+		pl.prod.CompareAndSwap(nil, &product{x: slices.Clone(x), y: slices.Clone(y)})
+	}
+}
+
+// sameBits reports whether a and b hold the same bits, as one byte
+// compare: -0 differs from +0, and a NaN matches only its own payload.
+func sameBits(a, b []float64) bool {
+	return len(a) == len(b) && bytes.Equal(float64Bytes(a), float64Bytes(b))
+}
+
+// float64Bytes views v's memory as bytes, without a copy.
+func float64Bytes(v []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*8)
 }
 
 // RunContext streams every non-zero partition through the modelled
 // accelerator in format k, multiplying by x. Cycle totals come from the
-// cached per-format aggregates; only the functional dot work is paid per
-// call. A cancellation aborts the one-time warmup (encode and
+// cached per-format aggregates; the functional product is format
+// independent and paid once per plan for the first operand (later calls
+// with the same operand bits copy it), and once per call for any other
+// operand. A cancellation aborts the one-time warmup (encode and
 // decode-verify) between tile chunks and returns ctx.Err() without
 // poisoning the plan's per-format slots — a later run of the same format
 // redoes the aborted phase cleanly. A warm format ignores the context
-// entirely (the remaining work is pure dot products).
+// entirely (the remaining work is pure dot products or a copy).
 func (pl *Plan) RunContext(ctx context.Context, k formats.Kind, x []float64) (*Result, error) {
 	r := new(Result)
 	if err := pl.RunIntoContext(ctx, k, x, r); err != nil {
@@ -688,12 +739,14 @@ func (pl *Plan) RunContext(ctx context.Context, k formats.Kind, x []float64) (*R
 // RunIntoContext is RunContext writing into a caller-held Result,
 // reusing r.Y when its capacity suffices: the warm path performs zero
 // allocations and no context checks, so solver loops and sweep services
-// can stream SpMVs with no GC traffic. The previous contents of r are
-// overwritten. The input x must not alias the reused r.Y (the output is
-// cleared before accumulation, which would zero the input); feeding an
-// iteration's output back in requires a second Result, as
-// kernels.Accelerator's double buffering does — the aliasing is detected
-// and rejected.
+// can stream SpMVs with no GC traffic. Only the plan's first
+// multiplication allocates, to keep a copy of its operand and product; a
+// later call whose x has the same bits copies that product instead of
+// walking the rows. The previous contents of r are overwritten. The input
+// x must not alias the reused r.Y (the output is cleared before
+// accumulation, which would zero the input); feeding an iteration's
+// output back in requires a second Result, as kernels.Accelerator's double
+// buffering does — the aliasing is detected and rejected.
 func (pl *Plan) RunIntoContext(ctx context.Context, k formats.Kind, x []float64, r *Result) error {
 	if len(x) != pl.m.Cols {
 		return fmt.Errorf("hlsim: vector length %d for %d-column matrix", len(x), pl.m.Cols)
@@ -710,10 +763,9 @@ func (pl *Plan) RunIntoContext(ctx context.Context, k formats.Kind, x []float64,
 			return fmt.Errorf("hlsim: RunInto input x overlaps the reused r.Y buffer; use a second Result to feed an output back in")
 		}
 		y = y[:pl.m.Rows]
-		clear(y)
 	}
 	pl.fillResult(r, k, pf, y)
-	pl.spmv(x, y)
+	pl.mulVec(x, y)
 	return nil
 }
 
@@ -774,7 +826,7 @@ func (pl *Plan) RunParallel(k formats.Kind, x []float64, lanes int) (*ParallelRe
 			r.TotalCycles = c
 		}
 	}
-	pl.spmv(x, r.Y)
+	pl.mulVec(x, r.Y)
 	return r, nil
 }
 
@@ -806,14 +858,16 @@ func (pl *Plan) RunSpMM(k formats.Kind, b []float64, cols int) (*SpMMResult, err
 		r.PipelinedCycles += max(mem, comp)
 	}
 	pl.ensureRows()
+	start := 0
 	for _, row := range pl.rows {
-		for kk := row.start; kk < row.end; kk++ {
+		for kk := start; kk < row.end; kk++ {
 			v := pl.vals[kk]
 			gj := int(pl.cols[kk])
 			for c := 0; c < cols; c++ {
 				r.Y[row.gi*cols+c] += v * b[gj*cols+c]
 			}
 		}
+		start = row.end
 	}
 	return r, nil
 }

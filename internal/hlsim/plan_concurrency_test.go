@@ -116,35 +116,43 @@ func TestPlanParallelWarmupDeterministic(t *testing.T) {
 }
 
 // TestPlanRunIntoZeroAllocs: the warm RunIntoContext path must not allocate —
-// the Result and its Y buffer are caller-held and reused, and the spmv
-// walks the plan's prebuilt arrays.
+// the Result and its Y buffer are caller-held and reused — both for the
+// plan's stored operand, whose product is copied, and for another operand,
+// which walks the plan's prebuilt arrays.
 func TestPlanRunIntoZeroAllocs(t *testing.T) {
 	cfg := Default()
 	m := gen.Random(256, 0.05, 71)
 	x := testVectorFor(m.Cols)
+	other := append([]float64(nil), x...)
+	other[0]++
 	pl, err := NewPlan(cfg, m, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r Result
-	if err := pl.RunIntoContext(context.Background(), formats.CSR, x, &r); err != nil {
-		t.Fatal(err) // warm the format cache and size r.Y
-	}
-	want, fresh := append([]float64(nil), r.Y...), r.Y
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := pl.RunIntoContext(context.Background(), formats.CSR, x, &r); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		x    []float64
+	}{{"stored operand", x}, {"other operand", other}} {
+		var r Result
+		if err := pl.RunIntoContext(context.Background(), formats.CSR, c.x, &r); err != nil {
+			t.Fatal(err) // warm the format cache, store x's product and size r.Y
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm RunIntoContext allocates %v allocs/op, want 0", allocs)
-	}
-	if &r.Y[0] != &fresh[0] {
-		t.Fatal("warm RunIntoContext reallocated the output buffer")
-	}
-	for i := range want {
-		if r.Y[i] != want[i] {
-			t.Fatalf("reused-buffer result diverges at %d", i)
+		want, fresh := append([]float64(nil), r.Y...), r.Y
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := pl.RunIntoContext(context.Background(), formats.CSR, c.x, &r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: warm RunIntoContext allocates %v allocs/op, want 0", c.name, allocs)
+		}
+		if &r.Y[0] != &fresh[0] {
+			t.Fatalf("%s: warm RunIntoContext reallocated the output buffer", c.name)
+		}
+		for i := range want {
+			if r.Y[i] != want[i] {
+				t.Fatalf("%s: reused-buffer result diverges at %d", c.name, i)
+			}
 		}
 	}
 }
