@@ -26,10 +26,7 @@ func runY(t *testing.T, pl *Plan, k formats.Kind, x []float64) []float64 {
 // product before this call, so it walks the rows.
 func freshY(t *testing.T, m *matrix.CSR, x []float64) []float64 {
 	t.Helper()
-	pl, err := NewPlan(Default(), m, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustPlan(t, m, 16)
 	return runY(t, pl, formats.CSR, x)
 }
 
@@ -85,10 +82,7 @@ func TestStoredProductNeedsEqualBits(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			x := testVectorFor(m.Cols)
 			c.stored(x)
-			pl, err := NewPlan(Default(), m, 16)
-			if err != nil {
-				t.Fatal(err)
-			}
+			pl := mustPlan(t, m, 16)
 			runY(t, pl, formats.CSR, x)
 			poison(t, pl)
 			if y := runY(t, pl, formats.COO, x); y[row] != 42 {
@@ -114,10 +108,7 @@ func TestStoredProductCopiesOperand(t *testing.T) {
 	m := gen.Random(80, 0.1, 23)
 	x := testVectorFor(m.Cols)
 	orig := append([]float64(nil), x...)
-	pl, err := NewPlan(Default(), m, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustPlan(t, m, 16)
 	want := runY(t, pl, formats.CSR, x)
 	for i := range x {
 		x[i] *= -3
@@ -136,10 +127,7 @@ func TestStoredProductConcurrent(t *testing.T) {
 		xs[1][i] = float64(i%7) - 3
 	}
 	wants := [2][]float64{freshY(t, m, xs[0]), freshY(t, m, xs[1])}
-	pl, err := NewPlan(Default(), m, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustPlan(t, m, 16)
 	const goroutines, rounds = 8, 20
 	var wg sync.WaitGroup
 	errs := make(chan string, goroutines)
@@ -176,10 +164,7 @@ func TestStoredProductConcurrent(t *testing.T) {
 func TestStoredProductMemoryBytes(t *testing.T) {
 	const n = 1 << 15
 	m := gen.Random(n, 0.0005, 31)
-	pl, err := NewPlan(Default(), m, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustPlan(t, m, 256)
 	// Build the rows and warm the format without storing a product.
 	if _, err := pl.RunSpMM(formats.CSR, make([]float64, m.Cols), 1); err != nil {
 		t.Fatal(err)
@@ -226,10 +211,7 @@ func TestExecPathIgnoresStoredProduct(t *testing.T) {
 	m := gen.Random(100, 0.06, 37)
 	x := testVectorFor(m.Cols)
 	ref := m.MulVec(x)
-	pl, err := NewPlan(Default(), m, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustPlan(t, m, 16)
 	runY(t, pl, formats.CSR, x)
 	poison(t, pl)
 	for _, y := range runY(t, pl, formats.CSR, x) {
