@@ -64,9 +64,6 @@ func TestFormatLists(t *testing.T) {
 
 func TestEncodeDecodeFacade(t *testing.T) {
 	m := copernicus.Band(16, 4, 3)
-	// Build a tile from the matrix's top-left corner.
-	tile := copernicus.FromDense(16, 16, m.ToDense())
-	_ = tile
 	enc := copernicus.Encode(copernicus.DIA, firstTile(t, m, 16))
 	dec, err := copernicus.Decode(enc)
 	if err != nil {

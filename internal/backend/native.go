@@ -137,10 +137,6 @@ func init() {
 	measureBreaker.Store(resilience.NewBreaker(3, 5*time.Second))
 }
 
-// MeasureBreaker returns the process-wide breaker guarding native
-// measurement (stats surfaces snapshot it).
-func MeasureBreaker() *resilience.Breaker { return measureBreaker.Load() }
-
 // SetMeasureBreaker replaces the measurement breaker — tests inject
 // thresholds and clocks. nil restores the default.
 func SetMeasureBreaker(b *resilience.Breaker) {
@@ -166,7 +162,7 @@ func NativeMeasureStats() NativeStats {
 		Retries:  natRetries.Load(),
 		Degraded: natDegraded.Load(),
 		Failures: natFailures.Load(),
-		Breaker:  MeasureBreaker().Snapshot(),
+		Breaker:  measureBreaker.Load().Snapshot(),
 	}
 }
 
@@ -225,7 +221,7 @@ func (n *Native) Evaluate(ctx context.Context, pl *hlsim.Plan, sc scenario.Spec,
 	// with an annotation instead of erroring the sweep row. The warm-up
 	// above already verified the point, so the fallback costs only the
 	// modelled pricing.
-	br := MeasureBreaker()
+	br := measureBreaker.Load()
 	if err := br.Allow(); err != nil {
 		return n.degrade(ctx, pl, sc, k, x, "measurement breaker open")
 	}

@@ -138,7 +138,7 @@ func TestNativeBreakerOpensAndShortCircuits(t *testing.T) {
 	if !m.Measured || m.Degraded {
 		t.Fatalf("probe should measure for real, got %+v", m)
 	}
-	if s := MeasureBreaker().Snapshot(); s.State != "closed" {
+	if s := measureBreaker.Load().Snapshot(); s.State != "closed" {
 		t.Fatalf("successful probe must close the breaker, got %+v", s)
 	}
 }

@@ -178,7 +178,7 @@ func (c *Coordinator) Start() {
 		t := time.NewTicker(c.cfg.ProbeInterval)
 		defer t.Stop()
 		for {
-			c.ProbeOnce(ctx)
+			c.probeOnce(ctx)
 			select {
 			case <-ctx.Done():
 				return
@@ -205,10 +205,9 @@ func (c *Coordinator) Close() {
 	}
 }
 
-// ProbeOnce runs one synchronous /v1/readyz round over the fleet,
-// updating each worker's readiness flag. Exposed for tests and the
-// prober loop alike.
-func (c *Coordinator) ProbeOnce(ctx context.Context) {
+// probeOnce runs one synchronous /v1/readyz round over the fleet,
+// updating each worker's readiness flag.
+func (c *Coordinator) probeOnce(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, w := range c.workers {
 		wg.Add(1)
@@ -347,7 +346,7 @@ func (c *Coordinator) fetch(ctx context.Context, w *worker, q SweepQuery, cacheO
 // — whether the owner failed the attempt or was already known dead, the
 // group moved off its owner.
 func (c *Coordinator) fetchGroup(ctx context.Context, q SweepQuery) ([]core.Result, error) {
-	reps := c.ring.Replicas(q.Key(), 0)
+	reps := c.ring.replicas(q.Key(), 0)
 	var lastErr error
 	for i, name := range reps {
 		w := c.workers[name]

@@ -127,10 +127,10 @@ func (r *Ring) Owner(key string) string {
 	return r.workers[r.points[r.at(key)].worker]
 }
 
-// Replicas returns up to n distinct workers in ring order starting at
+// replicas returns up to n distinct workers in ring order starting at
 // the key's owner — the re-dispatch sequence when the owner fails.
 // n <= 0 returns all workers. The first element is always Owner(key).
-func (r *Ring) Replicas(key string, n int) []string {
+func (r *Ring) replicas(key string, n int) []string {
 	if n <= 0 || n > len(r.workers) {
 		n = len(r.workers)
 	}

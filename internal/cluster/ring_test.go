@@ -96,7 +96,7 @@ func TestRingMinimalMovement(t *testing.T) {
 	}
 }
 
-// Replicas is the re-dispatch order: it starts at the owner, walks the
+// replicas is the re-dispatch order: it starts at the owner, walks the
 // ring clockwise, never repeats a worker, and — critically for
 // fail-over — dropping the owner from the fleet promotes exactly the
 // second replica to owner.
@@ -107,22 +107,22 @@ func TestRingReplicaOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range testKeys(2000) {
-		reps := r.Replicas(k, 0)
+		reps := r.replicas(k, 0)
 		if len(reps) != len(workers) {
-			t.Fatalf("Replicas(%q, 0) = %d workers, want %d", k, len(reps), len(workers))
+			t.Fatalf("replicas(%q, 0) = %d workers, want %d", k, len(reps), len(workers))
 		}
 		if reps[0] != r.Owner(k) {
-			t.Fatalf("Replicas(%q)[0] = %s, owner is %s", k, reps[0], r.Owner(k))
+			t.Fatalf("replicas(%q)[0] = %s, owner is %s", k, reps[0], r.Owner(k))
 		}
 		seen := map[string]bool{}
 		for _, w := range reps {
 			if seen[w] {
-				t.Fatalf("Replicas(%q) repeats %s", k, w)
+				t.Fatalf("replicas(%q) repeats %s", k, w)
 			}
 			seen[w] = true
 		}
-		if got := r.Replicas(k, 2); len(got) != 2 || got[0] != reps[0] || got[1] != reps[1] {
-			t.Fatalf("Replicas(%q, 2) = %v, want prefix of %v", k, got, reps)
+		if got := r.replicas(k, 2); len(got) != 2 || got[0] != reps[0] || got[1] != reps[1] {
+			t.Fatalf("replicas(%q, 2) = %v, want prefix of %v", k, got, reps)
 		}
 		// The fail-over contract: with the owner gone, ownership falls to
 		// the next replica.

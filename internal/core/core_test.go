@@ -100,14 +100,6 @@ func TestSweepAllPoints(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	rs := []Result{{P: 8}, {P: 16}, {P: 8}}
-	got := Filter(rs, func(r Result) bool { return r.P == 8 })
-	if len(got) != 2 {
-		t.Fatalf("filter kept %d, want 2", len(got))
-	}
-}
-
 // TestPaperInsightCOOBeatsDIAOnGraphs reproduces the §8 headline: on a
 // diverse sparse graph matrix, the generic COO format is faster than the
 // specialized DIA format on generic hardware.

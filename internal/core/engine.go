@@ -112,9 +112,6 @@ type Result struct {
 	StaticEnergyJ  float64
 }
 
-// EnergyJ returns the total modelled energy of the run.
-func (r Result) EnergyJ() float64 { return r.DynamicEnergyJ + r.StaticEnergyJ }
-
 // Engine runs characterizations with a fixed hardware configuration.
 // It caches encode-once streaming plans per (matrix, partition size), so
 // characterizing one matrix across several formats — or re-characterizing
@@ -712,15 +709,4 @@ func (e *Engine) sweepGroupSafe(ctx context.Context, b backend.Backend, name str
 		return nil, fmt.Errorf("core: %s/%s/p=%d: %w", name, sc, p, ferr)
 	}
 	return e.SweepFormatsKernelWith(ctx, b, name, m, sc, p, kinds)
-}
-
-// Filter returns the results matching the given predicate.
-func Filter(rs []Result, keep func(Result) bool) []Result {
-	var out []Result
-	for _, r := range rs {
-		if keep(r) {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -127,9 +126,6 @@ func (p *P) Arm(inj Injection) {
 // Disarm returns the point to its no-op state.
 func (p *P) Disarm() { p.arm.Store(nil) }
 
-// Armed reports whether the point currently has an injection attached.
-func (p *P) Armed() bool { return p.arm.Load() != nil }
-
 // Hit is the injection site: nil when disarmed or outside the armed
 // schedule; otherwise it injects. KindError returns an error wrapping
 // Injected (transient-marked when configured), KindPanic panics with a
@@ -186,19 +182,6 @@ func DisarmAll() {
 	for _, p := range registry {
 		p.arm.Store(nil)
 	}
-}
-
-// Names returns the sorted names of all registered points (the fault
-// catalog; DESIGN.md documents the stable ones).
-func Names() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Parse reads a fault plan: `;`-separated specs, each

@@ -87,9 +87,6 @@ func (e *BCSREnc) P() int { return e.p }
 // Block returns the block edge length b.
 func (e *BCSREnc) Block() int { return e.b }
 
-// Offsets exposes the cumulative block-row offsets for the hardware model.
-func (e *BCSREnc) Offsets() []int32 { return e.offsets }
-
 // ColIdx exposes the block column indices for the hardware model.
 func (e *BCSREnc) ColIdx() []int32 { return e.colIdx }
 

@@ -66,9 +66,6 @@ func (e *CSCEnc) Kind() Kind { return CSC }
 // P implements Encoded.
 func (e *CSCEnc) P() int { return e.p }
 
-// Offsets exposes the cumulative column offsets for the hardware model.
-func (e *CSCEnc) Offsets() []int32 { return e.offsets }
-
 // RowIdx exposes the row indices for the hardware model.
 func (e *CSCEnc) RowIdx() []int32 { return e.rowIdx }
 

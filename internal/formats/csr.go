@@ -49,9 +49,6 @@ func (e *CSREnc) Kind() Kind { return CSR }
 // P implements Encoded.
 func (e *CSREnc) P() int { return e.p }
 
-// Offsets exposes the cumulative row offsets for the hardware model.
-func (e *CSREnc) Offsets() []int32 { return e.offsets }
-
 // ColIdx exposes the column indices for the hardware model.
 func (e *CSREnc) ColIdx() []int32 { return e.colIdx }
 

@@ -72,8 +72,8 @@ func (e *ELLCOOEnc) P() int { return e.p }
 // Width returns the capped ELL rectangle width.
 func (e *ELLCOOEnc) Width() int { return e.w }
 
-// Spill returns the number of COO spill tuples (sentinel excluded).
-func (e *ELLCOOEnc) Spill() int { return len(e.sval) - 1 }
+// spill returns the number of COO spill tuples (sentinel excluded).
+func (e *ELLCOOEnc) spill() int { return len(e.sval) - 1 }
 
 // DecodeInto implements Encoded.
 func (e *ELLCOOEnc) DecodeInto(t *matrix.Tile) error {
@@ -123,7 +123,7 @@ func (e *ELLCOOEnc) DecodeInto(t *matrix.Tile) error {
 // Footprint implements Encoded. As with COO, the spill sentinel is
 // synthesized locally and does not travel.
 func (e *ELLCOOEnc) Footprint() Footprint {
-	spill := e.Spill()
+	spill := e.spill()
 	useful := e.nnz * matrix.BytesPerValue
 	valueLane := (len(e.vals) + spill) * matrix.BytesPerValue
 	idxLane := (len(e.idx) + 2*spill) * matrix.BytesPerIndex
@@ -138,5 +138,5 @@ func (e *ELLCOOEnc) Footprint() Footprint {
 // Stats implements Encoded. The ELL part processes all rows; the spill is
 // scanned like COO.
 func (e *ELLCOOEnc) Stats() Stats {
-	return Stats{NNZ: e.nnz, NonZeroRows: e.nzr, DotRows: e.p, Width: e.w, Slices: e.Spill()}
+	return Stats{NNZ: e.nnz, NonZeroRows: e.nzr, DotRows: e.p, Width: e.w, Slices: e.spill()}
 }

@@ -119,15 +119,10 @@ func Sparse() []Kind {
 	return []Kind{CSR, BCSR, COO, LIL, ELL, DIA, CSC}
 }
 
-// Extensions returns the §2 variant formats implemented beyond the paper's
-// measured set.
-func Extensions() []Kind {
-	return []Kind{DOK, SELL, ELLCOO, JDS, SELLCS}
-}
-
-// All returns every implemented format.
+// All returns every implemented format: Core, then the §2 variant formats
+// implemented beyond the paper's measured set.
 func All() []Kind {
-	return append(Core(), Extensions()...)
+	return append(Core(), DOK, SELL, ELLCOO, JDS, SELLCS)
 }
 
 // BCSRBlock is the block edge used by BCSR throughout the paper ("the
@@ -360,9 +355,6 @@ func Decode(e Encoded) (*matrix.Tile, error) {
 // (the ablation knob behind the paper's fixed 4×4 choice). The tile edge
 // must be divisible by b.
 func EncodeBCSRBlock(t *matrix.Tile, b int) Encoded { return encodeBCSR(t, b, nil) }
-
-// EncodeSELLSlice compresses the tile in SELL with a custom slice height.
-func EncodeSELLSlice(t *matrix.Tile, c int) Encoded { return encodeSELL(t, c, nil) }
 
 // EncodeELLCOOCap compresses the tile in the ELL+COO hybrid with a custom
 // rectangle width cap (the ablation knob behind ELLWidth).

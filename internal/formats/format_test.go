@@ -748,7 +748,7 @@ func TestELLCOOCapsWidth(t *testing.T) {
 	if e.Width() != ELLWidth {
 		t.Fatalf("hybrid width = %d, want %d", e.Width(), ELLWidth)
 	}
-	if e.Spill() != 16-ELLWidth {
-		t.Fatalf("spill = %d, want %d", e.Spill(), 16-ELLWidth)
+	if e.spill() != 16-ELLWidth {
+		t.Fatalf("spill = %d, want %d", e.spill(), 16-ELLWidth)
 	}
 }

@@ -584,7 +584,7 @@ func TestSparseEncodersMatchDenseReferenceAblations(t *testing.T) {
 			}
 		}
 		if tile.P%8 == 0 {
-			got, want := EncodeSELLSlice(tile, 8), refEncodeSELL(tile, 8)
+			got, want := encodeSELL(tile, 8, nil), refEncodeSELL(tile, 8)
 			if !encStreamsEqual(t, got, want) || got.Footprint() != want.Footprint() || got.Stats() != want.Stats() {
 				t.Fatal("SELL c=8: sparse encode diverges from dense reference")
 			}

@@ -106,9 +106,9 @@ func (e *LILEnc) ColVals(j int) []float64 {
 	return e.vals[start:end]
 }
 
-// Height returns the longest column list (the rectangular BRAM array's
+// height returns the longest column list (the rectangular BRAM array's
 // used height, excluding the terminator row).
-func (e *LILEnc) Height() int {
+func (e *LILEnc) height() int {
 	h, start := int32(0), int32(0)
 	for _, end := range e.offsets {
 		h = max(h, end-start)
@@ -173,5 +173,5 @@ func (e *LILEnc) Footprint() Footprint {
 // Stats implements Encoded. Width records the longest column list, which
 // bounds the merge depth.
 func (e *LILEnc) Stats() Stats {
-	return Stats{NNZ: e.nnz, NonZeroRows: e.nzr, DotRows: e.nzr, Width: e.Height()}
+	return Stats{NNZ: e.nnz, NonZeroRows: e.nzr, DotRows: e.nzr, Width: e.height()}
 }

@@ -66,12 +66,6 @@ func (e *SELLEnc) Kind() Kind { return SELL }
 // P implements Encoded.
 func (e *SELLEnc) P() int { return e.p }
 
-// SliceHeight returns the slice height C.
-func (e *SELLEnc) SliceHeight() int { return e.c }
-
-// Widths exposes the per-slice rectangle widths.
-func (e *SELLEnc) Widths() []int32 { return e.widths }
-
 // DecodeInto implements Encoded.
 func (e *SELLEnc) DecodeInto(t *matrix.Tile) error {
 	if len(e.widths) != e.p/e.c {

@@ -97,12 +97,6 @@ func (e *SELLCSEnc) Kind() Kind { return SELLCS }
 // P implements Encoded.
 func (e *SELLCSEnc) P() int { return e.p }
 
-// SliceHeight returns the slice height C.
-func (e *SELLCSEnc) SliceHeight() int { return e.c }
-
-// Widths exposes the per-slice rectangle widths.
-func (e *SELLCSEnc) Widths() []int32 { return e.widths }
-
 // DecodeInto implements Encoded.
 func (e *SELLCSEnc) DecodeInto(t *matrix.Tile) error {
 	if len(e.perm) != e.p {

@@ -106,7 +106,7 @@ func TestSlabEncodingsSurviveCorpus(t *testing.T) {
 	for _, b := range []int{2, 8} {
 		checkExactStreams(t, EncodeBCSRBlock(randomTile(5, 16, 0.3), b))
 	}
-	checkExactStreams(t, EncodeSELLSlice(randomTile(6, 16, 0.3), 8))
+	checkExactStreams(t, encodeSELL(randomTile(6, 16, 0.3), 8, nil))
 	checkExactStreams(t, EncodeELLCOOCap(randomTile(7, 16, 0.3), 2))
 }
 

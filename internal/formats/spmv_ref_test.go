@@ -239,7 +239,7 @@ func TestKernelsMatchFullWalk(t *testing.T) {
 		for _, b := range []int{2, 8} {
 			if c.tile.P%b == 0 {
 				encs[fmt.Sprintf("bcsr_b%d", b)] = EncodeBCSRBlock(c.tile, b)
-				encs[fmt.Sprintf("sell_c%d", b)] = EncodeSELLSlice(c.tile, b)
+				encs[fmt.Sprintf("sell_c%d", b)] = encodeSELL(c.tile, b, nil)
 			}
 		}
 		for _, cap := range []int{0, 1, 3} {

@@ -185,8 +185,8 @@ func TestKernelsAblationShapes(t *testing.T) {
 	encs := map[string]Encoded{
 		"bcsr_b2":     EncodeBCSRBlock(tile, 2),
 		"bcsr_b8":     EncodeBCSRBlock(tile, 8),
-		"sell_c2":     EncodeSELLSlice(tile, 2),
-		"sell_c8":     EncodeSELLSlice(tile, 8),
+		"sell_c2":     encodeSELL(tile, 2, nil),
+		"sell_c8":     encodeSELL(tile, 8, nil),
 		"ellcoo_cap1": EncodeELLCOOCap(tile, 1),
 		"ellcoo_cap3": EncodeELLCOOCap(tile, 3),
 	}

@@ -64,24 +64,3 @@ func Band(n, width int, seed uint64) *matrix.CSR {
 
 // Diagonal returns an n×n diagonal matrix (Band with width 1).
 func Diagonal(n int, seed uint64) *matrix.CSR { return Band(n, 1, seed) }
-
-// SparseBand returns an n×n band matrix where positions inside the band of
-// the given width are non-zero with probability fill. It models the
-// "scattered over multiple diagonals but not completely filling them" case
-// §5.2 calls out as DIA's worst enemy.
-func SparseBand(n, width int, fill float64, seed uint64) *matrix.CSR {
-	if fill < 0 || fill > 1 {
-		panic(fmt.Sprintf("gen: SparseBand fill %v out of [0,1]", fill))
-	}
-	half := width / 2
-	r := xrand.NewStream(seed, 0x5BAD)
-	b := matrix.NewBuilder(n, n)
-	for i := 0; i < n; i++ {
-		for j := max(0, i-half); j <= min(n-1, i+half); j++ {
-			if r.Float64() < fill {
-				b.Add(i, j, r.ValueIn(-1, 1))
-			}
-		}
-	}
-	return b.Build()
-}

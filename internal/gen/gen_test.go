@@ -74,23 +74,6 @@ func TestDiagonal(t *testing.T) {
 	}
 }
 
-func TestSparseBand(t *testing.T) {
-	m := SparseBand(128, 16, 0.5, 9)
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if bw := m.Bandwidth(); bw > 8 {
-		t.Fatalf("SparseBand bandwidth %d exceeds 8", bw)
-	}
-	full := Band(128, 16, 9)
-	if m.NNZ() >= full.NNZ() {
-		t.Fatal("SparseBand with fill 0.5 as dense as full band")
-	}
-	if m.NNZ() == 0 {
-		t.Fatal("SparseBand produced empty matrix")
-	}
-}
-
 func TestRMATProperties(t *testing.T) {
 	m := Graph500RMAT(8, 8, 11)
 	if err := m.Validate(); err != nil {
@@ -262,16 +245,7 @@ func TestRMATInvalidProbabilitiesPanics(t *testing.T) {
 			t.Fatal("a+b+c >= 1 accepted")
 		}
 	}()
-	RMAT(4, 2, 0.5, 0.3, 0.3, 1)
-}
-
-func TestSparseBandInvalidFillPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("fill > 1 accepted")
-		}
-	}()
-	SparseBand(8, 4, 1.5, 1)
+	rmat(4, 2, 0.5, 0.3, 0.3, 1)
 }
 
 func TestGeneratorsDeterministicProperty(t *testing.T) {

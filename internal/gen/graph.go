@@ -7,7 +7,7 @@ import (
 	"copernicus/internal/xrand"
 )
 
-// RMAT generates the adjacency matrix of a 2^scale-vertex graph with
+// rmat generates the adjacency matrix of a 2^scale-vertex graph with
 // approximately edgeFactor·2^scale edges using the recursive-matrix
 // (R-MAT / Kronecker) model of Chakrabarti et al., the generator behind the
 // Graph500 kron_g500 matrices in Table 1. The probabilities (a, b, c, d)
@@ -16,7 +16,7 @@ import (
 // The result is a directed adjacency matrix with unit-magnitude random
 // weights; duplicate edges collapse (their weights sum), mirroring the
 // "multigraph folded into a matrix" character of kron_g500.
-func RMAT(scale, edgeFactor int, a, b, c float64, seed uint64) *matrix.CSR {
+func rmat(scale, edgeFactor int, a, b, c float64, seed uint64) *matrix.CSR {
 	if a+b+c >= 1 {
 		panic(fmt.Sprintf("gen: RMAT probabilities a+b+c = %v >= 1", a+b+c))
 	}
@@ -47,7 +47,7 @@ func RMAT(scale, edgeFactor int, a, b, c float64, seed uint64) *matrix.CSR {
 // Graph500RMAT generates an R-MAT graph with the Graph500 reference
 // parameters.
 func Graph500RMAT(scale, edgeFactor int, seed uint64) *matrix.CSR {
-	return RMAT(scale, edgeFactor, 0.57, 0.19, 0.19, seed)
+	return rmat(scale, edgeFactor, 0.57, 0.19, 0.19, seed)
 }
 
 // PreferentialAttachment generates a directed scale-free graph of n

@@ -27,7 +27,10 @@
 // the software SpMV in the test suite.
 package hlsim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config holds the hardware parameters of the modelled platform.
 type Config struct {
@@ -128,10 +131,5 @@ func log2ceil(n int) int {
 	if n < 1 {
 		panic(fmt.Sprintf("hlsim: log2ceil(%d)", n))
 	}
-	d, v := 0, 1
-	for v < n {
-		v <<= 1
-		d++
-	}
-	return d
+	return bits.Len(uint(n - 1))
 }

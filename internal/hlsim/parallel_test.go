@@ -136,9 +136,9 @@ func TestBubbleAccounting(t *testing.T) {
 	if res.StallMemCycles == 0 {
 		t.Fatal("CSC run reports no memory stalls")
 	}
-	if res.MemStallFraction() <= res.ComputeIdleFraction() {
-		t.Fatalf("CSC stall fraction %.3f not above idle fraction %.3f",
-			res.MemStallFraction(), res.ComputeIdleFraction())
+	if res.StallMemCycles <= res.IdleComputeCycles {
+		t.Fatalf("CSC stall cycles %d not above idle cycles %d",
+			res.StallMemCycles, res.IdleComputeCycles)
 	}
 	// Dense at p=32 is memory-bound: compute idles.
 	dense := mustRun(t, m, formats.Dense, 32, x)

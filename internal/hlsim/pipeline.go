@@ -51,24 +51,6 @@ type Result struct {
 	cfg        Config
 }
 
-// ComputeIdleFraction returns the fraction of pipelined time the compute
-// engine spends waiting on memory.
-func (r *Result) ComputeIdleFraction() float64 {
-	if r.PipelinedCycles == 0 {
-		return 0
-	}
-	return float64(r.IdleComputeCycles) / float64(r.PipelinedCycles)
-}
-
-// MemStallFraction returns the fraction of pipelined time the memory
-// stream spends paused behind compute.
-func (r *Result) MemStallFraction() float64 {
-	if r.PipelinedCycles == 0 {
-		return 0
-	}
-	return float64(r.StallMemCycles) / float64(r.PipelinedCycles)
-}
-
 // Sigma returns the aggregate decompression latency overhead: Eq. (1)
 // evaluated over all non-zero tiles (total decompression plus total dot
 // latency, normalized by the dense-format compute latency of the same

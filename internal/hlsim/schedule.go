@@ -62,19 +62,3 @@ func (s *Schedule) Validate() error {
 	}
 	return nil
 }
-
-// StageUtilization returns the busy fraction of each stage over the
-// makespan.
-func (s *Schedule) StageUtilization() (mem, compute, write float64) {
-	if s.Makespan == 0 {
-		return 0, 0, 0
-	}
-	var m, c, w uint64
-	for _, t := range s.Tiles {
-		m += t.MemEnd - t.MemStart
-		c += t.ComputeEnd - t.ComputeStart
-		w += t.WriteEnd - t.WriteStart
-	}
-	span := float64(s.Makespan)
-	return float64(m) / span, float64(c) / span, float64(w) / span
-}

@@ -85,7 +85,7 @@ func TestScheduleBottleneckStageSaturated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, compute, _ := s.StageUtilization()
+	_, compute, _ := stageUtilization(s)
 	if compute < 0.95 {
 		t.Fatalf("CSC compute utilization %.3f, want ≈1 (bottleneck stage)", compute)
 	}
@@ -94,7 +94,7 @@ func TestScheduleBottleneckStageSaturated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, _, _ := s.StageUtilization()
+	mem, _, _ := stageUtilization(s)
 	if mem < 0.9 {
 		t.Fatalf("dense p=32 memory utilization %.3f, want ≈1", mem)
 	}
@@ -119,4 +119,20 @@ func TestScheduleRejectsInvalidConfig(t *testing.T) {
 	if _, err := NewPlan(bad, gen.Random(16, 0.2, 1), 8); err == nil {
 		t.Fatal("invalid config accepted")
 	}
+}
+
+// stageUtilization returns the busy fraction of each stage over the
+// makespan.
+func stageUtilization(s *Schedule) (mem, compute, write float64) {
+	if s.Makespan == 0 {
+		return 0, 0, 0
+	}
+	var m, c, w uint64
+	for _, t := range s.Tiles {
+		m += t.MemEnd - t.MemStart
+		c += t.ComputeEnd - t.ComputeStart
+		w += t.WriteEnd - t.WriteStart
+	}
+	span := float64(s.Makespan)
+	return float64(m) / span, float64(c) / span, float64(w) / span
 }

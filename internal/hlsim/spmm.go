@@ -28,16 +28,3 @@ type SpMMResult struct {
 
 // Seconds returns the modelled wall time.
 func (r *SpMMResult) Seconds() float64 { return r.cfg.CycleSeconds(r.PipelinedCycles) }
-
-// SigmaPerColumn is the per-column decompression overhead: Eq. (1) with
-// T_decomp divided across the operand columns. At Columns=1 it equals
-// the SpMV σ; it approaches DotRows/p as Columns grows.
-func (r *SpMMResult) SigmaPerColumn(dotRows uint64) float64 {
-	if r.NonZeroTiles == 0 {
-		return 1
-	}
-	td := uint64(r.cfg.DotLatency(r.P))
-	denom := float64(uint64(r.NonZeroTiles) * uint64(r.P) * td)
-	amortized := float64(r.DecompCycles)/float64(r.Columns) + float64(dotRows*td)
-	return amortized / denom
-}

@@ -62,7 +62,7 @@ func TestSpMMAmortizesDecompression(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sigma := res.SigmaPerColumn(run.DotRows)
+		sigma := sigmaPerColumn(res, run.DotRows)
 		if sigma >= prev {
 			t.Fatalf("σ/column did not shrink at %d columns: %v >= %v", cols, sigma, prev)
 		}
@@ -111,4 +111,17 @@ func TestSpMMRejectsBadInput(t *testing.T) {
 	if _, err := pl.RunSpMM(formats.CSR, make([]float64, 10), 2); err == nil {
 		t.Fatal("short operand accepted")
 	}
+}
+
+// sigmaPerColumn is the per-column decompression overhead: Eq. (1) with
+// T_decomp divided across the operand columns. At Columns=1 it equals
+// the SpMV σ; it approaches DotRows/p as Columns grows.
+func sigmaPerColumn(r *SpMMResult, dotRows uint64) float64 {
+	if r.NonZeroTiles == 0 {
+		return 1
+	}
+	td := uint64(r.cfg.DotLatency(r.P))
+	denom := float64(uint64(r.NonZeroTiles) * uint64(r.P) * td)
+	amortized := float64(r.DecompCycles)/float64(r.Columns) + float64(dotRows*td)
+	return amortized / denom
 }

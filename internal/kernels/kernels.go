@@ -80,7 +80,7 @@ func CG(mul SpMV, b []float64, tol float64, maxIter int) ([]float64, Stats, erro
 	x := make([]float64, n)
 	r := append([]float64(nil), b...)
 	p := append([]float64(nil), b...)
-	rs := Dot(r, r)
+	rs := dot(r, r)
 	var st Stats
 	for st.Iterations = 0; st.Iterations < maxIter; st.Iterations++ {
 		if math.Sqrt(rs) < tol {
@@ -91,7 +91,7 @@ func CG(mul SpMV, b []float64, tol float64, maxIter int) ([]float64, Stats, erro
 		if err != nil {
 			return nil, st, err
 		}
-		pap := Dot(p, ap)
+		pap := dot(p, ap)
 		if pap == 0 {
 			break // breakdown: b is in A's null space direction
 		}
@@ -100,7 +100,7 @@ func CG(mul SpMV, b []float64, tol float64, maxIter int) ([]float64, Stats, erro
 			x[i] += alpha * p[i]
 			r[i] -= alpha * ap[i]
 		}
-		rsNew := Dot(r, r)
+		rsNew := dot(r, r)
 		beta := rsNew / rs
 		for i := range p {
 			p[i] = r[i] + beta*p[i]
@@ -201,8 +201,8 @@ func SymGaussSeidel(m *matrix.CSR, b []float64, sweeps int) ([]float64, Stats, e
 	return x, st, nil
 }
 
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
+// dot returns the inner product of two equal-length vectors.
+func dot(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
 		s += a[i] * b[i]

@@ -296,8 +296,8 @@ func TestSoftwareBackendDimensionCheck(t *testing.T) {
 }
 
 func TestDot(t *testing.T) {
-	if d := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); d != 32 {
-		t.Fatalf("Dot = %v", d)
+	if d := dot([]float64{1, 2, 3}, []float64{4, 5, 6}); d != 32 {
+		t.Fatalf("dot = %v", d)
 	}
 }
 

@@ -114,15 +114,3 @@ func FromDense(rows, cols int, dense []float64) *CSR {
 	}
 	return b.Build()
 }
-
-// ToDense expands the matrix to a row-major dense slice. Intended for
-// tests and small matrices.
-func (m *CSR) ToDense() []float64 {
-	d := make([]float64, m.Rows*m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			d[i*m.Cols+m.Col[k]] = m.Val[k]
-		}
-	}
-	return d
-}

@@ -91,17 +91,6 @@ func (m *CSR) MulVec(x []float64) []float64 {
 	return y
 }
 
-// DiagVector returns the main diagonal as a dense vector (zero where
-// absent). Jacobi-type iterations consume it.
-func (m *CSR) DiagVector() []float64 {
-	n := min(m.Rows, m.Cols)
-	d := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d[i] = m.At(i, i)
-	}
-	return d
-}
-
 // Transpose returns Aᵀ in CSR form (equivalently, A viewed as CSC). The
 // CSC encoder uses it to produce column-ordered streams.
 func (m *CSR) Transpose() *CSR {

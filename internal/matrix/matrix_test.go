@@ -110,7 +110,7 @@ func TestFromDenseToDenseRoundTrip(t *testing.T) {
 		if err := m.Validate(); err != nil {
 			return false
 		}
-		back := m.ToDense()
+		back := toDense(m)
 		for i := range d {
 			if back[i] != d[i] {
 				return false
@@ -195,22 +195,6 @@ func TestDensity(t *testing.T) {
 	}
 }
 
-func TestDiagVector(t *testing.T) {
-	m := FromDense(3, 3, []float64{5, 0, 0, 0, 0, 1, 0, 0, 7})
-	d := m.DiagVector()
-	want := []float64{5, 0, 7}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("diag[%d] = %v, want %v", i, d[i], want[i])
-		}
-	}
-	// Rectangular: diagonal length is min(rows, cols).
-	r := FromDense(2, 4, []float64{1, 0, 0, 0, 0, 2, 0, 0})
-	if dd := r.DiagVector(); len(dd) != 2 || dd[1] != 2 {
-		t.Fatalf("rectangular diag %v", dd)
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	m := randomCSR(1, 6, 6, 0.4)
 	cases := []struct {
@@ -245,7 +229,7 @@ func TestMulVecMatchesDense(t *testing.T) {
 			x[i] = r.ValueIn(-1, 1)
 		}
 		y := m.MulVec(x)
-		d := m.ToDense()
+		d := toDense(m)
 		for i := 0; i < n; i++ {
 			want := 0.0
 			for j := 0; j < n; j++ {
@@ -260,4 +244,15 @@ func TestMulVecMatchesDense(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// toDense expands m to a row-major dense slice, FromDense's inverse.
+func toDense(m *CSR) []float64 {
+	d := make([]float64, m.Rows*m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			d[i*m.Cols+m.Col[k]] = m.Val[k]
+		}
+	}
+	return d
 }

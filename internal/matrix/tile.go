@@ -337,19 +337,9 @@ func (t *Tile) Spans() (rowPtr, cols []int32, vals []float64) {
 // included — the escape hatch for consumers that genuinely need the p²
 // form (the dense encoding, golden cross-checks, tests). The
 // partition→encode→decode path never calls it.
-func (t *Tile) Dense() []float64 { return t.DenseInto(nil) }
-
-// DenseInto is Dense writing into dst when cap(dst) >= P*P (allocating
-// otherwise), so verification loops can reuse one buffer across tiles.
-func (t *Tile) DenseInto(dst []float64) []float64 {
+func (t *Tile) Dense() []float64 {
 	t.seal()
-	n := t.P * t.P
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	} else {
-		dst = dst[:n]
-		clear(dst)
-	}
+	dst := make([]float64, t.P*t.P)
 	for i := 0; i < t.P; i++ {
 		base := i * t.P
 		for k := t.rowPtr[i]; k < t.rowPtr[i+1]; k++ {
@@ -474,10 +464,6 @@ type Partitioning struct {
 	Tiles      []*Tile
 	TotalTiles int // GridRows*GridCols, including all-zero tiles
 }
-
-// ZeroTiles returns the number of all-zero partitions, which the streaming
-// pipeline never transfers.
-func (pt *Partitioning) ZeroTiles() int { return pt.TotalTiles - len(pt.Tiles) }
 
 // MemoryBytes returns the resident size of the partitioning's tile
 // storage (backing buffers plus tile headers).
@@ -615,25 +601,4 @@ func Partition(m *CSR, p int) *Partitioning {
 		}
 	}
 	return pt
-}
-
-// Assemble rebuilds the full matrix from a partitioning. Used to verify
-// that Partition is lossless.
-func (pt *Partitioning) Assemble(rows, cols int) *CSR {
-	b := NewBuilder(rows, cols)
-	for _, t := range pt.Tiles {
-		for i := 0; i < t.P; i++ {
-			gi := t.Row + i
-			if gi >= rows {
-				break
-			}
-			tc, tv := t.RowView(i)
-			for k := range tc {
-				if gj := t.Col + int(tc[k]); gj < cols {
-					b.Add(gi, gj, tv[k])
-				}
-			}
-		}
-	}
-	return b.Build()
 }

@@ -89,35 +89,6 @@ func (t Table) Render(w io.Writer) error {
 	return err
 }
 
-// Markdown writes the table as a GitHub-flavoured Markdown table, for
-// embedding regenerated artifacts in documentation.
-func (t Table) Markdown(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "**%s: %s**\n\n", t.ID, t.Title); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "| %s |\n", strings.Join(t.Header, " | ")); err != nil {
-		return err
-	}
-	sep := make([]string, len(t.Header))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	if _, err := fmt.Fprintf(w, "| %s |\n", strings.Join(sep, " | ")); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if _, err := fmt.Fprintf(w, "| %s |\n", strings.Join(row, " | ")); err != nil {
-			return err
-		}
-	}
-	for _, n := range t.Notes {
-		if _, err := fmt.Fprintf(w, "\n*%s*\n", n); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // CSV writes the table as comma-separated values (fields are simple
 // tokens, so no quoting is needed).
 func (t Table) CSV(w io.Writer) error {

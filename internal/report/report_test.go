@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"copernicus/internal/core"
 	"copernicus/internal/formats"
 	"copernicus/internal/workloads"
 )
@@ -387,34 +388,25 @@ func TestRenderAndCSV(t *testing.T) {
 	}
 }
 
-func TestMarkdown(t *testing.T) {
-	tab := Table{
-		ID: "x", Title: "demo",
-		Header: []string{"a", "b"},
-		Rows:   [][]string{{"1", "2"}},
-		Notes:  []string{"hello"},
-	}
-	var buf bytes.Buffer
-	if err := tab.Markdown(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"**x: demo**", "| a | b |", "| --- | --- |", "| 1 | 2 |", "*hello*"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("markdown missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestSigmaOfHelper(t *testing.T) {
 	rs, err := small.results("Band", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := SigmaOf(rs, rs[0].Workload, rs[0].Format); !ok {
-		t.Fatal("SigmaOf missed an existing result")
+	if _, ok := sigmaOf(rs, rs[0].Workload, rs[0].Format); !ok {
+		t.Fatal("sigmaOf missed an existing result")
 	}
-	if _, ok := SigmaOf(rs, "nope", formats.CSR); ok {
-		t.Fatal("SigmaOf found a phantom result")
+	if _, ok := sigmaOf(rs, "nope", formats.CSR); ok {
+		t.Fatal("sigmaOf found a phantom result")
 	}
+}
+
+// sigmaOf extracts one workload's σ from a result set.
+func sigmaOf(rs []core.Result, workload string, k formats.Kind) (float64, bool) {
+	for _, r := range rs {
+		if r.Workload == workload && r.Format == k {
+			return r.Sigma, true
+		}
+	}
+	return 0, false
 }

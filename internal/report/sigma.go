@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"copernicus/internal/core"
 	"copernicus/internal/formats"
 	"copernicus/internal/matrix"
 	"copernicus/internal/metrics"
@@ -171,15 +170,4 @@ func Fig7(o *Options) (Table, error) {
 		}
 	}
 	return t, nil
-}
-
-// SigmaOf extracts one workload's σ from a result set (test helper for
-// downstream packages).
-func SigmaOf(rs []core.Result, workload string, k formats.Kind) (float64, bool) {
-	for _, r := range rs {
-		if r.Workload == workload && r.Format == k {
-			return r.Sigma, true
-		}
-	}
-	return 0, false
 }

@@ -584,7 +584,7 @@ func (s *Server) handleUploadMatrix(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "parse upload: %v", err)
 		return
 	}
-	info, existed := s.reg.AddUpload(r.URL.Query().Get("name"), m)
+	info, existed := s.reg.addUpload(r.URL.Query().Get("name"), m)
 	status := http.StatusCreated
 	if existed {
 		status = http.StatusOK

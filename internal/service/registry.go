@@ -49,8 +49,8 @@ type Registry struct {
 	order  []string          // registration order, for stable listings
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
+// newRegistry returns an empty registry.
+func newRegistry() *Registry {
 	return &Registry{
 		byID:   make(map[string]*entry),
 		byName: make(map[string]string),
@@ -116,16 +116,16 @@ func (r *Registry) register(info MatrixInfo, m *matrix.CSR) (MatrixInfo, bool) {
 	return info, false
 }
 
-// AddBuiltin registers a built-in suite matrix under its workload ID.
-func (r *Registry) AddBuiltin(id, name, kind string, m *matrix.CSR) MatrixInfo {
+// addBuiltin registers a built-in suite matrix under its workload ID.
+func (r *Registry) addBuiltin(id, name, kind string, m *matrix.CSR) MatrixInfo {
 	info, _ := r.register(MatrixInfo{ID: id, Name: name, Source: "builtin", Kind: kind}, m)
 	return info
 }
 
-// AddUpload registers an uploaded matrix under its content hash. The
+// addUpload registers an uploaded matrix under its content hash. The
 // optional display name is kept only for the first upload of a given
 // content; duplicates return the original entry with existed=true.
-func (r *Registry) AddUpload(name string, m *matrix.CSR) (MatrixInfo, bool) {
+func (r *Registry) addUpload(name string, m *matrix.CSR) (MatrixInfo, bool) {
 	id := ContentID(m)
 	if name == "" {
 		name = id

@@ -186,7 +186,7 @@ func New(o Options) *Server {
 	s := &Server{
 		opts:    o,
 		engine:  o.Engine,
-		reg:     NewRegistry(),
+		reg:     newRegistry(),
 		cache:   newResultCache(o.CacheEntries),
 		jobs:    jobs.NewManager(baseCtx, o.JobWorkers, o.JobQueue),
 		cluster: o.Cluster,
@@ -214,13 +214,13 @@ func New(o Options) *Server {
 	})
 	c := workloads.Config{Scale: o.Scale, RandomDim: o.Scale, BandDim: o.Scale}
 	for _, w := range workloads.SuiteSparse(c) {
-		s.reg.AddBuiltin(w.ID, w.Name, w.Kind, w.M)
+		s.reg.addBuiltin(w.ID, w.Name, w.Kind, w.M)
 	}
 	for _, w := range workloads.RandomSuite(c) {
-		s.reg.AddBuiltin(w.ID, w.Name, w.Kind, w.M)
+		s.reg.addBuiltin(w.ID, w.Name, w.Kind, w.M)
 	}
 	for _, w := range workloads.BandSuite(c) {
-		s.reg.AddBuiltin(w.ID, w.Name, w.Kind, w.M)
+		s.reg.addBuiltin(w.ID, w.Name, w.Kind, w.M)
 	}
 	s.routes()
 	return s

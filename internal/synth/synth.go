@@ -20,6 +20,7 @@ package synth
 
 import (
 	"fmt"
+	"math/bits"
 
 	"copernicus/internal/formats"
 )
@@ -285,18 +286,6 @@ func Estimate(k formats.Kind, p int) Report {
 	return r
 }
 
-// Totals returns the summed resource budget across the given reports,
-// mirroring Table 2's "Total" row (the xq7z020 has 140 BRAM_18K, 106.4k
-// FF, 53.2k LUT).
-func Totals(reports []Report) (bram, ff, lut int) {
-	for _, r := range reports {
-		bram += r.BRAM18K
-		ff += r.FF
-		lut += r.LUT
-	}
-	return
-}
-
 // DeviceBRAM, DeviceFF and DeviceLUT are the xq7z020 budgets from
 // Table 2's Total row, exposed for utilization percentages.
 const (
@@ -305,11 +294,10 @@ const (
 	DeviceLUT  = 53200
 )
 
+// log2 returns ceil(log2(n)), and 0 for n <= 1.
 func log2(n int) int {
-	d, v := 0, 1
-	for v < n {
-		v <<= 1
-		d++
+	if n <= 1 {
+		return 0
 	}
-	return d
+	return bits.Len(uint(n - 1))
 }

@@ -184,23 +184,6 @@ func TestFitsDevice(t *testing.T) {
 	}
 }
 
-func TestTotals(t *testing.T) {
-	var reports []Report
-	for _, k := range formats.Core() {
-		reports = append(reports, Estimate(k, 16))
-	}
-	bram, ff, lut := Totals(reports)
-	wantB, wantF, wantL := 0, 0, 0
-	for _, r := range reports {
-		wantB += r.BRAM18K
-		wantF += r.FF
-		wantL += r.LUT
-	}
-	if bram != wantB || ff != wantF || lut != wantL {
-		t.Fatal("Totals does not sum reports")
-	}
-}
-
 func TestSmallPartitionPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

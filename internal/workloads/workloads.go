@@ -16,6 +16,7 @@ package workloads
 
 import (
 	"fmt"
+	"math/bits"
 
 	"copernicus/internal/gen"
 	"copernicus/internal/matrix"
@@ -79,14 +80,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// log2floor returns the largest s with 2^s <= n.
-func log2floor(n int) int {
-	s := 0
-	for 1<<(s+1) <= n {
-		s++
-	}
-	return s
-}
+// log2floor returns the largest s with 2^s <= n, for n >= 1.
+func log2floor(n int) int { return bits.Len(uint(n)) - 1 }
 
 // SuiteSparse returns surrogates for the twenty Table 1 matrices, in the
 // table's order.

@@ -108,6 +108,15 @@ func TestConfigScaling(t *testing.T) {
 	}
 }
 
+func TestLog2Floor(t *testing.T) {
+	cases := map[int]int{1: 0, 2: 1, 3: 1, 4: 2, 7: 2, 8: 3, 255: 7, 256: 8, 1023: 9, 1024: 10, 1025: 10}
+	for n, want := range cases {
+		if got := log2floor(n); got != want {
+			t.Errorf("log2floor(%d) = %d, want %d", n, got, want)
+		}
+	}
+}
+
 // TestSurrogateDegreeFidelity: each surrogate's average nnz/row must be
 // within a factor of 5 of its SuiteSparse original's — the structural
 // knob the substitution promises to preserve.

@@ -10,7 +10,10 @@
 // from a (seed, stream) pair.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a deterministic pseudo-random number generator. The zero value is
 // a valid generator seeded with 0; use New to derive independent streams.
@@ -55,33 +58,18 @@ func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: Intn called with n <= 0")
 	}
-	return int(r.Uint64n(uint64(n)))
+	return int(r.uint64n(uint64(n)))
 }
 
-// Uint64n returns a uniform integer in [0, n) using Lemire's multiply-shift
-// rejection method, which avoids modulo bias.
-func (r *Rand) Uint64n(n uint64) uint64 {
-	if n == 0 {
-		panic("xrand: Uint64n called with n == 0")
-	}
+// uint64n returns a uniform integer in [0, n), n > 0, using Lemire's
+// multiply-shift rejection method, which avoids modulo bias.
+func (r *Rand) uint64n(n uint64) uint64 {
 	for {
-		v := r.Uint64()
-		hi, lo := mul128(v, n)
+		hi, lo := bits.Mul64(r.Uint64(), n)
 		if lo >= n || lo >= -n%n {
 			return hi
 		}
 	}
-}
-
-func mul128(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	aLo, aHi := a&mask32, a>>32
-	bLo, bHi := b&mask32, b>>32
-	t := aLo*bHi + (aLo*bLo)>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += aHi * bLo
-	return aHi*bHi + w2 + (w1 >> 32), a * b
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.

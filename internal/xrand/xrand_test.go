@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -11,6 +12,62 @@ func TestDeterminism(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatalf("same seed diverged at step %d", i)
+		}
+	}
+}
+
+// TestGoldenSequences pins the first outputs of each sampler for two seeds
+// and one derived stream, so a change to the generator or to Intn's
+// rejection sampling that alters any experiment's inputs fails here.
+func TestGoldenSequences(t *testing.T) {
+	type draws struct {
+		uint64s []uint64
+		intns   []int // Intn(1), Intn(7) ×3, Intn(1<<40) ×2
+		floats  []float64
+		perm    []int
+	}
+	cases := []struct {
+		name string
+		mk   func() *Rand
+		want draws
+	}{
+		{"New(0)", func() *Rand { return New(0) }, draws{
+			[]uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x6c45d188009454f},
+			[]int{0, 3, 0, 6, 116929423953, 359898483828},
+			[]float64{0.8833108082136426, 0.43152799704850997, 0.026433771592597743},
+			[]int{13, 4, 7, 5, 10, 2, 8, 9, 15, 11, 3, 1, 12, 0, 6, 14},
+		}},
+		{"New(1)", func() *Rand { return New(1) }, draws{
+			[]uint64{0x910a2dec89025cc1, 0xbeeb8da1658eec67, 0xf893a2eefb32555e},
+			[]int{0, 5, 6, 3, 488474204369, 838811254672},
+			[]float64{0.5665615751722809, 0.7457817572627011, 0.9710027535867962},
+			[]int{6, 0, 15, 1, 3, 7, 14, 2, 4, 10, 8, 12, 5, 13, 11, 9},
+		}},
+		{"NewStream(1, 7)", func() *Rand { return NewStream(1, 7) }, draws{
+			[]uint64{0x3d41bf495cd3075f, 0xffabed5a8dc4d9fb, 0x40f6529dbf5531ab},
+			[]int{0, 6, 1, 6, 315881993129, 221196803627},
+			[]float64{0.23928447285727472, 0.9987171503141953, 0.25375858641867377},
+			[]int{8, 9, 0, 12, 10, 7, 4, 5, 1, 6, 2, 13, 11, 15, 14, 3},
+		}},
+	}
+	for _, c := range cases {
+		var got draws
+		r := c.mk()
+		for range c.want.uint64s {
+			got.uint64s = append(got.uint64s, r.Uint64())
+		}
+		r = c.mk()
+		for _, n := range []int{1, 7, 7, 7, 1 << 40, 1 << 40} {
+			got.intns = append(got.intns, r.Intn(n))
+		}
+		r = c.mk()
+		for range c.want.floats {
+			got.floats = append(got.floats, r.Float64())
+		}
+		got.perm = c.mk().Perm(16)
+		if !slices.Equal(got.uint64s, c.want.uint64s) || !slices.Equal(got.intns, c.want.intns) ||
+			!slices.Equal(got.floats, c.want.floats) || !slices.Equal(got.perm, c.want.perm) {
+			t.Errorf("%s: got %+v, want %+v", c.name, got, c.want)
 		}
 	}
 }
@@ -62,7 +119,7 @@ func TestUint64nUniformity(t *testing.T) {
 	const buckets, draws = 16, 160000
 	var count [buckets]int
 	for i := 0; i < draws; i++ {
-		count[r.Uint64n(buckets)]++
+		count[r.uint64n(buckets)]++
 	}
 	expect := float64(draws) / buckets
 	chi2 := 0.0
