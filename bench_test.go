@@ -454,7 +454,7 @@ func BenchmarkGeomeanSigma(b *testing.B) {
 	var t report.Table
 	var err error
 	for i := 0; i < b.N; i++ {
-		t, err = report.Fig4(o)
+		t, err = report.Generate(o, "fig4")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -159,9 +159,6 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Workers returns the fleet's configured names in ring (sorted) order.
-func (c *Coordinator) Workers() []string { return c.ring.Workers() }
-
 // Start launches the background /v1/readyz prober. Idempotent.
 func (c *Coordinator) Start() {
 	c.startMu.Lock()

@@ -156,20 +156,3 @@ func (r *Ring) at(key string) int {
 	}
 	return i
 }
-
-// Add returns a new ring with w added (no-op copy if already present).
-func (r *Ring) Add(w string) (*Ring, error) {
-	return NewRing(append(r.Workers(), w), r.vnodes, r.seed)
-}
-
-// Remove returns a new ring with w removed. Removing the last worker is
-// an error.
-func (r *Ring) Remove(w string) (*Ring, error) {
-	var ws []string
-	for _, x := range r.workers {
-		if x != w {
-			ws = append(ws, x)
-		}
-	}
-	return NewRing(ws, r.vnodes, r.seed)
-}

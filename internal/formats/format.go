@@ -216,7 +216,7 @@ func HostBytes(e Encoded) int64 {
 	case *CSREnc:
 		return structBytes(e) + capBytes(e.offsets, e.colIdx, e.skip) + capBytes(e.vals)
 	case *CSCEnc:
-		return structBytes(e) + capBytes(e.offsets, e.rowIdx, e.skip) + capBytes(e.vals)
+		return structBytes(e) + e.streamBytes()
 	case *BCSREnc:
 		return structBytes(e) + capBytes(e.offsets, e.colIdx) + capBytes(e.vals)
 	case *COOEnc:
@@ -224,19 +224,19 @@ func HostBytes(e Encoded) int64 {
 	case *DOKEnc:
 		return structBytes(e) + capBytes(e.keys) + capBytes(e.vals)
 	case *LILEnc:
-		return structBytes(e) + capBytes(e.offsets, e.rows, e.skip) + capBytes(e.vals)
+		return structBytes(e) + e.streamBytes()
 	case *ELLEnc:
-		return structBytes(e) + capBytes(e.idx, e.skip) + capBytes(e.vals)
+		return structBytes(e) + e.streamBytes()
 	case *DIAEnc:
 		return structBytes(e) + capBytes(e.diagNo, e.ext) + capBytes(e.lanes)
 	case *SELLEnc:
-		return structBytes(e) + capBytes(e.widths, e.idx, e.skip) + capBytes(e.vals)
+		return structBytes(e) + e.streamBytes()
 	case *ELLCOOEnc:
-		return structBytes(e) + capBytes(e.idx, e.srow, e.scol, e.skip) + capBytes(e.vals, e.sval)
+		return structBytes(e) + e.streamBytes() + capBytes(e.srow, e.scol) + capBytes(e.sval)
 	case *JDSEnc:
 		return structBytes(e) + capBytes(e.perm, e.ptr, e.idx) + capBytes(e.vals)
 	case *SELLCSEnc:
-		return structBytes(e) + capBytes(e.perm, e.widths, e.idx, e.skip) + capBytes(e.vals)
+		return structBytes(e) + e.streamBytes()
 	}
 	return 0
 }

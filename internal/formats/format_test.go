@@ -2,6 +2,8 @@ package formats
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -417,9 +419,29 @@ func corruptionCases(tile *matrix.Tile) []corruptionCase {
 		}, false},
 		{"csc row out of range", func() Encoded {
 			e := encodeCSC(tile, nil)
-			e.rowIdx[0] = -2
+			e.rows[0] = -2
 			return e
 		}, false},
+		// The column-list kernel multiplies every stored entry, so a
+		// column that stores a row twice, or stores a zero, must not
+		// decode: the seal would hand back the source tile (the last
+		// write wins, a 0 leaves no entry) while the kernel adds both
+		// products, or multiplies the zero into a NaN.
+		{"csc duplicate row in a column", func() Encoded {
+			e := encodeCSC(tile, nil)
+			j := int(e.skip[0])
+			start, _ := e.ColRange(j)
+			return insertColEntry(e, j, int(start), e.rows[start], 5)
+		}, true},
+		{"csc explicit zero", func() Encoded {
+			e := encodeCSC(tile, nil)
+			for _, j := range e.skip {
+				if start, _ := e.ColRange(int(j)); e.rows[start] > 0 {
+					return insertColEntry(e, int(j), int(start), 0, 0)
+				}
+			}
+			panic("formats: every non-empty column starts at row 0")
+		}, true},
 		{"bcsr bad block column", func() Encoded {
 			e := encodeBCSR(tile, 4, nil)
 			e.colIdx[0] = 3 // not block-aligned
@@ -548,6 +570,18 @@ func corruptionCases(tile *matrix.Tile) []corruptionCase {
 			e.vals[base+firstPadAfterEntry(e.idx[base:base+e.c*w], w)] = 7
 			return e
 		}, true},
+		// A row that stores one column twice decodes, last write wins,
+		// to one entry, while the kernel adds both products.
+		{"ell repeated column in a row", func() Encoded {
+			e := encodeELL(tile, nil)
+			for i := 0; i < e.p; i++ {
+				if row := e.idx[i*e.w : (i+1)*e.w]; e.w >= 2 && row[1] != ellPad {
+					row[1] = row[0]
+					return e
+				}
+			}
+			panic("formats: no ELL row holds two entries")
+		}, true},
 		{"ell+coo entry after padding", func() Encoded {
 			e := encodeELLCOO(tile, ELLWidth, nil)
 			swapPastPad(e.idx, e.vals, e.w)
@@ -571,6 +605,17 @@ func corruptionCases(tile *matrix.Tile) []corruptionCase {
 			return e
 		}, true},
 	}
+}
+
+// insertColEntry stores (row, v) at stream position at, inside column j,
+// shifting the offsets of j and the columns after it.
+func insertColEntry(e *CSCEnc, j, at int, row int32, v float64) *CSCEnc {
+	e.rows = slices.Insert(e.rows, at, row)
+	e.vals = slices.Insert(e.vals, at, v)
+	for k := j; k < e.p; k++ {
+		e.offsets[k]++
+	}
+	return e
 }
 
 // firstPadAfterEntry returns the offset of the first padding slot that
@@ -633,6 +678,47 @@ func TestCorruptionDetection(t *testing.T) {
 			}
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("error %v does not wrap ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// TestAcceptedDecodeMatchesKernel: whenever DecodeInto accepts an
+// encoding from the corruption table, the encoding's own kernel computes
+// the decoded tile's product — for a finite operand, and with +Inf or
+// -Inf in each column in turn, so a stored zero or a stored entry the
+// decode drops shows up. Non-finite results must sit in the same rows;
+// finite ones agree within the engine's 1e-9 verify tolerance.
+func TestAcceptedDecodeMatchesKernel(t *testing.T) {
+	tile := corruptionTile()
+	p := tile.P
+	base := testOperand(p, 5)
+	xs := [][]float64{base}
+	for j := 0; j < p; j++ {
+		for _, inf := range []float64{math.Inf(1), math.Inf(-1)} {
+			x := slices.Clone(base)
+			x[j] = inf
+			xs = append(xs, x)
+		}
+	}
+	for _, c := range corruptionCases(tile) {
+		t.Run(c.name, func(t *testing.T) {
+			enc := c.corrupt()
+			dec, err := Decode(enc)
+			if err != nil {
+				return
+			}
+			for n, x := range xs {
+				got, want := make([]float64, p), make([]float64, p)
+				enc.SpMV(x, got)
+				refSpMV(dec, x, want)
+				for i := range want {
+					finite := !math.IsNaN(want[i]) && !math.IsInf(want[i], 0)
+					if finite != (!math.IsNaN(got[i]) && !math.IsInf(got[i], 0)) ||
+						finite && math.Abs(got[i]-want[i]) > 1e-9 {
+						t.Fatalf("operand %d row %d: kernel %v, decoded tile %v", n, i, got[i], want[i])
+					}
+				}
 			}
 		})
 	}

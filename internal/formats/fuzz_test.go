@@ -253,18 +253,22 @@ func fuzzCorruptOK(t *testing.T, err error) {
 // FuzzLILDecode builds column lists from the input — per-column length
 // bytes whose high bits drop the value stream's last entry (0x80, a
 // row/value length mismatch) or store an explicit zero (0x40), rows
-// offset to reach negative and out-of-range values — and checks that an accepted stream has strictly ascending rows in every
-// column and decodes to exactly its entries.
+// offset to reach negative, repeated and out-of-range values — as both
+// a LIL and a CSC encoding, which share the column-list layout. An
+// accepted stream must have strictly ascending rows in every column,
+// decode to exactly its entries, and multiply like its decoded tile.
 func FuzzLILDecode(f *testing.F) {
 	f.Add([]byte{2, 1, 0, 1}, []byte{5, 9, 4, 11}, 8) // valid, ascending
 	f.Add([]byte{2}, []byte{9, 5}, 8)                 // rows not ascending
+	f.Add([]byte{2}, []byte{9, 9}, 8)                 // repeated row
 	f.Add([]byte{1}, []byte{200}, 8)                  // row out of range
 	f.Add([]byte{0x82}, []byte{5, 6}, 8)              // length mismatch
 	f.Add([]byte{0x41, 1}, []byte{5, 6}, 16)          // explicit zero
+	f.Add([]byte{0x42}, []byte{4, 9}, 8)              // stored zero before an entry
 	f.Add([]byte{3, 3, 3}, []byte{4, 5, 6, 4, 6, 7, 5, 6, 7}, 24)
 	f.Fuzz(func(t *testing.T, lens, rows []byte, p int) {
 		p = 8 + (abs(p) % 3 * 8)
-		e := &LILEnc{p: p, offsets: make([]int32, p)}
+		c := colLists{p: p, offsets: make([]int32, p)}
 		next := 0
 		for j := 0; j < p; j++ {
 			for k := 0; j < len(lens) && k < int(lens[j]&7) && next < len(rows); k++ {
@@ -272,33 +276,46 @@ func FuzzLILDecode(f *testing.F) {
 				if k == 0 && lens[j]&0x40 != 0 {
 					v = 0
 				}
-				e.rows = append(e.rows, int32(rows[next])-4)
-				e.vals = append(e.vals, v)
+				c.rows = append(c.rows, int32(rows[next])-4)
+				c.vals = append(c.vals, v)
 				next++
 			}
-			if j < len(lens) && lens[j]&0x80 != 0 && len(e.vals) > 0 {
-				e.vals = e.vals[:len(e.vals)-1]
+			if j < len(lens) && lens[j]&0x80 != 0 && len(c.vals) > 0 {
+				c.vals = c.vals[:len(c.vals)-1]
 			}
-			e.offsets[j] = int32(len(e.rows))
+			c.offsets[j] = int32(len(c.rows))
+			if start, end := c.ColRange(j); end > start {
+				c.skip = append(c.skip, int32(j))
+			}
 		}
-		e.nnz = next
-		tile, err := Decode(e)
-		fuzzCorruptOK(t, err)
-		if err != nil {
-			return
-		}
-		fuzzTileOK(t, tile, p)
-		if tile.NNZ() != next {
-			t.Fatalf("decoded %d non-zeros from %d list entries", tile.NNZ(), next)
-		}
-		for j := 0; j < p; j++ {
-			rows, vals := e.ColRows(j), e.ColVals(j)
-			for k, r := range rows {
-				if k > 0 && rows[k-1] >= r {
-					t.Fatalf("column %d accepted with rows out of order: %v", j, rows)
+		for _, e := range []Encoded{&LILEnc{c}, &CSCEnc{c}} {
+			tile, err := Decode(e)
+			fuzzCorruptOK(t, err)
+			if err != nil {
+				continue
+			}
+			fuzzTileOK(t, tile, p)
+			if tile.NNZ() != next {
+				t.Fatalf("%v: decoded %d non-zeros from %d list entries", e.Kind(), tile.NNZ(), next)
+			}
+			for j := 0; j < p; j++ {
+				rows, vals := c.ColRows(j), c.ColVals(j)
+				for k, r := range rows {
+					if k > 0 && rows[k-1] >= r {
+						t.Fatalf("%v: column %d accepted with rows out of order: %v", e.Kind(), j, rows)
+					}
+					if got := tile.At(int(r), j); got != vals[k] {
+						t.Fatalf("%v: (%d,%d) = %v, stream holds %v", e.Kind(), r, j, got, vals[k])
+					}
 				}
-				if got := tile.At(int(r), j); got != vals[k] {
-					t.Fatalf("(%d,%d) = %v, stream holds %v", r, j, got, vals[k])
+			}
+			x := testOperand(p, uint64(next))
+			got, want := make([]float64, p), make([]float64, p)
+			e.SpMV(x, got)
+			refSpMV(tile, x, want)
+			for i := range want {
+				if math.Abs(got[i]-want[i]) > 1e-9 {
+					t.Fatalf("%v: row %d: kernel %v, decoded tile %v", e.Kind(), i, got[i], want[i])
 				}
 			}
 		}

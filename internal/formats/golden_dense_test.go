@@ -39,13 +39,13 @@ func refEncodeCSR(t *matrix.Tile) *CSREnc {
 }
 
 func refEncodeCSC(t *matrix.Tile) *CSCEnc {
-	e := &CSCEnc{p: t.P, offsets: make([]int32, t.P), nzr: t.NonZeroRows()}
+	e := &CSCEnc{colLists{p: t.P, offsets: make([]int32, t.P), nzr: t.NonZeroRows()}}
 	running := int32(0)
 	for j := 0; j < t.P; j++ {
 		start := running
 		for i := 0; i < t.P; i++ {
 			if v := t.At(i, j); v != 0 {
-				e.rowIdx = append(e.rowIdx, int32(i))
+				e.rows = append(e.rows, int32(i))
 				e.vals = append(e.vals, v)
 				running++
 			}
@@ -136,7 +136,7 @@ func refEncodeDOK(t *matrix.Tile) *DOKEnc {
 }
 
 func refEncodeLIL(t *matrix.Tile) *LILEnc {
-	e := &LILEnc{p: t.P, nnz: t.NNZ(), nzr: t.NonZeroRows()}
+	e := &LILEnc{colLists{p: t.P, nzr: t.NonZeroRows()}}
 	for j := 0; j < t.P; j++ {
 		n := len(e.rows)
 		for i := 0; i < t.P; i++ {
@@ -160,7 +160,7 @@ func refEncodeELL(t *matrix.Tile) *ELLEnc {
 			w = n
 		}
 	}
-	e := &ELLEnc{p: t.P, w: w, nnz: t.NNZ(), nzr: t.NonZeroRows()}
+	e := &ELLEnc{ellRect{p: t.P, w: w, nnz: t.NNZ(), nzr: t.NonZeroRows()}}
 	e.idx = make([]int32, t.P*w)
 	e.vals = make([]float64, t.P*w)
 	for i := range e.idx {
@@ -217,7 +217,7 @@ func refEncodeDIA(t *matrix.Tile) *DIAEnc {
 }
 
 func refEncodeSELL(t *matrix.Tile, c int) *SELLEnc {
-	e := &SELLEnc{p: t.P, c: c, nnz: t.NNZ(), nzr: t.NonZeroRows()}
+	e := &SELLEnc{sliced{p: t.P, c: c, nnz: t.NNZ(), nzr: t.NonZeroRows()}}
 	for s := 0; s < t.P/c; s++ {
 		w := 0
 		for i := s * c; i < (s+1)*c; i++ {
@@ -259,7 +259,7 @@ func refEncodeELLCOO(t *matrix.Tile, cap int) *ELLCOOEnc {
 	if w > cap {
 		w = cap
 	}
-	e := &ELLCOOEnc{p: t.P, w: w, nnz: t.NNZ(), nzr: t.NonZeroRows()}
+	e := &ELLCOOEnc{ellRect: ellRect{p: t.P, w: w, nnz: t.NNZ(), nzr: t.NonZeroRows()}}
 	e.idx = make([]int32, t.P*w)
 	e.vals = make([]float64, t.P*w)
 	for i := range e.idx {
@@ -334,7 +334,7 @@ func refEncodeJDS(t *matrix.Tile) *JDSEnc {
 }
 
 func refEncodeSELLCS(t *matrix.Tile, c, sigma int) *SELLCSEnc {
-	e := &SELLCSEnc{p: t.P, c: c, nnz: t.NNZ(), nzr: t.NonZeroRows()}
+	e := &SELLCSEnc{sliced{p: t.P, c: c, nnz: t.NNZ(), nzr: t.NonZeroRows()}}
 	e.perm = make([]int32, t.P)
 	for i := range e.perm {
 		e.perm[i] = int32(i)
@@ -439,7 +439,7 @@ func encStreamsEqual(t *testing.T, got, want Encoded) bool {
 	case *CSCEnc:
 		w := want.(*CSCEnc)
 		return g.p == w.p && slices.Equal(g.offsets, w.offsets) &&
-			slices.Equal(g.rowIdx, w.rowIdx) && slices.Equal(g.vals, w.vals) &&
+			slices.Equal(g.rows, w.rows) && slices.Equal(g.vals, w.vals) &&
 			slices.Equal(g.skip, w.skip)
 	case *BCSREnc:
 		w := want.(*BCSREnc)

@@ -81,17 +81,8 @@ func (e *JDSEnc) Width() int { return len(e.ptr) - 1 }
 
 // DecodeInto implements Encoded.
 func (e *JDSEnc) DecodeInto(t *matrix.Tile) error {
-	if len(e.perm) != e.p {
-		return corruptf("jds: %d perm entries for p=%d", len(e.perm), e.p)
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	seen := sc.ints(e.p)
-	for _, o := range e.perm {
-		if o < 0 || int(o) >= e.p || seen[o] != 0 {
-			return corruptf("jds: invalid permutation entry %d", o)
-		}
-		seen[o] = 1
+	if err := checkPerm("jds", e.perm, e.p); err != nil {
+		return err
 	}
 	if len(e.ptr) == 0 || int(e.ptr[len(e.ptr)-1]) != len(e.vals) || len(e.idx) != len(e.vals) {
 		return corruptf("jds: pointer/stream inconsistency")

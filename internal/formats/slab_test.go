@@ -8,21 +8,24 @@ import (
 	"copernicus/internal/xrand"
 )
 
-// checkExactStreams fails unless every stream of e has cap == len, so an
-// append on one can never write into memory another stream owns.
+// checkExactStreams fails unless every stream of e, those of an embedded
+// layout included, has cap == len, so an append on one can never write
+// into memory another stream owns.
 func checkExactStreams(t *testing.T, e Encoded) {
 	t.Helper()
-	v := reflect.ValueOf(e).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Field(i)
-		if f.Kind() != reflect.Slice {
-			continue
-		}
-		name := v.Type().Field(i).Name
-		if f.Cap() != f.Len() {
-			t.Fatalf("%v p=%d: stream %s has len %d, cap %d", e.Kind(), e.P(), name, f.Len(), f.Cap())
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			switch {
+			case f.Kind() == reflect.Struct:
+				walk(f)
+			case f.Kind() == reflect.Slice && f.Cap() != f.Len():
+				t.Fatalf("%v p=%d: stream %s has len %d, cap %d", e.Kind(), e.P(), v.Type().Field(i).Name, f.Len(), f.Cap())
+			}
 		}
 	}
+	walk(reflect.ValueOf(e).Elem())
 }
 
 // TestSlabStreamsExactZeroedDisjoint hands out streams of mixed sizes —
@@ -213,26 +216,28 @@ func TestSlabOwnsEncoderStructs(t *testing.T) {
 }
 
 // reflectHostBytes is HostBytes' reference: it walks every field of the
-// encoder struct by reflection, so a stream added to an encoder and left
-// out of HostBytes' per-format list shows up as a difference.
+// encoder struct by reflection, an embedded layout's included, so a
+// stream added to an encoder and left out of HostBytes' per-format list
+// shows up as a difference.
 func reflectHostBytes(e Encoded) int64 {
 	v := reflect.ValueOf(e).Elem()
-	b := int64(v.Type().Size())
 	var stream func(f reflect.Value) int64
 	stream = func(f reflect.Value) int64 {
-		if f.Kind() != reflect.Slice {
-			return 0
-		}
-		n := int64(f.Cap()) * int64(f.Type().Elem().Size())
-		for j := 0; f.Type().Elem().Kind() == reflect.Slice && j < f.Len(); j++ {
-			n += stream(f.Index(j))
+		var n int64
+		switch f.Kind() {
+		case reflect.Struct:
+			for i := 0; i < f.NumField(); i++ {
+				n += stream(f.Field(i))
+			}
+		case reflect.Slice:
+			n = int64(f.Cap()) * int64(f.Type().Elem().Size())
+			for j := 0; f.Type().Elem().Kind() == reflect.Slice && j < f.Len(); j++ {
+				n += stream(f.Index(j))
+			}
 		}
 		return n
 	}
-	for i := 0; i < v.NumField(); i++ {
-		b += stream(v.Field(i))
-	}
-	return b
+	return int64(v.Type().Size()) + stream(v)
 }
 
 // TestHostBytesCountsEveryStream: HostBytes equals a reflective walk of

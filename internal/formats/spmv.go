@@ -176,14 +176,16 @@ func (e *COOEnc) SpMV(x, y []float64) {
 	}
 }
 
-// SpMV implements Encoded: LIL scatters column by column — each column
-// list multiplies one operand entry into its ascending row indices, the
-// executable analogue of the per-column BRAM banks of Listing 4. Only
-// the non-empty columns of the encode-time skip list are visited.
-func (e *LILEnc) SpMV(x, y []float64) {
-	for _, j := range e.skip {
-		start, end := e.colRange(int(j))
-		rows, vals := e.rows[start:end], e.vals[start:end]
+// SpMV implements Encoded for CSC and LIL: their shared column lists
+// scatter column by column — each list multiplies one operand entry into
+// its ascending row indices, the executable analogue of LIL's
+// per-column BRAM banks (Listing 4), and CSC's orientation mismatch
+// (§5.2) shows up as strided output writes. Only the non-empty columns
+// of the encode-time skip list are visited.
+func (c *colLists) SpMV(x, y []float64) {
+	for _, j := range c.skip {
+		start, end := c.ColRange(int(j))
+		rows, vals := c.rows[start:end], c.vals[start:end]
 		vals = vals[:len(rows)]
 		xv := x[j]
 		for k, i := range rows {
@@ -192,14 +194,19 @@ func (e *LILEnc) SpMV(x, y []float64) {
 	}
 }
 
-// SpMV implements Encoded: ELL sweeps the padded rectangle row by row,
-// visiting only the non-empty rows of the encode-time skip list; rows
-// with no entries (including boundary padding rows) are never read.
-func (e *ELLEnc) SpMV(x, y []float64) {
-	w := e.w
-	for _, i := range e.skip {
+// SpMV implements Encoded for ELL, and is the rectangle pass of
+// ELL+COO: it sweeps the padded rectangle row by row, visiting only the
+// non-empty rows of the encode-time skip list; rows with no entries
+// (including boundary padding rows) are never read. A zero-width
+// rectangle, which ELL+COO's cap can leave, holds no entry.
+func (r *ellRect) SpMV(x, y []float64) {
+	w := r.w
+	if w == 0 {
+		return
+	}
+	for _, i := range r.skip {
 		base := int(i) * w
-		y[i] += ellRow(e.idx[base:base+w], e.vals[base:base+w], x)
+		y[i] += ellRow(r.idx[base:base+w], r.vals[base:base+w], x)
 	}
 }
 
@@ -239,21 +246,6 @@ func (e *DIAEnc) SpMV(x, y []float64) {
 	}
 }
 
-// SpMV implements Encoded: CSC scatters column-major — the orientation
-// mismatch §5.2 prices shows up here as strided output writes. Only the
-// non-empty columns of the encode-time skip list are visited.
-func (e *CSCEnc) SpMV(x, y []float64) {
-	for _, j := range e.skip {
-		start, end := e.ColRange(int(j))
-		rows, vals := e.rowIdx[start:end], e.vals[start:end]
-		vals = vals[:len(rows)]
-		xv := x[j]
-		for k, i := range rows {
-			y[i] += vals[k] * xv
-		}
-	}
-}
-
 // SpMV implements Encoded: DOK scans the whole hash table, scattering
 // every occupied slot — the full-table sweep the paper equates with
 // COO's scan, in the table's probe order.
@@ -267,14 +259,23 @@ func (e *DOKEnc) SpMV(x, y []float64) {
 	}
 }
 
-// SpMV implements Encoded: SELL sweeps each slice's private rectangle,
-// so short slices pay only their own width, visiting only the non-empty
-// rows of the encode-time (row, rectangle offset) skip list.
-func (e *SELLEnc) SpMV(x, y []float64) {
-	for n := 0; n+1 < len(e.skip); n += 2 {
-		i, rb := e.skip[n], int(e.skip[n+1])
-		w := sliceWidth(e.widths, i, e.c)
-		y[i] += ellRow(e.idx[rb:rb+w], e.vals[rb:rb+w], x)
+// SpMV implements Encoded for SELL and SELL-C-σ: it sweeps each slice's
+// private rectangle, so short slices pay only their own width, visiting
+// only the non-empty rows of the encode-time (position, rectangle
+// offset) skip list. SELL-C-σ adds each row's sum to the output row its
+// σ-window permutation names; SELL's perm is nil, and its positions are
+// its rows. The loop reads s.perm rather than a copy hoisted out of it:
+// the hoisted slice header spilled the loop's registers and ran about
+// 15% slower on BenchmarkKernel (2-vCPU Xeon, Go 1.24).
+func (s *sliced) SpMV(x, y []float64) {
+	for n := 0; n+1 < len(s.skip); n += 2 {
+		r, rb := s.skip[n], int(s.skip[n+1])
+		w := sliceWidth(s.widths, r, s.c)
+		sum := ellRow(s.idx[rb:rb+w], s.vals[rb:rb+w], x)
+		if s.perm != nil {
+			r = s.perm[r]
+		}
+		y[r] += sum
 	}
 }
 
@@ -290,15 +291,10 @@ func sliceWidth(widths []int32, r int32, c int) int {
 // spill of the long rows — per output row the products still arrive in
 // ascending-column order.
 //
-// The rectangle pass visits only the non-empty rows of the encode-time
-// skip list; with a zero-width rectangle every entry is spill.
+// The rectangle pass is ELL's kernel; with a zero-width rectangle every
+// entry is spill.
 func (e *ELLCOOEnc) SpMV(x, y []float64) {
-	if w := e.w; w > 0 {
-		for _, i := range e.skip {
-			base := int(i) * w
-			y[i] += ellRow(e.idx[base:base+w], e.vals[base:base+w], x)
-		}
-	}
+	e.ellRect.SpMV(x, y)
 	vals := e.sval[:len(e.sval)-1]
 	rows, cols := e.srow[:len(vals)], e.scol[:len(vals)]
 	for k, v := range vals {
@@ -316,17 +312,5 @@ func (e *JDSEnc) SpMV(x, y []float64) {
 		for r := start; r < end; r++ {
 			y[e.perm[r-start]] += e.vals[r] * x[e.idx[r]]
 		}
-	}
-}
-
-// SpMV implements Encoded: SELL-C-σ sweeps each slice's rectangle like
-// SELL — only the non-empty rows of the encode-time (sorted position,
-// rectangle offset) skip list — and gathers the output row through the
-// σ-window permutation.
-func (e *SELLCSEnc) SpMV(x, y []float64) {
-	for n := 0; n+1 < len(e.skip); n += 2 {
-		r, rb := e.skip[n], int(e.skip[n+1])
-		w := sliceWidth(e.widths, r, e.c)
-		y[e.perm[r]] += ellRow(e.idx[rb:rb+w], e.vals[rb:rb+w], x)
 	}
 }

@@ -91,7 +91,7 @@ func refCSCWalk(e *CSCEnc, x, y []float64) {
 		if end > start {
 			xv := x[j]
 			for k := start; k < end; k++ {
-				y[e.rowIdx[k]] += e.vals[k] * xv
+				y[e.rows[k]] += e.vals[k] * xv
 			}
 		}
 		start = end

@@ -1,8 +1,6 @@
 package hlsim
 
 import (
-	"fmt"
-
 	"copernicus/internal/formats"
 	"copernicus/internal/matrix"
 )
@@ -38,27 +36,4 @@ func (s *Schedule) Seconds() float64 { return s.cfg.CycleSeconds(s.Makespan) }
 // vector (p words) plus burst overhead on the write lane.
 func (c Config) writeCycles(p int) int {
 	return ceilDiv(p*matrix.BytesPerValue, c.AXIBytesPerCycle) + c.BurstOverhead
-}
-
-// Validate checks the schedule's structural invariants: stage intervals
-// are well-formed, per-stage processing is serial and in order, and
-// every tile flows strictly forward through the pipeline.
-func (s *Schedule) Validate() error {
-	var memFree, compFree, writeFree uint64
-	for i, t := range s.Tiles {
-		if t.MemEnd < t.MemStart || t.ComputeEnd < t.ComputeStart || t.WriteEnd < t.WriteStart {
-			return fmt.Errorf("hlsim: tile %d has a negative interval", i)
-		}
-		if t.MemStart < memFree || t.ComputeStart < compFree || t.WriteStart < writeFree {
-			return fmt.Errorf("hlsim: tile %d overlaps its predecessor on a stage", i)
-		}
-		if t.ComputeStart < t.MemEnd || t.WriteStart < t.ComputeEnd {
-			return fmt.Errorf("hlsim: tile %d enters a stage before leaving the previous", i)
-		}
-		memFree, compFree, writeFree = t.MemEnd, t.ComputeEnd, t.WriteEnd
-	}
-	if len(s.Tiles) > 0 && s.Makespan != s.Tiles[len(s.Tiles)-1].WriteEnd {
-		return fmt.Errorf("hlsim: makespan %d does not match final writeback", s.Makespan)
-	}
-	return nil
 }

@@ -50,9 +50,6 @@ func (b *Builder) AddSym(row, col int, val float64) {
 	}
 }
 
-// Len returns the number of recorded triplets (before deduplication).
-func (b *Builder) Len() int { return len(b.entries) }
-
 // Build sorts, deduplicates, and emits the canonical CSR matrix. The
 // Builder may be reused afterwards; its triplet list is consumed.
 func (b *Builder) Build() *CSR {

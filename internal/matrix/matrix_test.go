@@ -256,3 +256,6 @@ func toDense(m *CSR) []float64 {
 	}
 	return d
 }
+
+// Len returns the number of recorded triplets (before deduplication).
+func (b *Builder) Len() int { return len(b.entries) }

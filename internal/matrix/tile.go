@@ -333,22 +333,6 @@ func (t *Tile) Spans() (rowPtr, cols []int32, vals []float64) {
 	return t.rowPtr, t.cols, t.vals
 }
 
-// Dense materializes the tile as a fresh P*P row-major buffer, zeros
-// included — the escape hatch for consumers that genuinely need the p²
-// form (the dense encoding, golden cross-checks, tests). The
-// partition→encode→decode path never calls it.
-func (t *Tile) Dense() []float64 {
-	t.seal()
-	dst := make([]float64, t.P*t.P)
-	for i := 0; i < t.P; i++ {
-		base := i * t.P
-		for k := t.rowPtr[i]; k < t.rowPtr[i+1]; k++ {
-			dst[base+int(t.cols[k])] = t.vals[k]
-		}
-	}
-	return dst
-}
-
 // Clone returns a deep copy of the tile; the copy owns its storage.
 func (t *Tile) Clone() *Tile {
 	t.seal()

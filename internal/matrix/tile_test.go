@@ -574,3 +574,19 @@ func assemble(pt *Partitioning, rows, cols int) *CSR {
 	}
 	return b.Build()
 }
+
+// Dense materializes the tile as a fresh P*P row-major buffer, zeros
+// included — the escape hatch for consumers that genuinely need the p²
+// form (the dense encoding, golden cross-checks, tests). The
+// partition→encode→decode path never calls it.
+func (t *Tile) Dense() []float64 {
+	t.seal()
+	dst := make([]float64, t.P*t.P)
+	for i := 0; i < t.P; i++ {
+		base := i * t.P
+		for k := t.rowPtr[i]; k < t.rowPtr[i+1]; k++ {
+			dst[base+int(t.cols[k])] = t.vals[k]
+		}
+	}
+	return dst
+}

@@ -8,19 +8,19 @@ type Generator func(*Options) (Table, error)
 // Generators maps experiment ids to their regenerators, covering every
 // table and figure of the paper's evaluation section.
 var Generators = map[string]Generator{
-	"fig3":   Fig3,
-	"fig4":   Fig4,
-	"fig5":   Fig5,
-	"fig6":   Fig6,
-	"fig7":   Fig7,
-	"fig8":   Fig8,
-	"fig9":   Fig9,
-	"fig10":  Fig10,
-	"fig11":  Fig11,
-	"fig12":  Fig12,
-	"table2": Table2,
-	"fig13":  Fig13,
-	"fig14":  Fig14,
+	"fig3":   fig3,
+	"fig4":   fig4,
+	"fig5":   fig5,
+	"fig6":   fig6,
+	"fig7":   fig7,
+	"fig8":   fig8,
+	"fig9":   fig9,
+	"fig10":  fig10,
+	"fig11":  fig11,
+	"fig12":  fig12,
+	"table2": table2,
+	"fig13":  fig13,
+	"fig14":  fig14,
 }
 
 // Order is the presentation order of the experiments.

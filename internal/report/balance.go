@@ -9,11 +9,11 @@ import (
 	"copernicus/internal/workloads"
 )
 
-// Fig8 regenerates the balance-ratio scatter of Fig. 8: per suite, format
+// fig8 regenerates the balance-ratio scatter of Fig. 8: per suite, format
 // and partition size, the average memory latency, average compute
 // latency, and their ratio (points below the balance line have ratio <
 // 1, i.e. compute-bound streaming).
-func Fig8(o *Options) (Table, error) {
+func fig8(o *Options) (Table, error) {
 	t := Table{
 		ID:     "fig8",
 		Title:  "Memory vs compute latency per partition (balance ratio; 1 = balanced)",
@@ -45,11 +45,11 @@ func Fig8(o *Options) (Table, error) {
 	return t, nil
 }
 
-// Fig9 regenerates the throughput-versus-latency curves of Fig. 9: SpMV
+// fig9 regenerates the throughput-versus-latency curves of Fig. 9: SpMV
 // on one large random matrix per density, for every format and partition
 // size. The paper uses 8000×8000; the dimension here follows
 // Options.WL.RandomDim (the curve shapes are scale-invariant).
-func Fig9(o *Options) (Table, error) {
+func fig9(o *Options) (Table, error) {
 	t := Table{
 		ID:     "fig9",
 		Title:  "Throughput vs total latency across densities (thicker line = larger partition)",

@@ -8,9 +8,9 @@ import (
 	"copernicus/internal/workloads"
 )
 
-// Fig10 regenerates memory-bandwidth utilization versus density for the
+// fig10 regenerates memory-bandwidth utilization versus density for the
 // random suite at 16×16 partitions (Fig. 10).
-func Fig10(o *Options) (Table, error) {
+func fig10(o *Options) (Table, error) {
 	return bwSweep(o, "fig10",
 		"Memory bandwidth utilization vs density, random matrices, partition 16x16",
 		"Random", "density", func(w workloads.Workload) string {
@@ -18,9 +18,9 @@ func Fig10(o *Options) (Table, error) {
 		})
 }
 
-// Fig11 regenerates memory-bandwidth utilization versus band width at
+// fig11 regenerates memory-bandwidth utilization versus band width at
 // 16×16 partitions (Fig. 11).
-func Fig11(o *Options) (Table, error) {
+func fig11(o *Options) (Table, error) {
 	return bwSweep(o, "fig11",
 		"Memory bandwidth utilization vs band width, partition 16x16",
 		"Band", "width", func(w workloads.Workload) string {
@@ -52,10 +52,10 @@ func bwSweep(o *Options, id, title, suite, xname string, xval func(workloads.Wor
 	return t, nil
 }
 
-// Fig12 regenerates the partition-size bandwidth study of Fig. 12:
+// fig12 regenerates the partition-size bandwidth study of Fig. 12:
 // average memory-bandwidth utilization per suite and partition size for
 // every format (higher is better).
-func Fig12(o *Options) (Table, error) {
+func fig12(o *Options) (Table, error) {
 	t := Table{
 		ID:     "fig12",
 		Title:  "Average memory bandwidth utilization per suite and partition size (higher is better)",

@@ -25,21 +25,21 @@ import (
 var ExtOrder = []string{"ext1", "ext2", "ext3", "ext4", "ext5", "ext6", "ext7", "ext8", "ext9"}
 
 func init() {
-	Generators["ext1"] = Ext1
-	Generators["ext2"] = Ext2
-	Generators["ext3"] = Ext3
-	Generators["ext4"] = Ext4
-	Generators["ext5"] = Ext5
-	Generators["ext6"] = Ext6
-	Generators["ext7"] = Ext7
-	Generators["ext8"] = Ext8
-	Generators["ext9"] = Ext9
+	Generators["ext1"] = ext1
+	Generators["ext2"] = ext2
+	Generators["ext3"] = ext3
+	Generators["ext4"] = ext4
+	Generators["ext5"] = ext5
+	Generators["ext6"] = ext6
+	Generators["ext7"] = ext7
+	Generators["ext8"] = ext8
+	Generators["ext9"] = ext9
 }
 
-// Ext1 compares σ across all implemented formats — the paper's seven
+// ext1 compares σ across all implemented formats — the paper's seven
 // plus DOK and the ELL-variant extensions — on the three suites at
 // 16×16 partitions.
-func Ext1(o *Options) (Table, error) {
+func ext1(o *Options) (Table, error) {
 	t := Table{
 		ID:     "ext1",
 		Title:  "Extension: sigma across all implemented formats, partition 16x16",
@@ -69,9 +69,9 @@ func Ext1(o *Options) (Table, error) {
 	return t, nil
 }
 
-// Ext2 compares bandwidth utilization across all implemented formats on
+// ext2 compares bandwidth utilization across all implemented formats on
 // the three suites at 16×16 partitions.
-func Ext2(o *Options) (Table, error) {
+func ext2(o *Options) (Table, error) {
 	t := Table{
 		ID:     "ext2",
 		Title:  "Extension: bandwidth utilization across all implemented formats, partition 16x16",
@@ -99,13 +99,13 @@ func Ext2(o *Options) (Table, error) {
 	return t, nil
 }
 
-// Ext4 tests the paper's first §8 insight directly: "memory bandwidth
+// ext4 tests the paper's first §8 insight directly: "memory bandwidth
 // is not always the bottleneck; the performance of sparse problems
 // cannot always be improved by simply adding more memory bandwidth."
 // It sweeps the AXI streamline width and reports each format's total
 // modelled time: the dense baseline keeps improving (memory-bound)
 // while the compute-bound decompressors saturate.
-func Ext4(o *Options) (Table, error) {
+func ext4(o *Options) (Table, error) {
 	t := Table{
 		ID:     "ext4",
 		Title:  "Extension: sensitivity to memory bandwidth (Sec 8 insight 1)",
@@ -140,11 +140,11 @@ func Ext4(o *Options) (Table, error) {
 	return t, nil
 }
 
-// Ext5 reports the §5.1 run-time utilizations per format and suite at
+// ext5 reports the §5.1 run-time utilizations per format and suite at
 // 16×16 partitions: how full the dot-product engine's multiplier slots
 // are (driven by row density, Fig. 3b) and how occupied the inner
 // pipeline is (driven by non-zero rows, Fig. 3c).
-func Ext5(o *Options) (Table, error) {
+func ext5(o *Options) (Table, error) {
 	t := Table{
 		ID:     "ext5",
 		Title:  "Extension: dot-engine and inner-pipeline utilization (Sec 5.1), partition 16x16",
@@ -172,13 +172,13 @@ func Ext5(o *Options) (Table, error) {
 	return t, nil
 }
 
-// Ext6 contrasts the paper's decompress-then-dot pipeline against the
+// ext6 contrasts the paper's decompress-then-dot pipeline against the
 // §7 related-work architecture class that consumes compressed operands
 // directly (EIE/SpArch/SIGMA style): σ per format under both compute
 // models on a random matrix, quantifying how much of each format's cost
 // is the format itself versus the format/architecture pairing — the
 // co-design point of §8.
-func Ext6(o *Options) (Table, error) {
+func ext6(o *Options) (Table, error) {
 	t := Table{
 		ID:     "ext6",
 		Title:  "Extension: decompress-then-dot vs direct compressed-domain compute (Sec 7/8)",
@@ -216,13 +216,13 @@ func Ext6(o *Options) (Table, error) {
 	return t, nil
 }
 
-// Ext7 integrates power over modelled time: dynamic and static energy
+// ext7 integrates power over modelled time: dynamic and static energy
 // per format on the SuiteSparse suite at 16×16 partitions. It
 // quantifies §6.4's closing remark — "the static energy, which depends
 // on time, can be an issue for those slower sparse formats that
 // require less dynamic energy" — slow CSC loses on static energy what
 // it saves on dynamic power.
-func Ext7(o *Options) (Table, error) {
+func ext7(o *Options) (Table, error) {
 	t := Table{
 		ID:     "ext7",
 		Title:  "Extension: energy per SpMV run (Sec 6.4), SuiteSparse, partition 16x16",
@@ -248,7 +248,7 @@ func Ext7(o *Options) (Table, error) {
 	return t, nil
 }
 
-// Ext8 is the model-vs-measured cross-validation the backend seam
+// ext8 is the model-vs-measured cross-validation the backend seam
 // unlocks: for every SuiteSparse workload it characterizes the seven
 // sparse formats at 16×16 partitions under both the analytic cycle model
 // and the native host-CPU backend (measured wall time of the warm
@@ -265,7 +265,7 @@ func Ext7(o *Options) (Table, error) {
 // agreement is the meaningful check of the paper's claim that the model
 // predicts how formats compare on real workloads. Native numbers vary
 // run to run, so this artifact is measured, not golden.
-func Ext8(o *Options) (Table, error) {
+func ext8(o *Options) (Table, error) {
 	t := Table{
 		ID:     "ext8",
 		Title:  "Extension: model-vs-measured format rank agreement, partition 16x16",
@@ -342,7 +342,7 @@ func Ext8(o *Options) (Table, error) {
 	return t, nil
 }
 
-// Ext9 asks the question the kernel axis exists to answer: does the best
+// ext9 asks the question the kernel axis exists to answer: does the best
 // format for a workload *flip* between one SpMV and a 60-iteration CG
 // solve? A single SpMV pays each tile's decompression once, in full; an
 // iterative kernel pays it once and then amortizes it across every warm
@@ -352,7 +352,7 @@ func Ext8(o *Options) (Table, error) {
 // whether they differ, and each kernel's margin (runner-up cost over
 // winner cost — how decisively the winner wins). Fully analytic, so the
 // artifact is deterministic.
-func Ext9(o *Options) (Table, error) {
+func ext9(o *Options) (Table, error) {
 	t := Table{
 		ID:     "ext9",
 		Title:  "Extension: best-format flip between one SpMV and cg:60, partition 16x16",
@@ -406,10 +406,10 @@ func Ext9(o *Options) (Table, error) {
 	return t, nil
 }
 
-// Ext3 measures coarse-grained aggregation (§5.1): speedup and
+// ext3 measures coarse-grained aggregation (§5.1): speedup and
 // load-balance efficiency of 1–16 pipeline instances on one random
 // matrix per density class.
-func Ext3(o *Options) (Table, error) {
+func ext3(o *Options) (Table, error) {
 	t := Table{
 		ID:     "ext3",
 		Title:  "Extension: coarse-grained aggregation speedup (Sec 5.1)",

@@ -8,7 +8,7 @@ import (
 )
 
 func TestExt1AllFormats(t *testing.T) {
-	tab, err := Ext1(small)
+	tab, err := ext1(small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestExt1AllFormats(t *testing.T) {
 }
 
 func TestExt2Bounds(t *testing.T) {
-	tab, err := Ext2(small)
+	tab, err := ext2(small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestExt2Bounds(t *testing.T) {
 }
 
 func TestExt3ScalingShape(t *testing.T) {
-	tab, err := Ext3(small)
+	tab, err := ext3(small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestExt3ScalingShape(t *testing.T) {
 // memory bandwidth keeps helping the dense baseline but stops helping a
 // compute-bound format like CSC.
 func TestExt4BandwidthInsight(t *testing.T) {
-	tab, err := Ext4(small)
+	tab, err := ext4(small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestExt4BandwidthInsight(t *testing.T) {
 // exactly 1; the dense engine utilization equals average partition
 // density.
 func TestExt5UtilizationShape(t *testing.T) {
-	tab, err := Ext5(small)
+	tab, err := ext5(small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func (w bytesBuffer) Write(p []byte) (int, error) {
 // CSC's static energy exceeds COO's despite comparable static power,
 // because it runs so much longer.
 func TestExt7StaticEnergyPenalizesSlowFormats(t *testing.T) {
-	tab, err := Ext7(small)
+	tab, err := ext7(small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestExt7StaticEnergyPenalizesSlowFormats(t *testing.T) {
 // asserted.
 func TestExt8RankAgreementShape(t *testing.T) {
 	o := NewSmallOptions()
-	tab, err := Ext8(o)
+	tab, err := ext8(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestExt8RankAgreementShape(t *testing.T) {
 // table is deterministic.
 func TestExt9FlipTableShape(t *testing.T) {
 	o := NewSmallOptions()
-	tab, err := Ext9(o)
+	tab, err := ext9(o)
 	if err != nil {
 		t.Fatal(err)
 	}

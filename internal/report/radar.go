@@ -13,12 +13,12 @@ var radarMetrics = []string{
 	"balance", "bw_util", "latency", "throughput", "resource", "power",
 }
 
-// Fig14 regenerates the normalized cross-metric comparison of Fig. 14:
+// fig14 regenerates the normalized cross-metric comparison of Fig. 14:
 // for each suite, every metric is min-max normalized across formats so 1
 // is the best achieved value and 0 the worst. Resource is the combined
 // device-budget fraction (BRAM/FF/LUT averaged); latency and power score
 // lower-is-better; balance scores closeness to 1.
-func Fig14(o *Options) (Table, error) {
+func fig14(o *Options) (Table, error) {
 	t := Table{
 		ID:     "fig14",
 		Title:  "Normalized comparison across six metrics (1 = best, 0 = worst)",

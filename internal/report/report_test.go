@@ -37,7 +37,7 @@ func colIndex(t *testing.T, tab Table, name string) int {
 }
 
 func TestFig3Structure(t *testing.T) {
-	tab, err := Fig3(small)
+	tab, err := fig3(small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestFig3Structure(t *testing.T) {
 }
 
 func TestFig4GeomeanAndDenseBaseline(t *testing.T) {
-	tab, err := Fig4(small)
+	tab, err := fig4(small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestFig4GeomeanAndDenseBaseline(t *testing.T) {
 }
 
 func TestFig5SigmaGrowsWithDensity(t *testing.T) {
-	tab, err := Fig5(small)
+	tab, err := fig5(small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestFig5SigmaGrowsWithDensity(t *testing.T) {
 }
 
 func TestFig6BandTrends(t *testing.T) {
-	tab, err := Fig6(small)
+	tab, err := fig6(small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestFig6BandTrends(t *testing.T) {
 }
 
 func TestFig7CoversSuitesAndSizes(t *testing.T) {
-	tab, err := Fig7(small)
+	tab, err := fig7(small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestFig7CoversSuitesAndSizes(t *testing.T) {
 }
 
 func TestFig8BalanceShape(t *testing.T) {
-	tab, err := Fig8(small)
+	tab, err := fig8(small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestFig8BalanceShape(t *testing.T) {
 }
 
 func TestFig9CurveStructure(t *testing.T) {
-	tab, err := Fig9(small)
+	tab, err := fig9(small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestFig9CurveStructure(t *testing.T) {
 }
 
 func TestFig10COOConstant(t *testing.T) {
-	tab, err := Fig10(small)
+	tab, err := fig10(small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestFig10COOConstant(t *testing.T) {
 }
 
 func TestFig11DIADiagonal(t *testing.T) {
-	tab, err := Fig11(small)
+	tab, err := fig11(small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestFig11DIADiagonal(t *testing.T) {
 }
 
 func TestFig12Bounds(t *testing.T) {
-	tab, err := Fig12(small)
+	tab, err := fig12(small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestFig12Bounds(t *testing.T) {
 }
 
 func TestTable2Structure(t *testing.T) {
-	tab, err := Table2(small)
+	tab, err := table2(small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestTable2Structure(t *testing.T) {
 }
 
 func TestFig13Structure(t *testing.T) {
-	tab, err := Fig13(small)
+	tab, err := fig13(small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestFig13Structure(t *testing.T) {
 }
 
 func TestFig14Normalized(t *testing.T) {
-	tab, err := Fig14(small)
+	tab, err := fig14(small)
 	if err != nil {
 		t.Fatal(err)
 	}

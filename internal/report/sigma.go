@@ -10,10 +10,10 @@ import (
 	"copernicus/internal/workloads"
 )
 
-// Fig3 regenerates the workload statistics of Fig. 3: average partition
+// fig3 regenerates the workload statistics of Fig. 3: average partition
 // density, row density, and non-zero-row percentage for each SuiteSparse
 // surrogate at partition sizes 8, 16, and 32.
-func Fig3(o *Options) (Table, error) {
+func fig3(o *Options) (Table, error) {
 	t := Table{
 		ID:     "fig3",
 		Title:  "Density and spatial locality of SuiteSparse partitions (%)",
@@ -52,11 +52,11 @@ func sigmaHeader(first string) []string {
 	return h
 }
 
-// Fig4 regenerates the SuiteSparse decompression-overhead comparison of
+// fig4 regenerates the SuiteSparse decompression-overhead comparison of
 // Fig. 4: σ per workload and format at 16×16 partitions, workloads
 // ordered by increasing density as in the paper's shading, with the
 // GEOMEAN bar last.
-func Fig4(o *Options) (Table, error) {
+func fig4(o *Options) (Table, error) {
 	ws := o.suite("SuiteSparse")
 	order := make([]int, len(ws))
 	for i := range order {
@@ -101,9 +101,9 @@ func Fig4(o *Options) (Table, error) {
 	return t, nil
 }
 
-// Fig5 regenerates σ versus density for the random suite (Fig. 5) at
+// fig5 regenerates σ versus density for the random suite (Fig. 5) at
 // 16×16 partitions.
-func Fig5(o *Options) (Table, error) {
+func fig5(o *Options) (Table, error) {
 	return sigmaSweep(o, "fig5",
 		"Decompression overhead sigma vs density, random matrices, partition 16x16",
 		"Random", "density", func(w workloads.Workload) string {
@@ -111,8 +111,8 @@ func Fig5(o *Options) (Table, error) {
 		})
 }
 
-// Fig6 regenerates σ versus band width (Fig. 6) at 16×16 partitions.
-func Fig6(o *Options) (Table, error) {
+// fig6 regenerates σ versus band width (Fig. 6) at 16×16 partitions.
+func fig6(o *Options) (Table, error) {
 	return sigmaSweep(o, "fig6",
 		"Decompression overhead sigma vs band width, partition 16x16",
 		"Band", "width", func(w workloads.Workload) string {
@@ -143,9 +143,9 @@ func sigmaSweep(o *Options, id, title, suite, xname string, xval func(workloads.
 	return t, nil
 }
 
-// Fig7 regenerates the partition-size study of Fig. 7: average σ per
+// fig7 regenerates the partition-size study of Fig. 7: average σ per
 // suite and partition size for every format.
-func Fig7(o *Options) (Table, error) {
+func fig7(o *Options) (Table, error) {
 	t := Table{
 		ID:     "fig7",
 		Title:  "Average sigma per suite and partition size (lower is better)",

@@ -14,10 +14,10 @@ var table2Order = []formats.Kind{
 	formats.LIL, formats.ELL, formats.COO, formats.DIA,
 }
 
-// Table2 regenerates the resource-utilization and dynamic-power table
+// table2 regenerates the resource-utilization and dynamic-power table
 // (Table 2): BRAM_18K, FF, LUT and dynamic power per format at partition
 // sizes 8, 16 and 32, with the device budget as the Total row.
-func Table2(o *Options) (Table, error) {
+func table2(o *Options) (Table, error) {
 	t := Table{
 		ID:    "table2",
 		Title: "Resource utilization and total dynamic power (partition sizes 8/16/32)",
@@ -57,10 +57,10 @@ func Table2(o *Options) (Table, error) {
 	return t, nil
 }
 
-// Fig13 regenerates the dynamic-power breakdown of Fig. 13: logic, BRAM
+// fig13 regenerates the dynamic-power breakdown of Fig. 13: logic, BRAM
 // and signal power per format and partition size, plus the modelled
 // static power.
-func Fig13(o *Options) (Table, error) {
+func fig13(o *Options) (Table, error) {
 	t := Table{
 		ID:     "fig13",
 		Title:  "Dynamic power breakdown (mW) and static power (W)",

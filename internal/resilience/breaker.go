@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// ErrBreakerOpen is returned by Breaker.Allow and Breaker.Do while the
+// ErrBreakerOpen is returned by Breaker.Allow while the
 // breaker is open: the protected dependency has failed enough consecutive
 // times that further attempts are refused until the cooldown elapses.
 // Callers should degrade (fall back to a cheaper path) rather than retry.
@@ -136,31 +136,6 @@ func (b *Breaker) Cancel() {
 	b.mu.Lock()
 	b.probing = false
 	b.mu.Unlock()
-}
-
-// Do runs fn behind the breaker: Allow, then Success/Failure based on
-// fn's error (which is returned unchanged).
-func (b *Breaker) Do(fn func() error) error {
-	if err := b.Allow(); err != nil {
-		return err
-	}
-	err := fn()
-	if err != nil {
-		b.Failure()
-	} else {
-		b.Success()
-	}
-	return err
-}
-
-// Reset force-closes the breaker and clears failure history (tests,
-// admin surfaces).
-func (b *Breaker) Reset() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.state = breakerClosed
-	b.failures = 0
-	b.probing = false
 }
 
 // BreakerSnapshot is a point-in-time view for observability surfaces.

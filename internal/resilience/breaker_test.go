@@ -121,3 +121,27 @@ func TestBreakerReset(t *testing.T) {
 		t.Fatalf("Allow after Reset: %v", err)
 	}
 }
+
+// Do runs fn behind the breaker: Allow, then Success/Failure based on
+// fn's error (which is returned unchanged).
+func (b *Breaker) Do(fn func() error) error {
+	if err := b.Allow(); err != nil {
+		return err
+	}
+	err := fn()
+	if err != nil {
+		b.Failure()
+	} else {
+		b.Success()
+	}
+	return err
+}
+
+// Reset force-closes the breaker and clears failure history.
+func (b *Breaker) Reset() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.state = breakerClosed
+	b.failures = 0
+	b.probing = false
+}

@@ -26,7 +26,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -180,25 +179,4 @@ func Retry(ctx context.Context, p Policy, fn func(context.Context) error) error 
 			}
 		}
 	}
-}
-
-// Counter is a tiny concurrent event tally shared by the failure
-// observability surfaces (/v1/stats, chaos assertions).
-type Counter struct {
-	mu sync.Mutex
-	n  uint64
-}
-
-// Add increments the counter.
-func (c *Counter) Add() {
-	c.mu.Lock()
-	c.n++
-	c.mu.Unlock()
-}
-
-// Load returns the current count.
-func (c *Counter) Load() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
 }

@@ -217,22 +217,3 @@ func TestPanicError(t *testing.T) {
 		t.Fatal("error panic value not unwrapped")
 	}
 }
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	done := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		go func() {
-			for j := 0; j < 100; j++ {
-				c.Add()
-			}
-			done <- struct{}{}
-		}()
-	}
-	for i := 0; i < 4; i++ {
-		<-done
-	}
-	if c.Load() != 400 {
-		t.Fatalf("Counter = %d, want 400", c.Load())
-	}
-}

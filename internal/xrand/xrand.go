@@ -48,11 +48,6 @@ func (r *Rand) Uint64() uint64 {
 	return mix64(r.state)
 }
 
-// Uint32 returns the next 32 uniformly distributed bits.
-func (r *Rand) Uint32() uint32 {
-	return uint32(r.Uint64() >> 32)
-}
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
@@ -100,19 +95,6 @@ func (r *Rand) ValueIn(lo, hi float64) float64 {
 			return v
 		}
 	}
-}
-
-// Perm returns a pseudo-random permutation of [0, n) (Fisher–Yates).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Shuffle pseudo-randomizes the order of n elements using the provided swap
