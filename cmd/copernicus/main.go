@@ -938,7 +938,12 @@ func advise(ctx context.Context, m *copernicus.Matrix, kind string, p int, backe
 	if s := sc.String(); s != "spmv" {
 		fmt.Printf("kernel: %s (latency axis is the whole kernel invocation, decompression amortized)\n", s)
 	}
-	rec, err := copernicus.NewEngine().RecommendKernelWith(ctx, b, m, sc, p, nil, copernicus.BalancedObjective())
+	ws := []copernicus.Workload{{ID: "advisor", M: m}}
+	rs, err := copernicus.NewEngine().SweepKernelsWith(ctx, b, ws, []copernicus.KernelSpec{sc}, copernicus.SparseFormats(), []int{p})
+	if err != nil {
+		return err
+	}
+	rec, err := copernicus.Rank(rs, copernicus.BalancedObjective())
 	if err != nil {
 		return err
 	}

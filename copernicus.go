@@ -187,6 +187,13 @@ type Objective = core.Objective
 // Recommendation is the advisor's ranked outcome.
 type Recommendation = core.Recommendation
 
+// Rank orders a sweep's results under the objective, best first: every
+// advice is Rank over a sweep. Over one partition size it ranks formats;
+// over several it jointly ranks format × partition-size design points;
+// under a kernel spec other than spmv the latency axis is that kernel's
+// whole cost. Engine.Recommend is Rank over a one-point SpMV sweep.
+func Rank(rs []Result, obj Objective) (Recommendation, error) { return core.Rank(rs, obj) }
+
 // HardwareConfig parameterizes the modelled accelerator.
 type HardwareConfig = hlsim.Config
 
@@ -196,11 +203,10 @@ type SynthReport = synth.Report
 // Backend costs characterization points: the analytic HLS cycle model
 // (the paper's instrument) or the measured native-CPU backend, which
 // times the warm streaming SpMV on the host. Both evaluate the same
-// encode-once plans — only the costing differs — so Engine methods with
-// a With suffix (SweepFormatsKernelWith, SweepKernelsWith,
-// SweepGroupsKernelsWith, RecommendKernelWith) accept a context.Context
-// and a Backend; nil selects the analytic default, and a canceled
-// context aborts the sweep mid-warmup with ctx.Err().
+// encode-once plans — only the costing differs — so the Engine sweeps
+// with a With suffix (SweepKernelsWith, SweepGroupsKernelsWith) accept a
+// context.Context and a Backend; nil selects the analytic default, and a
+// canceled context aborts the sweep mid-warmup with ctx.Err().
 type Backend = backend.Backend
 
 // SweepGroup is one completed (workload, kernel, partition size) group
@@ -244,11 +250,11 @@ func BackendIDs() []string { return backend.IDs() }
 // one SpMV (the default), a k-column SpMM, or an N-iteration solver loop
 // (cg, jacobi, pagerank) whose inner operation is the modelled SpMV. BFS
 // resolves its iteration count from the matrix itself (its frontier
-// level count). Engine methods with a Kernel infix —
-// SweepFormatsKernelWith, SweepKernelsWith, SweepGroupsKernelsWith,
-// RecommendKernelWith — take the spec (or a list of specs) as a sweep
-// axis alongside formats and partition sizes; DefaultKernel in a
-// one-element list is the paper's single-SpMV study.
+// level count). The Engine sweeps with a Kernel infix —
+// SweepKernelsWith, SweepGroupsKernelsWith — take a list of specs as a
+// sweep axis alongside formats and partition sizes; DefaultKernel in a
+// one-element list is the paper's single-SpMV study, and one workload,
+// one spec and one partition size is a single group.
 type KernelSpec = scenario.Spec
 
 // ParseKernel parses a kernel spec string: "spmv", "bfs", or
@@ -439,9 +445,6 @@ func SummarizeTrace(traces []TileTrace) TraceSummary { return hlsim.Summarize(tr
 func RenderTimeline(w io.Writer, traces []TileTrace, maxTiles int) error {
 	return hlsim.RenderTimeline(w, traces, maxTiles)
 }
-
-// PointRecommendation is one (format, partition size) design point.
-type PointRecommendation = core.PointRecommendation
 
 // LatencyObjective optimizes modelled time only.
 func LatencyObjective() Objective { return core.LatencyObjective() }

@@ -319,17 +319,22 @@ func TestTraceFacade(t *testing.T) {
 	}
 }
 
-func TestRecommendDesignFacade(t *testing.T) {
+func TestRankDesignFacade(t *testing.T) {
 	m := copernicus.PrunedWeights(96, 96, 0.2, 35)
-	points, err := copernicus.NewEngine().RecommendDesign(m, nil, nil, copernicus.BalancedObjective())
+	ws := []copernicus.Workload{{ID: "advisor", M: m}}
+	rs, err := copernicus.NewEngine().SweepKernelsWith(context.Background(), nil, ws,
+		[]copernicus.KernelSpec{copernicus.DefaultKernel()}, copernicus.SparseFormats(), []int{8, 16, 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 21 { // 7 sparse formats × 3 partition sizes
-		t.Fatalf("points = %d", len(points))
+	rec, err := copernicus.Rank(rs, copernicus.BalancedObjective())
+	if err != nil {
+		t.Fatal(err)
 	}
-	var _ copernicus.PointRecommendation = points[0]
-	if points[0].Format == copernicus.CSC {
+	if len(rec.Results) != 21 { // 7 sparse formats × 3 partition sizes
+		t.Fatalf("points = %d", len(rec.Results))
+	}
+	if rec.Format == copernicus.CSC || rec.Results[0].Format == copernicus.CSC {
 		t.Fatal("CSC won")
 	}
 }

@@ -17,7 +17,6 @@ import (
 var testSeams = map[string]string{
 	"backend.ResetNativeMeasureStats": "chaos and backend tests zero the native backend's retry and breaker counters between cases",
 	"cluster.Ring.Owner":              "service's cluster test kills the worker that owns a sweep; ring tests pin placement through it",
-	"core.Engine.RecommendDesign":     "README documents it on the facade's Engine alias; the root package's tests call it",
 	"faults.P.Disarm":                 "backend and service tests disarm the one point they armed",
 	"faults.DisarmAll":                "fault tests in every layer reset the registry in cleanup",
 	"formats.BCSREnc.Block":           "hlsim's row-decompression model tests read the BCSR stream",

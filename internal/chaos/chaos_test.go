@@ -23,6 +23,7 @@ import (
 	"copernicus/internal/resilience"
 	"copernicus/internal/scenario"
 	"copernicus/internal/service"
+	"copernicus/internal/workloads"
 )
 
 // cleanSlate disarms every fault point and resets the process-wide
@@ -80,9 +81,14 @@ func TestChaosBitIdentityAcrossContainedFaults(t *testing.T) {
 	m := gen.Random(192, 0.05, 41)
 	kinds := []formats.Kind{formats.CSR, formats.ELL, formats.COO}
 	ctx := context.Background()
+	// One (workload, kernel, p) group.
+	sweep := func(e *core.Engine) ([]core.Result, error) {
+		return e.SweepKernelsWith(ctx, backend.Analytic{}, []workloads.Workload{{ID: "m", M: m}},
+			[]scenario.Spec{scenario.Default()}, kinds, []int{16})
+	}
 
 	ref := core.New()
-	want, err := ref.SweepFormatsKernelWith(ctx, backend.Analytic{}, "m", m, scenario.Default(), 16, kinds)
+	want, err := sweep(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,14 +98,14 @@ func TestChaosBitIdentityAcrossContainedFaults(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		point := points[i%2]
 		faults.Point(point).Arm(faults.Injection{Kind: faults.KindPanic, Times: 1})
-		_, err := e.SweepFormatsKernelWith(ctx, backend.Analytic{}, "m", m, scenario.Default(), 16, kinds)
+		_, err := sweep(e)
 		var pe *resilience.PanicError
 		if !errors.As(err, &pe) || pe.Point != point {
 			t.Fatalf("storm run %d: err = %v, want contained PanicError at %s", i, err, point)
 		}
 	}
 	faults.DisarmAll()
-	got, err := e.SweepFormatsKernelWith(ctx, backend.Analytic{}, "m", m, scenario.Default(), 16, kinds)
+	got, err := sweep(e)
 	if err != nil {
 		t.Fatalf("post-storm sweep: %v", err)
 	}

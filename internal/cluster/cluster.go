@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -230,15 +231,22 @@ func (c *Coordinator) probeOnce(ctx context.Context) {
 	wg.Wait()
 }
 
-// SweepQuery names one worker-side sweep: the GET /v1/sweep parameters
-// a dispatch or cache probe carries.
+// SweepQuery is the one request shape of every sweep-shaped endpoint:
+// the POST /v1/sweep and POST /v1/jobs/sweep body, what ParseSweepQuery
+// reads the GET forms into, and the worker-side sweep a coordinator's
+// dispatch or cache probe carries (values encodes it). Backend selects
+// the costing backend ("analytic" cycle model by default, "native" for
+// measured host-CPU wall time); Threads sets the native SpMV fan-out
+// (native-only, 1..GOMAXPROCS, default 1); Kernel selects the kernel spec
+// the points are costed for ("spmv" by default; "cg:60", "spmm:8", ... —
+// see internal/scenario).
 type SweepQuery struct {
-	Matrix     string
-	Formats    []string
-	Partitions []int
-	Backend    string
-	Threads    int
-	Kernel     string
+	Matrix     string   `json:"matrix"`
+	Formats    []string `json:"formats,omitempty"`
+	Partitions []int    `json:"partitions,omitempty"`
+	Backend    string   `json:"backend,omitempty"`
+	Threads    int      `json:"threads,omitempty"`
+	Kernel     string   `json:"kernel,omitempty"`
 }
 
 // Key is the deterministic placement key: every coordinator maps the
@@ -289,6 +297,50 @@ func (q SweepQuery) values(cacheOnly bool) url.Values {
 		v.Set("cache", "only")
 	}
 	return v
+}
+
+// ParseSweepQuery reads a GET query into a SweepQuery: the lists
+// formats=CSR,COO&partitions=8,16 of GET /v1/sweep — what values writes —
+// or, onePoint, for characterize and advise, format=CSR&p=16 (defaults
+// CSR and 16). Every form takes backend=, threads= and kernel=. Only the
+// syntax of the integers is checked here; the service validates the
+// values.
+func ParseSweepQuery(q url.Values, onePoint bool) (SweepQuery, error) {
+	req := SweepQuery{Matrix: q.Get("matrix"), Backend: q.Get("backend"), Kernel: q.Get("kernel")}
+	if onePoint {
+		req.Formats = []string{cmp.Or(q.Get("format"), "CSR")}
+		p, err := strconv.Atoi(cmp.Or(q.Get("p"), "16"))
+		if err != nil {
+			return req, fmt.Errorf("bad p: %w", err)
+		}
+		req.Partitions = []int{p}
+	} else {
+		if raw := q.Get("formats"); raw != "" {
+			for _, tok := range strings.Split(raw, ",") {
+				req.Formats = append(req.Formats, strings.TrimSpace(tok))
+			}
+		}
+		if raw := q.Get("partitions"); raw != "" {
+			for _, tok := range strings.Split(raw, ",") {
+				p, err := strconv.Atoi(strings.TrimSpace(tok))
+				if err != nil {
+					return req, fmt.Errorf("bad partition size %q", tok)
+				}
+				req.Partitions = append(req.Partitions, p)
+			}
+		}
+	}
+	// An explicit threads= must be a positive integer (absent means the
+	// native default); its upper bound and backend applicability are
+	// resolveBackend's checks.
+	if raw := q.Get("threads"); raw != "" {
+		t, err := strconv.Atoi(raw)
+		if err != nil || t < 1 {
+			return req, fmt.Errorf("bad threads %q (want a positive integer)", raw)
+		}
+		req.Threads = t
+	}
+	return req, nil
 }
 
 // fetch issues one sweep request to one worker and decodes the columnar

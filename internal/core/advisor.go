@@ -6,10 +6,10 @@ import (
 	"math"
 	"sort"
 
-	"copernicus/internal/backend"
 	"copernicus/internal/formats"
 	"copernicus/internal/matrix"
 	"copernicus/internal/scenario"
+	"copernicus/internal/workloads"
 )
 
 // Objective weights the metrics an advisor recommendation optimizes.
@@ -40,42 +40,36 @@ type Recommendation struct {
 	Results []Result       // the underlying characterizations, same order
 }
 
-// Recommend characterizes the matrix across the candidate formats at the
-// given partition size and ranks them under the objective. It is the
-// executable form of the paper's §8 guidance: rather than assuming a
-// specialized format fits a structured matrix, measure the whole pipeline
-// — decompressor mismatch can erase a format's storage advantage.
+// Recommend characterizes the matrix across the candidate formats
+// (empty selects the seven sparse formats) at the given partition size
+// for one SpMV, and ranks them under the objective. It is the executable
+// form of the paper's §8 guidance: rather than assuming a specialized
+// format fits a structured matrix, measure the whole pipeline —
+// decompressor mismatch can erase a format's storage advantage. Other
+// kernels, backends and partition sizes are Rank over SweepKernelsWith.
 func (e *Engine) Recommend(m *matrix.CSR, p int, candidates []formats.Kind, obj Objective) (Recommendation, error) {
-	return e.RecommendKernelWith(context.Background(), nil, m, scenario.Default(), p, candidates, obj)
-}
-
-// RecommendKernelWith is Recommend under an explicit context, backend
-// (nil selects the analytic default) and kernel spec: the ranking's
-// latency axis is the backend's cost for that kernel — "best format for
-// 60 CG iterations", not just "best format for one SpMV" — while the
-// power/resource axes stay the synthesis estimates. Under the analytic
-// backend the latency axis is the amortized kernel cost (decomposition
-// paid once, per-iteration work × N); under native it is the measured
-// wall time of the real exec iteration loop. The one-shot decompression
-// penalty that dominates a single SpMV fades with iteration count, which
-// can flip the recommendation (report ext9 tabulates exactly this). A
-// canceled ctx aborts the sweep behind the ranking.
-func (e *Engine) RecommendKernelWith(ctx context.Context, b backend.Backend, m *matrix.CSR, sc scenario.Spec, p int, candidates []formats.Kind, obj Objective) (Recommendation, error) {
 	if len(candidates) == 0 {
 		candidates = formats.Sparse()
 	}
-	rs, err := e.SweepFormatsKernelWith(ctx, b, "advisor", m, sc, p, candidates)
+	ws := []workloads.Workload{{ID: "advisor", M: m}}
+	rs, err := e.SweepKernelsWith(context.Background(), nil, ws, []scenario.Spec{scenario.Default()}, candidates, []int{p})
 	if err != nil {
 		return Recommendation{}, err
 	}
 	return Rank(rs, obj)
 }
 
-// Rank orders precomputed characterization results under the objective
-// without touching the engine. It is the advisor's scoring half, split
-// out so callers holding cached sweep results — the serving layer's
-// advise path — can recommend a format without re-running the sweep. The
-// results should cover one (matrix, p) point across candidate formats.
+// Rank orders characterization results under the objective without
+// touching the engine: every advice is Rank over a sweep, so callers
+// holding cached sweep results — the serving layer's advise path — rank
+// without re-running it. The results should cover one matrix. Over one
+// partition size it ranks formats; over several (a sweep's ps) it jointly
+// ranks format × partition-size design points, the full §4.2
+// hyperparameter space. A kernel spec other than spmv makes the latency
+// axis that kernel's whole cost — "best format for 60 CG iterations" —
+// which can flip the ranking (report ext9 tabulates exactly this), while
+// the power/resource axes stay the synthesis estimates. Ties keep the
+// sweep's order.
 func Rank(rs []Result, obj Objective) (Recommendation, error) {
 	if len(rs) == 0 {
 		return Recommendation{}, fmt.Errorf("core: no results to rank")
@@ -151,43 +145,6 @@ func scoreResults(rs []Result, obj Objective) []float64 {
 			obj.Resources*res[i] + obj.Balance*bal[i]
 	}
 	return scores
-}
-
-// PointRecommendation is one (format, partition size) design point with
-// its objective score.
-type PointRecommendation struct {
-	Format formats.Kind
-	P      int
-	Score  float64
-	Result Result
-}
-
-// RecommendDesign jointly ranks format × partition-size design points —
-// the full §4.2 hyperparameter space — under the objective. It returns
-// the points best-first. Empty candidates defaults to the seven sparse
-// formats; empty ps defaults to the paper's {8, 16, 32}.
-func (e *Engine) RecommendDesign(m *matrix.CSR, ps []int, candidates []formats.Kind, obj Objective) ([]PointRecommendation, error) {
-	if len(candidates) == 0 {
-		candidates = formats.Sparse()
-	}
-	if len(ps) == 0 {
-		ps = []int{8, 16, 32}
-	}
-	var rs []Result
-	for _, p := range ps {
-		sub, err := e.SweepFormatsKernelWith(context.Background(), nil, "advisor", m, scenario.Default(), p, candidates)
-		if err != nil {
-			return nil, err
-		}
-		rs = append(rs, sub...)
-	}
-	scores := scoreResults(rs, obj)
-	points := make([]PointRecommendation, len(rs))
-	for i, r := range rs {
-		points[i] = PointRecommendation{Format: r.Format, P: r.P, Score: scores[i], Result: r}
-	}
-	sort.SliceStable(points, func(a, b int) bool { return points[a].Score > points[b].Score })
-	return points, nil
 }
 
 func logDistToOne(v float64) float64 {

@@ -74,8 +74,8 @@ func preBackendResult(t *testing.T, cfg hlsim.Config, name string, m *matrix.CSR
 
 // TestAnalyticBackendBitIdentical is the refactor's golden guard: every
 // Result the engine produces through backend.Analytic — via Characterize
-// (the nil-backend default) and SweepFormatsKernelWith (the backend passed
-// explicitly) — must equal the pre-backend computation bit for bit
+// (the analytic default) and a one-point SweepKernelsWith (the backend
+// passed explicitly) — must equal the pre-backend computation bit for bit
 // (reflect.DeepEqual over float64 fields, no tolerance). Regenerated
 // sweep/advise/trace artifacts derive from these Results, so equality here
 // is what keeps them byte-identical.
@@ -99,13 +99,13 @@ func TestAnalyticBackendBitIdentical(t *testing.T) {
 						name, k, p, got, want)
 				}
 			}
-			rs, err := e.SweepFormatsKernelWith(context.Background(), backend.Analytic{}, name, m, scenario.Default(), p, formats.Core())
+			rs, err := sweepPoint(e, backend.Analytic{}, name, m, scenario.Default(), p, formats.Core())
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, k := range formats.Core() {
 				if want := preBackendResult(t, e.Config(), name, m, k, p); !reflect.DeepEqual(rs[i], want) {
-					t.Fatalf("%s/%v/p=%d: SweepFormatsKernelWith(Analytic) diverged from pre-backend path", name, k, p)
+					t.Fatalf("%s/%v/p=%d: SweepKernelsWith(Analytic) diverged from pre-backend path", name, k, p)
 				}
 			}
 		}

@@ -74,7 +74,7 @@ func TestNewWithConfigRejectsInvalid(t *testing.T) {
 func TestSweepFormatsOrder(t *testing.T) {
 	e := New()
 	m := gen.Random(64, 0.1, 4)
-	rs, err := e.SweepFormatsKernelWith(context.Background(), nil, "m", m, scenario.Default(), 8, formats.Core())
+	rs, err := sweepPoint(e, nil, "m", m, scenario.Default(), 8, formats.Core())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,46 +187,58 @@ func TestRecommendAvoidsCSC(t *testing.T) {
 	}
 }
 
-func TestRecommendDesignJointRanking(t *testing.T) {
-	e := New()
-	m := gen.Random(96, 0.05, 21)
-	points, err := e.RecommendDesign(m, nil, nil, LatencyObjective())
+// rankDesign jointly ranks format × partition-size design points of m:
+// Rank over one sweep with several partition sizes.
+func rankDesign(t *testing.T, e *Engine, m *matrix.CSR, ps []int, kinds []formats.Kind, obj Objective) Recommendation {
+	t.Helper()
+	ws := []workloads.Workload{{ID: "advisor", M: m}}
+	rs, err := e.SweepKernelsWith(context.Background(), nil, ws, spmvOnly, kinds, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec, err := Rank(rs, obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+func TestRankDesignJointRanking(t *testing.T) {
+	e := New()
+	m := gen.Random(96, 0.05, 21)
+	rec := rankDesign(t, e, m, []int{8, 16, 32}, formats.Sparse(), LatencyObjective())
+	points := rec.Results
 	if len(points) != len(formats.Sparse())*3 {
 		t.Fatalf("points = %d, want %d", len(points), len(formats.Sparse())*3)
 	}
+	scores := scoreResults(points, LatencyObjective())
 	for i := 1; i < len(points); i++ {
-		if points[i].Score > points[i-1].Score+1e-12 {
+		if scores[i] > scores[i-1]+1e-12 {
 			t.Fatal("points not sorted best-first")
 		}
 	}
 	// The winner under a latency objective must be the global minimum
 	// modelled time across all (format, p) pairs.
-	best := points[0].Result.Seconds
+	best := points[0].Seconds
 	for _, pt := range points[1:] {
-		if pt.Result.Seconds < best-1e-15 {
+		if pt.Seconds < best-1e-15 {
 			t.Fatalf("%v/p=%d at %.3g beats winner at %.3g",
-				pt.Format, pt.P, pt.Result.Seconds, best)
+				pt.Format, pt.P, pt.Seconds, best)
 		}
 	}
-	if points[0].Format == formats.CSC {
+	if rec.Format == formats.CSC {
 		t.Fatal("CSC won the design sweep")
 	}
 }
 
-func TestRecommendDesignCustomSpace(t *testing.T) {
+func TestRankDesignCustomSpace(t *testing.T) {
 	e := New()
 	m := gen.Band(64, 4, 23)
-	points, err := e.RecommendDesign(m, []int{8}, []formats.Kind{formats.DIA, formats.ELL}, BalancedObjective())
-	if err != nil {
-		t.Fatal(err)
+	rec := rankDesign(t, e, m, []int{8}, []formats.Kind{formats.DIA, formats.ELL}, BalancedObjective())
+	if len(rec.Results) != 2 {
+		t.Fatalf("points = %d, want 2", len(rec.Results))
 	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d, want 2", len(points))
-	}
-	for _, pt := range points {
+	for _, pt := range rec.Results {
 		if pt.P != 8 {
 			t.Fatalf("unexpected partition size %d", pt.P)
 		}

@@ -349,15 +349,6 @@ func testVector(n int) []float64 {
 	return x
 }
 
-// defaultBackend resolves a nil backend to the analytic cycle model, the
-// paper's instrument and the pre-backend behavior of every entry point.
-func defaultBackend(b backend.Backend) backend.Backend {
-	if b == nil {
-		return backend.Analytic{}
-	}
-	return b
-}
-
 // ptSweepGroup lets the chaos suite fail or stall one (workload, kernel,
 // p) group of a streaming sweep — e.g. after the first group has already
 // been emitted, proving the mid-stream error contract.
@@ -451,51 +442,13 @@ func (e *Engine) characterizeOn(ctx context.Context, b backend.Backend, name str
 // Characterize runs one (matrix, format, partition size) point under the
 // analytic cycle model and verifies the simulated SpMV output against the
 // software reference; a mismatch is a hard error, never a silently wrong
-// metric. It is SweepFormatsKernelWith over the one format, for one SpMV.
+// metric. It is one sweep group of the one format, for one SpMV.
 func (e *Engine) Characterize(name string, m *matrix.CSR, k formats.Kind, p int) (Result, error) {
-	rs, err := e.SweepFormatsKernelWith(context.Background(), nil, name, m, scenario.Default(), p, []formats.Kind{k})
+	rs, err := e.sweepGroup(context.Background(), backend.Analytic{}, name, m, scenario.Default(), p, []formats.Kind{k})
 	if err != nil {
 		return Result{}, err
 	}
 	return rs[0], nil
-}
-
-// SweepFormatsKernelWith characterizes one matrix across formats at one
-// partition size, in the given format order, with every format costed
-// for the given kernel spec (scenario.Default() is one SpMV) by backend b
-// (nil selects the analytic default). The plan, the operand vector, and
-// the reference MulVec are shared across formats — and, because the
-// engine's plan cache keys only (matrix, p), across kernels and calls too:
-// sweeping spmv and cg:60 over one matrix encodes each format exactly
-// once, and the analytic backend walks the plan's rows for A·x once.
-// Cancellation is checked between formats and inside each format's warmup
-// (and a measured backend's timing loop), returning ctx.Err().
-func (e *Engine) SweepFormatsKernelWith(ctx context.Context, b backend.Backend, name string, m *matrix.CSR, sc scenario.Spec, p int, kinds []formats.Kind) ([]Result, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %s/p=%d: %w", name, p, err)
-	}
-	for _, k := range kinds {
-		if err := validatePoint(k, p); err != nil {
-			return nil, fmt.Errorf("core: %s/%v: %w", name, k, err)
-		}
-	}
-	b = defaultBackend(b)
-	ent, err := e.plan(m, p)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s/%s/p=%d: %w", name, sc, p, err)
-	}
-	out := make([]Result, 0, len(kinds))
-	for _, k := range kinds {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r, err := e.characterizeOn(ctx, b, name, ent.pl, sc, k, ent.x, ent.ref)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // SweepKernelsWith sweeps the full (workload × kernel × format × p)
@@ -557,7 +510,7 @@ type localExecutor struct {
 }
 
 func (x localExecutor) ExecuteGroup(ctx context.Context, w workloads.Workload, sc scenario.Spec, p int, kinds []formats.Kind) ([]Result, error) {
-	return x.e.sweepGroupSafe(ctx, x.b, w.ID, w.M, sc, p, kinds)
+	return x.e.sweepGroup(ctx, x.b, w.ID, w.M, sc, p, kinds)
 }
 
 func (x localExecutor) Parallelizable() bool { return x.b.Parallelizable() }
@@ -566,7 +519,10 @@ func (x localExecutor) Parallelizable() bool { return x.b.Parallelizable() }
 // (nil selects the analytic default). Remote executors wrap this as
 // their fallback when every replica of a group is unreachable.
 func (e *Engine) LocalExecutor(b backend.Backend) GroupExecutor {
-	return localExecutor{e: e, b: defaultBackend(b)}
+	if b == nil {
+		b = backend.Analytic{}
+	}
+	return localExecutor{e: e, b: b}
 }
 
 // SweepGroupsKernelsWith is the streaming sweep on the engine's own
@@ -692,14 +648,24 @@ func (e *Engine) SweepGroupsExecWith(ctx context.Context, exec GroupExecutor, ws
 	return err
 }
 
-// sweepGroupSafe runs one sweep group with panic containment: a panic
-// anywhere under the group — plan warmup, backend evaluation, metric
-// aggregation — is recovered into a *resilience.PanicError and becomes
-// the group's error, failing the sweep with a structured error instead
-// of unwinding the worker goroutine and killing the process. The
+// sweepGroup characterizes one matrix across formats at one partition
+// size, in the given format order, with every format costed for kernel sc
+// by backend b — the one (workload, kernel, p) group every sweep and
+// Characterize compute. The plan, the operand vector and the reference
+// MulVec are shared across formats and, because the plan cache keys only
+// (matrix, p), across kernels and calls too: sweeping spmv and cg:60 over
+// one matrix encodes each format exactly once, and the analytic backend
+// walks the plan's rows for A·x once. Cancellation is checked between
+// formats and inside each format's warmup (and a measured backend's
+// timing loop), returning ctx.Err().
+//
+// A panic anywhere under the group — plan warmup, backend evaluation,
+// metric aggregation — is recovered into a *resilience.PanicError and
+// becomes the group's error, failing the sweep with a structured error
+// instead of unwinding the worker goroutine and killing the process. The
 // ptSweepGroup fault point lets the chaos suite fail a chosen group
 // (e.g. the second, after the first has streamed out).
-func (e *Engine) sweepGroupSafe(ctx context.Context, b backend.Backend, name string, m *matrix.CSR, sc scenario.Spec, p int, kinds []formats.Kind) (rs []Result, err error) {
+func (e *Engine) sweepGroup(ctx context.Context, b backend.Backend, name string, m *matrix.CSR, sc scenario.Spec, p int, kinds []formats.Kind) (rs []Result, err error) {
 	defer func() {
 		if pe := resilience.Recovered(ptSweepGroup.Name(), recover()); pe != nil {
 			rs, err = nil, fmt.Errorf("core: %s/%s/p=%d: %w", name, sc, p, pe)
@@ -708,5 +674,28 @@ func (e *Engine) sweepGroupSafe(ctx context.Context, b backend.Backend, name str
 	if ferr := ptSweepGroup.Hit(); ferr != nil {
 		return nil, fmt.Errorf("core: %s/%s/p=%d: %w", name, sc, p, ferr)
 	}
-	return e.SweepFormatsKernelWith(ctx, b, name, m, sc, p, kinds)
+	if err := sc.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %s/p=%d: %w", name, p, err)
+	}
+	for _, k := range kinds {
+		if err := validatePoint(k, p); err != nil {
+			return nil, fmt.Errorf("core: %s/%v: %w", name, k, err)
+		}
+	}
+	ent, err := e.plan(m, p)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s/%s/p=%d: %w", name, sc, p, err)
+	}
+	out := make([]Result, 0, len(kinds))
+	for _, k := range kinds {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		r, err := e.characterizeOn(ctx, b, name, ent.pl, sc, k, ent.x, ent.ref)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, r)
+	}
+	return out, nil
 }

@@ -63,9 +63,9 @@ func TestValidatePointRejectsBadPartition(t *testing.T) {
 		if !errors.Is(err, formats.ErrBadPartition) {
 			t.Errorf("Characterize(%v, p=%d): err = %v, want ErrBadPartition", tc.k, tc.p, err)
 		}
-		_, err = e.SweepFormatsKernelWith(context.Background(), nil, "w", ws[0].M, scenario.Default(), tc.p, []formats.Kind{tc.k})
+		_, err = sweepPoint(e, nil, "w", ws[0].M, scenario.Default(), tc.p, []formats.Kind{tc.k})
 		if !errors.Is(err, formats.ErrBadPartition) {
-			t.Errorf("SweepFormatsKernelWith(%v, p=%d): err = %v, want ErrBadPartition", tc.k, tc.p, err)
+			t.Errorf("SweepKernelsWith(%v, p=%d): err = %v, want ErrBadPartition", tc.k, tc.p, err)
 		}
 	}
 	// The valid grid still works.
@@ -175,7 +175,7 @@ func TestDegradedMeasurementPropagates(t *testing.T) {
 	}}
 	e := New()
 	csr := []formats.Kind{formats.CSR}
-	rs, err := e.SweepFormatsKernelWith(context.Background(), b, "w", ws[0].M, scenario.Default(), 16, csr)
+	rs, err := sweepPoint(e, b, "w", ws[0].M, scenario.Default(), 16, csr)
 	if err != nil {
 		t.Fatal(err)
 	}

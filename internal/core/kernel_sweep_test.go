@@ -30,7 +30,7 @@ func TestSweepKernelsDefaultSpecMatchesSweepWith(t *testing.T) {
 	var old []Result
 	for _, w := range ws {
 		for _, p := range ps {
-			rs, err := New().SweepFormatsKernelWith(ctx, nil, w.ID, w.M, scenario.Default(), p, kinds)
+			rs, err := sweepPoint(New(), nil, w.ID, w.M, scenario.Default(), p, kinds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,11 +128,11 @@ func TestRecommendKernelCanFlip(t *testing.T) {
 	m := gen.Random(64, 0.08, 107)
 	sc := scenario.MustParse("cg:60")
 	e := New()
-	rec, err := e.RecommendKernelWith(context.Background(), nil, m, sc, 16, formats.Sparse(), LatencyObjective())
+	rs, err := sweepPoint(e, nil, "adhoc", m, sc, 16, formats.Sparse())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := e.SweepFormatsKernelWith(context.Background(), nil, "adhoc", m, sc, 16, formats.Sparse())
+	rec, err := Rank(rs, LatencyObjective())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestRecommendKernelCanFlip(t *testing.T) {
 		}
 	}
 	if rec.Format != best.Format {
-		t.Fatalf("RecommendKernelWith picked %v, cheapest cg:60 format is %v", rec.Format, best.Format)
+		t.Fatalf("Rank picked %v, cheapest cg:60 format is %v", rec.Format, best.Format)
 	}
 	for _, r := range rec.Results {
 		if r.Kernel != "cg:60" || r.Iterations != 60 {

@@ -127,10 +127,10 @@ func TestDropPlansForReleasesOperands(t *testing.T) {
 	e.DropPlansFor(ws[0].M)
 	m := gen.Random(1<<13, 0.0005, 9)
 	before := liveHeap()
-	if _, err := e.SweepFormatsKernelWith(context.Background(), nil, "m", m, scenario.Default(), 16, kinds); err != nil {
+	if _, err := sweepPoint(e, nil, "m", m, scenario.Default(), 16, kinds); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SweepFormatsKernelWith(context.Background(), nil, "m", m, scenario.Default(), 32, kinds); err != nil {
+	if _, err := sweepPoint(e, nil, "m", m, scenario.Default(), 32, kinds); err != nil {
 		t.Fatal(err)
 	}
 	operands := int64(m.Cols+m.Rows) * 8
@@ -169,7 +169,7 @@ func TestRankMatchesRecommend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := e.SweepFormatsKernelWith(context.Background(), nil, "advisor", m, scenario.Default(), 16, formats.Sparse())
+	rs, err := sweepPoint(e, nil, "advisor", m, scenario.Default(), 16, formats.Sparse())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,14 +7,22 @@ import (
 	"testing"
 	"time"
 
+	"copernicus/internal/backend"
 	"copernicus/internal/formats"
 	"copernicus/internal/gen"
+	"copernicus/internal/matrix"
 	"copernicus/internal/scenario"
 	"copernicus/internal/workloads"
 )
 
 // spmvOnly is the single-SpMV kernel axis of the paper's study.
 var spmvOnly = []scenario.Spec{scenario.Default()}
+
+// sweepPoint sweeps one (workload, kernel, p) group: SweepKernelsWith
+// over one workload named name, one spec and one partition size.
+func sweepPoint(e *Engine, b backend.Backend, name string, m *matrix.CSR, sc scenario.Spec, p int, kinds []formats.Kind) ([]Result, error) {
+	return e.SweepKernelsWith(context.Background(), b, []workloads.Workload{{ID: name, M: m}}, []scenario.Spec{sc}, kinds, []int{p})
+}
 
 func streamSuite() ([]workloads.Workload, []formats.Kind, []int) {
 	ws := []workloads.Workload{

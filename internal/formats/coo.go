@@ -55,7 +55,10 @@ func (e *COOEnc) Cols() []int32 { return e.cols }
 // Values exposes the value stream (sentinel included).
 func (e *COOEnc) Values() []float64 { return e.vals }
 
-// DecodeInto implements Encoded.
+// DecodeInto implements Encoded. Tuples must strictly ascend in
+// row-major (row, column) order, as the encoder writes them, since the
+// kernel adds every stored product: a repeated coordinate would count
+// twice where the decoded tile keeps the last write.
 func (e *COOEnc) DecodeInto(t *matrix.Tile) error {
 	if len(e.rows) != len(e.cols) || len(e.rows) != len(e.vals) {
 		return corruptf("coo: stream lengths differ: %d/%d/%d", len(e.rows), len(e.cols), len(e.vals))
@@ -69,6 +72,9 @@ func (e *COOEnc) DecodeInto(t *matrix.Tile) error {
 		if i < 0 || int(i) >= e.p || j < 0 || int(j) >= e.p {
 			return corruptf("coo: tuple %d at (%d,%d) out of range", k, i, j)
 		}
+		if k > 0 && !tupleLess(e.rows[k-1], e.cols[k-1], i, j) {
+			return corruptf("coo: tuple %d not ascending", k)
+		}
 		if e.vals[k] == 0 {
 			return corruptf("coo: tuple %d stores explicit zero", k)
 		}
@@ -76,6 +82,9 @@ func (e *COOEnc) DecodeInto(t *matrix.Tile) error {
 	}
 	return nil
 }
+
+// tupleLess reports whether (i0, j0) precedes (i1, j1) in row-major order.
+func tupleLess(i0, j0, i1, j1 int32) bool { return i0 < i1 || i0 == i1 && j0 < j1 }
 
 // Footprint implements Encoded. Only real tuples travel — the AXI burst
 // length already delimits the stream, and the decompressor synthesizes

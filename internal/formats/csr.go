@@ -64,7 +64,12 @@ func (e *CSREnc) RowRange(i int) (start, end int32) {
 	return start, e.offsets[i]
 }
 
-// DecodeInto implements Encoded.
+// DecodeInto implements Encoded. Each row's columns must strictly ascend
+// and hold no stored zero, since the kernel multiplies every stored
+// entry: a repeated column would add its products twice where the
+// decoded tile keeps the last write, and a stored zero meeting a
+// non-finite operand entry would make a NaN the decoded tile does not
+// hold.
 func (e *CSREnc) DecodeInto(t *matrix.Tile) error {
 	if len(e.offsets) != e.p {
 		return corruptf("csr: %d offsets for p=%d", len(e.offsets), e.p)
@@ -88,6 +93,12 @@ func (e *CSREnc) DecodeInto(t *matrix.Tile) error {
 			j := e.colIdx[k]
 			if j < 0 || int(j) >= e.p {
 				return corruptf("csr: column %d out of range at row %d", j, i)
+			}
+			if k > prev && e.colIdx[k-1] >= j {
+				return corruptf("csr: columns not ascending at row %d", i)
+			}
+			if e.vals[k] == 0 {
+				return corruptf("csr: explicit zero at row %d", i)
 			}
 			t.Set(i, int(j), e.vals[k])
 		}

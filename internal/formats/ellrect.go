@@ -1,6 +1,10 @@
 package formats
 
-import "copernicus/internal/matrix"
+import (
+	"slices"
+
+	"copernicus/internal/matrix"
+)
 
 // ellPad is the explicit padding index of Fig. 1g.
 const ellPad = int32(-1)
@@ -198,7 +202,10 @@ func (e *ELLCOOEnc) Kind() Kind { return ELLCOO }
 // spill returns the number of COO spill tuples (sentinel excluded).
 func (e *ELLCOOEnc) spill() int { return len(e.sval) - 1 }
 
-// DecodeInto implements Encoded.
+// DecodeInto implements Encoded. Spill tuples must strictly ascend in
+// row-major order and hold no column their rectangle row already holds,
+// since the kernel adds every stored product: a coordinate stored twice
+// would count twice where the decoded tile keeps the last write.
 func (e *ELLCOOEnc) DecodeInto(t *matrix.Tile) error {
 	if err := e.decode(t, "ell+coo"); err != nil {
 		return err
@@ -210,6 +217,12 @@ func (e *ELLCOOEnc) DecodeInto(t *matrix.Tile) error {
 		i, j := e.srow[k], e.scol[k]
 		if i < 0 || int(i) >= e.p || j < 0 || int(j) >= e.p {
 			return corruptf("ell+coo: spill tuple %d out of range", k)
+		}
+		if k > 0 && !tupleLess(e.srow[k-1], e.scol[k-1], i, j) {
+			return corruptf("ell+coo: spill tuple %d not ascending", k)
+		}
+		if slices.Contains(e.idx[int(i)*e.w:int(i+1)*e.w], j) {
+			return corruptf("ell+coo: spill tuple %d repeats a rectangle column of row %d", k, i)
 		}
 		if e.sval[k] == 0 {
 			return corruptf("ell+coo: spill tuple %d stores explicit zero", k)

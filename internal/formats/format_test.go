@@ -407,6 +407,40 @@ func corruptionCases(tile *matrix.Tile) []corruptionCase {
 			e.offsets[0] = int32(len(e.vals)) + 10
 			return e
 		}, false},
+		// The CSR and COO kernels multiply every stored entry, so a
+		// coordinate stored twice, or a stored zero, must not decode:
+		// the seal would hand back the source tile (the last write wins,
+		// a 0 leaves no entry) while the kernel adds both products, or
+		// multiplies the zero into a NaN.
+		{"csr duplicate column in a row", func() Encoded {
+			e := encodeCSR(tile, nil)
+			i := int(e.skip[0])
+			start, _ := e.RowRange(i)
+			return insertRowEntry(e, i, int(start), e.colIdx[start], 5)
+		}, true},
+		{"csr explicit zero", func() Encoded {
+			e := encodeCSR(tile, nil)
+			for _, i := range e.skip {
+				if start, _ := e.RowRange(int(i)); e.colIdx[start] > 0 {
+					return insertRowEntry(e, int(i), int(start), 0, 0)
+				}
+			}
+			panic("formats: every non-empty row starts at column 0")
+		}, true},
+		{"coo repeated coordinate", func() Encoded {
+			e := encodeCOO(tile, nil)
+			e.rows = slices.Insert(e.rows, 0, e.rows[0])
+			e.cols = slices.Insert(e.cols, 0, e.cols[0])
+			e.vals = slices.Insert(e.vals, 0, 5)
+			return e
+		}, true},
+		{"coo tuples out of order", func() Encoded {
+			e := encodeCOO(tile, nil)
+			e.rows[0], e.rows[1] = e.rows[1], e.rows[0]
+			e.cols[0], e.cols[1] = e.cols[1], e.cols[0]
+			e.vals[0], e.vals[1] = e.vals[1], e.vals[0]
+			return e
+		}, true},
 		{"csc offset overruns stream", func() Encoded {
 			e := encodeCSC(tile, nil)
 			e.offsets[0] = int32(len(e.vals)) + 10
@@ -604,7 +638,36 @@ func corruptionCases(tile *matrix.Tile) []corruptionCase {
 			e.sval[0] = 0
 			return e
 		}, true},
+		// A spill tuple that repeats its rectangle row's entry decodes,
+		// last write wins, to the spill's value while the kernel adds
+		// both products.
+		{"ell+coo spill repeats a rectangle column", func() Encoded {
+			e := encodeELLCOO(tile, 1, nil)
+			i := e.srow[0]
+			e.srow = slices.Insert(e.srow, 0, i)
+			e.scol = slices.Insert(e.scol, 0, e.idx[int(i)*e.w])
+			e.sval = slices.Insert(e.sval, 0, 5)
+			return e
+		}, true},
+		{"ell+coo spill tuples out of order", func() Encoded {
+			e := encodeELLCOO(tile, 1, nil)
+			e.srow[0], e.srow[1] = e.srow[1], e.srow[0]
+			e.scol[0], e.scol[1] = e.scol[1], e.scol[0]
+			e.sval[0], e.sval[1] = e.sval[1], e.sval[0]
+			return e
+		}, true},
 	}
+}
+
+// insertRowEntry stores (col, v) at stream position at, inside row i,
+// shifting the offsets of i and the rows after it.
+func insertRowEntry(e *CSREnc, i, at int, col int32, v float64) *CSREnc {
+	e.colIdx = slices.Insert(e.colIdx, at, col)
+	e.vals = slices.Insert(e.vals, at, v)
+	for k := i; k < e.p; k++ {
+		e.offsets[k]++
+	}
+	return e
 }
 
 // insertColEntry stores (row, v) at stream position at, inside column j,

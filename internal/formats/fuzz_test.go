@@ -20,10 +20,32 @@ func fuzzTileOK(t *testing.T, tile *matrix.Tile, p int) {
 	}
 }
 
+// fuzzKernelOK fails unless e's kernel multiplies like its decoded tile.
+func fuzzKernelOK(t *testing.T, e Encoded, tile *matrix.Tile, seed uint64) {
+	t.Helper()
+	x := testOperand(tile.P, seed)
+	got, want := make([]float64, tile.P), make([]float64, tile.P)
+	e.SpMV(x, got)
+	refSpMV(tile, x, want)
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-9 {
+			t.Fatalf("%v: row %d: kernel %v, decoded tile %v", e.Kind(), i, got[i], want[i])
+		}
+	}
+}
+
+// FuzzCSRDecode builds a CSR stream from the input: offsets bytes (a zero
+// repeats the previous offset) and column bytes offset to reach negative,
+// repeated and out-of-range values, whose high bit stores an explicit
+// zero. An accepted stream must have strictly ascending columns in every
+// row, decode to exactly its entries and multiply like its decoded tile.
 func FuzzCSRDecode(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 2}, []byte{3, 7}, 8)
 	f.Add([]byte{0, 0, 0, 0}, []byte{}, 8)
-	f.Add([]byte{2, 1}, []byte{0, 1}, 8) // decreasing offsets
+	f.Add([]byte{2, 1}, []byte{0, 1}, 8)     // decreasing offsets
+	f.Add([]byte{2}, []byte{7, 7}, 8)        // column 3 stored twice in row 0
+	f.Add([]byte{2}, []byte{0x84, 7}, 8)     // stored zero before an entry
+	f.Add([]byte{1, 3}, []byte{9, 7, 6}, 16) // columns not ascending in row 1
 	f.Fuzz(func(t *testing.T, offs, cols []byte, p int) {
 		p = 8 + (abs(p) % 3 * 8) // 8, 16, 24 — keep allocation bounded
 		e := &CSREnc{p: p}
@@ -43,37 +65,82 @@ func FuzzCSRDecode(f *testing.F) {
 		e.colIdx = make([]int32, n)
 		e.vals = make([]float64, n)
 		for i := 0; i < n; i++ {
-			if i < len(cols) {
-				e.colIdx[i] = int32(cols[i]) - 4 // allow negatives
-			}
 			e.vals[i] = float64(i + 1)
+			if i < len(cols) {
+				e.colIdx[i] = int32(cols[i]&0x7f) - 4 // allow negatives
+				if cols[i]&0x80 != 0 {
+					e.vals[i] = 0
+				}
+			}
+		}
+		for i := 0; i < p; i++ {
+			if start, end := e.RowRange(i); end > start {
+				e.skip = append(e.skip, int32(i))
+			}
 		}
 		tile, err := Decode(e)
-		if err == nil {
-			fuzzTileOK(t, tile, p)
+		fuzzCorruptOK(t, err)
+		if err != nil {
+			return
 		}
+		fuzzTileOK(t, tile, p)
+		if tile.NNZ() != n {
+			t.Fatalf("decoded %d non-zeros from %d stored entries", tile.NNZ(), n)
+		}
+		for i := 0; i < p; i++ {
+			start, end := e.RowRange(i)
+			for k := start + 1; k < end; k++ {
+				if e.colIdx[k-1] >= e.colIdx[k] {
+					t.Fatalf("row %d accepted with columns out of order: %v", i, e.colIdx[start:end])
+				}
+			}
+		}
+		fuzzKernelOK(t, e, tile, uint64(n))
 	})
 }
 
+// FuzzCOODecode builds a COO tuple stream from the input pairs, offset to
+// reach negative, repeated and out-of-range coordinates; a row byte's
+// high bit stores an explicit zero. An accepted stream must hold its
+// tuples in strictly ascending row-major order, decode to exactly its
+// entries and multiply like its decoded tile.
 func FuzzCOODecode(f *testing.F) {
 	f.Add([]byte{0, 3, 4, 7, 7, 7}, 8)
 	f.Add([]byte{}, 8)
 	f.Add([]byte{200, 200}, 8)
+	f.Add([]byte{5, 6, 5, 6}, 8)     // coordinate (1,2) stored twice
+	f.Add([]byte{5, 6, 4, 6}, 8)     // tuples out of row-major order
+	f.Add([]byte{0x85, 6, 5, 7}, 16) // explicit zero
 	f.Fuzz(func(t *testing.T, pairs []byte, p int) {
 		p = 8 + (abs(p) % 3 * 8)
 		e := &COOEnc{p: p}
 		for i := 0; i+1 < len(pairs) && i < 512; i += 2 {
-			e.rows = append(e.rows, int32(pairs[i])-4)
+			v := float64(i + 1)
+			if pairs[i]&0x80 != 0 {
+				v = 0
+			}
+			e.rows = append(e.rows, int32(pairs[i]&0x7f)-4)
 			e.cols = append(e.cols, int32(pairs[i+1])-4)
-			e.vals = append(e.vals, float64(i+1))
+			e.vals = append(e.vals, v)
 		}
 		e.rows = append(e.rows, cooSentinel)
 		e.cols = append(e.cols, cooSentinel)
 		e.vals = append(e.vals, 0)
 		tile, err := Decode(e)
-		if err == nil {
-			fuzzTileOK(t, tile, p)
+		fuzzCorruptOK(t, err)
+		if err != nil {
+			return
 		}
+		fuzzTileOK(t, tile, p)
+		if tile.NNZ() != e.Tuples() {
+			t.Fatalf("decoded %d non-zeros from %d tuples", tile.NNZ(), e.Tuples())
+		}
+		for k := 1; k < e.Tuples(); k++ {
+			if !tupleLess(e.rows[k-1], e.cols[k-1], e.rows[k], e.cols[k]) {
+				t.Fatalf("tuple %d accepted out of row-major order", k)
+			}
+		}
+		fuzzKernelOK(t, e, tile, uint64(e.Tuples()))
 	})
 }
 
@@ -309,15 +376,7 @@ func FuzzLILDecode(f *testing.F) {
 					}
 				}
 			}
-			x := testOperand(p, uint64(next))
-			got, want := make([]float64, p), make([]float64, p)
-			e.SpMV(x, got)
-			refSpMV(tile, x, want)
-			for i := range want {
-				if math.Abs(got[i]-want[i]) > 1e-9 {
-					t.Fatalf("%v: row %d: kernel %v, decoded tile %v", e.Kind(), i, got[i], want[i])
-				}
-			}
+			fuzzKernelOK(t, e, tile, uint64(next))
 		}
 	})
 }

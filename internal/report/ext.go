@@ -301,7 +301,7 @@ func ext8(o *Options) (Table, error) {
 	}
 	for _, w := range ws {
 		for _, sc := range specs {
-			ana, err := o.Engine.SweepFormatsKernelWith(context.Background(), nil, w.ID, w.M, sc, 16, formats.Sparse())
+			ana, err := sparseAt16(o, nil, w, sc)
 			if err != nil {
 				return Table{}, err
 			}
@@ -309,7 +309,7 @@ func ext8(o *Options) (Table, error) {
 			aBest := best(aCost, ana)
 			for _, tc := range threadCounts {
 				native := &backend.Native{Threads: tc}
-				nat, err := o.Engine.SweepFormatsKernelWith(context.Background(), native, w.ID, w.M, sc, 16, formats.Sparse())
+				nat, err := sparseAt16(o, native, w, sc)
 				if err != nil {
 					return Table{}, err
 				}
@@ -340,6 +340,13 @@ func ext8(o *Options) (Table, error) {
 	t.Notes = append(t.Notes,
 		"native = min-of-runs wall time of the warm tile-parallel executable kernel loop on the host CPU; ranks are comparable, absolute times are not")
 	return t, nil
+}
+
+// sparseAt16 sweeps one workload's seven sparse formats at 16×16
+// partitions for kernel sc, costed by backend b (nil: analytic) — the one
+// group ext8 and ext9 compare across backends and kernels.
+func sparseAt16(o *Options, b backend.Backend, w workloads.Workload, sc scenario.Spec) ([]core.Result, error) {
+	return o.Engine.SweepKernelsWith(context.Background(), b, []workloads.Workload{w}, []scenario.Spec{sc}, formats.Sparse(), []int{16})
 }
 
 // ext9 asks the question the kernel axis exists to answer: does the best
@@ -381,11 +388,11 @@ func ext9(o *Options) (Table, error) {
 		return rs[bi].Format, margin
 	}
 	for _, w := range ws {
-		spmv, err := o.Engine.SweepFormatsKernelWith(context.Background(), nil, w.ID, w.M, scenario.Default(), 16, formats.Sparse())
+		spmv, err := sparseAt16(o, nil, w, scenario.Default())
 		if err != nil {
 			return Table{}, err
 		}
-		cg, err := o.Engine.SweepFormatsKernelWith(context.Background(), nil, w.ID, w.M, cg60, 16, formats.Sparse())
+		cg, err := sparseAt16(o, nil, w, cg60)
 		if err != nil {
 			return Table{}, err
 		}

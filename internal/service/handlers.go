@@ -1,14 +1,12 @@
 package service
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -298,77 +296,17 @@ func (s *Server) execFor(b backend.Backend, internal bool) core.GroupExecutor {
 	return s.cluster.Executor(b.ID(), threads, local)
 }
 
-// sweepRequest is the one request shape of every sweep-shaped endpoint:
-// the POST /v1/sweep and POST /v1/jobs/sweep body, and what queryRequest
-// reads the GET forms into. Backend selects the costing backend
-// ("analytic" cycle model by default, "native" for measured host-CPU
-// wall time); Threads sets the native SpMV fan-out (native-only,
-// 1..GOMAXPROCS, default 1); Kernel selects the kernel spec the points
-// are costed for ("spmv" by default; "cg:60", "spmm:8", ... — see
-// internal/scenario).
-type sweepRequest struct {
-	Matrix     string   `json:"matrix"`
-	Formats    []string `json:"formats,omitempty"`
-	Partitions []int    `json:"partitions,omitempty"`
-	Backend    string   `json:"backend,omitempty"`
-	Threads    int      `json:"threads,omitempty"`
-	Kernel     string   `json:"kernel,omitempty"`
-}
-
 // readSweepRequest reads a /v1/sweep or /v1/jobs/sweep request: the
 // JSON body of a POST (unknown fields rejected), or the query of a GET.
-func readSweepRequest(w http.ResponseWriter, r *http.Request) (sweepRequest, error) {
+func readSweepRequest(w http.ResponseWriter, r *http.Request) (cluster.SweepQuery, error) {
 	if r.Method != http.MethodPost {
-		return queryRequest(r.URL.Query(), false)
+		return cluster.ParseSweepQuery(r.URL.Query(), false)
 	}
-	var req sweepRequest
+	var req cluster.SweepQuery
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return req, fmt.Errorf("parse request: %w", err)
-	}
-	return req, nil
-}
-
-// queryRequest reads a GET request's query into a sweepRequest: the
-// lists formats=CSR,COO&partitions=8,16 of GET /v1/sweep, or — onePoint,
-// for characterize and advise — format=CSR&p=16 (defaults CSR and 16).
-// Every form takes backend=, threads= and kernel=. Only the syntax of
-// the integers is checked here; selectSweep validates the values.
-func queryRequest(q url.Values, onePoint bool) (sweepRequest, error) {
-	req := sweepRequest{Matrix: q.Get("matrix"), Backend: q.Get("backend"), Kernel: q.Get("kernel")}
-	if onePoint {
-		req.Formats = []string{cmp.Or(q.Get("format"), "CSR")}
-		p, err := strconv.Atoi(cmp.Or(q.Get("p"), "16"))
-		if err != nil {
-			return req, fmt.Errorf("bad p: %w", err)
-		}
-		req.Partitions = []int{p}
-	} else {
-		if raw := q.Get("formats"); raw != "" {
-			for _, tok := range strings.Split(raw, ",") {
-				req.Formats = append(req.Formats, strings.TrimSpace(tok))
-			}
-		}
-		if raw := q.Get("partitions"); raw != "" {
-			for _, tok := range strings.Split(raw, ",") {
-				p, err := strconv.Atoi(strings.TrimSpace(tok))
-				if err != nil {
-					return req, fmt.Errorf("bad partition size %q", tok)
-				}
-				req.Partitions = append(req.Partitions, p)
-			}
-		}
-	}
-	// An explicit threads= must be a positive integer (absent means the
-	// native default); its upper bound and backend applicability are
-	// resolveBackend's checks.
-	if raw := q.Get("threads"); raw != "" {
-		t, err := strconv.Atoi(raw)
-		if err != nil || t < 1 {
-			return req, fmt.Errorf("bad threads %q (want a positive integer)", raw)
-		}
-		req.Threads = t
 	}
 	return req, nil
 }
@@ -394,7 +332,7 @@ func (sel sweepSel) key() string {
 // missing matrix is 400 and an unknown one 404; a bad format, partition,
 // backend, thread count or kernel is 400. The status is for answering
 // a non-nil error.
-func (s *Server) selectSweep(req sweepRequest) (sweepSel, int, error) {
+func (s *Server) selectSweep(req cluster.SweepQuery) (sweepSel, int, error) {
 	if req.Matrix == "" {
 		return sweepSel{}, http.StatusBadRequest, errors.New(`missing "matrix"`)
 	}
@@ -764,7 +702,7 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, sel swe
 // (&threads=N for the native SpMV fan-out, &kernel=cg:60 for the kernel
 // spec).
 func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
-	req, err := queryRequest(r.URL.Query(), true)
+	req, err := cluster.ParseSweepQuery(r.URL.Query(), true)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -794,7 +732,7 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 // concurrent advise calls share one engine run.
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	req, err := queryRequest(q, true)
+	req, err := cluster.ParseSweepQuery(q, true)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return

@@ -112,7 +112,8 @@ func TestRoundTripEngine(t *testing.T) {
 	// One measured row so the native backend's fields (Measured,
 	// MeasuredRuns, Threads, wall-clock Seconds) cross the wire too.
 	m := gen.Random(64, 0.05, 7)
-	nat, err := e.SweepFormatsKernelWith(context.Background(), &backend.Native{Runs: 2}, "native-row", m, scenario.Default(), 8, []formats.Kind{formats.CSR})
+	nat, err := e.SweepKernelsWith(context.Background(), &backend.Native{Runs: 2}, []workloads.Workload{{ID: "native-row", M: m}},
+		[]scenario.Spec{scenario.Default()}, []formats.Kind{formats.CSR}, []int{8})
 	if err != nil {
 		t.Fatal(err)
 	}
