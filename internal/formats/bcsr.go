@@ -24,21 +24,20 @@ func encodeBCSR(t *matrix.Tile, b int, sl *Slab) *BCSREnc {
 		panic("formats: BCSR requires p divisible by block size")
 	}
 	nb := t.P / b
+	rp, cols, vals := t.Spans()
 	e := slabEnc[BCSREnc](sl, BCSR)
-	*e = BCSREnc{p: t.P, b: b, offsets: sl.int32s(nb), nnz: t.NNZ(), nzr: t.NonZeroRows()}
+	*e = BCSREnc{p: t.P, b: b, offsets: sl.int32s(nb), nnz: len(vals), nzr: t.NonZeroRows()}
 	s := getScratch()
 	// A counting pass sizes the streams exactly: seen marks the block
-	// columns already counted in block row bi with bi+1.
+	// columns already counted in block row bi with bi+1. Block row bi's
+	// entries are the one span rp[bi*b]..rp[(bi+1)*b].
 	seen := s.ints2(nb)
 	blocks := 0
 	for bi := 0; bi < nb; bi++ {
-		for r := 0; r < b; r++ {
-			cols, _ := t.RowView(bi*b + r)
-			for _, j := range cols {
-				if bj := int(j) / b; seen[bj] != int32(bi+1) {
-					seen[bj] = int32(bi + 1)
-					blocks++
-				}
+		for _, j := range cols[rp[bi*b]:rp[(bi+1)*b]] {
+			if bj := int(j) / b; seen[bj] != int32(bi+1) {
+				seen[bj] = int32(bi + 1)
+				blocks++
 			}
 		}
 	}
@@ -49,8 +48,9 @@ func encodeBCSR(t *matrix.Tile, b int, sl *Slab) *BCSREnc {
 	for bi := 0; bi < nb; bi++ {
 		minBJ, maxBJ := nb, -1
 		for r := 0; r < b; r++ {
-			cols, vals := t.RowView(bi*b + r)
-			for k, j := range cols {
+			i := bi*b + r
+			for k := rp[i]; k < rp[i+1]; k++ {
+				j := cols[k]
 				bj := int(j) / b
 				blockNNZ[bj]++
 				stage[bj*b*b+r*b+int(j)-bj*b] = vals[k]

@@ -20,19 +20,18 @@ type colLists struct {
 
 // encode fills c with t's column lists, carving the streams from sl.
 func (c *colLists) encode(t *matrix.Tile, sl *Slab) {
-	p, nnz := t.P, t.NNZ()
+	p := t.P
+	rp, cols, vals := t.Spans()
+	nnz := len(vals)
 	*c = colLists{p: p, offsets: sl.int32s(p), rows: sl.int32s(nnz), vals: sl.float64s(nnz), nzr: t.NonZeroRows()}
 	s := getScratch()
 	cur := s.ints(p) // per-column counts, then scatter cursors
 	nzc := 0
-	for i := 0; i < p; i++ {
-		cols, _ := t.RowView(i)
-		for _, j := range cols {
-			if cur[j] == 0 {
-				nzc++
-			}
-			cur[j]++
+	for _, j := range cols {
+		if cur[j] == 0 {
+			nzc++
 		}
+		cur[j]++
 	}
 	c.skip = sl.int32s(nzc)
 	running, n := int32(0), 0
@@ -48,8 +47,8 @@ func (c *colLists) encode(t *matrix.Tile, sl *Slab) {
 	}
 	// Scattering the row-major walk keeps each list's rows ascending.
 	for i := 0; i < p; i++ {
-		cols, vals := t.RowView(i)
-		for k, j := range cols {
+		for k := rp[i]; k < rp[i+1]; k++ {
+			j := cols[k]
 			c.rows[cur[j]] = int32(i)
 			c.vals[cur[j]] = vals[k]
 			cur[j]++

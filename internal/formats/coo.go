@@ -19,19 +19,17 @@ type COOEnc struct {
 const cooSentinel = int32(-1)
 
 func encodeCOO(t *matrix.Tile, sl *Slab) *COOEnc {
-	nnz := t.NNZ()
+	rp, cols, vals := t.Spans()
+	nnz := len(vals)
 	e := slabEnc[COOEnc](sl, COO)
 	*e = COOEnc{p: t.P, nzr: t.NonZeroRows(),
 		rows: sl.int32s(nnz + 1), cols: sl.int32s(nnz + 1), vals: sl.float64s(nnz + 1)}
-	n := 0
+	copy(e.cols, cols)
+	copy(e.vals, vals)
 	for i := 0; i < t.P; i++ {
-		cols, vals := t.RowView(i)
-		for k := range cols {
-			e.rows[n+k] = int32(i)
+		for k := rp[i]; k < rp[i+1]; k++ {
+			e.rows[k] = int32(i)
 		}
-		copy(e.cols[n:], cols)
-		copy(e.vals[n:], vals)
-		n += len(vals)
 	}
 	e.rows[nnz], e.cols[nnz] = cooSentinel, cooSentinel
 	return e

@@ -24,21 +24,20 @@ type CSREnc struct {
 }
 
 func encodeCSR(t *matrix.Tile, sl *Slab) *CSREnc {
-	nnz, nzr := t.NNZ(), t.NonZeroRows()
+	rp, cols, vals := t.Spans()
+	nnz, nzr := len(vals), t.NonZeroRows()
 	e := slabEnc[CSREnc](sl, CSR)
 	*e = CSREnc{p: t.P, offsets: sl.int32s(t.P), nzr: nzr,
 		colIdx: sl.int32s(nnz), vals: sl.float64s(nnz), skip: sl.int32s(nzr)}
-	n, r := 0, 0
-	for i := 0; i < t.P; i++ {
-		cols, vals := t.RowView(i)
-		if len(vals) > 0 {
+	copy(e.offsets, rp[1:])
+	copy(e.colIdx, cols)
+	copy(e.vals, vals)
+	r := 0
+	for i, end := range e.offsets {
+		if end > rp[i] {
 			e.skip[r] = int32(i)
 			r++
 		}
-		copy(e.colIdx[n:], cols)
-		copy(e.vals[n:], vals)
-		n += len(vals)
-		e.offsets[i] = int32(n)
 	}
 	return e
 }

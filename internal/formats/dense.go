@@ -15,12 +15,14 @@ type DenseEnc struct {
 }
 
 func encodeDense(t *matrix.Tile, sl *Slab) *DenseEnc {
+	p := t.P
+	rp, cols, vals := t.Spans()
 	e := slabEnc[DenseEnc](sl, Dense)
-	*e = DenseEnc{p: t.P, nnz: t.NNZ(), nzr: t.NonZeroRows(), val: sl.float64s(t.P * t.P)}
-	for i := 0; i < t.P; i++ { // the fresh stream is already zeroed
-		cols, vals := t.RowView(i)
-		for k, j := range cols {
-			e.val[i*t.P+int(j)] = vals[k]
+	*e = DenseEnc{p: p, nnz: len(vals), nzr: t.NonZeroRows(), val: sl.float64s(p * p)}
+	for i := 0; i < p; i++ { // the fresh stream is already zeroed
+		row := e.val[i*p : (i+1)*p]
+		for k := rp[i]; k < rp[i+1]; k++ {
+			row[cols[k]] = vals[k]
 		}
 	}
 	return e

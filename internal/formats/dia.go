@@ -35,16 +35,16 @@ type DIAEnc struct {
 
 func encodeDIA(t *matrix.Tile, sl *Slab) *DIAEnc {
 	p := t.P
+	rp, cols, vals := t.Spans()
 	e := slabEnc[DIAEnc](sl, DIA)
-	*e = DIAEnc{p: p, nnz: t.NNZ(), nzr: t.NonZeroRows()}
+	*e = DIAEnc{p: p, nnz: len(vals), nzr: t.NonZeroRows()}
 	s := getScratch()
 	// Diagonal d = j-i is indexed at d+p-1 in [0, 2p-1). Rows ascend, so
 	// a diagonal's first entry fixes lo and its last fixes hi (0 while
 	// the diagonal is unseen).
 	lo, hi := s.ints(2*p-1), s.ints2(2*p-1)
 	for i := 0; i < p; i++ {
-		cols, _ := t.RowView(i)
-		for _, j := range cols {
+		for _, j := range cols[rp[i]:rp[i+1]] {
 			d := int(j) - i + p - 1
 			if hi[d] == 0 {
 				lo[d] = int32(i)
@@ -74,9 +74,8 @@ func encodeDIA(t *matrix.Tile, sl *Slab) *DIAEnc {
 		}
 	}
 	for i := 0; i < p; i++ {
-		cols, vals := t.RowView(i)
-		for k, j := range cols {
-			e.lanes[int(lo[int(j)-i+p-1])+i] = vals[k]
+		for k := rp[i]; k < rp[i+1]; k++ {
+			e.lanes[int(lo[int(cols[k])-i+p-1])+i] = vals[k]
 		}
 	}
 	putScratch(s)

@@ -37,10 +37,10 @@ func encodeDOK(t *matrix.Tile, sl *Slab) *DOKEnc {
 	}
 	// Row-major insertion order matches the dense reference scan, so the
 	// probe sequence — and therefore the table layout — is identical.
+	rp, cols, vals := t.Spans()
 	for i := 0; i < t.P; i++ {
-		cols, vals := t.RowView(i)
-		for k, j := range cols {
-			key := dokKey(i, int(j))
+		for k := rp[i]; k < rp[i+1]; k++ {
+			key := dokKey(i, int(cols[k]))
 			// Multiplicative hash, linear probing.
 			slot := int(uint32(key)*2654435761) & (size - 1)
 			for e.keys[slot] != dokEmpty {

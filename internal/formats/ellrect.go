@@ -28,12 +28,13 @@ type ellRect struct {
 // at limit, carving the streams from sl. A row longer than w keeps its
 // first w entries; the rest are the caller's to store.
 func (r *ellRect) encode(t *matrix.Tile, limit int, sl *Slab) {
+	rp, cols, vals := t.Spans()
 	w := 0
 	for i := 0; i < t.P; i++ {
-		w = max(w, t.RowNNZ(i))
+		w = max(w, int(rp[i+1]-rp[i]))
 	}
 	w = min(w, limit)
-	*r = ellRect{p: t.P, w: w, nnz: t.NNZ(), nzr: t.NonZeroRows()}
+	*r = ellRect{p: t.P, w: w, nnz: len(vals), nzr: t.NonZeroRows()}
 	r.idx = sl.int32s(t.P * w)
 	r.vals = sl.float64s(t.P * w)
 	r.skip = sl.int32s(r.nzr)
@@ -42,14 +43,14 @@ func (r *ellRect) encode(t *matrix.Tile, limit int, sl *Slab) {
 	}
 	n := 0
 	for i := 0; i < t.P; i++ {
-		cols, vals := t.RowView(i)
-		if len(cols) > 0 {
+		lo, hi := rp[i], rp[i+1]
+		if hi > lo {
 			r.skip[n] = int32(i)
 			n++
 		}
-		take := min(len(cols), w)
-		copy(r.idx[i*w:], cols[:take])
-		copy(r.vals[i*w:], vals[:take])
+		hi = min(hi, lo+int32(w))
+		copy(r.idx[i*w:], cols[lo:hi])
+		copy(r.vals[i*w:], vals[lo:hi])
 	}
 }
 
@@ -179,15 +180,16 @@ type ELLCOOEnc struct {
 func encodeELLCOO(t *matrix.Tile, cap int, sl *Slab) *ELLCOOEnc {
 	e := slabEnc[ELLCOOEnc](sl, ELLCOO)
 	e.encode(t, cap, sl)
+	rp, cols, vals := t.Spans()
+	w := int32(e.w)
 	spill := 0
 	for i := 0; i < t.P; i++ {
-		spill += max(t.RowNNZ(i)-e.w, 0)
+		spill += int(max(rp[i+1]-rp[i]-w, 0))
 	}
 	e.srow, e.scol, e.sval = sl.int32s(spill+1), sl.int32s(spill+1), sl.float64s(spill+1)
 	n := 0
 	for i := 0; n < spill; i++ {
-		cols, vals := t.RowView(i)
-		for k := e.w; k < len(cols); k++ {
+		for k := rp[i] + w; k < rp[i+1]; k++ {
 			e.srow[n], e.scol[n], e.sval[n] = int32(i), cols[k], vals[k]
 			n++
 		}

@@ -15,9 +15,10 @@
 // random tiles of every format. The CSR, COO, Dense, ELL and SELL
 // decoders emit entries in ascending (row, column) order, which the tile
 // seals in one pass; the other formats' decodes take the tile's general,
-// row-sorting seal. Matches checks the round trip of the six row-major
-// formats (those five and BCSR) without decoding: it walks the streams
-// against the source tile's CSR arrays.
+// row-sorting seal. Matches checks the round trip of nine formats without
+// decoding: the six row-major ones (those five and BCSR), the column
+// lists of CSC and LIL, and DIA. It walks the streams against the source
+// tile's CSR arrays, which the encoders also read (Tile.Spans).
 //
 // Encode allocates every stream exactly sized. Slab.Encode instead carves
 // the streams from a rewinding slab and reuses the slab's own encoder

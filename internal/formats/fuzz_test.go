@@ -487,12 +487,13 @@ func FuzzSlabEncodeReuse(f *testing.F) {
 // encoding always matches its tile, and a mutated one matches only if
 // it still decodes, without error, to exactly the tile's entries. The
 // tile comes from (row, column, value) byte triples; kind and psel pick
-// one of the six row-major formats and a p it accepts. what%3 picks the
+// one of the nine matched formats and a p it accepts. what%3 picks the
 // mutation — a value set to 0, -0, NaN or ±1 (as to directs), an index
 // set to the padding index, or an index set to to's value in [-2, p+1] —
-// and what/3 the index stream: a column, BCSR block column or padding
-// index, or else an offset, COO row or SELL width. slot picks the
-// position in the stream.
+// and what/3 the index stream: a column, BCSR block column, padding
+// index, column-list row or DIA diagonal number, or else an offset, COO
+// row, SELL width or DIA extent bound. slot picks the position in the
+// stream.
 func FuzzMatchesImpliesDecode(f *testing.F) {
 	f.Add([]byte{0, 3, 9, 4, 7, 200, 7, 7, 1}, uint8(1), uint8(0), uint8(0), uint16(1), uint8(1))
 	f.Add([]byte{1, 1, 30, 1, 2, 40, 5, 0, 90}, uint8(4), uint8(1), uint8(5), uint16(3), uint8(0))
@@ -500,8 +501,7 @@ func FuzzMatchesImpliesDecode(f *testing.F) {
 	f.Add([]byte{9, 1, 10, 9, 2, 11, 10, 6, 12}, uint8(5), uint8(1), uint8(4), uint16(2), uint8(3))
 	f.Add([]byte{}, uint8(3), uint8(0), uint8(2), uint16(0), uint8(0))
 	f.Fuzz(func(t *testing.T, ents []byte, kind, psel, what uint8, slot uint16, to uint8) {
-		kinds := []Kind{Dense, CSR, BCSR, COO, ELL, SELL}
-		k := kinds[int(kind)%len(kinds)]
+		k := matchedKinds[int(kind)%len(matchedKinds)]
 		p := []int{8, 16, 12, 5, 3}[int(psel)%5]
 		if ValidateP(k, p) != nil {
 			p = 8
@@ -532,6 +532,12 @@ func FuzzMatchesImpliesDecode(f *testing.F) {
 			streams = [][]int32{e.idx}
 		case *SELLEnc:
 			streams = [][]int32{e.idx, e.widths}
+		case *CSCEnc:
+			streams = [][]int32{e.rows, e.offsets}
+		case *LILEnc:
+			streams = [][]int32{e.rows, e.offsets}
+		case *DIAEnc:
+			streams = [][]int32{e.diagNo, e.ext}
 		}
 		var ints []int32
 		if len(streams) > 0 {

@@ -21,7 +21,9 @@ type JDSEnc struct {
 }
 
 func encodeJDS(t *matrix.Tile, sl *Slab) *JDSEnc {
-	p, nnz := t.P, t.NNZ()
+	p := t.P
+	rp, cols, vals := t.Spans()
+	nnz := len(vals)
 	e := slabEnc[JDSEnc](sl, JDS)
 	*e = JDSEnc{p: p, nzr: t.NonZeroRows()}
 	e.perm = sl.int32s(p)
@@ -30,7 +32,7 @@ func encodeJDS(t *matrix.Tile, sl *Slab) *JDSEnc {
 	s := getScratch()
 	cnt := s.ints(p + 1)
 	for i := 0; i < p; i++ {
-		cnt[t.RowNNZ(i)]++
+		cnt[rp[i+1]-rp[i]]++
 	}
 	pos := s.ints2(p + 1) // first sorted position of each count bucket
 	running := int32(0)
@@ -39,30 +41,31 @@ func encodeJDS(t *matrix.Tile, sl *Slab) *JDSEnc {
 		running += cnt[c]
 	}
 	for i := 0; i < p; i++ {
-		c := t.RowNNZ(i)
+		c := rp[i+1] - rp[i]
 		e.perm[pos[c]] = int32(i)
 		pos[c]++
 	}
 	putScratch(s)
 	w := 0
 	if p > 0 {
-		w = t.RowNNZ(int(e.perm[0]))
+		i := e.perm[0]
+		w = int(rp[i+1] - rp[i])
 	}
-	// The sparse row views are already the compacted rows; jagged
+	// The sparse row spans are already the compacted rows; jagged
 	// diagonal k gathers the k-th entry of every row long enough.
 	e.ptr = sl.int32s(w + 1)
 	e.idx = sl.int32s(nnz)
 	e.vals = sl.float64s(nnz)
 	cur := 0
-	for k := 0; k < w; k++ {
+	for k := int32(0); k < int32(w); k++ {
 		e.ptr[k] = int32(cur)
-		for r := 0; r < p; r++ {
-			cols, vals := t.RowView(int(e.perm[r]))
-			if len(cols) <= k {
+		for _, i := range e.perm {
+			at := rp[i] + k
+			if at >= rp[i+1] {
 				break // rows are sorted by descending length
 			}
-			e.idx[cur] = cols[k]
-			e.vals[cur] = vals[k]
+			e.idx[cur] = cols[at]
+			e.vals[cur] = vals[at]
 			cur++
 		}
 	}

@@ -10,21 +10,26 @@ import (
 // true only when e.DecodeInto would succeed and the decoded tile would
 // hold the same entries as t (matrix.Tile.SameEntries). It compares e's
 // streams directly against t's sealed CSR arrays (Tile.Spans), with no
-// decoded tile and no seal, for the six formats whose streams run in
-// row-major or block-row-major order: Dense, CSR, BCSR, COO, ELL and
-// SELL. Each of them checks everything its DecodeInto checks: stream
+// decoded tile and no seal, for nine formats: the six whose streams run
+// in row-major or block-row-major order (Dense, CSR, BCSR, COO, ELL and
+// SELL), the column lists of CSC and LIL, walked with one cursor per
+// column, and DIA, whose lanes it finds through a table indexed by
+// diagonal. Each of them checks everything its DecodeInto checks: stream
 // lengths and the COO sentinel; offsets that never decrease and stay
 // within the stream; BCSR block columns that are aligned, in range and
 // strictly ascending; ELL-family rows that are left-packed with padding
-// slots holding 0. Every stored value must be non-zero and equal t's
-// (NaN equals NaN): a stored 0 or -0 never matches, because a decode
-// drops it.
+// slots holding 0; column-list rows that strictly ascend; DIA diagonal
+// numbers that are in range and ascending, with non-empty extents inside
+// their diagonals that account for every lane slot. Every stored value
+// must be non-zero and equal t's (NaN equals NaN): a stored 0 or -0 never
+// matches, because a decode drops it (or, in a column list, rejects it).
 //
 // Matches is a sufficient test, not a diagnosis. It is false whenever it
-// cannot prove the round trip — for every other format, and for a stream
-// that might still decode to t by another route (say, an explicit zero
-// beside t's entries) — so a caller that gets false decodes to learn
-// whether and where the encoding is wrong.
+// cannot prove the round trip — for the other four formats (JDS,
+// SELL-C-σ, ELL+COO and DOK), and for a stream that might still decode to
+// t by another route (say, an explicit zero beside t's entries) — so a
+// caller that gets false decodes to learn whether and where the encoding
+// is wrong.
 func Matches(e Encoded, t *matrix.Tile) bool {
 	if e.P() != t.P {
 		return false
@@ -42,6 +47,12 @@ func Matches(e Encoded, t *matrix.Tile) bool {
 	case *ELLEnc:
 		return e.matches(rp, cols, vals)
 	case *SELLEnc:
+		return e.matches(rp, cols, vals)
+	case *CSCEnc:
+		return e.matches(rp, cols, vals)
+	case *LILEnc:
+		return e.matches(rp, cols, vals)
+	case *DIAEnc:
 		return e.matches(rp, cols, vals)
 	}
 	return false
@@ -234,6 +245,95 @@ func ellRowsMatch(idx []int32, sv []float64, base, w, i0, h int, rp, cols []int3
 			if idx[s] != ellPad || sv[s] != 0 {
 				return false
 			}
+		}
+	}
+	return true
+}
+
+// matches walks the tile row-major with one cursor per column: a
+// row-major walk meets each column's entries in ascending row order,
+// which is the order the lists store them, so entry (i, j) must be the
+// next slot of column j's list, holding row i and its value. The tile's
+// columns must strictly ascend within each row, so no row repeats in a
+// list. The walk consumes one slot per entry from lists that hold as many
+// slots as the tile has entries, so it consumes every slot: O(nnz + p),
+// with the cursors in pooled scratch.
+func (c *colLists) matches(rp, cols []int32, vals []float64) bool {
+	p, n := c.p, len(vals)
+	if len(c.offsets) != p || len(c.rows) != n || len(c.vals) != n || int(c.offsets[p-1]) != n {
+		return false
+	}
+	s := getScratch()
+	defer putScratch(s)
+	cur := s.ints(p) // column j's next slot
+	start := int32(0)
+	for j, end := range c.offsets {
+		if end < start || int(end) > n {
+			return false
+		}
+		cur[j] = start
+		start = end
+	}
+	for i := 0; i < p; i++ {
+		prev := int32(-1)
+		for k := rp[i]; k < rp[i+1]; k++ {
+			j := cols[k]
+			if j <= prev || int(j) >= p {
+				return false
+			}
+			at := cur[j]
+			if at >= c.offsets[j] || c.rows[at] != int32(i) || !sameValue(c.vals[at], vals[k]) {
+				return false
+			}
+			cur[j] = at + 1
+			prev = j
+		}
+	}
+	return true
+}
+
+// matches validates the diagonal numbers and extents as DecodeInto does,
+// counts the stored non-zeros against the tile's entries, and finds each
+// entry's slot in its diagonal's lane through a 2p-1 table, indexed by
+// diagonal number plus p-1, that holds each stored diagonal's lane base
+// less its lo, its lo and its hi (hi 0 for a diagonal not stored). The
+// table lives in pooled scratch.
+func (e *DIAEnc) matches(rp, cols []int32, vals []float64) bool {
+	p := e.p
+	if len(e.ext) != 2*len(e.diagNo) || nonZeros(e.lanes) != len(vals) {
+		return false
+	}
+	s := getScratch()
+	defer putScratch(s)
+	tbl := s.ints(3 * (2*p - 1))
+	off := 0
+	for k, d := range e.diagNo {
+		if d <= -int32(p) || d >= int32(p) || k > 0 && e.diagNo[k-1] >= d {
+			return false
+		}
+		lo, hi := e.ext[2*k], e.ext[2*k+1]
+		if lo >= hi || lo < max(0, -d) || hi > min(int32(p), int32(p)-d) || off+int(hi-lo) > len(e.lanes) {
+			return false
+		}
+		at := 3 * (d + int32(p) - 1)
+		tbl[at], tbl[at+1], tbl[at+2] = int32(off)-lo, lo, hi
+		off += int(hi - lo)
+	}
+	if off != len(e.lanes) {
+		return false
+	}
+	for i := 0; i < p; i++ {
+		prev := int32(-1)
+		for k := rp[i]; k < rp[i+1]; k++ {
+			j := cols[k]
+			if j <= prev || int(j) >= p {
+				return false
+			}
+			at := 3 * (j - int32(i) + int32(p) - 1)
+			if int32(i) < tbl[at+1] || int32(i) >= tbl[at+2] || !sameValue(e.lanes[tbl[at]+int32(i)], vals[k]) {
+				return false
+			}
+			prev = j
 		}
 	}
 	return true

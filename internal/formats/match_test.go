@@ -9,8 +9,9 @@ import (
 	"copernicus/internal/xrand"
 )
 
-// rowMajorKinds are the formats Matches compares without decoding.
-var rowMajorKinds = []Kind{Dense, CSR, BCSR, COO, ELL, SELL}
+// matchedKinds are the formats Matches compares without decoding: the six
+// row-major formats, the column lists of CSC and LIL, and DIA.
+var matchedKinds = []Kind{Dense, CSR, BCSR, COO, ELL, SELL, CSC, LIL, DIA}
 
 // matchTiles returns the tiles an honest encoding must match at edge p:
 // the adversarial shapes (empty, full, one row, one column, diagonal,
@@ -46,14 +47,14 @@ func matchTiles(t *testing.T, p int) map[string]*matrix.Tile {
 	return tiles
 }
 
-// TestMatchesHonestEncodings: for the six row-major formats, an honest
+// TestMatchesHonestEncodings: for the nine matched formats, an honest
 // Encode of a tile matches it — at every p the warmup uses and more —
 // and so does the slab-carved encode the warmup makes.
 func TestMatchesHonestEncodings(t *testing.T) {
 	var sl Slab
 	for _, p := range []int{8, 16, 32, 64} {
 		for name, tile := range matchTiles(t, p) {
-			for _, k := range rowMajorKinds {
+			for _, k := range matchedKinds {
 				if !Matches(Encode(k, tile), tile) {
 					t.Errorf("p=%d %s: honest %v encoding does not match its tile", p, name, k)
 				}
@@ -66,23 +67,23 @@ func TestMatchesHonestEncodings(t *testing.T) {
 	}
 }
 
-// TestMatchesOtherKindsFalse: the seven formats without a matcher never
-// match, so the warmup decodes them.
+// TestMatchesOtherKindsFalse: the four formats without a matcher (JDS,
+// SELL-C-σ, ELL+COO and DOK) never match, so the warmup decodes them.
 func TestMatchesOtherKindsFalse(t *testing.T) {
 	other := map[Kind]bool{}
 	for _, k := range All() {
 		other[k] = true
 	}
-	for _, k := range rowMajorKinds {
+	for _, k := range matchedKinds {
 		delete(other, k)
 	}
-	if len(other) != 7 {
-		t.Fatalf("%d formats without a matcher, want 7", len(other))
+	if len(other) != 4 {
+		t.Fatalf("%d formats without a matcher, want 4", len(other))
 	}
 	for name, tile := range matchTiles(t, 16) {
 		for k := range other {
 			if Matches(Encode(k, tile), tile) {
-				t.Errorf("%s: %v matched; only the row-major formats have a matcher", name, k)
+				t.Errorf("%s: %v matched; only the nine matched formats have a matcher", name, k)
 			}
 		}
 	}
@@ -100,7 +101,7 @@ func TestMatchesRejectsOtherTiles(t *testing.T) {
 	changed := tile.Clone()
 	changed.Set(5, 5, changed.At(5, 5)+1)
 	bigger := randomTile(31, 20, 0.3)
-	for _, k := range rowMajorKinds {
+	for _, k := range matchedKinds {
 		enc := Encode(k, tile)
 		for name, o := range map[string]*matrix.Tile{"moved": moved, "changed": changed} {
 			if Matches(enc, o) {
@@ -128,13 +129,15 @@ func TestCorruptionNeverMatches(t *testing.T) {
 // TestMatchesRejectsNearMisses: encodings that differ from an honest one
 // in a single place the per-entry compare alone would not see — a stray
 // stored value outside the tile's entries, a tuple moved to another row,
-// a misaligned block that still covers every entry — never match, and
+// a misaligned block that still covers every entry, a column-list entry
+// moved to the next column, a diagonal renumbered — never match, and
 // each either fails to decode or decodes to other entries.
 func TestMatchesRejectsNearMisses(t *testing.T) {
 	tile := matrix.NewTile(8, 0, 0)
 	for i := 0; i < 4; i++ {
 		tile.Set(i, 3, float64(i+1)) // column 3 of block column 0
 	}
+	tile.Set(5, 7, 6) // so DIA's diagonal 2 spans rows 1–5, with 2–4 zero
 	tile.Set(6, 1, -2)
 	tile.Set(6, 2, 5) // so ELL's rectangle is 2 wide
 	cases := map[string]func() Encoded{
@@ -172,6 +175,33 @@ func TestMatchesRejectsNearMisses(t *testing.T) {
 			e.rows[len(e.rows)-2] = 7 // (6,2) becomes (7,2)
 			return e
 		},
+		"csc entry moved to the neighbouring column": func() Encoded {
+			e := encodeCSC(tile, nil)
+			e.offsets[0]++ // column 1's only entry, (6,1), becomes (6,0)
+			return e
+		},
+		"lil entry moved to the neighbouring column": func() Encoded {
+			e := encodeLIL(tile, nil)
+			e.offsets[0]++
+			return e
+		},
+		"dia stray non-zero inside an extent": func() Encoded {
+			e := encodeDIA(tile, nil)
+			off := 0
+			for k, d := range e.diagNo {
+				if d == 2 {
+					e.lanes[off+3-int(e.ext[2*k])] = 4 // (3,5), between (1,3) and (5,7)
+					return e
+				}
+				off += int(e.ext[2*k+1] - e.ext[2*k])
+			}
+			panic("no diagonal 2")
+		},
+		"dia diagonal number shifted by one": func() Encoded {
+			e := encodeDIA(tile, nil)
+			e.diagNo[len(e.diagNo)-1]++ // (0,3) becomes (0,4): extent [0,1) stays in range
+			return e
+		},
 	}
 	for name, corrupt := range cases {
 		enc := corrupt()
@@ -190,7 +220,7 @@ func TestMatchesRejectsNearMisses(t *testing.T) {
 func TestMatchesStoredZeroOrNegZero(t *testing.T) {
 	tile := randomTile(41, 8, 0.4)
 	for _, z := range []float64{0, math.Copysign(0, -1)} {
-		for _, k := range rowMajorKinds {
+		for _, k := range matchedKinds {
 			enc := Encode(k, tile)
 			vals := valueStream(enc)
 			for n, v := range vals {
@@ -216,7 +246,7 @@ func TestMatchesNonCanonicalSource(t *testing.T) {
 		"repeated column": {Rows: 8, Cols: 8, RowPtr: []int{0, 2, 2, 2, 3, 3, 3, 3, 3}, Col: []int{4, 4, 6}, Val: []float64{1.5, 3, 2.5}},
 	} {
 		tile := matrix.Partition(m, 8).Tiles[0]
-		for _, k := range rowMajorKinds {
+		for _, k := range matchedKinds {
 			enc := Encode(k, tile)
 			if Matches(enc, tile) {
 				t.Errorf("%s: %v matched the source tile", name, k)
@@ -228,7 +258,7 @@ func TestMatchesNonCanonicalSource(t *testing.T) {
 	}
 }
 
-// valueStream returns the stored value stream of a row-major encoding.
+// valueStream returns the stored value stream of a matched encoding.
 func valueStream(e Encoded) []float64 {
 	switch e := e.(type) {
 	case *DenseEnc:
@@ -243,6 +273,35 @@ func valueStream(e Encoded) []float64 {
 		return e.vals
 	case *SELLEnc:
 		return e.vals
+	case *CSCEnc:
+		return e.vals
+	case *LILEnc:
+		return e.vals
+	case *DIAEnc:
+		return e.lanes
 	}
 	panic("formats: no value stream for " + e.Kind().String())
+}
+
+// TestMatchesAllocsZero: Matches allocates nothing on an honest encoding
+// of any matched format; the column-list cursors and the DIA lane table
+// come from the pooled scratch.
+func TestMatchesAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	for _, p := range []int{8, 32} {
+		tile := randomTile(51, p, 0.3)
+		for _, k := range matchedKinds {
+			enc := Encode(k, tile)
+			allocs := testing.AllocsPerRun(50, func() {
+				if !Matches(enc, tile) {
+					t.Fatalf("p=%d %v: honest encoding does not match its tile", p, k)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("p=%d %v: Matches made %v allocations, want 0", p, k, allocs)
+			}
+		}
+	}
 }

@@ -5,10 +5,12 @@ import "sync"
 // encScratch is the reusable intermediate state of the sparse-native
 // encoders: counting/cursor arrays for the transpose-style formats (CSC,
 // LIL, DIA, JDS) and the block staging buffer for BCSR, plus the
-// permutation check of the JDS and SELL-C-σ decoders. Callers check one
-// out per call from a sync.Pool — effectively per-goroutine reuse under
-// the tile-parallel plan warmup — so the warm encode and decode paths
-// perform no intermediate allocations beyond their own outputs.
+// permutation check of the JDS and SELL-C-σ decoders and the matchers'
+// state: CSC and LIL's per-column cursors and DIA's diagonal-to-lane
+// table. Callers check one out per call from a sync.Pool — effectively
+// per-goroutine reuse under the tile-parallel plan warmup — so the warm
+// encode, match and decode paths perform no intermediate allocations
+// beyond their own outputs.
 type encScratch struct {
 	a []int32
 	b []int32

@@ -32,7 +32,8 @@ func (s *sliced) encode(t *matrix.Tile, c int, perm []int32, sl *Slab) {
 	if t.P%c != 0 {
 		panic("formats: sliced ELL requires p divisible by slice height")
 	}
-	*s = sliced{p: t.P, c: c, perm: perm, nnz: t.NNZ(), nzr: t.NonZeroRows()}
+	rp, cols, vals := t.Spans()
+	*s = sliced{p: t.P, c: c, perm: perm, nnz: len(vals), nzr: t.NonZeroRows()}
 	row := func(r int) int {
 		if perm == nil {
 			return r
@@ -42,12 +43,13 @@ func (s *sliced) encode(t *matrix.Tile, c int, perm []int32, sl *Slab) {
 	s.widths = sl.int32s(t.P / c)
 	total := 0
 	for n := range s.widths {
-		w := 0
+		w := int32(0)
 		for r := n * c; r < (n+1)*c; r++ {
-			w = max(w, t.RowNNZ(row(r)))
+			i := row(r)
+			w = max(w, rp[i+1]-rp[i])
 		}
-		s.widths[n] = int32(w)
-		total += c * w
+		s.widths[n] = w
+		total += c * int(w)
 	}
 	s.idx = sl.int32s(total)
 	s.vals = sl.float64s(total)
@@ -59,13 +61,14 @@ func (s *sliced) encode(t *matrix.Tile, c int, perm []int32, sl *Slab) {
 	for sn, w32 := range s.widths {
 		w := int(w32)
 		for r := 0; r < c; r++ {
-			cols, vals := t.RowView(row(sn*c + r))
-			if len(cols) > 0 {
+			i := row(sn*c + r)
+			lo, hi := rp[i], rp[i+1]
+			if hi > lo {
 				s.skip[n], s.skip[n+1] = int32(sn*c+r), int32(base+r*w)
 				n += 2
 			}
-			copy(s.idx[base+r*w:], cols)
-			copy(s.vals[base+r*w:], vals)
+			copy(s.idx[base+r*w:], cols[lo:hi])
+			copy(s.vals[base+r*w:], vals[lo:hi])
 		}
 		base += c * w
 	}
@@ -180,13 +183,15 @@ func encodeSELLCS(t *matrix.Tile, c, sigma int, sl *Slab) *SELLCSEnc {
 	// Stable insertion sort by descending nnz within each sigma window
 	// (windows are small — σ rows — so this is O(σ) amortized per row and
 	// reproduces sort.SliceStable's ordering exactly).
+	rp, _, _ := t.Spans()
+	nnz := func(i int32) int32 { return rp[i+1] - rp[i] }
 	for w := 0; w < t.P; w += sigma {
 		end := min(w+sigma, t.P)
 		for a := w + 1; a < end; a++ {
 			v := perm[a]
-			key := t.RowNNZ(int(v))
+			key := nnz(v)
 			b := a - 1
-			for b >= w && t.RowNNZ(int(perm[b])) < key {
+			for b >= w && nnz(perm[b]) < key {
 				perm[b+1] = perm[b]
 				b--
 			}

@@ -11,8 +11,9 @@ import (
 
 // BenchmarkColdWarmup measures the plan warmup layer alone: per core
 // format, the first RunIntoContext on a freshly partitioned plan — the
-// fused encode → price → decode → cross-check pass over every tile plus
-// the functional row copy — on one suite_sweep input (the flickr
+// fused encode → price → verify pass over every tile (a stream compare
+// for the nine matched formats, decode → cross-check for the other four)
+// plus the functional row copy — on one suite_sweep input (the flickr
 // surrogate at scale 1024, p = 16). The partition is built outside the
 // timer. B/op and allocs/op are the warmup's own allocation.
 func BenchmarkColdWarmup(b *testing.B) {

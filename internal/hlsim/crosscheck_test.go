@@ -69,12 +69,13 @@ func TestCrossCheckMismatchMessages(t *testing.T) {
 }
 
 // TestDecodeCheckRoutes: decodeCheck verifies an honest encoding of the
-// six row-major formats without touching the decode tile (a nil one
-// would panic) and decodes the other seven; a wrong encoding of every
-// format gets the decode-and-cross-check message.
+// nine matched formats without touching the decode tile (a nil one would
+// panic) and decodes the other four; a wrong encoding of every format
+// gets the decode-and-cross-check message.
 func TestDecodeCheckRoutes(t *testing.T) {
 	streamed := map[formats.Kind]bool{formats.Dense: true, formats.CSR: true, formats.BCSR: true,
-		formats.COO: true, formats.ELL: true, formats.SELL: true}
+		formats.COO: true, formats.ELL: true, formats.SELL: true,
+		formats.CSC: true, formats.LIL: true, formats.DIA: true}
 	orig := crossCheckTile()
 	wrong := crossCheckTile()
 	wrong.Set(0, 5, -3)

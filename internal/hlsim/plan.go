@@ -306,19 +306,20 @@ func (pl *Plan) ensureRows() {
 		vals := make([]float64, 0, nnz)
 		for _, t := range pl.pt.Tiles {
 			base := int32(t.Col)
+			rp, tc, tv := t.Spans()
 			for i := 0; i < t.P; i++ {
 				gi := t.Row + i
 				if gi >= pl.m.Rows {
 					break
 				}
-				tc, tv := t.RowView(i)
-				if len(tc) == 0 {
+				lo, hi := rp[i], rp[i+1]
+				if lo == hi {
 					continue
 				}
-				for _, c := range tc {
+				for _, c := range tc[lo:hi] {
 					cols = append(cols, base+c)
 				}
-				vals = append(vals, tv...)
+				vals = append(vals, tv[lo:hi]...)
 				rows = append(rows, planRow{gi: gi, end: len(cols)})
 			}
 		}
@@ -563,10 +564,11 @@ func (pl *Plan) runTiles(ctx context.Context, stages ...tileStage) (sums tileSum
 // warmPass walks every non-zero tile of format k once, one step per tile:
 // encode it into the participant's slab, price it into pf.tiles (its NNZ
 // and Footprint into the pass's sums), verify it, and rewind the slab.
-// The verify (decodeCheck) compares the streams of Dense, CSR, BCSR, COO,
-// ELL and SELL with the original tile's CSR arrays, and decodes the other
-// seven formats into the participant's reused tile and cross-checks that
-// against the original. It is the plan's only warmup: whichever use of a
+// The verify (decodeCheck) compares the streams of the nine matched
+// formats (Dense, CSR, BCSR, COO, ELL, SELL, CSC, LIL and DIA) with the
+// original tile's CSR arrays, and decodes the other four (JDS, SELL-C-σ,
+// ELL+COO and DOK) into the participant's reused tile and cross-checks
+// that against the original. It is the plan's only warmup: whichever use of a
 // format comes first runs it, so no tile is priced without its round
 // trip. hlsim.encode.tile fires before each encode and hlsim.verify.tile
 // before each verify.
@@ -612,12 +614,13 @@ func (pl *Plan) warmPass(ctx context.Context, k formats.Kind, pf *planFormat) er
 	return nil
 }
 
-// decodeCheck verifies that enc round-trips to tile. The six row-major
-// formats' streams are compared with the tile's CSR arrays directly
-// (formats.Matches). Every other format, and any stream that comparison
-// cannot prove, is decoded into dec and cross-checked against tile, the
-// only route that builds an error, so the ErrCorrupt and decode mismatch
-// messages do not depend on the format's route.
+// decodeCheck verifies that enc round-trips to tile. The streams of the
+// nine matched formats — the six row-major ones, CSC and LIL's column
+// lists, and DIA — are compared with the tile's CSR arrays directly
+// (formats.Matches). The other four formats, and any stream that
+// comparison cannot prove, are decoded into dec and cross-checked against
+// tile, the only route that builds an error, so the ErrCorrupt and decode
+// mismatch messages do not depend on the format's route.
 func decodeCheck(k formats.Kind, tile *matrix.Tile, enc formats.Encoded, dec *matrix.Tile) error {
 	if formats.Matches(enc, tile) {
 		return nil

@@ -311,7 +311,8 @@ func (t *Tile) NonZeroRows() int {
 // RowView returns local row i's non-zeros: ascending local column
 // indices and the matching values. The slices alias the tile's storage —
 // callers must not mutate them, and a later Set or Reset invalidates
-// them. This is the O(nnz) walk every format encoder is built on.
+// them. A walk over every row — the format encoders and matchers — reads
+// Spans instead, with no call per row.
 func (t *Tile) RowView(i int) (cols []int32, vals []float64) {
 	if t.dirty() {
 		t.seal()
