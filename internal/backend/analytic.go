@@ -11,9 +11,9 @@ import (
 // Analytic is the paper's instrument: the deterministic HLS-derived cycle
 // model of internal/hlsim, costed at the plan's configured clock. For the
 // spmv kernel it is bit-identical to the pre-backend characterization
-// path — Evaluate is exactly Plan.RunContext followed by Result.Seconds,
-// with no arithmetic of its own (the golden test in internal/core
-// enforces this).
+// path — EvaluateInto is exactly Plan.RunIntoContext followed by
+// Result.Seconds, with no arithmetic of its own (the golden test in
+// internal/core enforces this).
 // Iterative kernels are priced by the amortized model
 // (hlsim.Plan.KernelCycles): the one-time per-tile decomposition is paid
 // on the first iteration only, warm iterations pay max(mem, dot); spmm:k
@@ -26,13 +26,18 @@ func (Analytic) ID() string { return "analytic" }
 // Parallelizable is true: the model is a pure function of its inputs.
 func (Analytic) Parallelizable() bool { return true }
 
-// Evaluate runs the point through the modelled accelerator and reports
-// the kernel's amortized modelled seconds. Cancellation aborts a cold
-// plan's warmup between tile chunks; a warm point is pure arithmetic and
-// runs to completion.
-func (Analytic) Evaluate(ctx context.Context, pl *hlsim.Plan, sc scenario.Spec, k formats.Kind, x []float64) (Measurement, error) {
-	run, err := pl.RunContext(ctx, k, x)
-	if err != nil {
+// Evaluate is EvaluateInto on a fresh Result, for callers that keep
+// each point's run.
+func (a Analytic) Evaluate(ctx context.Context, pl *hlsim.Plan, sc scenario.Spec, k formats.Kind, x []float64) (Measurement, error) {
+	return a.EvaluateInto(ctx, pl, sc, k, x, new(hlsim.Result))
+}
+
+// EvaluateInto runs the point through the modelled accelerator into run
+// and reports the kernel's amortized modelled seconds. Cancellation
+// aborts a cold plan's warmup between tile chunks; a warm point is pure
+// arithmetic and runs to completion.
+func (Analytic) EvaluateInto(ctx context.Context, pl *hlsim.Plan, sc scenario.Spec, k formats.Kind, x []float64, run *hlsim.Result) (Measurement, error) {
+	if err := pl.RunIntoContext(ctx, k, x, run); err != nil {
 		return Measurement{}, err
 	}
 	iters := sc.Iterations(pl.Matrix())
@@ -42,7 +47,10 @@ func (Analytic) Evaluate(ctx context.Context, pl *hlsim.Plan, sc scenario.Spec, 
 		// equal.
 		return Measurement{Run: run, Seconds: run.Seconds(), Iterations: 1}, nil
 	}
-	var cycles uint64
+	var (
+		cycles uint64
+		err    error
+	)
 	if sc.Kernel == scenario.SpMM {
 		cycles, err = pl.SpMMCycles(ctx, k, iters)
 	} else {

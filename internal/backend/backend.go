@@ -29,12 +29,15 @@ import (
 
 // Measurement is one costed evaluation of a (plan, kernel, format) point.
 type Measurement struct {
-	// Run carries the functional SpMV output (verified upstream against
-	// the software reference) and the plan's cached analytic cycle
-	// totals. Structural metrics — σ, balance, per-tile cycle means,
-	// utilizations — derive from Run under every backend: they describe
-	// the format and the modelled hardware, not the costing method or
-	// the kernel's iteration count.
+	// Run is the caller's Result buffer, handed to EvaluateInto and
+	// returned here filled: the functional SpMV output (verified upstream
+	// against the software reference) and the plan's cached analytic
+	// cycle totals. It stays valid until the next EvaluateInto on the
+	// same buffer, which overwrites it and may reuse its Y. Structural
+	// metrics — σ, balance, per-tile cycle means, utilizations — derive
+	// from Run under every backend: they describe the format and the
+	// modelled hardware, not the costing method or the kernel's
+	// iteration count.
 	Run *hlsim.Result
 
 	// Seconds is the backend's cost of one full kernel invocation of the
@@ -82,22 +85,27 @@ type Backend interface {
 	// artifact, so it must never change for an existing backend.
 	ID() string
 
-	// Evaluate costs one (plan, kernel, format) point, multiplying by x,
-	// which it must not modify: the engine shares one x across every
-	// point of a matrix. The kernel spec selects what is priced or
-	// measured: one SpMV, an SpMM, or an N-iteration solver loop
-	// (Analytic amortizes the one-time decomposition over the iterations;
-	// Native times the real exec iteration loop). The plan's encode-once
-	// state is shared across backends and kernels; Evaluate pays only
-	// per-evaluation work (the functional product, which the modelled
-	// path copies from the plan for an operand it has seen, plus timing
-	// for measured backends). A canceled ctx aborts promptly — between
-	// warmup tile chunks for every backend, and between iterations and
-	// timed samples for measured ones — returning ctx.Err() without
-	// corrupting shared plan state.
-	Evaluate(ctx context.Context, pl *hlsim.Plan, sc scenario.Spec, k formats.Kind, x []float64) (Measurement, error)
+	// EvaluateInto costs one (plan, kernel, format) point, multiplying by
+	// x, which it must not modify: the engine shares one x across every
+	// point of a matrix. It writes the functional run into the caller's
+	// run, reusing run.Y when its capacity suffices, and returns it as
+	// Measurement.Run; an x that overlaps a run.Y the call would reuse is
+	// rejected. A sweep group holds one Result for all its formats, so a
+	// warm point allocates no output vector. The kernel spec selects what
+	// is priced or measured: one SpMV, an SpMM, or an N-iteration solver
+	// loop (Analytic amortizes the one-time decomposition over the
+	// iterations; Native times the real exec iteration loop). The plan's
+	// encode-once state is shared across backends and kernels;
+	// EvaluateInto pays only per-evaluation work (the functional product,
+	// which the modelled path copies from the plan for an operand it has
+	// seen, plus timing for measured backends). A canceled ctx aborts
+	// promptly — between warmup tile chunks for every backend, and
+	// between iterations and timed samples for measured ones — returning
+	// ctx.Err() without corrupting shared plan state; run's contents are
+	// then unspecified.
+	EvaluateInto(ctx context.Context, pl *hlsim.Plan, sc scenario.Spec, k formats.Kind, x []float64, run *hlsim.Result) (Measurement, error)
 
-	// Parallelizable reports whether concurrent Evaluate calls preserve
+	// Parallelizable reports whether concurrent EvaluateInto calls preserve
 	// result quality. The analytic model is pure and parallelizes
 	// freely; wall-clock measurement under contention is noise, so the
 	// engine serializes sweep groups when this is false.

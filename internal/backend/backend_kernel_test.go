@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"copernicus/internal/formats"
+	"copernicus/internal/hlsim"
 	"copernicus/internal/scenario"
 )
 
@@ -91,7 +92,7 @@ func TestNativeRecordsIterations(t *testing.T) {
 	pl := testPlan(t)
 	x := ones(pl.Matrix().Cols)
 	n := &Native{Runs: 2}
-	meas, err := n.Evaluate(context.Background(), pl, scenario.MustParse("cg:3"), formats.CSR, x)
+	meas, err := n.EvaluateInto(context.Background(), pl, scenario.MustParse("cg:3"), formats.CSR, x, new(hlsim.Result))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestNativeRecordsIterations(t *testing.T) {
 	if !meas.Measured || meas.Seconds <= 0 {
 		t.Fatalf("native cg:3 measurement = {Measured: %v, Seconds: %v}", meas.Measured, meas.Seconds)
 	}
-	spmv, err := n.Evaluate(context.Background(), pl, scenario.Default(), formats.CSR, x)
+	spmv, err := n.EvaluateInto(context.Background(), pl, scenario.Default(), formats.CSR, x, new(hlsim.Result))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package backend
 import (
 	"context"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestNativeMeasures(t *testing.T) {
 	x := ones(pl.Matrix().Cols)
 	ref := pl.Matrix().MulVec(x)
 	n := &Native{Runs: 3}
-	meas, err := n.Evaluate(context.Background(), pl, scenario.Default(), formats.CSR, x)
+	meas, err := n.EvaluateInto(context.Background(), pl, scenario.Default(), formats.CSR, x, new(hlsim.Result))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,13 +102,13 @@ func TestNativeThreads(t *testing.T) {
 	ref := pl.Matrix().MulVec(x)
 	maxT := runtime.GOMAXPROCS(0)
 
-	if _, err := (&Native{Threads: maxT + 1}).Evaluate(context.Background(), pl, scenario.Default(), formats.CSR, x); err == nil {
+	if _, err := (&Native{Threads: maxT + 1}).EvaluateInto(context.Background(), pl, scenario.Default(), formats.CSR, x, new(hlsim.Result)); err == nil {
 		t.Fatalf("threads=%d accepted with GOMAXPROCS=%d", maxT+1, maxT)
 	}
 
 	for _, threads := range []int{0, 1, maxT} {
 		n := &Native{Runs: 2, Threads: threads}
-		meas, err := n.Evaluate(context.Background(), pl, scenario.Default(), formats.ELL, x)
+		meas, err := n.EvaluateInto(context.Background(), pl, scenario.Default(), formats.ELL, x, new(hlsim.Result))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,11 +127,11 @@ func TestNativeThreads(t *testing.T) {
 	}
 }
 
-// TestNativeConcurrentEvaluates: concurrent multi-thread Evaluates on a
-// shared plan serialize on measureMu without deadlocking against the
-// exec worker pool — exec workers never take the measurement lock, and
-// dispatch is non-blocking, so lock-holders never wait on a specific
-// worker.
+// TestNativeConcurrentEvaluates: concurrent multi-thread EvaluateInto
+// calls, each into its own Result, on a shared plan serialize on
+// measureMu without deadlocking against the exec worker pool — exec
+// workers never take the measurement lock, and dispatch is non-blocking,
+// so lock-holders never wait on a specific worker.
 func TestNativeConcurrentEvaluates(t *testing.T) {
 	pl := testPlan(t)
 	x := ones(pl.Matrix().Cols)
@@ -139,7 +140,7 @@ func TestNativeConcurrentEvaluates(t *testing.T) {
 	errs := make(chan error, len(kinds))
 	for _, k := range kinds {
 		go func(k formats.Kind) {
-			_, err := (&Native{Runs: 1, Threads: threads}).Evaluate(context.Background(), pl, scenario.Default(), k, x)
+			_, err := (&Native{Runs: 1, Threads: threads}).EvaluateInto(context.Background(), pl, scenario.Default(), k, x, new(hlsim.Result))
 			errs <- err
 		}(k)
 	}
@@ -153,7 +154,7 @@ func TestNativeConcurrentEvaluates(t *testing.T) {
 // TestNativeDefaultRuns: zero Runs selects the documented default.
 func TestNativeDefaultRuns(t *testing.T) {
 	pl := testPlan(t)
-	meas, err := (&Native{}).Evaluate(context.Background(), pl, scenario.Default(), formats.COO, ones(pl.Matrix().Cols))
+	meas, err := (&Native{}).EvaluateInto(context.Background(), pl, scenario.Default(), formats.COO, ones(pl.Matrix().Cols), new(hlsim.Result))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestNativeDefaultRuns(t *testing.T) {
 // the native backend too, not a panic.
 func TestNativePropagatesPlanErrors(t *testing.T) {
 	pl := testPlan(t)
-	if _, err := (&Native{}).Evaluate(context.Background(), pl, scenario.Default(), formats.Kind(99), ones(pl.Matrix().Cols)); err == nil {
+	if _, err := (&Native{}).EvaluateInto(context.Background(), pl, scenario.Default(), formats.Kind(99), ones(pl.Matrix().Cols), new(hlsim.Result)); err == nil {
 		t.Fatal("native accepted an unknown format kind")
 	}
 }
@@ -195,5 +196,113 @@ func TestFor(t *testing.T) {
 	ids := IDs()
 	if len(ids) != 2 || ids[0] != "analytic" || ids[1] != "native" {
 		t.Fatalf("IDs() = %v", ids)
+	}
+}
+
+// staleResult returns a Result left over from another, larger plan, with
+// its whole Y buffer overwritten by NaN: whatever EvaluateInto leaves of
+// it shows up in a comparison with a fresh Result.
+func staleResult(t *testing.T) *hlsim.Result {
+	t.Helper()
+	other, err := hlsim.NewPlan(hlsim.Default(), gen.Random(200, 0.05, 3), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := new(hlsim.Result)
+	if _, err := (Analytic{}).EvaluateInto(context.Background(), other, scenario.MustParse("cg:4"), formats.COO, ones(200), run); err != nil {
+		t.Fatal(err)
+	}
+	y := run.Y[:cap(run.Y)]
+	for i := range y {
+		y[i] = math.NaN()
+	}
+	return run
+}
+
+// sameBitsY reports whether two outputs hold the same float64 bits.
+func sameBitsY(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestEvaluateIntoReusedResult: a Result reused from another plan, with a
+// longer NaN-filled Y, gives the same Measurement as a fresh one — every
+// Run field, Y bit for bit — under the analytic backend for each kernel
+// family, and the same Y and Iterations under the native backend. The
+// Measurement's Run is the caller's Result.
+func TestEvaluateIntoReusedResult(t *testing.T) {
+	// The fresh Results run on a plan of their own: a plan keeps the
+	// product of its first operand, and a stale buffer's leftovers must
+	// not reach the baseline through it.
+	pl, fresh := testPlan(t), testPlan(t)
+	x := ones(pl.Matrix().Cols)
+	ctx := context.Background()
+	for _, spec := range []string{"spmv", "cg:7", "spmm:4", "bfs"} {
+		sc := scenario.MustParse(spec)
+		for _, k := range []formats.Kind{formats.CSR, formats.DIA} {
+			run := staleResult(t)
+			got, err := Analytic{}.EvaluateInto(ctx, pl, sc, k, x, run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Analytic{}.EvaluateInto(ctx, fresh, sc, k, x, new(hlsim.Result))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Run != run {
+				t.Fatalf("%s/%v: Measurement.Run is not the caller's Result", spec, k)
+			}
+			if !sameBitsY(got.Run.Y, want.Run.Y) {
+				t.Fatalf("%s/%v: reused Result's Y differs from a fresh one", spec, k)
+			}
+			gotRun, wantRun := *got.Run, *want.Run
+			gotRun.Y, wantRun.Y = nil, nil
+			if !reflect.DeepEqual(gotRun, wantRun) {
+				t.Fatalf("%s/%v: reused Run %+v, fresh %+v", spec, k, gotRun, wantRun)
+			}
+			got.Run, want.Run = nil, nil
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%v: reused Measurement %+v, fresh %+v", spec, k, got, want)
+			}
+		}
+	}
+
+	n := &Native{Runs: 1}
+	for _, spec := range []string{"spmv", "cg:3"} {
+		sc := scenario.MustParse(spec)
+		run := staleResult(t)
+		got, err := n.EvaluateInto(ctx, pl, sc, formats.ELL, x, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := n.EvaluateInto(ctx, fresh, sc, formats.ELL, x, new(hlsim.Result))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Run != run || !sameBitsY(got.Run.Y, want.Run.Y) || got.Iterations != want.Iterations {
+			t.Fatalf("native %s: reused Result gives Y/Iterations %v/%d, fresh %v/%d",
+				spec, got.Run.Y, got.Iterations, want.Run.Y, want.Iterations)
+		}
+	}
+}
+
+// TestEvaluateIntoRejectsAliasedOperand: an x that overlaps the Y buffer
+// the call would reuse is rejected by both backends, not multiplied into
+// a cleared input.
+func TestEvaluateIntoRejectsAliasedOperand(t *testing.T) {
+	pl := testPlan(t)
+	run := &hlsim.Result{Y: ones(pl.Matrix().Rows)}
+	x := run.Y[:pl.Matrix().Cols]
+	for _, b := range []Backend{Analytic{}, &Native{Runs: 1}} {
+		if _, err := b.EvaluateInto(context.Background(), pl, scenario.Default(), formats.CSR, x, run); err == nil {
+			t.Fatalf("%s: an x aliasing run.Y was accepted", b.ID())
+		}
 	}
 }

@@ -28,10 +28,10 @@ import (
 // counterpart of the analytic amortized kernel cost.
 //
 // Methodology — unchanged from the single-SpMV path: one untimed warm-up
-// call triggers encode/verify, the resident exec encodings, and the
-// output allocation; the timed phase then takes Runs samples and reports
-// their minimum (the least-disturbed observation of a deterministic
-// computation). Samples shorter than minSample are batched — several
+// call triggers encode/verify, the resident exec encodings, and any
+// growth of the caller's output buffer; the timed phase then takes Runs
+// samples and reports their minimum (the least-disturbed observation of
+// a deterministic computation). Samples shorter than minSample are batched — several
 // kernel invocations per timer read — so clock granularity cannot
 // dominate small matrices (a 60-iteration kernel usually self-batches
 // past the threshold at batch 1). Threads selects the fan-out of each
@@ -182,13 +182,14 @@ func (*Native) ID() string { return "native" }
 // cores and inflate each other, so sweeps serialize native points.
 func (*Native) Parallelizable() bool { return false }
 
-// Evaluate measures the warm kernel of one (plan, kernel, format) point:
-// the timed unit is one full kernel invocation — the spec's resolved
-// iteration count of back-to-back exec SpMVs. A canceled ctx aborts the
-// run between the warmup's tile chunks, between iterations, between
-// calibration batches, and between timed samples — a measurement loop is
-// never left mid-flight holding the process-wide measurement lock.
-func (n *Native) Evaluate(ctx context.Context, pl *hlsim.Plan, sc scenario.Spec, k formats.Kind, x []float64) (Measurement, error) {
+// EvaluateInto measures the warm kernel of one (plan, kernel, format)
+// point into r: the timed unit is one full kernel invocation — the spec's
+// resolved iteration count of back-to-back exec SpMVs. A canceled ctx
+// aborts the run between the warmup's tile chunks, between iterations,
+// between calibration batches, and between timed samples — a measurement
+// loop is never left mid-flight holding the process-wide measurement
+// lock.
+func (n *Native) EvaluateInto(ctx context.Context, pl *hlsim.Plan, sc scenario.Spec, k formats.Kind, x []float64, r *hlsim.Result) (Measurement, error) {
 	threads := n.Threads
 	if threads <= 0 {
 		threads = 1
@@ -197,9 +198,8 @@ func (n *Native) Evaluate(ctx context.Context, pl *hlsim.Plan, sc scenario.Spec,
 		return Measurement{}, fmt.Errorf("backend: native threads %d exceeds GOMAXPROCS %d", threads, maxT)
 	}
 	iters := sc.Iterations(pl.Matrix())
-	r := new(hlsim.Result)
 	// Warm-up: encode, decode-verify, the resident exec encodings, and
-	// the output buffer allocation all happen here, outside the timed
+	// any growth of r's output buffer all happen here, outside the timed
 	// region. The warm RunKernelInto path is allocation-free, so the
 	// samples below time pure kernel work.
 	if err := pl.RunExecIntoContext(ctx, k, x, r, threads); err != nil {
@@ -223,7 +223,7 @@ func (n *Native) Evaluate(ctx context.Context, pl *hlsim.Plan, sc scenario.Spec,
 	// modelled pricing.
 	br := measureBreaker.Load()
 	if err := br.Allow(); err != nil {
-		return n.degrade(ctx, pl, sc, k, x, "measurement breaker open")
+		return n.degrade(ctx, pl, sc, k, x, r, "measurement breaker open")
 	}
 	var meas Measurement
 	err := resilience.Retry(ctx, measureRetry, func(ctx context.Context) error {
@@ -244,7 +244,7 @@ func (n *Native) Evaluate(ctx context.Context, pl *hlsim.Plan, sc scenario.Spec,
 		return Measurement{}, err
 	case resilience.Retryable(err):
 		br.Failure()
-		return n.degrade(ctx, pl, sc, k, x, fmt.Sprintf("measurement failed after %d attempts: %v", measureRetry.MaxAttempts, err))
+		return n.degrade(ctx, pl, sc, k, x, r, fmt.Sprintf("measurement failed after %d attempts: %v", measureRetry.MaxAttempts, err))
 	default:
 		br.Cancel() // a plain error says nothing about measurement health
 		return Measurement{}, err
@@ -305,12 +305,13 @@ func (n *Native) measure(ctx context.Context, pl *hlsim.Plan, k formats.Kind, x 
 }
 
 // degrade falls back to the analytic model for a point whose wall-clock
-// measurement is unavailable, annotating the Measurement so the
-// degradation is visible on the result row (core.Result.Degraded, the
-// service's degraded/degraded_reason fields).
-func (n *Native) degrade(ctx context.Context, pl *hlsim.Plan, sc scenario.Spec, k formats.Kind, x []float64, reason string) (Measurement, error) {
+// measurement is unavailable, writing the modelled run into the same r
+// and annotating the Measurement so the degradation is visible on the
+// result row (core.Result.Degraded, the service's degraded/degraded_reason
+// fields).
+func (n *Native) degrade(ctx context.Context, pl *hlsim.Plan, sc scenario.Spec, k formats.Kind, x []float64, r *hlsim.Result, reason string) (Measurement, error) {
 	natDegraded.Add(1)
-	m, err := (Analytic{}).Evaluate(ctx, pl, sc, k, x)
+	m, err := (Analytic{}).EvaluateInto(ctx, pl, sc, k, x, r)
 	if err != nil {
 		return Measurement{}, err
 	}

@@ -8,6 +8,7 @@ import (
 
 	"copernicus/internal/faults"
 	"copernicus/internal/formats"
+	"copernicus/internal/hlsim"
 	"copernicus/internal/resilience"
 	"copernicus/internal/scenario"
 )
@@ -33,9 +34,9 @@ func TestNativeRetriesTransientFault(t *testing.T) {
 	faults.Point("backend.native.measure").Arm(faults.Injection{Times: 1, Transient: true})
 
 	n := &Native{Runs: 1}
-	m, err := n.Evaluate(context.Background(), pl, scenario.MustParse("spmv"), formats.CSR, x)
+	m, err := n.EvaluateInto(context.Background(), pl, scenario.MustParse("spmv"), formats.CSR, x, new(hlsim.Result))
 	if err != nil {
-		t.Fatalf("Evaluate: %v", err)
+		t.Fatalf("EvaluateInto: %v", err)
 	}
 	if !m.Measured || m.Degraded {
 		t.Fatalf("want measured non-degraded result after retry, got Measured=%v Degraded=%v", m.Measured, m.Degraded)
@@ -60,9 +61,13 @@ func TestNativeDegradesOnPersistentFault(t *testing.T) {
 
 	sc := scenario.MustParse("spmv")
 	n := &Native{Runs: 1}
-	m, err := n.Evaluate(context.Background(), pl, sc, formats.CSR, x)
+	run := new(hlsim.Result)
+	m, err := n.EvaluateInto(context.Background(), pl, sc, formats.CSR, x, run)
 	if err != nil {
-		t.Fatalf("Evaluate: %v", err)
+		t.Fatalf("EvaluateInto: %v", err)
+	}
+	if m.Run != run {
+		t.Fatal("the analytic fallback must write into the caller's Result")
 	}
 	if m.Measured {
 		t.Fatal("degraded measurement must not claim Measured")
@@ -104,7 +109,7 @@ func TestNativeBreakerOpensAndShortCircuits(t *testing.T) {
 
 	n := &Native{Runs: 1}
 	for i := 0; i < 2; i++ {
-		m, err := n.Evaluate(context.Background(), pl, sc, formats.CSR, x)
+		m, err := n.EvaluateInto(context.Background(), pl, sc, formats.CSR, x, new(hlsim.Result))
 		if err != nil || !m.Degraded {
 			t.Fatalf("eval %d: want degraded, got err=%v Degraded=%v", i, err, m.Degraded)
 		}
@@ -116,7 +121,7 @@ func TestNativeBreakerOpensAndShortCircuits(t *testing.T) {
 
 	// Open breaker: the fault point is no longer even reached.
 	hitsBefore := pt.Hits()
-	m, err := n.Evaluate(context.Background(), pl, sc, formats.CSR, x)
+	m, err := n.EvaluateInto(context.Background(), pl, sc, formats.CSR, x, new(hlsim.Result))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +136,7 @@ func TestNativeBreakerOpensAndShortCircuits(t *testing.T) {
 	// closes the breaker.
 	now = now.Add(2 * time.Minute)
 	pt.Disarm()
-	m, err = n.Evaluate(context.Background(), pl, sc, formats.CSR, x)
+	m, err = n.EvaluateInto(context.Background(), pl, sc, formats.CSR, x, new(hlsim.Result))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +158,7 @@ func TestNativePlainErrorPropagates(t *testing.T) {
 	faults.Point("backend.native.measure").Arm(faults.Injection{Times: 1})
 
 	n := &Native{Runs: 1}
-	_, err := n.Evaluate(context.Background(), pl, scenario.MustParse("spmv"), formats.CSR, x)
+	_, err := n.EvaluateInto(context.Background(), pl, scenario.MustParse("spmv"), formats.CSR, x, new(hlsim.Result))
 	if err == nil || !strings.Contains(err.Error(), "injected fault") {
 		t.Fatalf("want injected error to propagate, got %v", err)
 	}
@@ -175,14 +180,14 @@ func TestNativeCanceledContextPropagates(t *testing.T) {
 
 	// Warm the plan first so cancellation lands in the timed phase.
 	n := &Native{Runs: 1}
-	if _, err := n.Evaluate(context.Background(), pl, scenario.MustParse("spmv"), formats.CSR, x); err != nil {
+	if _, err := n.EvaluateInto(context.Background(), pl, scenario.MustParse("spmv"), formats.CSR, x, new(hlsim.Result)); err != nil {
 		t.Fatal(err)
 	}
 	ResetNativeMeasureStats()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := n.Evaluate(ctx, pl, scenario.MustParse("spmv"), formats.CSR, x)
+	_, err := n.EvaluateInto(ctx, pl, scenario.MustParse("spmv"), formats.CSR, x, new(hlsim.Result))
 	if err == nil {
 		t.Fatal("want cancellation error")
 	}

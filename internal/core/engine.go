@@ -378,14 +378,15 @@ func validatePoint(k formats.Kind, p int) error {
 // stream; the structural metrics come from the plan's analytic cycle totals
 // either way, and the functional output — one A·x, the iteration operand
 // held fixed — is verified against the reference under every backend and
-// kernel.
-func (e *Engine) characterizeOn(ctx context.Context, b backend.Backend, name string, pl *hlsim.Plan, sc scenario.Spec, k formats.Kind, x, ref []float64) (Result, error) {
+// kernel. The backend writes that output into run, the group's buffer;
+// the returned Result keeps none of it.
+func (e *Engine) characterizeOn(ctx context.Context, b backend.Backend, name string, pl *hlsim.Plan, sc scenario.Spec, k formats.Kind, x, ref []float64, run *hlsim.Result) (Result, error) {
 	p := pl.P()
-	meas, err := b.Evaluate(ctx, pl, sc, k, x)
+	meas, err := b.EvaluateInto(ctx, pl, sc, k, x, run)
 	if err != nil {
 		return Result{}, fmt.Errorf("core: %s/%s/%v/p=%d: %w", name, sc, k, p, err)
 	}
-	run := meas.Run
+	run = meas.Run
 	for i := range ref {
 		if math.Abs(run.Y[i]-ref[i]) > e.verifyTol {
 			return Result{}, fmt.Errorf("core: %s/%v/p=%d: functional mismatch at row %d: %g vs %g",
@@ -655,9 +656,11 @@ func (e *Engine) SweepGroupsExecWith(ctx context.Context, exec GroupExecutor, ws
 // MulVec are shared across formats and, because the plan cache keys only
 // (matrix, p), across kernels and calls too: sweeping spmv and cg:60 over
 // one matrix encodes each format exactly once, and the analytic backend
-// walks the plan's rows for A·x once. Cancellation is checked between
-// formats and inside each format's warmup (and a measured backend's
-// timing loop), returning ctx.Err().
+// walks the plan's rows for A·x once. The formats write their functional
+// output into one group-held hlsim.Result, checked against the reference
+// after each format. Cancellation is checked between formats and inside
+// each format's warmup (and a measured backend's timing loop), returning
+// ctx.Err().
 //
 // A panic anywhere under the group — plan warmup, backend evaluation,
 // metric aggregation — is recovered into a *resilience.PanicError and
@@ -686,12 +689,16 @@ func (e *Engine) sweepGroup(ctx context.Context, b backend.Backend, name string,
 	if err != nil {
 		return nil, fmt.Errorf("core: %s/%s/p=%d: %w", name, sc, p, err)
 	}
+	// One Result serves every format of the group: each evaluation
+	// overwrites it and reuses its Y, and nothing in a core.Result keeps
+	// Y, so a warm group allocates at most one output vector.
+	var run hlsim.Result
 	out := make([]Result, 0, len(kinds))
 	for _, k := range kinds {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r, err := e.characterizeOn(ctx, b, name, ent.pl, sc, k, ent.x, ent.ref)
+		r, err := e.characterizeOn(ctx, b, name, ent.pl, sc, k, ent.x, ent.ref, &run)
 		if err != nil {
 			return nil, err
 		}

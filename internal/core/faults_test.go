@@ -27,13 +27,13 @@ type wrapBackend struct {
 func (w *wrapBackend) ID() string           { return "wraptest" }
 func (w *wrapBackend) Parallelizable() bool { return true }
 
-func (w *wrapBackend) Evaluate(ctx context.Context, pl *hlsim.Plan, sc scenario.Spec, k formats.Kind, x []float64) (backend.Measurement, error) {
+func (w *wrapBackend) EvaluateInto(ctx context.Context, pl *hlsim.Plan, sc scenario.Spec, k formats.Kind, x []float64, run *hlsim.Result) (backend.Measurement, error) {
 	if w.fail != nil {
 		if err := w.fail(pl); err != nil {
 			return backend.Measurement{}, err
 		}
 	}
-	m, err := backend.Analytic{}.Evaluate(ctx, pl, sc, k, x)
+	m, err := backend.Analytic{}.EvaluateInto(ctx, pl, sc, k, x, run)
 	if err == nil && w.mutate != nil {
 		w.mutate(&m)
 	}

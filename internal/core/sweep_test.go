@@ -2,11 +2,15 @@ package core
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"testing"
 	"time"
 
+	"copernicus/internal/backend"
 	"copernicus/internal/formats"
+	"copernicus/internal/gen"
+	"copernicus/internal/scenario"
 	"copernicus/internal/workloads"
 )
 
@@ -130,5 +134,40 @@ func TestSetWorkers(t *testing.T) {
 	e.SetWorkers(-5)
 	if e.Workers() < 1 {
 		t.Fatalf("negative workers %d", e.Workers())
+	}
+}
+
+// TestWarmGroupAllocatesOneY: the formats of a sweep group share one
+// output buffer, so a warm group over the eight core formats allocates
+// less than one more Y (rows × 8 B) than a warm group of one format. The
+// matrix has 4096 rows so that Y outweighs the per-format Result rows.
+func TestWarmGroupAllocatesOneY(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's bookkeeping allocates")
+	}
+	m := gen.Band(4096, 3, 5)
+	kinds := formats.Core()
+	e := New()
+	e.SetWorkers(1)
+	group := func(ks []formats.Kind) uint64 {
+		// The least of a few runs, so an allocation elsewhere in the
+		// process during one of them does not count.
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := e.sweepGroup(context.Background(), backend.Analytic{}, "band", m, scenario.Default(), 16, ks); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	group(kinds) // warm the plan and every format
+	one, all := group(kinds[:1]), group(kinds)
+	if y := uint64(m.Rows * 8); all >= one+y {
+		t.Fatalf("warm group of %d formats allocated %d B, of 1 format %d B: %d B more, want < one Y (%d B)",
+			len(kinds), all, one, all-one, y)
 	}
 }

@@ -13,8 +13,9 @@ type colLists struct {
 	rows    []int32   // per column: ascending row indices of non-zeros
 	vals    []float64 // the values, in rows order
 	nzr     int
-	// skip lists the non-empty columns, ascending — host-kernel metadata
-	// like CSREnc.skip: Footprint, Stats and DecodeInto ignore it.
+	// skip lists the non-empty columns, ascending — host-kernel metadata:
+	// Footprint, Stats and DecodeInto ignore it (CSREnc.skip alone is
+	// checked so far).
 	skip []int32
 }
 

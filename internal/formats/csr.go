@@ -19,7 +19,10 @@ type CSREnc struct {
 	// all p offsets per tile — on sparse tiles most rows are empty. It is
 	// derived acceleration metadata for the host kernel, not part of the
 	// format's wire layout: Footprint and Stats exclude it, and decoding
-	// reconstructs the tile from the offsets alone.
+	// reconstructs the tile from the offsets alone. Because the kernel
+	// walks skip and Stats reports nzr, DecodeInto and Matches reject an
+	// encoding whose skip is not exactly the rows whose offsets advance,
+	// ascending, or whose nzr is not their count.
 	skip []int32
 }
 
@@ -68,7 +71,8 @@ func (e *CSREnc) RowRange(i int) (start, end int32) {
 // entry: a repeated column would add its products twice where the
 // decoded tile keeps the last write, and a stored zero meeting a
 // non-finite operand entry would make a NaN the decoded tile does not
-// hold.
+// hold. The derived skip list and nzr must agree with the offsets,
+// since the kernel visits only the rows skip names and Stats prices nzr.
 func (e *CSREnc) DecodeInto(t *matrix.Tile) error {
 	if len(e.offsets) != e.p {
 		return corruptf("csr: %d offsets for p=%d", len(e.offsets), e.p)
@@ -103,7 +107,27 @@ func (e *CSREnc) DecodeInto(t *matrix.Tile) error {
 		}
 		prev = e.offsets[i]
 	}
+	if !e.derivedOK() {
+		return corruptf("csr: skip list of %d rows or nzr %d disagrees with the offsets", len(e.skip), e.nzr)
+	}
 	return nil
+}
+
+// derivedOK reports whether skip lists exactly the rows whose offsets
+// advance, ascending, and nzr counts them. The offsets must not
+// decrease.
+func (e *CSREnc) derivedOK() bool {
+	r, prev := 0, int32(0)
+	for i, off := range e.offsets {
+		if off > prev {
+			if r >= len(e.skip) || e.skip[r] != int32(i) {
+				return false
+			}
+			r++
+		}
+		prev = off
+	}
+	return r == len(e.skip) && r == e.nzr
 }
 
 // Footprint implements Encoded. Values ride the value lane; column indices

@@ -20,7 +20,8 @@ type ellRect struct {
 	nnz  int       // the tile's non-zeros, spill included
 	nzr  int
 	// skip lists the non-empty rows, ascending — derived host-kernel
-	// metadata like CSREnc.skip: Footprint, Stats and DecodeInto ignore it.
+	// metadata: Footprint, Stats and DecodeInto ignore it (CSREnc.skip
+	// alone is checked so far).
 	skip []int32
 }
 

@@ -427,6 +427,20 @@ func corruptionCases(tile *matrix.Tile) []corruptionCase {
 			}
 			panic("formats: every non-empty row starts at column 0")
 		}, true},
+		// The streams stay honest, but the derived fields the kernel and
+		// Stats read disagree with them: the kernel walks row skip[1]
+		// twice and never row skip[0], and Stats prices one row too many.
+		{"csr skip list and nzr disagree with the offsets", func() Encoded {
+			e := encodeCSR(tile, nil)
+			e.nzr++
+			e.skip[0] = e.skip[1]
+			return e
+		}, true},
+		{"csr nzr disagrees with the offsets", func() Encoded {
+			e := encodeCSR(tile, nil)
+			e.nzr--
+			return e
+		}, true},
 		{"coo repeated coordinate", func() Encoded {
 			e := encodeCOO(tile, nil)
 			e.rows = slices.Insert(e.rows, 0, e.rows[0])

@@ -78,6 +78,7 @@ func FuzzCSRDecode(f *testing.F) {
 				e.skip = append(e.skip, int32(i))
 			}
 		}
+		e.nzr = len(e.skip)
 		tile, err := Decode(e)
 		fuzzCorruptOK(t, err)
 		if err != nil {

@@ -16,13 +16,15 @@ import (
 // column, and DIA, whose lanes it finds through a table indexed by
 // diagonal. Each of them checks everything its DecodeInto checks: stream
 // lengths and the COO sentinel; offsets that never decrease and stay
-// within the stream; BCSR block columns that are aligned, in range and
-// strictly ascending; ELL-family rows that are left-packed with padding
-// slots holding 0; column-list rows that strictly ascend; DIA diagonal
-// numbers that are in range and ascending, with non-empty extents inside
-// their diagonals that account for every lane slot. Every stored value
-// must be non-zero and equal t's (NaN equals NaN): a stored 0 or -0 never
-// matches, because a decode drops it (or, in a column list, rejects it).
+// within the stream; a CSR skip list and non-empty row count that name
+// exactly the rows whose offsets advance; BCSR block columns that are
+// aligned, in range and strictly ascending; ELL-family rows that are
+// left-packed with padding slots holding 0; column-list rows that
+// strictly ascend; DIA diagonal numbers that are in range and ascending,
+// with non-empty extents inside their diagonals that account for every
+// lane slot. Every stored value must be non-zero and equal t's (NaN
+// equals NaN): a stored 0 or -0 never matches, because a decode drops it
+// (or, in a column list, rejects it).
 //
 // Matches is a sufficient test, not a diagnosis. It is false whenever it
 // cannot prove the round trip — for the other four formats (JDS,
@@ -98,8 +100,9 @@ func nonZeros(s []float64) int {
 	return n
 }
 
-// matches compares the offsets with the tile's row pointers, then the
-// index and value streams with its columns and values in one flat pass.
+// matches compares the offsets with the tile's row pointers, and the
+// skip list and nzr with the rows whose pointers advance, then the index
+// and value streams with its columns and values in one flat pass.
 // The tile's columns must ascend strictly within each row, as a decode's
 // seal leaves them (a tile read from a CSR that repeats a column cannot
 // round-trip), so a column that does not exceed its predecessor must
@@ -113,6 +116,9 @@ func (e *CSREnc) matches(rp, cols []int32, vals []float64) bool {
 		if off != rp[i+1] {
 			return false
 		}
+	}
+	if !e.derivedOK() {
+		return false
 	}
 	row := 0
 	for k, j := range cols {

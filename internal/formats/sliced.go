@@ -21,8 +21,8 @@ type sliced struct {
 	nnz    int
 	nzr    int
 	// skip holds one (position, rectangle offset) pair per non-empty
-	// row, ascending by position — host-kernel metadata like
-	// CSREnc.skip.
+	// row, ascending by position — host-kernel metadata that Footprint,
+	// Stats and DecodeInto ignore (CSREnc.skip alone is checked so far).
 	skip []int32
 }
 
