@@ -529,25 +529,34 @@ func (e *Engine) LocalExecutor(b backend.Backend) GroupExecutor {
 // SweepGroupsKernelsWith is the streaming sweep on the engine's own
 // backend b (nil selects the analytic default): yield receives each
 // completed (workload, kernel, p) group — results in format order plus
-// compute timing — in deterministic order while later groups are still
-// computing, so the concatenated group results equal SweepKernelsWith
-// exactly. Groups are ordered workload-major, then kernel, then
+// compute timing — in deterministic index order, so the concatenated
+// group results equal SweepKernelsWith exactly. Groups are ordered workload-major, then kernel, then
 // partition size; with specs = [spmv] the decomposition is exactly the
 // (workload, p) grid of the paper's study. Callers that want single
 // results loop over g.Results. It is the primitive under the service's
 // streamed responses and the job subsystem's progress feed.
 //
-// yield runs on the calling goroutine; returning a non-nil error stops
-// the sweep (in-flight groups are canceled) and propagates that error. A
-// canceled ctx aborts compute mid-warmup and returns ctx.Err().
+// The calling goroutine both computes groups and yields them (see
+// SweepGroupsExecWith): a ready group waits at most one of the caller's
+// own group computes before it is yielded, and at one worker a slow
+// yield no longer overlaps compute. Returning a non-nil error from yield
+// stops the sweep (in-flight groups are canceled) and propagates that
+// error. A canceled ctx aborts compute mid-warmup and returns ctx.Err().
 func (e *Engine) SweepGroupsKernelsWith(ctx context.Context, b backend.Backend, ws []workloads.Workload, specs []scenario.Spec, kinds []formats.Kind, ps []int, yield func(SweepGroup) error) error {
 	return e.SweepGroupsExecWith(ctx, e.LocalExecutor(b), ws, specs, kinds, ps, yield)
 }
 
 // SweepGroupsExecWith is SweepGroupsKernelsWith with group execution
-// delegated to exec: workers atomically claim group indices, run them
-// through the executor, and the emitter hands completed groups to yield
-// in index order. The claim/merge machinery — not the executor —
+// delegated to exec. The calling goroutine is one of the sweep's Workers
+// participants: it starts Workers−1 helper goroutines, and caller and
+// helpers claim group indices in order through one claim function and
+// run them through the executor. The caller also emits: while the next
+// group in index order is not ready and unclaimed groups remain, it
+// claims and computes one, and only then waits for that group. A ready
+// group therefore waits at most one of the caller's own group computes
+// before it is yielded, and with one worker no goroutine starts: each
+// group is computed and then yielded on the caller, so a slow yield no
+// longer overlaps compute. The claim/merge machinery — not the executor —
 // guarantees ordering, so any executor that returns deterministic
 // per-group results yields a byte-identical sweep.
 func (e *Engine) SweepGroupsExecWith(ctx context.Context, exec GroupExecutor, ws []workloads.Workload, specs []scenario.Spec, kinds []formats.Kind, ps []int, yield func(SweepGroup) error) error {
@@ -564,19 +573,14 @@ func (e *Engine) SweepGroupsExecWith(ctx context.Context, exec GroupExecutor, ws
 	if !exec.Parallelizable() {
 		workers = 1
 	}
-	if workers > groups {
-		workers = groups
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(workers, groups))
 
-	// Workers claim group indices in order and deposit each group's
-	// outcome in its slot, closing ready[g] to hand it to the emitter.
-	// After the first failure workers stop claiming *new* groups (claimed
-	// ones run to completion, keeping earlier groups' results and the
-	// lowest-indexed error deterministic); a context cancellation aborts
-	// claimed groups mid-warmup too.
+	// Participants claim group indices in order and deposit each group's
+	// outcome in its slot, closing ready[g]. After the first failure no
+	// one claims a *new* group (claimed ones run to completion, keeping
+	// earlier groups' results and the lowest-indexed error
+	// deterministic); a context cancellation aborts claimed groups
+	// mid-warmup too.
 	type groupOut struct {
 		g   SweepGroup
 		err error
@@ -590,50 +594,71 @@ func (e *Engine) SweepGroupsExecWith(ctx context.Context, exec GroupExecutor, ws
 	}
 	var next atomic.Int64
 	var failed atomic.Bool
+	// claim returns the next unclaimed group, or -1 once every group is
+	// claimed, a group has failed or the sweep is canceled.
+	claim := func() int {
+		if failed.Load() || ictx.Err() != nil {
+			return -1
+		}
+		if g := int(next.Add(1)) - 1; g < groups {
+			return g
+		}
+		return -1
+	}
+	compute := func(g int) {
+		w := ws[g/(len(specs)*len(ps))]
+		sc := specs[(g/len(ps))%len(specs)]
+		p := ps[g%len(ps)]
+		start := time.Now()
+		rs, err := exec.ExecuteGroup(ictx, w, sc, p, kinds)
+		outs[g] = groupOut{
+			g:   SweepGroup{Workload: w.ID, Kernel: sc.String(), P: p, Results: rs, Elapsed: time.Since(start)},
+			err: err,
+		}
+		if err != nil {
+			failed.Store(true)
+		}
+		close(ready[g])
+	}
+	isReady := func(g int) bool {
+		select {
+		case <-ready[g]:
+			return true
+		default:
+			return false
+		}
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for i := 1; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !failed.Load() && ictx.Err() == nil {
-				g := int(next.Add(1)) - 1
-				if g >= groups {
-					return
-				}
-				w := ws[g/(len(specs)*len(ps))]
-				sc := specs[(g/len(ps))%len(specs)]
-				p := ps[g%len(ps)]
-				start := time.Now()
-				rs, err := exec.ExecuteGroup(ictx, w, sc, p, kinds)
-				outs[g] = groupOut{
-					g:   SweepGroup{Workload: w.ID, Kernel: sc.String(), P: p, Results: rs, Elapsed: time.Since(start)},
-					err: err,
-				}
-				if err != nil {
-					failed.Store(true)
-				}
-				close(ready[g])
-				// Hand the processor to the emitter so a completed group
-				// streams out now rather than after this worker's next
-				// compute slice — on a single-CPU host the close alone
-				// does not preempt, and time-to-first-result would
-				// otherwise degenerate to the whole sweep.
-				runtime.Gosched()
+			for g := claim(); g >= 0; g = claim() {
+				compute(g)
 			}
 		}()
 	}
 
-	// The emitter walks groups in index order. A group that was never
-	// claimed (workers bailed on failure or cancellation) never closes its
-	// ready channel, but the emitter always hits the terminating condition
+	// The caller walks groups in index order. A group that was never
+	// claimed (claims stopped on failure or cancellation) never closes its
+	// ready channel, but the caller always hits the terminating condition
 	// — the erroring group or ctx.Done — first, because claims are made in
 	// index order.
 	err := func() error {
 		for g := 0; g < groups; g++ {
+			for !isReady(g) {
+				c := claim()
+				if c < 0 {
+					break
+				}
+				compute(c)
+			}
 			select {
 			case <-ready[g]:
 			case <-ctx.Done():
-				return ctx.Err()
+			}
+			if err := ctx.Err(); err != nil {
+				return err
 			}
 			if outs[g].err != nil {
 				return outs[g].err
@@ -649,6 +674,10 @@ func (e *Engine) SweepGroupsExecWith(ctx context.Context, exec GroupExecutor, ws
 	return err
 }
 
+// groupRuns holds the hlsim.Results sweep groups write their functional
+// output into; a group takes one for its formats and returns it when done.
+var groupRuns = sync.Pool{New: func() any { return new(hlsim.Result) }}
+
 // sweepGroup characterizes one matrix across formats at one partition
 // size, in the given format order, with every format costed for kernel sc
 // by backend b — the one (workload, kernel, p) group every sweep and
@@ -657,7 +686,7 @@ func (e *Engine) SweepGroupsExecWith(ctx context.Context, exec GroupExecutor, ws
 // (matrix, p), across kernels and calls too: sweeping spmv and cg:60 over
 // one matrix encodes each format exactly once, and the analytic backend
 // walks the plan's rows for A·x once. The formats write their functional
-// output into one group-held hlsim.Result, checked against the reference
+// output into one pooled hlsim.Result, checked against the reference
 // after each format. Cancellation is checked between formats and inside
 // each format's warmup (and a measured backend's timing loop), returning
 // ctx.Err().
@@ -665,7 +694,7 @@ func (e *Engine) SweepGroupsExecWith(ctx context.Context, exec GroupExecutor, ws
 // A panic anywhere under the group — plan warmup, backend evaluation,
 // metric aggregation — is recovered into a *resilience.PanicError and
 // becomes the group's error, failing the sweep with a structured error
-// instead of unwinding the worker goroutine and killing the process. The
+// instead of unwinding the sweep's goroutine and killing the process. The
 // ptSweepGroup fault point lets the chaos suite fail a chosen group
 // (e.g. the second, after the first has streamed out).
 func (e *Engine) sweepGroup(ctx context.Context, b backend.Backend, name string, m *matrix.CSR, sc scenario.Spec, p int, kinds []formats.Kind) (rs []Result, err error) {
@@ -689,16 +718,18 @@ func (e *Engine) sweepGroup(ctx context.Context, b backend.Backend, name string,
 	if err != nil {
 		return nil, fmt.Errorf("core: %s/%s/p=%d: %w", name, sc, p, err)
 	}
-	// One Result serves every format of the group: each evaluation
-	// overwrites it and reuses its Y, and nothing in a core.Result keeps
-	// Y, so a warm group allocates at most one output vector.
-	var run hlsim.Result
+	// One pooled Result serves every format of the group: each
+	// evaluation overwrites it and reuses its Y, and nothing in a
+	// core.Result keeps Y, so a warm sweep reuses its output vectors
+	// across groups instead of allocating one per group.
+	run := groupRuns.Get().(*hlsim.Result)
+	defer groupRuns.Put(run)
 	out := make([]Result, 0, len(kinds))
 	for _, k := range kinds {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r, err := e.characterizeOn(ctx, b, name, ent.pl, sc, k, ent.x, ent.ref, &run)
+		r, err := e.characterizeOn(ctx, b, name, ent.pl, sc, k, ent.x, ent.ref, run)
 		if err != nil {
 			return nil, err
 		}

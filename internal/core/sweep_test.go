@@ -171,3 +171,34 @@ func TestWarmGroupAllocatesOneY(t *testing.T) {
 			len(kinds), all, one, all-one, y)
 	}
 }
+
+// TestWarmGroupReusesY: sweep groups take their output buffer from a
+// pool, so once one warm group of a matrix has run, a second allocates
+// less than one Y (rows × 8 B) — it reuses the first group's.
+func TestWarmGroupReusesY(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's bookkeeping allocates")
+	}
+	m := gen.Band(4096, 3, 5)
+	kinds := formats.Core()
+	e := New()
+	e.SetWorkers(1)
+	group := func() {
+		if _, err := e.sweepGroup(context.Background(), backend.Analytic{}, "band", m, scenario.Default(), 16, kinds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	group() // warm the plan and every format
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		group()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		group()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if y := uint64(m.Rows * 8); least >= y {
+		t.Fatalf("second warm group allocated %d B, want < one Y (%d B)", least, y)
+	}
+}

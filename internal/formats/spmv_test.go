@@ -201,21 +201,41 @@ func TestKernelsAblationShapes(t *testing.T) {
 	}
 }
 
-// BenchmarkKernel times each format's SpMV on one p=256 tile with about
-// 130 non-zeros — the tile shape of an 8192² matrix at density 0.002 —
-// so a kernel regression shows here, below the plan's tile fan-out.
+// BenchmarkKernel times each format's SpMV over 256 distinct p=256
+// tiles with about 130 non-zeros each — the tile shape of an 8192²
+// matrix at density 0.002 — so a kernel regression shows here, below
+// the plan's tile fan-out. One op runs every tile once, as a plan's
+// exec walk does; repeating a single tile instead lets the branch
+// predictor learn its row lengths and understates data-dependent
+// kernels such as CSR's row loop. ns/tile is ns/op over the 256 tiles.
 func BenchmarkKernel(b *testing.B) {
-	const p = 256
-	tile := randomTile(256, p, 0.002)
+	const p, tiles = 256, 256
 	x := testOperand(p, 257)
 	y := make([]float64, p)
+	src := make([]*matrix.Tile, tiles)
+	for i := range src {
+		src[i] = randomTile(uint64(256+i), p, 0.002)
+	}
 	for _, k := range All() {
-		e := Encode(k, tile)
+		es := make([]Encoded, tiles)
+		for i, t := range src {
+			if k == Dense && i > 0 {
+				// Dense stores all p² values (512 KB here) whatever the
+				// tile holds and its kernel has no data-dependent branch,
+				// so it cycles over one encoding.
+				es[i] = es[0]
+				continue
+			}
+			es[i] = Encode(k, t)
+		}
 		b.Run(k.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e.SpMV(x, y)
+				for _, e := range es {
+					e.SpMV(x, y)
+				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tiles), "ns/tile")
 		})
 	}
 }
