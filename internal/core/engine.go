@@ -149,7 +149,9 @@ type planKey struct {
 // the entries, not in a table keyed by matrix, so DropPlansFor and
 // eviction free them with the matrix's last plan. Since every sweep of the
 // plan multiplies the same x, the plan walks its rows once and every
-// later point copies the stored product (hlsim.Plan.RunContext).
+// later point copies the stored product (hlsim.Plan.RunContext); the copy
+// has the bits of the group's verified output, so its functional check
+// is one byte compare (groupCheck).
 type planEntry struct {
 	key    planKey
 	pl     *hlsim.Plan
@@ -378,20 +380,20 @@ func validatePoint(k formats.Kind, p int) error {
 // stream; the structural metrics come from the plan's analytic cycle totals
 // either way, and the functional output — one A·x, the iteration operand
 // held fixed — is verified against the reference under every backend and
-// kernel. The backend writes that output into run, the group's buffer;
-// the returned Result keeps none of it.
-func (e *Engine) characterizeOn(ctx context.Context, b backend.Backend, name string, pl *hlsim.Plan, sc scenario.Spec, k formats.Kind, x, ref []float64, run *hlsim.Result) (Result, error) {
+// kernel, through the group's check g.check: an output whose bits equal
+// the group's last verified one passes on one byte compare, any other runs
+// the full loop of mismatchRow. The backend writes that output into
+// g.run, the group's buffer; the returned Result keeps none of it.
+func (e *Engine) characterizeOn(ctx context.Context, b backend.Backend, name string, pl *hlsim.Plan, sc scenario.Spec, k formats.Kind, x, ref []float64, g *groupRun) (Result, error) {
 	p := pl.P()
-	meas, err := b.EvaluateInto(ctx, pl, sc, k, x, run)
+	meas, err := b.EvaluateInto(ctx, pl, sc, k, x, &g.run)
 	if err != nil {
 		return Result{}, fmt.Errorf("core: %s/%s/%v/p=%d: %w", name, sc, k, p, err)
 	}
-	run = meas.Run
-	for i := range ref {
-		if math.Abs(run.Y[i]-ref[i]) > e.verifyTol {
-			return Result{}, fmt.Errorf("core: %s/%v/p=%d: functional mismatch at row %d: %g vs %g",
-				name, k, p, i, run.Y[i], ref[i])
-		}
+	run := meas.Run
+	if i := g.check.mismatch(run.Y, ref, e.verifyTol); i >= 0 {
+		return Result{}, fmt.Errorf("core: %s/%v/p=%d: functional mismatch at row %d: %g vs %g",
+			name, k, p, i, run.Y[i], ref[i])
 	}
 	rep := synth.Estimate(k, p)
 	// For the analytic backend these are exactly the pre-backend
@@ -674,9 +676,65 @@ func (e *Engine) SweepGroupsExecWith(ctx context.Context, exec GroupExecutor, ws
 	return err
 }
 
-// groupRuns holds the hlsim.Results sweep groups write their functional
-// output into; a group takes one for its formats and returns it when done.
-var groupRuns = sync.Pool{New: func() any { return new(hlsim.Result) }}
+// groupRun is the state the formats of one sweep group share: the Result
+// every evaluation writes its functional output into, and the group's
+// functional check.
+type groupRun struct {
+	run   hlsim.Result
+	check groupCheck
+}
+
+// groupRuns holds the groupRuns of sweep groups; a group takes one for its
+// formats and returns it when done.
+var groupRuns = sync.Pool{New: func() any { return new(groupRun) }}
+
+// groupCheck is the functional check of one sweep group's points. Every
+// point of a group is checked against the group's one reference under the
+// engine's one tolerance, and the check is a pure function of the output's
+// bits, so an output whose bits equal one that already passed passes too.
+// The check keeps a copy of the last output that passed the full loop and
+// compares each output with it first, as one byte compare (hlsim.SameBits);
+// any other output runs the full loop and, if it passes, becomes the copy.
+// Under the analytic backend every format of a group outputs the same
+// bits, so only the group's first point pays the loop.
+type groupCheck struct {
+	verified []float64
+	ok       bool // verified passed against the current group's reference
+}
+
+// reset forgets the verified copy. A group calls it before its first
+// point: the reference differs between matrices.
+func (c *groupCheck) reset() { c.ok = false }
+
+// mismatch is mismatchRow(y, ref, tol), answered from the verified copy
+// when y has its bits.
+func (c *groupCheck) mismatch(y, ref []float64, tol float64) int {
+	if c.ok && hlsim.SameBits(y, c.verified) {
+		return -1
+	}
+	if i := mismatchRow(y, ref, tol); i >= 0 {
+		return i
+	}
+	c.verified = append(c.verified[:0], y...)
+	c.ok = true
+	return -1
+}
+
+// mismatchRow is the full functional check: the first row at which y
+// differs from the reference ref, or -1 when none does. A row passes iff
+// |y−ref| ≤ tol, or y == ref (same-sign infinities), or both are NaN, so a
+// NaN never passes against a number. The engine's operand is finite, so a
+// non-finite row comes only from the matrix's own NaN or infinite values,
+// which the reference carries too.
+func mismatchRow(y, ref []float64, tol float64) int {
+	y = y[:len(ref)]
+	for i, r := range ref {
+		if v := y[i]; !(math.Abs(v-r) <= tol) && v != r && !(v != v && r != r) {
+			return i
+		}
+	}
+	return -1
+}
 
 // sweepGroup characterizes one matrix across formats at one partition
 // size, in the given format order, with every format costed for kernel sc
@@ -686,8 +744,10 @@ var groupRuns = sync.Pool{New: func() any { return new(hlsim.Result) }}
 // (matrix, p), across kernels and calls too: sweeping spmv and cg:60 over
 // one matrix encodes each format exactly once, and the analytic backend
 // walks the plan's rows for A·x once. The formats write their functional
-// output into one pooled hlsim.Result, checked against the reference
-// after each format. Cancellation is checked between formats and inside
+// output into one pooled groupRun, checked against the reference after
+// each format: the group's first point runs the full loop, and a later one
+// whose output has the verified bits passes on one byte compare (see
+// groupCheck). Cancellation is checked between formats and inside
 // each format's warmup (and a measured backend's timing loop), returning
 // ctx.Err().
 //
@@ -718,18 +778,25 @@ func (e *Engine) sweepGroup(ctx context.Context, b backend.Backend, name string,
 	if err != nil {
 		return nil, fmt.Errorf("core: %s/%s/p=%d: %w", name, sc, p, err)
 	}
-	// One pooled Result serves every format of the group: each
-	// evaluation overwrites it and reuses its Y, and nothing in a
-	// core.Result keeps Y, so a warm sweep reuses its output vectors
-	// across groups instead of allocating one per group.
-	run := groupRuns.Get().(*hlsim.Result)
-	defer groupRuns.Put(run)
+	// One pooled groupRun serves every format of the group: each
+	// evaluation overwrites its Result and reuses its Y, and nothing in a
+	// core.Result keeps Y, so a warm sweep reuses its output vectors — and
+	// the check's verified copy — across groups instead of allocating them
+	// per group.
+	g := groupRuns.Get().(*groupRun)
+	defer groupRuns.Put(g)
+	g.check.reset()
+	// Poll cancellation through the done channel: a closed-channel receive
+	// takes no lock, where cancelCtx.Err does.
+	done := ctx.Done()
 	out := make([]Result, 0, len(kinds))
 	for _, k := range kinds {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		select {
+		case <-done:
+			return nil, ctx.Err()
+		default:
 		}
-		r, err := e.characterizeOn(ctx, b, name, ent.pl, sc, k, ent.x, ent.ref, run)
+		r, err := e.characterizeOn(ctx, b, name, ent.pl, sc, k, ent.x, ent.ref, g)
 		if err != nil {
 			return nil, err
 		}

@@ -699,7 +699,7 @@ func (pl *Plan) spmv(x []float64, y []float64) {
 // the rows once per plan.
 func (pl *Plan) mulVec(x, y []float64) {
 	pr := pl.prod.Load()
-	if pr != nil && sameBits(pr.x, x) {
+	if pr != nil && SameBits(pr.x, x) {
 		copy(y, pr.y)
 		return
 	}
@@ -710,9 +710,11 @@ func (pl *Plan) mulVec(x, y []float64) {
 	}
 }
 
-// sameBits reports whether a and b hold the same bits, as one byte
+// SameBits reports whether a and b hold the same bits, as one byte
 // compare: -0 differs from +0, and a NaN matches only its own payload.
-func sameBits(a, b []float64) bool {
+// The sweep's functional check uses it to pass an output whose bits equal
+// one that already passed against the same reference.
+func SameBits(a, b []float64) bool {
 	return len(a) == len(b) && bytes.Equal(float64Bytes(a), float64Bytes(b))
 }
 

@@ -89,92 +89,98 @@ func (a array) bankAndFF() (banks, ffBits int) {
 	return a.partition * perSlice, 0
 }
 
-// arrays returns the on-chip buffers of each format's decompressor, as
-// declared by the paper's listings (worst-case lengths from §2).
-func arrays(k formats.Kind, p int) []array {
+// maxArrays is the most on-chip buffers any decompressor declares
+// (ELL+COO: the two ELL rectangles and three spill-tuple vectors).
+const maxArrays = 5
+
+// arrays appends the on-chip buffers of format k's decompressor to dst and
+// returns the extended slice, as declared by the paper's listings
+// (worst-case lengths from §2). It appends at most maxArrays, so a caller
+// that passes a buffer of that capacity allocates nothing.
+func arrays(dst []array, k formats.Kind, p int) []array {
 	b := formats.BCSRBlock
 	switch k {
 	case formats.Dense:
 		// Row-partitioned input buffer: each row in its own bank so the
 		// dot engine reads a full row per cycle.
-		return []array{{words: p * p, partition: p}}
+		return append(dst, array{words: p * p, partition: p})
 	case formats.CSR:
 		// Sequential arrays; unknown access order forbids partitioning
 		// (§5.2), so colInx and values each occupy monolithic banks.
-		return []array{
-			{words: p, partition: 1},     // offsets
-			{words: p * p, partition: 1}, // colInx
-			{words: p * p, partition: 1}, // values
-		}
+		return append(dst,
+			array{words: p, partition: 1},     // offsets
+			array{words: p * p, partition: 1}, // colInx
+			array{words: p * p, partition: 1}, // values
+		)
 	case formats.CSC:
-		return []array{
-			{words: p, partition: 1},
-			{words: p * p, partition: 1}, // rowInx
-			{words: p * p, partition: 1},
-		}
+		return append(dst,
+			array{words: p, partition: 1},
+			array{words: p * p, partition: 1}, // rowInx
+			array{words: p * p, partition: 1},
+		)
 	case formats.BCSR:
 		// values/colInx partitioned across dim 2 (Listing 2): the block
 		// rows stripe across p banks like the dense buffer. The small
 		// offset/index arrays feed address generation and stay in
 		// registers.
-		return []array{
-			{words: p / b, partition: 1, ffThresholdBits: 4096},
-			{words: (p / b) * (p / b), partition: 1, ffThresholdBits: 4096}, // colInx
-			{words: p * p, partition: p},                                    // values
-		}
+		return append(dst,
+			array{words: p / b, partition: 1, ffThresholdBits: 4096},
+			array{words: (p / b) * (p / b), partition: 1, ffThresholdBits: 4096}, // colInx
+			array{words: p * p, partition: p},                                    // values
+		)
 	case formats.COO:
 		// Three tuple component vectors, sequential access only.
-		return []array{
-			{words: p*p + 1, partition: 1}, // rows
-			{words: p*p + 1, partition: 1}, // cols
-			{words: p*p + 1, partition: 1}, // values
-		}
+		return append(dst,
+			array{words: p*p + 1, partition: 1}, // rows
+			array{words: p*p + 1, partition: 1}, // cols
+			array{words: p*p + 1, partition: 1}, // values
+		)
 	case formats.DOK:
 		// Hash table sized 2× worst-case nnz: keys and values.
-		return []array{
-			{words: 2 * p * p, partition: 1},
-			{words: 2 * p * p, partition: 1},
-		}
+		return append(dst,
+			array{words: 2 * p * p, partition: 1},
+			array{words: 2 * p * p, partition: 1},
+		)
 	case formats.LIL:
 		// Column lists partitioned cyclically (factor 2 per array keeps
 		// the min-tree fed while bounding banking).
-		return []array{
-			{words: p * (p + 1), partition: 2}, // Inx, terminator row included
-			{words: p * (p + 1), partition: 2}, // values
-		}
+		return append(dst,
+			array{words: p * (p + 1), partition: 2}, // Inx, terminator row included
+			array{words: p * (p + 1), partition: 2}, // values
+		)
 	case formats.ELL:
 		// Rectangles allocated at the fixed ELLWidth, partitioned across
 		// dim 2 for the fully unrolled gather; the unrolled consumer
 		// keeps shallow slices in registers (the p=8 FF buffering the
 		// paper observes).
-		return []array{
-			{words: p * formats.ELLWidth, partition: formats.ELLWidth, ffThresholdBits: 512},
-			{words: p * formats.ELLWidth, partition: formats.ELLWidth, ffThresholdBits: 512},
-		}
+		return append(dst,
+			array{words: p * formats.ELLWidth, partition: formats.ELLWidth, ffThresholdBits: 512},
+			array{words: p * formats.ELLWidth, partition: formats.ELLWidth, ffThresholdBits: 512},
+		)
 	case formats.DIA:
 		// Worst case 2p-1 diagonals of p+1 slots each, partitioned by a
 		// modest factor so several diagonals scan per cycle.
-		return []array{{words: (2*p - 1) * (p + 1), partition: 3}}
+		return append(dst, array{words: (2*p - 1) * (p + 1), partition: 3})
 	case formats.SELL:
-		return []array{
-			{words: p * formats.ELLWidth, partition: formats.ELLWidth},
-			{words: p * formats.ELLWidth, partition: formats.ELLWidth},
-			{words: p / formats.SELLSlice, partition: 1}, // widths
-		}
+		return append(dst,
+			array{words: p * formats.ELLWidth, partition: formats.ELLWidth},
+			array{words: p * formats.ELLWidth, partition: formats.ELLWidth},
+			array{words: p / formats.SELLSlice, partition: 1}, // widths
+		)
 	case formats.ELLCOO:
-		return append(arrays(formats.ELL, p),
+		return append(arrays(dst, formats.ELL, p),
 			array{words: p*p/2 + 1, partition: 1}, // spill tuples
 			array{words: p*p/2 + 1, partition: 1},
 			array{words: p*p/2 + 1, partition: 1})
 	case formats.JDS:
-		return []array{
-			{words: p, partition: 1},     // perm
-			{words: p + 1, partition: 1}, // ptr
-			{words: p * p, partition: 1}, // idx
-			{words: p * p, partition: 1}, // values
-		}
+		return append(dst,
+			array{words: p, partition: 1},     // perm
+			array{words: p + 1, partition: 1}, // ptr
+			array{words: p * p, partition: 1}, // idx
+			array{words: p * p, partition: 1}, // values
+		)
 	case formats.SELLCS:
-		return append(arrays(formats.SELL, p),
+		return append(arrays(dst, formats.SELL, p),
 			array{words: p, partition: 1}) // perm
 	default:
 		panic(fmt.Sprintf("synth: arrays for unknown kind %v", k))
@@ -249,7 +255,8 @@ func Estimate(k formats.Kind, p int) Report {
 
 	// Storage.
 	ffBits := 0
-	for _, a := range arrays(k, p) {
+	var buf [maxArrays]array
+	for _, a := range arrays(buf[:0], k, p) {
 		banks, ff := a.bankAndFF()
 		r.BRAM18K += banks
 		ffBits += ff

@@ -192,3 +192,20 @@ func TestSmallPartitionPanics(t *testing.T) {
 	}()
 	Estimate(formats.BCSR, 2)
 }
+
+// TestEstimateAllocsZero: the estimator lays each decompressor's arrays
+// out in a fixed-size buffer on its stack, so an estimate allocates
+// nothing — the sweep calls it once per point.
+func TestEstimateAllocsZero(t *testing.T) {
+	kinds := formats.All()
+	if len(kinds) != 13 {
+		t.Fatalf("formats.All() has %d kinds, want 13", len(kinds))
+	}
+	for _, k := range kinds {
+		for _, p := range []int{8, 16, 32, 256} {
+			if n := testing.AllocsPerRun(10, func() { Estimate(k, p) }); n != 0 {
+				t.Errorf("Estimate(%v, %d): %v allocs, want 0", k, p, n)
+			}
+		}
+	}
+}
